@@ -8,6 +8,7 @@ config's [output] section, then the MOMOBS_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from .adaptive import StructureError
 from .config import ConfigError, build_model, build_scenario, load_config
 from .geometry import check_zrs, sample_positions
-from .harness import apply_sweep_value, compute_metrics, integrate_scenario
+from .harness import Metrics, apply_sweep_value, compute_metrics, integrate_scenario
 from .model import ModelError
 from .svgplot import write_line_svg
 
@@ -43,7 +44,8 @@ def _write_artifacts(ts, outdir: Path, emit_svg: bool, prefix: str = "") -> None
     if ts.ptil_norm is not None:
         metrics = compute_metrics(ts)
         (outdir / f"{prefix}metrics.txt").write_text(metrics.to_text() + "\n")
-    if emit_svg and ts.ptil_norm is not None:
+    # a run that diverged within its first sample interval has no line to plot
+    if emit_svg and ts.ptil_norm is not None and ts.t.size >= 2:
         write_line_svg(outdir / f"{prefix}ptil.svg", ts.t, ts.ptil_norm, "momenta error norm")
         write_line_svg(outdir / f"{prefix}dtil.svg", ts.t, ts.dtil_norm, "disturbance error norm")
         if ts.rutil_norm is not None:
@@ -108,14 +110,12 @@ def cmd_sweep(args) -> int:
         m = compute_metrics(ts)
         rows.append((value, m))
     with open(outdir / "sweep_metrics.csv", "w", newline="\n") as fh:
-        fh.write("value,convergence_time,converged,final_ptil,final_dtil,final_rutil,"
-                 "lyap_violations,lyap_max_violation\n")
+        fh.write(",".join(["value"] + [f.name for f in dataclasses.fields(Metrics)]) + "\n")
         for value, m in rows:
-            fh.write(
-                f"{value:.17g},{m.convergence_time:.17g},{int(m.converged)},"
-                f"{m.final_ptil:.17g},{m.final_dtil:.17g},{m.final_rutil:.17g},"
-                f"{m.lyap_violations},{m.lyap_max_violation:.17g}\n"
-            )
+            # floats with 17 significant digits, the flag and the count as integers
+            cells = (f"{c:.17g}" if isinstance(c, float) else str(int(c))
+                     for c in (value, *dataclasses.astuple(m)))
+            fh.write(",".join(cells) + "\n")
     print(f"wrote {outdir / 'sweep_metrics.csv'}")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import MechanicalModel
+from .model import MechanicalModel, central_differences
 
 Array = np.ndarray
 
@@ -30,13 +30,7 @@ ROW_TOL = 1e-9
 def jacobian_fd(f: Callable[[Array], Array], q: Array, h: float = DEFAULT_STEP) -> Array:
     """Jacobian of a vector field by central differences, column per q_k."""
     q = np.asarray(q, dtype=float)
-    n = q.size
-    f0 = np.asarray(f(q), dtype=float)
-    J = np.empty((f0.size, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        J[:, k] = (np.asarray(f(q + e)) - np.asarray(f(q - e))) / (2.0 * h)
+    J = central_differences(f, q, h).reshape(q.size, -1).T
     if not np.all(np.isfinite(J)):
         raise ValueError("vector field evaluated to non-finite values near q")
     return J
@@ -50,26 +44,12 @@ def lie_bracket(X, Y, q, h: float = DEFAULT_STEP) -> Array:
     return jacobian_fd(Y, q, h) @ np.asarray(X(q)) - jacobian_fd(X, q, h) @ np.asarray(Y(q))
 
 
-def _column_jacobians(model: MechanicalModel, q: Array, h: float) -> Array:
-    """Jacobian of each factor column; [j] has columns d(T e_j)/dq_k."""
-    if model.factor_jac is not None:
-        dT = model.factor_jac(q)  # (k, i, j)
-        return np.transpose(dT, (2, 1, 0))  # (j, i, k)
-    n = model.n
-    out = np.empty((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        diff = (model.factor(q + e) - model.factor(q - e)) / (2.0 * h)
-        out[:, :, k] = diff.T  # diff[i, j] -> out[j, i, k]
-    return out
-
-
 def factor_brackets(model: MechanicalModel, q, h: float = DEFAULT_STEP) -> Array:
     """All pairwise brackets of factor columns; entry [i, j] = [(T)_i, (T)_j]."""
     q = np.asarray(q, dtype=float)
     T = model.factor(q)
-    jac = _column_jacobians(model, q, h)
+    # jac[j] has columns d(T e_j)/dq_k
+    jac = np.transpose(model.factor_jacobian(q, h), (2, 1, 0))
     n = model.n
     out = np.zeros((n, n, n))
     for i in range(n):
@@ -78,6 +58,11 @@ def factor_brackets(model: MechanicalModel, q, h: float = DEFAULT_STEP) -> Array
             out[i, j] = b
             out[j, i] = -b
     return out
+
+
+def swapped_from_brackets(br: Array, pbar) -> Array:
+    """Jbar(q, pbar) from br = factor_brackets(model, q): Jbar[j, k] = -pbar^T br[j, :, k]."""
+    return -np.tensordot(np.asarray(pbar, dtype=float), br, axes=(0, 1))
 
 
 def gyro_matrix(model: MechanicalModel, q, p, h: float = DEFAULT_STEP) -> Array:
@@ -107,15 +92,7 @@ def gyro_swapped(model: MechanicalModel, q, pbar, h: float = DEFAULT_STEP) -> Ar
     """
     if model.zrs:
         return np.zeros((model.n, model.n))
-    pbar = np.asarray(pbar, dtype=float)
-    br = factor_brackets(model, q, h)
-    n = model.n
-    out = np.empty((n, n))
-    # J(q, e_k)[j, l] = -br[j, l, k]
-    for k in range(n):
-        Jk = -br[:, :, k]
-        out[:, k] = Jk @ pbar
-    return out
+    return swapped_from_brackets(factor_brackets(model, q, h), pbar)
 
 
 def grad_integral_map_residual(model: MechanicalModel, q, h: float = DEFAULT_STEP) -> float:

@@ -243,9 +243,10 @@ def exact_observer_init(sc: Scenario) -> Array:
 def integrate_scenario(sc: Scenario) -> TimeSeries:
     """Run the coupled plant and observer system.
 
-    Divergence (non-finite state) does not raise: the series is truncated
-    at the last finite sample and flagged, with a message saying when the
-    run blew up.
+    Divergence does not raise: a non-finite state, or a LinAlgError,
+    FloatingPointError or (Python float) OverflowError inside a step,
+    truncates the series at the last finite sample and flags it, with a
+    message saying when the run blew up and what was raised.
     """
     model = sc.model
     n = model.n
@@ -283,12 +284,17 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
         t = k * dt
         d = sched.value(t + 0.5 * dt)
         f = lambda tt, xx: rhs(tt, xx, d)
-        x = rk4_step(f, t, x, dt)
-        if project is not None:
-            view = x[2 * n :]
-            tail = project(view)
-            if tail is not view:
-                x[2 * n :] = tail
+        try:
+            x = rk4_step(f, t, x, dt)
+            if project is not None:
+                view = x[2 * n :]
+                tail = project(view)
+                if tail is not view:
+                    x[2 * n :] = tail
+        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+            diverged = True
+            message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"
+            break
         if not np.all(np.isfinite(x)):
             diverged = True
             message = f"state became non-finite at t = {(k + 1) * dt:.6g}"
@@ -390,9 +396,6 @@ def compute_metrics(ts: TimeSeries, eps: float = 1e-2, lyap_tol: float = 1e-8) -
     )
 
 
-SWEEPABLE = ("lambda", "psi3_const", "psi4_extra", "psi5_extra")
-
-
 def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
     if param == "lambda":
         return replace(sc, lam=float(value))
@@ -411,15 +414,11 @@ def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
     raise ValueError(f"unknown sweep parameter {param!r}")
 
 
-def sweep(sc: Scenario, param: str, values, eps: float = 1e-2):
-    """Independent runs per value, order preserved; returns (value, Metrics) pairs."""
-    out = []
-    for v in values:
-        ts = integrate_scenario(apply_sweep_value(sc, param, v))
-        out.append((float(v), compute_metrics(ts, eps=eps)))
-    return out
-
-
 def sweep_series(sc: Scenario, param: str, values):
-    """Like sweep but keeps the full series of every run."""
+    """Independent runs per value, order preserved; returns (value, TimeSeries) pairs."""
     return [(float(v), integrate_scenario(apply_sweep_value(sc, param, v))) for v in values]
+
+
+def sweep(sc: Scenario, param: str, values, eps: float = 1e-2):
+    """Like sweep_series but keeps only the metrics: (value, Metrics) pairs."""
+    return [(v, compute_metrics(ts, eps=eps)) for v, ts in sweep_series(sc, param, values)]

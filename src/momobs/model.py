@@ -29,6 +29,20 @@ Array = np.ndarray
 _COND_LIMIT = 1e12
 
 
+def central_differences(f: Callable[[Array], Array], q, h: float) -> Array:
+    """(f(q + h e_k) - f(q - h e_k)) / 2h for every k, stacked along a new first axis.
+
+    Evaluates f only at the 2n shifted points, never at q itself.
+    """
+    q = np.asarray(q, dtype=float)
+    out = []
+    for k in range(q.size):
+        e = np.zeros(q.size)
+        e[k] = h
+        out.append((np.asarray(f(q + e)) - np.asarray(f(q - e))) / (2.0 * h))
+    return np.array(out)
+
+
 class ModelError(ValueError):
     """Bad model data: dimension mismatch, non-finite input, singular factor."""
 
@@ -86,15 +100,6 @@ class FrictionSpec:
     @property
     def known_coeffs(self) -> Array:
         return self.coeffs[self.known_mask]
-
-    def matrix(self) -> Array:
-        return np.diag(self.coeffs)
-
-    def known_matrix(self) -> Array:
-        return np.diag(np.where(self.known_mask, self.coeffs, 0.0))
-
-    def unknown_matrix(self) -> Array:
-        return np.diag(np.where(self.known_mask, 0.0, self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -201,13 +206,7 @@ class MechanicalModel:
         """Stacked dT/dq_k, analytic when available, else central differences."""
         if self.factor_jac is not None:
             return self.factor_jac(q)
-        q = np.asarray(q, dtype=float)
-        out = np.empty((self.n, self.n, self.n))
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            out[k] = (self.factor(q + e) - self.factor(q - e)) / (2.0 * h)
-        return out
+        return central_differences(self.factor, q, h)
 
     def transformed_friction(self, q: Array) -> Array:
         """R(q) = T^T diag(r) T, the friction matrix in factored coordinates."""

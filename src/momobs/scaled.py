@@ -22,13 +22,16 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from . import geometry
 from .adaptive import StructureError
-from .geometry import gyro_matrix, gyro_swapped
+# bench/spans.py traces gyro_matrix and gyro_swapped under this module, so both stay imported
+from .geometry import gyro_matrix, gyro_swapped, swapped_from_brackets  # noqa: F401
 from .model import MechanicalModel
 
 Array = np.ndarray
 
 _FD_STEP = 1e-6
+_BOUND_SAFETY = 2.0
 
 
 def _spec_norm(A) -> float:
@@ -109,17 +112,30 @@ class ScaledObserver:
         self.n = model.n
         self.dim = 4 * model.n + 1
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
+        self._memo = None  # position bytes -> structure, live during derivative()
 
     # -- mappings ----------------------------------------------------------
 
+    def _structure(self, x: Array):
+        """(T^-1(x), factor-column brackets at x or None when columns commute).
+
+        Inside one derivative call each distinct position is evaluated once.
+        """
+        key = x.tobytes()
+        if self._memo is not None and key in self._memo:
+            return self._memo[key]
+        model = self.model
+        found = (model.factor_inverse(x), None if model.zrs else geometry.factor_brackets(model, x))
+        if self._memo is not None:
+            self._memo[key] = found
+        return found
+
     def mapping_h(self, q, phat) -> Array:
         """H(q, phat) = (psi I + Jbar(q, phat)) T^-1(q)."""
-        q = np.asarray(q, dtype=float)
-        Tinv = self.model.factor_inverse(q)
-        if self.model.zrs:
+        Tinv, br = self._structure(np.asarray(q, dtype=float))
+        if br is None:
             return self.psi * Tinv
-        jbar = gyro_swapped(self.model, q, phat)
-        return (self.psi * np.eye(self.n) + jbar) @ Tinv
+        return (self.psi * np.eye(self.n) + swapped_from_brackets(br, phat)) @ Tinv
 
     def delta_split(self, q, qbar, phat, pbar) -> Tuple[Array, Array]:
         """Split H(q, phat) - H(qbar, pbar) into position and momenta parts.
@@ -138,8 +154,10 @@ class ScaledObserver:
 
         Models with commuting factor columns and a Lipschitz constant for
         T^-1 get the sharp analytic bounds (the momenta part is then zero).
-        Otherwise a sampled secant slope along the segment between the two
-        arguments, doubled for safety, is used.
+        Otherwise bound_q is a sampled secant slope along the segment from
+        qbar to q, doubled for safety.  H(qbar, .) is affine in momenta, so
+        every secant slope towards phat equals |delta_p| / |e_p|; bound_p is
+        that exact slope, doubled likewise (the value the sampled secant gave).
         """
         if self._analytic_bounds:
             return self.psi * float(self.model.lip_factor_inv), 0.0
@@ -148,20 +166,25 @@ class ScaledObserver:
         phat = np.asarray(phat, dtype=float)
         pbar = np.asarray(pbar, dtype=float)
         bound_q = self._secant_bound(lambda x: self.mapping_h(x, phat), qbar, q)
-        bound_p = self._secant_bound(lambda y: self.mapping_h(qbar, y), pbar, phat)
-        return bound_q, bound_p
+        gap_p = np.linalg.norm(phat - pbar)
+        if gap_p == 0.0:
+            return bound_q, 0.0
+        delta_p = self.mapping_h(qbar, phat) - self.mapping_h(qbar, pbar)
+        return bound_q, _BOUND_SAFETY * float(np.linalg.norm(delta_p, 2)) / gap_p
 
     @staticmethod
-    def _secant_bound(f, x0, x1, samples: int = 10, safety: float = 2.0) -> float:
+    def _secant_bound(f, x0, x1, samples: int = 10) -> float:
         gap = np.linalg.norm(x1 - x0)
         if gap == 0.0:
             return 0.0
         f0 = f(x0)
         worst = 0.0
         for tau in np.linspace(0.1, 1.0, samples):
-            ratio = np.linalg.norm(f(x0 + tau * (x1 - x0)) - f0, 2) / (tau * gap)
+            # tau = 1 is x1 itself, not a rounded copy, so its structure is reused
+            x = x1 if tau == 1.0 else x0 + tau * (x1 - x0)
+            ratio = np.linalg.norm(f(x) - f0, 2) / (tau * gap)
             worst = max(worst, float(ratio))
-        return safety * worst
+        return _BOUND_SAFETY * worst
 
     # -- gain schedule ------------------------------------------------------
 
@@ -205,16 +228,17 @@ class ScaledObserver:
         mom = self.model.factor_inverse(q).T @ phat
         return Obs2Estimates(p=phat, d=dhat, mom=mom)
 
-    def _mapping_h_rate(self, qbar, pbar, qbar_dot, pbar_dot, tinv_bar=None) -> Array:
+    def _mapping_h_rate(self, qbar, pbar, qbar_dot, pbar_dot) -> Array:
         """Time derivative of H(qbar, pbar) along the copy dynamics.
 
         Commuting-factor models with analytic factor derivatives get the
         exact chain rule through T^-1; anything else falls back to a
-        directional central difference with step 1e-6.
+        directional central difference with step 1e-6, whose two points
+        each get one structure evaluation like every other position.
         """
         model = self.model
         if model.zrs and model.factor_jac is not None:
-            Tinv = model.factor_inverse(qbar) if tinv_bar is None else tinv_bar
+            Tinv = self._structure(qbar)[0]
             dT = model.factor_jac(qbar)
             n = self.n
             Tdot = (qbar_dot @ dT.reshape(n, n * n)).reshape(n, n)
@@ -230,35 +254,35 @@ class ScaledObserver:
         return scale * (plus - minus) / (2.0 * tau)
 
     def derivative(self, z, q, u) -> Array:
+        self._memo = {}
+        try:
+            return self._derivative(np.asarray(z, dtype=float), np.asarray(q, dtype=float), u)
+        finally:
+            self._memo = None
+
+    def _derivative(self, z, q, u) -> Array:
         model = self.model
         n = self.n
-        q = np.asarray(q, dtype=float)
-        z = np.asarray(z, dtype=float)
         qbar, pbar, p_i, d_i = z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n : 4 * n]
         r = max(float(z[-1]), 1.0)
 
         T = model.factor(q)
-        zrs = model.zrs
-        tinv_bar = model.factor_inverse(qbar)
-        h_bb = self.psi * tinv_bar if zrs else (
-            self.psi * np.eye(n) + gyro_swapped(model, qbar, pbar)
-        ) @ tinv_bar
+        h_bb = self.mapping_h(qbar, pbar)
         phat = p_i + h_bb @ q
         dhat = d_i + q / r**2
         e_q = qbar - q
         e_p = pbar - phat
 
-        if zrs:
+        if model.zrs:
+            h_bp = h_bb  # H does not depend on momenta
             gyro_term = np.zeros(n)
-            h_qp = self.psi * model.factor_inverse(q)
-            h_bp = h_bb
             norm_dp = 0.0
         else:
-            gyro_term = gyro_matrix(model, q, phat) @ phat
-            h_qp = self.mapping_h(q, phat)
             h_bp = self.mapping_h(qbar, phat)
+            # J(q, phat) phat, read through the swap identity J(q, p) b = Jbar(q, b) p
+            gyro_term = swapped_from_brackets(self._structure(q)[1], phat) @ phat
             norm_dp = _spec_norm((h_bp - h_bb) @ T)
-        delta_q = h_qp - h_bp
+        delta_q = self.mapping_h(q, phat) - h_bp
 
         norm_t = _spec_norm(T)
         norm_h = _spec_norm(h_bb)
@@ -272,7 +296,7 @@ class ScaledObserver:
 
         qbar_dot = T @ phat - gains.psi1 * e_q
         pbar_dot = rest - gains.psi2 * e_p
-        h_rate = self._mapping_h_rate(qbar, pbar, qbar_dot, pbar_dot, tinv_bar)
+        h_rate = self._mapping_h_rate(qbar, pbar, qbar_dot, pbar_dot)
         p_i_dot = -h_rate @ q - h_bb @ (T @ phat) + rest
         r_dot = -(self.psi / 4.0) * (r - 1.0) + (r / self.psi) * (
             norm_dp**2 + _spec_norm(delta_q @ T) ** 2

@@ -221,9 +221,19 @@ def test_cli_outdir_from_environment(tmp_path, monkeypatch):
     assert (env_out / "timeseries.csv").exists()
 
 
-def test_cli_run_divergence_exit(tmp_path, capsys):
-    text = CRANE_CFG.replace("lambda = 0.8", "lambda = 1e9").replace(
-        "t_final = 1.0", "t_final = 2.0")
+@pytest.mark.parametrize(
+    "text",
+    [
+        CRANE_CFG.replace("lambda = 0.8", "lambda = 1e9").replace("t_final = 1.0", "t_final = 2.0"),
+        # prop2 on the non-commuting factor at dt = 2 ms: an SVD inside a step
+        # fails to converge instead of the state turning non-finite
+        CRANE_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
+        .replace("known = true, true, false", "known = true, true, true")
+        .replace("kind = prop1\nlambda = 0.8", "kind = prop2"),
+    ],
+    ids=["nonfinite-state", "linalg-error"],
+)
+def test_cli_run_divergence_exit(tmp_path, capsys, text):
     cfg = write(tmp_path, "blowup.cfg", text)
     with np.errstate(all="ignore"):
         code = main(["run", cfg, "-o", str(tmp_path / "div")])

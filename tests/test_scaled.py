@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,8 +123,30 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
         dq, dp = obs.delta_split(q, qbar, phat, pbar)
         assert _spec_norm(dq) <= bound_q * np.linalg.norm(qbar - q) + 1e-12
         assert _spec_norm(dp) <= bound_p * np.linalg.norm(pbar - phat) + 1e-12
+        # H is affine in momenta, so the momenta bound is the doubled exact slope
+        exact = 2.0 * np.linalg.norm(dp, 2) / np.linalg.norm(pbar - phat)
+        assert bound_p == pytest.approx(exact, rel=1e-12)
     # coincident arguments give zero bounds
     assert obs.delta_bounds(q, q, phat, phat) == (0.0, 0.0)
+
+
+def test_derivative_structure_once_per_position(cholesky_known):
+    # one derivative touches q, qbar, the bound_q secant samples (the last is
+    # q itself) and the two points of the H-rate difference; each gets one
+    # factor inverse and one bracket build of 1 + 2n factor calls
+    calls = []
+
+    def counted(q):
+        calls.append(1)
+        return cholesky_known.factor(q)
+
+    obs = ScaledObserver(dataclasses.replace(cholesky_known, factor=counted))
+    rng = np.random.default_rng(14)
+    q = rng.uniform(-1, 1, 3)
+    z = Obs2State(rng.uniform(-1, 1, 3), rng.normal(size=3), rng.normal(size=3),
+                  rng.normal(size=3), 1.3).pack()
+    obs.derivative(z, q, np.array([0.3, 0.1]))
+    assert len(calls) <= 112
 
 
 def test_gain_schedule_values(crane_known):
@@ -304,7 +328,8 @@ def test_state_packing_roundtrip():
 def test_noncommuting_factor_path(cholesky_known):
     # the observer's reason to exist: no commuting factor, no integral map,
     # still a convergent momenta estimate; kept short because every
-    # derivative evaluation rebuilds the bracket structure numerically
+    # derivative evaluation builds the bracket structure numerically, once
+    # per position it touches
     sc = Scenario(
         model=cholesky_known,
         observer="prop2",
