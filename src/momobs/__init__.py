@@ -6,7 +6,6 @@ from .model import (
     GeneralizedState,
     MechanicalModel,
     ModelError,
-    friction_decompose,
     momenta_transform,
     momenta_untransform,
     plant_derivative,

@@ -24,6 +24,7 @@ sign and scale conventions used below:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 import numpy as np
 
@@ -124,6 +125,18 @@ class Obs1State:
         return cls(z[:n], z[n : n + s], z[n + s :])
 
 
+def replace_fields(state, fields: dict):
+    """dataclasses.replace on an observer state, refusing unknown names and mis-sized vectors."""
+    names = [f.name for f in dataclasses.fields(state)]
+    for name, value in fields.items():
+        if name not in names:
+            raise ValueError(f"{name!r} is not an observer state field; expected one of {names}")
+        size = np.size(getattr(state, name))
+        if np.ndim(value) != 1 or np.size(value) != size:
+            raise ValueError(f"{name} must be a vector of length {size}, got {np.size(value)}")
+    return dataclasses.replace(state, **{k: np.asarray(v, dtype=float) for k, v in fields.items()})
+
+
 @dataclass(frozen=True)
 class Obs1Estimates:
     """Observer outputs: transformed momenta, friction, disturbance, momenta."""
@@ -144,6 +157,8 @@ class AdaptiveObserver:
     """
 
     kind = "prop1"
+    gain_keys = ("lambda",)  # config and sweep names of the gains it reads
+    state_fields = tuple(f.name for f in dataclasses.fields(Obs1State))
 
     def __init__(self, model: MechanicalModel, lam: float, verify: bool = True,
                  tol: float = 1e-6, sample_count: int = 30, seed: int = 0):
@@ -188,6 +203,21 @@ class AdaptiveObserver:
             [-self.lam * self.model.integral_map(q0), np.zeros(self.s), -q0]
         )
 
+    def state_with(self, q0, **fields) -> Array:
+        """Packed default state with the named Obs1State fields replaced."""
+        default = Obs1State.from_packed(self.default_state(q0), self.n, self.s)
+        return replace_fields(default, fields).pack()
+
+    def exact_state(self, q0, p0, d0) -> Array:
+        """State whose estimation errors all vanish at position q0, momenta p0, disturbance d0."""
+        q0 = np.asarray(q0, dtype=float)
+        return self.state_with(
+            q0,
+            p_i=p0 - self.lam * self.model.integral_map(q0),
+            ru_i=self.model.friction.unknown_coeffs - self.proportional_friction(p0),
+            d_i=d0 - q0,
+        )
+
     def proportional_friction(self, phat) -> Array:
         """Quadratic proportional part of the friction estimate."""
         phat = np.asarray(phat, dtype=float)
@@ -206,6 +236,16 @@ class AdaptiveObserver:
         phat, ruhat, dhat = self._estimates(z, q)
         mom = self.model.factor_inverse(q).T @ phat
         return Obs1Estimates(p=phat, ru=ruhat, d=dhat, mom=mom)
+
+    def diagnostics(self, z, q, p_true, d_true) -> dict:
+        """Estimates, error norms and error energy at one sample, keyed by TimeSeries field."""
+        est = self.output(z, q)
+        ptil = est.p - p_true
+        dtil = est.d - d_true
+        rutil = est.ru - self.model.friction.unknown_coeffs
+        return dict(phat=est.p, dhat=est.d, ruhat=est.ru, ptil_norm=np.linalg.norm(ptil),
+                    dtil_norm=np.linalg.norm(dtil), rutil_norm=np.linalg.norm(rutil),
+                    lyap=error_energy(ptil, dtil, rutil))
 
     def derivative(self, z, q, u) -> Array:
         """Packed time derivative of the integrator state."""

@@ -8,8 +8,12 @@ parse error carries the offending line number.
 Sections:
 
   [model]        name plus numeric parameters, friction vector, known mask
-  [observer]     kind = prop1 | prop2 | none, and its gains
-  [initial]      plant q / mom and optional observer state overrides
+  [observer]     kind = prop1 | prop2 | none, and the gains that kind reads
+                 (prop1: lambda; prop2: psi3_const, psi4_extra, psi5_extra)
+  [initial]      plant q / mom and optional overrides of the configured
+                 observer's state fields (prop1: p_i, ru_i, d_i; prop2:
+                 qbar, pbar, p_i, d_i, r); each vector must have its field's
+                 length and r must be at least one
   [input]        u1, u2, ... = amplitude, frequency, phase, cos|sin
   [disturbance]  step1, step2, ... = switch_time, d1, ..., dn
   [sim]          t_final, dt, stride
@@ -18,15 +22,14 @@ Sections:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .harness import InputChannel, Scenario
+from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys
 from .model import DisturbanceSchedule
-from .scaled import Obs2State, ScaledParams
-from .adaptive import AdaptiveObserver
+from .scaled import ScaledParams
 from .systems import build_named_model
 
 
@@ -44,11 +47,10 @@ _MODEL_KEYS = {
     "spider-crane": {"name", "m_r", "m", "L3", "g", "friction", "known"},
     "spider-crane-cholesky": {"name", "m_r", "m", "L3", "g", "friction", "known"},
 }
-_OBSERVER_KEYS = {"kind", "lambda", "psi3_const", "psi4_extra", "psi5_extra"}
-_INITIAL_KEYS = {"q", "mom", "p_i", "ru_i", "d_i", "qbar", "pbar", "r"}
 _SIM_KEYS = {"t_final", "dt", "stride"}
 _OUTPUT_KEYS = {"directory", "emit_svg"}
 _SECTIONS = {"model", "observer", "initial", "input", "disturbance", "sim", "output"}
+_GAIN_ATTRS = {"lambda": "lam"}  # RunConfig attribute of a gain key, where the two differ
 
 
 @dataclass
@@ -165,25 +167,26 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         else:
             cfg.model_params[key] = _parse_float(value, ln)
 
-    for ln, key, value in sections.get("observer", []):
-        if key not in _OBSERVER_KEYS:
-            raise ConfigError(ln, f"unknown key {key!r} in [observer]")
+    observer_entries = sections.get("observer", [])
+    for ln, key, value in observer_entries:
         if key == "kind":
-            if value not in ("prop1", "prop2", "none"):
+            if value not in OBSERVER_KINDS:
                 raise ConfigError(ln, f"unknown observer kind {value!r}")
             cfg.observer_kind = value
-        elif key == "lambda":
-            cfg.lam = _parse_float(value, ln)
-        else:
-            setattr(cfg, key, _parse_float(value, ln))
+    kind = cfg.observer_kind
+    for ln, key, value in observer_entries:
+        if key != "kind":
+            if key not in observer_keys(kind, "gain_keys"):
+                raise ConfigError(ln, f"{key!r} in [observer] is not a gain of observer kind {kind}")
+            setattr(cfg, _GAIN_ATTRS.get(key, key), _parse_float(value, ln))
 
     for ln, key, value in sections.get("initial", []):
-        if key not in _INITIAL_KEYS:
-            raise ConfigError(ln, f"unknown key {key!r} in [initial]")
         if key == "q":
             cfg.q0 = _parse_vector(value, ln)
         elif key == "mom":
             cfg.mom0 = _parse_vector(value, ln)
+        elif key not in observer_keys(kind, "state_fields"):
+            raise ConfigError(ln, f"{key!r} in [initial] is not a state field of observer {kind}")
         elif key == "r":
             cfg.overrides["r"] = _parse_float(value, ln)
         else:
@@ -274,12 +277,8 @@ def dump_config(cfg: RunConfig) -> str:
     if cfg.known is not None:
         lines.append("known = " + ", ".join(str(b).lower() for b in cfg.known))
     lines += ["", "[observer]", f"kind = {cfg.observer_kind}"]
-    if cfg.observer_kind == "prop1":
-        lines.append(f"lambda = {cfg.lam:.17g}")
-    if cfg.observer_kind == "prop2":
-        lines.append(f"psi3_const = {cfg.psi3_const:.17g}")
-        lines.append(f"psi4_extra = {cfg.psi4_extra:.17g}")
-        lines.append(f"psi5_extra = {cfg.psi5_extra:.17g}")
+    for key in observer_keys(cfg.observer_kind, "gain_keys"):
+        lines.append(f"{key} = {getattr(cfg, _GAIN_ATTRS.get(key, key)):.17g}")
     lines += ["", "[initial]"]
     if cfg.q0 is not None:
         lines.append(f"q = {_fmt_vec(cfg.q0)}")
@@ -329,28 +328,11 @@ def build_model(cfg: RunConfig):
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:
-    """Construct the Scenario, resolving observer initial-state overrides."""
+    """Construct the Scenario; observer state overrides replace fields of its default state."""
     model = build_model(cfg)
     n = model.n
     q0 = np.asarray(cfg.q0, dtype=float) if cfg.q0 is not None else np.zeros(n)
     mom0 = np.asarray(cfg.mom0, dtype=float) if cfg.mom0 is not None else np.zeros(n)
-
-    obs_init = None
-    ov = cfg.overrides
-    if cfg.observer_kind == "prop1" and ov:
-        obs = AdaptiveObserver(model, cfg.lam)
-        default = obs.default_state(q0)
-        p_i = np.asarray(ov.get("p_i", default[: n]), dtype=float)
-        ru_i = np.asarray(ov.get("ru_i", default[n : n + obs.s]), dtype=float)
-        d_i = np.asarray(ov.get("d_i", default[n + obs.s :]), dtype=float)
-        obs_init = np.concatenate([p_i, ru_i, d_i])
-    elif cfg.observer_kind == "prop2" and ov:
-        r0 = float(ov.get("r", 1.0))
-        qbar = np.asarray(ov.get("qbar", q0), dtype=float)
-        pbar = np.asarray(ov.get("pbar", np.zeros(n)), dtype=float)
-        p_i = np.asarray(ov.get("p_i", np.zeros(n)), dtype=float)
-        d_i = np.asarray(ov.get("d_i", -q0 / r0**2), dtype=float)
-        obs_init = Obs2State(qbar, pbar, p_i, d_i, r0).pack()
 
     disturbance = None
     if cfg.disturbance:
@@ -358,14 +340,13 @@ def build_scenario(cfg: RunConfig) -> Scenario:
             np.array([t for t, _ in cfg.disturbance]),
             np.array([lvl for _, lvl in cfg.disturbance]),
         )
-    return Scenario(
+    sc = Scenario(
         model=model,
         observer=cfg.observer_kind,
         lam=cfg.lam,
         scaled_params=ScaledParams(cfg.psi3_const, cfg.psi4_extra, cfg.psi5_extra),
         q0=q0,
         mom0=mom0,
-        obs_init=obs_init,
         inputs=tuple(InputChannel(*ch) for ch in cfg.inputs),
         disturbance=disturbance,
         t_final=cfg.t_final,
@@ -373,3 +354,6 @@ def build_scenario(cfg: RunConfig) -> Scenario:
         stride=cfg.stride,
         name=cfg.model_name,
     )
+    if not cfg.overrides:
+        return sc
+    return replace(sc, obs_init=sc.build_observer().state_with(sc.q0, **cfg.overrides))

@@ -16,13 +16,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptive import AdaptiveObserver, error_energy
+from .adaptive import AdaptiveObserver
 from .model import DisturbanceSchedule, MechanicalModel, _plant_rhs
-from .scaled import Obs2State, ScaledObserver, ScaledParams
+from .scaled import ScaledObserver, ScaledParams
 
 Array = np.ndarray
 
-OBSERVER_KINDS = ("none", "prop1", "prop2")
+# observer classes by kind; "none" integrates the plant alone
+OBSERVER_TYPES = {"prop1": AdaptiveObserver, "prop2": ScaledObserver}
+OBSERVER_KINDS = ("none", *OBSERVER_TYPES)
+_GAIN_KEYS = {key for cls in OBSERVER_TYPES.values() for key in cls.gain_keys}
+
+
+def observer_keys(kind: str, attr: str) -> Tuple[str, ...]:
+    """Config names of what the observer of a kind reads: attr "gain_keys" or "state_fields"."""
+    return getattr(OBSERVER_TYPES.get(kind), attr, ())
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,12 @@ class Scenario:
         return ScaledObserver(self.model, self.scaled_params)
 
 
+# CSV column groups in order: (label, TimeSeries field); a vector field gives one column per entry
+_CSV_COLUMNS = (("t", "t"), ("q", "q"), ("mom", "mom"), ("phat", "phat"), ("dhat", "dhat"),
+                ("ruhat", "ruhat"), ("ptil", "ptil_norm"), ("dtil", "dtil_norm"),
+                ("rutil", "rutil_norm"), ("lyap", "lyap"), ("r", "scale"))
+
+
 @dataclass
 class TimeSeries:
     """Sampled trajectories plus diagnostic error norms.
@@ -126,37 +140,18 @@ class TimeSeries:
     diverged: bool = False
     message: str = ""
 
+    def _columns(self) -> List[Tuple[str, Array]]:
+        present = ((label, getattr(self, name)) for label, name in _CSV_COLUMNS)
+        return [(label, data) for label, data in present if data is not None]
+
     def column_labels(self) -> List[str]:
-        n = self.q.shape[1]
-        labels = ["t"]
-        labels += [f"q{i+1}" for i in range(n)]
-        labels += [f"mom{i+1}" for i in range(n)]
-        if self.observer != "none":
-            labels += [f"phat{i+1}" for i in range(n)]
-            labels += [f"dhat{i+1}" for i in range(n)]
-            if self.observer == "prop1":
-                labels += [f"ruhat{i+1}" for i in range(self.ruhat.shape[1])]
-            labels += ["ptil", "dtil"]
-            if self.observer == "prop1":
-                labels += ["rutil"]
-            labels += ["lyap"]
-            if self.observer == "prop2":
-                labels += ["r"]
+        labels = []
+        for label, data in self._columns():
+            labels += [label] if data.ndim == 1 else [f"{label}{i+1}" for i in range(data.shape[1])]
         return labels
 
     def column_data(self) -> Array:
-        cols = [self.t[:, None], self.q, self.mom]
-        if self.observer != "none":
-            cols += [self.phat, self.dhat]
-            if self.observer == "prop1":
-                cols.append(self.ruhat)
-            cols += [self.ptil_norm[:, None], self.dtil_norm[:, None]]
-            if self.observer == "prop1":
-                cols.append(self.rutil_norm[:, None])
-            cols.append(self.lyap[:, None])
-            if self.observer == "prop2":
-                cols.append(self.scale[:, None])
-        return np.hstack(cols)
+        return np.hstack([data[:, None] if data.ndim == 1 else data for _, data in self._columns()])
 
     def to_csv(self, path) -> None:
         """Plain CSV, dot decimals, 17 significant digits."""
@@ -225,19 +220,8 @@ def exact_observer_init(sc: Scenario) -> Array:
     obs = sc.build_observer()
     if obs is None:
         raise ValueError("scenario has no observer")
-    model = sc.model
-    q0 = np.asarray(sc.q0, dtype=float)
-    p0 = model.factor(q0).T @ np.asarray(sc.mom0, dtype=float)
-    d0 = sc.disturbance.value(0.0)
-    if sc.observer == "prop1":
-        p_i = p0 - obs.lam * model.integral_map(q0)
-        ru_i = model.friction.unknown_coeffs - obs.proportional_friction(p0)
-        d_i = d0 - q0
-        return np.concatenate([p_i, ru_i, d_i])
-    qbar, pbar, r0 = q0.copy(), p0.copy(), 1.0
-    p_i = p0 - obs.mapping_h(qbar, pbar) @ q0
-    d_i = d0 - q0 / r0**2
-    return Obs2State(qbar, pbar, p_i, d_i, r0).pack()
+    p0 = sc.model.factor(sc.q0).T @ sc.mom0
+    return obs.exact_state(sc.q0, p0, sc.disturbance.value(0.0))
 
 
 def integrate_scenario(sc: Scenario) -> TimeSeries:
@@ -245,8 +229,9 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
 
     Divergence does not raise: a non-finite state, or a LinAlgError,
     FloatingPointError or (Python float) OverflowError inside a step,
-    truncates the series at the last finite sample and flags it, with a
-    message saying when the run blew up and what was raised.
+    truncates the series and flags it, with a message saying in the step
+    from which time the run blew up and what was raised.  The series ends
+    with the state at that time, the last finite one, even off the stride.
     """
     model = sc.model
     n = model.n
@@ -278,12 +263,12 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
         return np.concatenate([qd, momd, obs.derivative(state[2 * n :], q, u)])
 
     samples = [(0.0, x.copy())]
-    diverged = False
     message = ""
     for k in range(steps):
         t = k * dt
         d = sched.value(t + 0.5 * dt)
         f = lambda tt, xx: rhs(tt, xx, d)
+        last = x  # rk4_step returns a new array, so this stays the state at t
         try:
             x = rk4_step(f, t, x, dt)
             if project is not None:
@@ -291,13 +276,13 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
                 tail = project(view)
                 if tail is not view:
                     x[2 * n :] = tail
+            if not np.all(np.isfinite(x)):
+                message = f"state became non-finite in the step from t = {t:.6g}"
         except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-            diverged = True
             message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"
-            break
-        if not np.all(np.isfinite(x)):
-            diverged = True
-            message = f"state became non-finite at t = {(k + 1) * dt:.6g}"
+        if message:
+            if k % sc.stride:
+                samples.append((t, last))
             break
         if (k + 1) % sc.stride == 0 or k + 1 == steps:
             samples.append(((k + 1) * dt, x.copy()))
@@ -305,64 +290,22 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     ts = np.array([s[0] for s in samples])
     states = np.array([s[1] for s in samples])
     series = _assemble_series(sc, obs, sched, ts, states)
-    series.diverged = diverged
+    series.diverged = bool(message)
     series.message = message
     return series
 
 
 def _assemble_series(sc, obs, sched, ts, states) -> TimeSeries:
-    model = sc.model
-    n = model.n
-    q = states[:, :n]
-    mom = states[:, n : 2 * n]
-    base = TimeSeries(observer=sc.observer, t=ts, q=q, mom=mom)
+    n = sc.model.n
+    series = TimeSeries(observer=sc.observer, t=ts, q=states[:, :n], mom=states[:, n : 2 * n])
     if obs is None:
-        return base
-
-    count = ts.size
-    base.obs = states[:, 2 * n :]
-    base.phat = np.empty((count, n))
-    base.dhat = np.empty((count, n))
-    base.ptil_norm = np.empty(count)
-    base.dtil_norm = np.empty(count)
-    base.lyap = np.empty(count)
-    if sc.observer == "prop1":
-        s = obs.s
-        base.ruhat = np.empty((count, s))
-        base.rutil_norm = np.empty(count)
-        ru_true = model.friction.unknown_coeffs
-    else:
-        base.scale = np.empty(count)
-        base.eta_norm = np.empty(count)
-
-    for i in range(count):
-        qi, momi, zi = q[i], mom[i], states[i, 2 * n :]
-        p_true = model.factor(qi).T @ momi
-        d_true = sched.value(ts[i])
-        est = obs.output(zi, qi)
-        base.phat[i] = est.p
-        base.dhat[i] = est.d
-        ptil = est.p - p_true
-        dtil = est.d - d_true
-        base.ptil_norm[i] = np.linalg.norm(ptil)
-        base.dtil_norm[i] = np.linalg.norm(dtil)
-        if sc.observer == "prop1":
-            rutil = est.ru - ru_true
-            base.ruhat[i] = est.ru
-            base.rutil_norm[i] = np.linalg.norm(rutil)
-            base.lyap[i] = error_energy(ptil, dtil, rutil)
-        else:
-            st = Obs2State.from_packed(zi, n)
-            r = max(st.r, 1.0)
-            eta = ptil / r
-            e_q = st.qbar - qi
-            e_p = st.pbar - est.p
-            base.scale[i] = st.r
-            base.eta_norm[i] = np.linalg.norm(eta)
-            base.lyap[i] = 0.5 * (
-                eta @ eta + e_q @ e_q + e_p @ e_p + (r - 1.0) ** 2 + dtil @ dtil
-            )
-    return base
+        return series
+    series.obs = states[:, 2 * n :]
+    rows = [obs.diagnostics(z, q, sc.model.factor(q).T @ mom, sched.value(t))
+            for t, q, mom, z in zip(ts, series.q, series.mom, series.obs)]
+    for name in rows[0]:
+        setattr(series, name, np.array([row[name] for row in rows]))
+    return series
 
 
 def compute_metrics(ts: TimeSeries, eps: float = 1e-2, lyap_tol: float = 1e-8) -> Metrics:
@@ -397,20 +340,25 @@ def compute_metrics(ts: TimeSeries, eps: float = 1e-2, lyap_tol: float = 1e-8) -
 
 
 def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
-    if param == "lambda":
-        return replace(sc, lam=float(value))
-    if param in ("psi3_const", "psi4_extra", "psi5_extra"):
+    """Scenario with one gain or one initial-state entry (q0[i], mom0[i]) set.
+
+    Raises ValueError for a gain the scenario's observer does not read and
+    for an index outside 0..n-1.
+    """
+    if param in _GAIN_KEYS:
+        if param not in observer_keys(sc.observer, "gain_keys"):
+            raise ValueError(f"observer kind {sc.observer!r} does not read the gain {param!r}")
+        if param == "lambda":
+            return replace(sc, lam=float(value))
         return replace(sc, scaled_params=replace(sc.scaled_params, **{param: float(value)}))
-    if param.startswith("q0[") and param.endswith("]"):
-        idx = int(param[3:-1])
-        q0 = np.array(sc.q0, dtype=float)
-        q0[idx] = value
-        return replace(sc, q0=q0)
-    if param.startswith("mom0[") and param.endswith("]"):
-        idx = int(param[5:-1])
-        mom0 = np.array(sc.mom0, dtype=float)
-        mom0[idx] = value
-        return replace(sc, mom0=mom0)
+    for name in ("q0", "mom0"):
+        if param.startswith(name + "[") and param.endswith("]"):
+            idx = int(param[len(name) + 1 : -1])
+            vec = np.array(getattr(sc, name), dtype=float)
+            if not 0 <= idx < vec.size:
+                raise ValueError(f"sweep index {param!r} outside 0..{vec.size - 1}")
+            vec[idx] = value
+            return replace(sc, **{name: vec})
     raise ValueError(f"unknown sweep parameter {param!r}")
 
 

@@ -297,33 +297,3 @@ def transformed_derivative(model: MechanicalModel, q, p, u, d, gyro=None):
         pdot = pdot + gyro @ p
     return qdot, pdot
 
-
-def friction_decompose(model: MechanicalModel):
-    """Split friction into known and unknown parts.
-
-    Returns (C, kappa, r_u, r_k, R_known, R_unknown) where C is the
-    selector, kappa the unknown index set, r_u / r_k the unknown / known
-    coefficient subvectors, and R_known / R_unknown evaluate the two pieces
-    of the transformed friction matrix.  Their sum reproduces
-    transformed_friction exactly since both use the same factor evaluation.
-    """
-    spec = model.friction
-    rk_diag = np.where(spec.known_mask, spec.coeffs, 0.0)
-    ru_diag = np.where(spec.known_mask, 0.0, spec.coeffs)
-
-    def R_known(q):
-        T = model.factor(q)
-        return T.T @ (rk_diag[:, None] * T)
-
-    def R_unknown(q):
-        T = model.factor(q)
-        return T.T @ (ru_diag[:, None] * T)
-
-    return (
-        spec.selector,
-        spec.unknown_indices,
-        spec.unknown_coeffs,
-        spec.known_coeffs,
-        R_known,
-        R_unknown,
-    )

@@ -17,13 +17,14 @@ rejectable here.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from . import geometry
-from .adaptive import StructureError
+from .adaptive import StructureError, replace_fields
 # bench/spans.py traces gyro_matrix and gyro_swapped under this module, so both stay imported
 from .geometry import gyro_matrix, gyro_swapped, swapped_from_brackets  # noqa: F401
 from .model import MechanicalModel
@@ -99,6 +100,8 @@ class ScaledObserver:
     """
 
     kind = "prop2"
+    gain_keys = tuple(f.name for f in dataclasses.fields(ScaledParams))  # config and sweep names
+    state_fields = tuple(f.name for f in dataclasses.fields(Obs2State))
 
     def __init__(self, model: MechanicalModel, params: ScaledParams = ScaledParams()):
         if model.friction.num_unknown:
@@ -214,10 +217,43 @@ class ScaledObserver:
 
     def default_state(self, q0, r0: float = 1.0) -> Array:
         q0 = np.asarray(q0, dtype=float)
-        if r0 < 1.0:
-            raise ValueError("initial scaling factor must be at least one")
+        if not r0 >= 1.0:
+            raise ValueError(f"initial scaling factor r must be at least one, got {r0!r}")
         zeros = np.zeros(self.n)
         return Obs2State(q0.copy(), zeros, zeros.copy(), -q0 / r0**2, r0).pack()
+
+    def state_with(self, q0, **fields) -> Array:
+        """Packed default state with the named Obs2State fields replaced.
+
+        r goes through default_state, so it must be at least one and d_i
+        defaults to -q0 / r^2.
+        """
+        r0 = float(fields.pop("r", 1.0))
+        default = Obs2State.from_packed(self.default_state(q0, r0), self.n)
+        return replace_fields(default, fields).pack()
+
+    def exact_state(self, q0, p0, d0) -> Array:
+        """State whose estimation and copy errors all vanish at q0, p0 (r = 1)."""
+        q0 = np.asarray(q0, dtype=float)
+        return self.state_with(q0, pbar=p0, p_i=p0 - self.mapping_h(q0, p0) @ q0, d_i=d0 - q0)
+
+    def diagnostics(self, z, q, p_true, d_true) -> dict:
+        """Estimates, error norms, scaling factor and Lyapunov value at one sample.
+
+        Keyed by TimeSeries field; eta is the momenta error over r.
+        """
+        est = self.output(z, q)
+        st = Obs2State.from_packed(z, self.n)
+        r = max(st.r, 1.0)
+        ptil = est.p - p_true
+        dtil = est.d - d_true
+        eta = ptil / r
+        e_q = st.qbar - q
+        e_p = st.pbar - est.p
+        lyap = 0.5 * (eta @ eta + e_q @ e_q + e_p @ e_p + (r - 1.0) ** 2 + dtil @ dtil)
+        return dict(phat=est.p, dhat=est.d, ptil_norm=np.linalg.norm(ptil),
+                    dtil_norm=np.linalg.norm(dtil), lyap=lyap, scale=st.r,
+                    eta_norm=np.linalg.norm(eta))
 
     def output(self, z, q) -> Obs2Estimates:
         q = np.asarray(q, dtype=float)

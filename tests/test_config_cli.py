@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,11 @@ emit_svg = false
 """
 
 
+PROP2_CFG = CRANE_CFG.replace("kind = prop1\nlambda = 0.8", "kind = prop2").replace(
+    "known = true, true, false", "known = true, true, true"
+)
+
+
 def test_parse_and_build():
     cfg = parse_config(CRANE_CFG)
     assert cfg.model_name == "spider-crane"
@@ -69,11 +76,17 @@ def test_unknown_section_cites_line():
 
 
 def test_unknown_key_cites_line():
-    bad = CRANE_CFG.replace("stride = 10", "pace = 10")
-    with pytest.raises(ConfigError) as err:
-        parse_config(bad)
-    assert "pace" in str(err.value)
-    assert f"line {err.value.line}" in str(err.value)
+    # an unknown key, and gains the configured observer kind does not read
+    for bad, key in [
+        (CRANE_CFG.replace("stride = 10", "pace = 10"), "pace"),
+        (PROP2_CFG.replace("kind = prop2", "kind = prop2\nlambda = 2"), "lambda"),
+        (CRANE_CFG.replace("lambda = 0.8", "lambda = 0.8\npsi5_extra = 2"), "psi5_extra"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert key in str(err.value)
+        assert f"line {err.value.line}" in str(err.value)
+        assert bad.splitlines()[err.value.line - 1].startswith(key)
 
 
 def test_negative_dt_names_key():
@@ -211,6 +224,12 @@ def test_cli_sweep_bad_args(tmp_path, capsys):
     cfg = write(tmp_path, "sweep.cfg", CRANE_CFG)
     assert main(["sweep", cfg, "--param", "bogus", "--values", "1"]) == 2
     assert main(["sweep", cfg, "--param", "lambda", "--values", ""]) == 2
+    # a gain the prop1 observer does not read, and an entry past the end of q0
+    out = str(tmp_path / "out")
+    assert main(["sweep", cfg, "--param", "psi5_extra", "--values", "1", "-o", out]) == 2
+    assert main(["sweep", cfg, "--param", "q0[7]", "--values", "0.1", "-o", out]) == 2
+    cfg = write(tmp_path, "sweep2.cfg", PROP2_CFG)
+    assert main(["sweep", cfg, "--param", "lambda", "--values", "1", "-o", out]) == 2
 
 
 def test_cli_outdir_from_environment(tmp_path, monkeypatch):
@@ -238,9 +257,14 @@ def test_cli_run_divergence_exit(tmp_path, capsys, text):
     with np.errstate(all="ignore"):
         code = main(["run", cfg, "-o", str(tmp_path / "div")])
     assert code == 3
-    assert "diverged" in capsys.readouterr().err
-    # the truncated series is still written for inspection
-    assert (tmp_path / "div" / "timeseries.csv").exists()
+    err = capsys.readouterr().err
+    assert "diverged" in err
+    # the truncated series is still written for inspection, and it ends with
+    # the last finite state: the one at the start of the failing step
+    rows = (tmp_path / "div" / "timeseries.csv").read_text().splitlines()[1:]
+    assert len(rows) >= 2
+    named = float(re.search(r"step from t = (\S+?):?\s", err).group(1))
+    assert float(rows[-1].split(",")[0]) == pytest.approx(named, rel=1e-5)
 
 
 def test_cli_run_rejects_prop2_with_unknown_friction(tmp_path, capsys):
@@ -295,6 +319,24 @@ def test_scaled_observer_override():
     # d_i defaults to -q0 / r^2
     assert np.allclose(sc.obs_init[9:12], -np.asarray(sc.q0) / 1.5**2)
     assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (CRANE_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\np_i = 0.1, 0.2, 0.3, 0.4\nd_i = 1, 1"),
+         "p_i"),
+        (CRANE_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nqbar = 0.1, 0.1, 0.1"), "qbar"),
+        (PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nru_i = 0.05"), "ru_i"),
+        (PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nr = 0.5"), "r"),
+    ],
+    ids=["prop1-missized-p_i", "prop1-qbar", "prop2-ru_i", "prop2-r-below-one"],
+)
+def test_observer_override_rejected(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, "override.cfg", text)
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "out" / "timeseries.csv").exists()
 
 
 def test_cli_sweep_needs_observer(tmp_path, capsys):

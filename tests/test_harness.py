@@ -183,8 +183,10 @@ def test_sweep_preserves_order(crane):
 
 def test_sweep_unknown_parameter(crane):
     sc = crane_prop1_scenario(crane)
-    with pytest.raises(ValueError):
-        apply_sweep_value(sc, "gamma", 1.0)
+    # unknown names, a gain prop1 does not read, and entries outside 0..n-1
+    for param in ("gamma", "psi5_extra", "q0[3]", "q0[-1]", "mom0[7]", "q0[x]"):
+        with pytest.raises(ValueError):
+            apply_sweep_value(sc, param, 1.0)
 
 
 def test_sweep_initial_condition_entry(crane):

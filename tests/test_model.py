@@ -6,7 +6,6 @@ from momobs import (
     FrictionSpec,
     GeneralizedState,
     ModelError,
-    friction_decompose,
     make_constant_inertia,
     momenta_transform,
     momenta_untransform,
@@ -146,6 +145,9 @@ def test_friction_spec_selector_shape():
     C = spec.selector
     assert np.array_equal(C, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(C.T @ spec.coeffs, spec.unknown_coeffs)
+    # known and unknown parts add up to the friction vector behind transformed_friction
+    known_part = np.where(spec.known_mask, spec.coeffs, 0.0)
+    assert np.array_equal(known_part + C @ spec.unknown_coeffs, spec.coeffs)
     assert np.linalg.matrix_rank(C) == spec.num_unknown
 
 
@@ -155,16 +157,19 @@ def test_friction_spec_rejects_negative():
 
 
 def test_friction_decompose_crane(crane):
-    C, kappa, r_u, r_k, R_known, R_unknown = friction_decompose(crane)
+    spec = crane.friction
+    C = spec.selector
     assert np.array_equal(C.T, [[0.0, 0.0, 1.0]])
-    assert np.array_equal(kappa, [2])
-    assert np.array_equal(r_u, [0.5])
-    assert np.array_equal(r_k, [0.0, 0.0])
+    assert np.array_equal(spec.unknown_indices, [2])
+    assert np.array_equal(spec.unknown_coeffs, [0.5])
+    assert np.array_equal(spec.known_coeffs, [0.0, 0.0])
+    assert np.array_equal(C.T @ spec.coeffs, spec.unknown_coeffs)
+    # known and unknown parts add up to the friction vector behind transformed_friction
+    known_part = np.where(spec.known_mask, spec.coeffs, 0.0)
+    assert np.array_equal(known_part + C @ spec.unknown_coeffs, spec.coeffs)
     rng = np.random.default_rng(13)
     for _ in range(20):
         q = rng.uniform(-3, 3, 3)
-        total = R_known(q) + R_unknown(q)
-        assert np.array_equal(total, crane.transformed_friction(q))
         R = crane.transformed_friction(q)
         assert np.allclose(R, R.T)
         assert np.linalg.eigvalsh(R).min() >= -1e-12
@@ -172,11 +177,10 @@ def test_friction_decompose_crane(crane):
 
 def test_friction_decompose_all_known():
     spec = FrictionSpec(np.array([0.5, 0.2]), np.array([True, True]))
-    model = make_constant_inertia(np.eye(2), np.zeros((2, 2)), spec)
-    C, kappa, r_u, r_k, _, R_unknown = friction_decompose(model)
-    assert C.shape == (2, 0)
-    assert kappa.size == 0 and r_u.size == 0
-    assert np.array_equal(R_unknown(np.zeros(2)), np.zeros((2, 2)))
+    assert spec.selector.shape == (2, 0)
+    assert spec.unknown_indices.size == 0 and spec.unknown_coeffs.size == 0
+    assert np.array_equal(spec.known_coeffs, [0.5, 0.2])
+    assert np.array_equal(spec.selector @ spec.unknown_coeffs, np.zeros(2))
 
 
 def test_disturbance_schedule():
