@@ -53,8 +53,6 @@ from .harness import (
     integrate_scenario,
     rk4_solve,
     rk4_step,
-    sweep,
-    sweep_series,
 )
 from .config import ConfigError, RunConfig, build_scenario, dump_config, load_config, parse_config
 

@@ -28,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 import numpy as np
 
-from .geometry import check_zrs, sample_positions
+from .geometry import STRUCTURE_TOL, check_zrs, sample_positions
 from .model import MechanicalModel
 
 Array = np.ndarray
@@ -42,26 +42,25 @@ class StructureError(ValueError):
         self.residual = residual
 
 
-def regressor_matrices(model: MechanicalModel, sample_count: int = 100, tol: float = 1e-10,
-                       seed: int = 0) -> Array:
+def regressor_matrices(model: MechanicalModel) -> Array:
     """Constant matrices Y with R_u(q) z = (sum_j Y[j] z_j) r_u for all q, z.
 
     Returns a stacked (n, n, s) array, Y[j] of shape (n, s).  Entries exist
     because the unknown-friction rows of the factor are constant; each Y[j]
     column k is (row kappa_k of T)^T scaled by T[kappa_k, j].  Constancy is
-    verified on random samples and a varying matrix is rejected with the
-    offending index.
+    verified on 100 random samples, to 1e-10 per entry, and a varying matrix
+    is rejected with the offending index.
     """
     kappa = model.friction.unknown_indices
     n, s = model.n, kappa.size
-    qs = sample_positions(n, sample_count, seed=seed)
+    qs = sample_positions(n, 100)
     rows = model.factor(qs[0])[kappa, :]
     base = np.einsum("kj,ka->jak", rows, rows)
     for q in qs[1:]:
         rows_q = model.factor(q)[kappa, :]
         cand = np.einsum("kj,ka->jak", rows_q, rows_q)
         dev = np.abs(cand - base).reshape(n, -1).max(axis=1) if s else np.zeros(n)
-        bad = np.flatnonzero(dev > tol)
+        bad = np.flatnonzero(dev > 1e-10)
         if bad.size:
             raise StructureError(
                 f"regressor matrix {bad[0]} varies with q (deviation {dev[bad[0]]:.3e}); "
@@ -150,47 +149,45 @@ class Obs1Estimates:
 class AdaptiveObserver:
     """Momenta observer that also estimates unknown friction and disturbance.
 
-    State dimension is 2n + s.  Construction verifies the structural
-    preconditions numerically (commuting factor columns, integral map
-    consistency, constant unknown-friction rows) and precomputes the
-    constant regressor and quadratic matrices.
+    State dimension is 2n + s.  Construction always verifies the structural
+    preconditions numerically on 30 sampled positions (commuting factor
+    columns, integral map consistency, constant unknown-friction rows) and
+    precomputes the constant regressor and quadratic matrices.
     """
 
     kind = "prop1"
     gain_keys = ("lambda",)  # config and sweep names of the gains it reads
     state_fields = tuple(f.name for f in dataclasses.fields(Obs1State))
 
-    def __init__(self, model: MechanicalModel, lam: float, verify: bool = True,
-                 tol: float = 1e-6, sample_count: int = 30, seed: int = 0):
-        if lam <= 0:
+    def __init__(self, model: MechanicalModel, lam: float):
+        if not lam > 0:
             raise ValueError("gain lam must be positive")
-        if verify:
-            report = check_zrs(model, sample_positions(model.n, sample_count, seed=seed), tol=tol)
-            if not report.commuting_factor_ok:
-                raise StructureError(
-                    "factor columns do not commute "
-                    f"(max bracket norm {report.max_bracket_norm:.3e} > {tol:g})",
-                    residual=report.max_bracket_norm,
-                )
-            if report.integral_map_ok is False:
-                raise StructureError(
-                    "integral map Jacobian does not match the factor inverse "
-                    f"(residual {report.gradq_residual:.3e})",
-                    residual=report.gradq_residual,
-                )
-            if not report.constant_rows_ok:
-                worst = max(v for _, v in report.constant_row_residual)
-                raise StructureError(
-                    f"unknown-friction rows of the factor vary with q (residual {worst:.3e})",
-                    residual=worst,
-                )
+        report = check_zrs(model, sample_positions(model.n, 30))
+        if not report.commuting_factor_ok:
+            raise StructureError(
+                "factor columns do not commute "
+                f"(max bracket norm {report.max_bracket_norm:.3e} > {STRUCTURE_TOL:g})",
+                residual=report.max_bracket_norm,
+            )
+        if report.integral_map_ok is False:
+            raise StructureError(
+                "integral map Jacobian does not match the factor inverse "
+                f"(residual {report.gradq_residual:.3e})",
+                residual=report.gradq_residual,
+            )
+        if not report.constant_rows_ok:
+            worst = max(v for _, v in report.constant_row_residual)
+            raise StructureError(
+                f"unknown-friction rows of the factor vary with q (residual {worst:.3e})",
+                residual=worst,
+            )
         if model.integral_map is None:
             raise StructureError("model has no integral map; this observer requires one")
         self.model = model
         self.lam = float(lam)
         self.n = model.n
         self.s = model.friction.num_unknown
-        self.ymats = regressor_matrices(model, seed=seed)
+        self.ymats = regressor_matrices(model)
         self.quads = estimator_quadratics(self.ymats)
         self._rk_diag = np.where(model.friction.known_mask, model.friction.coeffs, 0.0)
         self._yflat = self.ymats.reshape(self.n, -1)  # regressor as one matvec

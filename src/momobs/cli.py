@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,6 +93,8 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         if not values:
             raise ConfigError(0, "empty sweep value list")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(0, f"sweep values must be finite, got {args.values!r}")
         swept = [apply_sweep_value(scenario, args.param, v) for v in values]
     except (ConfigError, ModelError, StructureError, ValueError, OSError) as exc:
         return _fail_config(exc)

@@ -2,8 +2,9 @@
 
 The format is deliberately plain text: `[section]` headers, one `key =
 value` per line, `#` comments.  Vectors are comma separated, matrices use
-semicolons between rows.  Unknown sections or keys are rejected, and every
-parse error carries the offending line number.
+semicolons between rows.  Every number must be finite.  Unknown sections
+or keys are rejected, and every parse error carries the offending line
+number.
 
 Sections:
 
@@ -16,12 +17,13 @@ Sections:
                  length and r must be at least one
   [input]        u1, u2, ... = amplitude, frequency, phase, cos|sin
   [disturbance]  step1, step2, ... = switch_time, d1, ..., dn
-  [sim]          t_final, dt, stride
+  [sim]          t_final, dt, stride (a positive integer)
   [output]       directory, emit_svg
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -78,20 +80,23 @@ class RunConfig:
     emit_svg: bool = False
 
 
-def _parse_float(raw, line):
+def _parse_float(raw, line, key):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(line, f"expected a number, got {raw!r}")
+        raise ConfigError(line, f"{key}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(line, f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_vector(raw, line):
-    return [_parse_float(part.strip(), line) for part in raw.split(",") if part.strip() != ""]
+def _parse_vector(raw, line, key):
+    return [_parse_float(part.strip(), line, key) for part in raw.split(",") if part.strip() != ""]
 
 
-def _parse_matrix(raw, line):
+def _parse_matrix(raw, line, key):
     rows = [r.strip() for r in raw.split(";") if r.strip() != ""]
-    mat = [_parse_vector(r, line) for r in rows]
+    mat = [_parse_vector(r, line, key) for r in rows]
     if len({len(r) for r in mat}) > 1:
         raise ConfigError(line, "matrix rows have unequal lengths")
     return mat
@@ -159,13 +164,13 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if key == "name":
             continue
         if key == "friction":
-            cfg.friction = _parse_vector(value, ln)
+            cfg.friction = _parse_vector(value, ln, key)
         elif key == "known":
             cfg.known = _parse_bool_vector(value, ln)
         elif name == "constant" and key in ("M", "K"):
-            cfg.model_params[key] = _parse_matrix(value, ln)
+            cfg.model_params[key] = _parse_matrix(value, ln, key)
         else:
-            cfg.model_params[key] = _parse_float(value, ln)
+            cfg.model_params[key] = _parse_float(value, ln, key)
 
     observer_entries = sections.get("observer", [])
     for ln, key, value in observer_entries:
@@ -178,19 +183,19 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if key != "kind":
             if key not in observer_keys(kind, "gain_keys"):
                 raise ConfigError(ln, f"{key!r} in [observer] is not a gain of observer kind {kind}")
-            setattr(cfg, _GAIN_ATTRS.get(key, key), _parse_float(value, ln))
+            setattr(cfg, _GAIN_ATTRS.get(key, key), _parse_float(value, ln, key))
 
     for ln, key, value in sections.get("initial", []):
         if key == "q":
-            cfg.q0 = _parse_vector(value, ln)
+            cfg.q0 = _parse_vector(value, ln, key)
         elif key == "mom":
-            cfg.mom0 = _parse_vector(value, ln)
+            cfg.mom0 = _parse_vector(value, ln, key)
         elif key not in observer_keys(kind, "state_fields"):
             raise ConfigError(ln, f"{key!r} in [initial] is not a state field of observer {kind}")
         elif key == "r":
-            cfg.overrides["r"] = _parse_float(value, ln)
+            cfg.overrides["r"] = _parse_float(value, ln, key)
         else:
-            cfg.overrides[key] = _parse_vector(value, ln)
+            cfg.overrides[key] = _parse_vector(value, ln, key)
 
     channels = {}
     for ln, key, value in sections.get("input", []):
@@ -202,7 +207,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 4:
             raise ConfigError(ln, "input channel needs amplitude, frequency, phase, waveform")
-        amp, freq, phase = (_parse_float(p, ln) for p in parts[:3])
+        amp, freq, phase = (_parse_float(p, ln, key) for p in parts[:3])
         waveform = parts[3]
         if waveform not in ("cos", "sin"):
             raise ConfigError(ln, f"waveform must be cos or sin, got {waveform!r}")
@@ -215,7 +220,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
     for ln, key, value in sections.get("disturbance", []):
         if not (key.startswith("step") and key[4:].isdigit()):
             raise ConfigError(ln, f"disturbance keys look like step1, step2, ...; got {key!r}")
-        vec = _parse_vector(value, ln)
+        vec = _parse_vector(value, ln, key)
         if len(vec) < 2:
             raise ConfigError(ln, "disturbance step needs a switch time and a level vector")
         steps[int(key[4:])] = (vec[0], vec[1:])
@@ -234,11 +239,12 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if key not in _SIM_KEYS:
             raise ConfigError(ln, f"unknown key {key!r} in [sim]")
         if key == "stride":
-            cfg.stride = int(_parse_float(value, ln))
-            if cfg.stride < 1:
-                raise ConfigError(ln, "stride must be a positive integer")
+            stride = _parse_float(value, ln, key)
+            if not (stride.is_integer() and stride >= 1):
+                raise ConfigError(ln, f"stride must be a positive integer, got {value!r}")
+            cfg.stride = int(stride)
         else:
-            val = _parse_float(value, ln)
+            val = _parse_float(value, ln, key)
             if val <= 0:
                 raise ConfigError(ln, f"{key} must be positive")
             setattr(cfg, key, val)

@@ -22,34 +22,32 @@ from .model import MechanicalModel, central_differences
 
 Array = np.ndarray
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-6
-ROW_TOL = 1e-9
+FD_STEP = 1e-5  # central-difference step of every check and bracket here
+STRUCTURE_TOL = 1e-6  # largest bracket norm and integral-map residual that pass
+ROW_TOL = 1e-9  # largest drift of an unknown-friction row of T that passes
 
 
-def jacobian_fd(f: Callable[[Array], Array], q: Array, h: float = DEFAULT_STEP) -> Array:
+def jacobian_fd(f: Callable[[Array], Array], q: Array) -> Array:
     """Jacobian of a vector field by central differences, column per q_k."""
     q = np.asarray(q, dtype=float)
-    J = central_differences(f, q, h).reshape(q.size, -1).T
+    J = central_differences(f, q, FD_STEP).reshape(q.size, -1).T
     if not np.all(np.isfinite(J)):
         raise ValueError("vector field evaluated to non-finite values near q")
     return J
 
 
-def lie_bracket(X, Y, q, h: float = DEFAULT_STEP) -> Array:
+def lie_bracket(X, Y, q) -> Array:
     """[X, Y](q) = dY(q) X(q) - dX(q) Y(q), Jacobians by central differences."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
     q = np.asarray(q, dtype=float)
-    return jacobian_fd(Y, q, h) @ np.asarray(X(q)) - jacobian_fd(X, q, h) @ np.asarray(Y(q))
+    return jacobian_fd(Y, q) @ np.asarray(X(q)) - jacobian_fd(X, q) @ np.asarray(Y(q))
 
 
-def factor_brackets(model: MechanicalModel, q, h: float = DEFAULT_STEP) -> Array:
+def factor_brackets(model: MechanicalModel, q) -> Array:
     """All pairwise brackets of factor columns; entry [i, j] = [(T)_i, (T)_j]."""
     q = np.asarray(q, dtype=float)
     T = model.factor(q)
     # jac[j] has columns d(T e_j)/dq_k
-    jac = np.transpose(model.factor_jacobian(q, h), (2, 1, 0))
+    jac = np.transpose(model.factor_jacobian(q, FD_STEP), (2, 1, 0))
     n = model.n
     out = np.zeros((n, n, n))
     for i in range(n):
@@ -65,7 +63,7 @@ def swapped_from_brackets(br: Array, pbar) -> Array:
     return -np.tensordot(np.asarray(pbar, dtype=float), br, axes=(0, 1))
 
 
-def gyro_matrix(model: MechanicalModel, q, p, h: float = DEFAULT_STEP) -> Array:
+def gyro_matrix(model: MechanicalModel, q, p) -> Array:
     """Skew matrix J with J[j, k] = -p^T [(T)_j, (T)_k].
 
     Only the upper triangle is computed and mirrored, so J + J^T = 0 holds
@@ -74,7 +72,7 @@ def gyro_matrix(model: MechanicalModel, q, p, h: float = DEFAULT_STEP) -> Array:
     if model.zrs:
         return np.zeros((model.n, model.n))
     p = np.asarray(p, dtype=float)
-    br = factor_brackets(model, q, h)
+    br = factor_brackets(model, q)
     J = np.zeros((model.n, model.n))
     for j in range(model.n):
         for k in range(j + 1, model.n):
@@ -84,7 +82,7 @@ def gyro_matrix(model: MechanicalModel, q, p, h: float = DEFAULT_STEP) -> Array:
     return J
 
 
-def gyro_swapped(model: MechanicalModel, q, pbar, h: float = DEFAULT_STEP) -> Array:
+def gyro_swapped(model: MechanicalModel, q, pbar) -> Array:
     """Matrix Jbar with J(q, p) pbar = Jbar(q, pbar) p for all p.
 
     Exists because J is linear in its second argument: column k of Jbar is
@@ -92,14 +90,14 @@ def gyro_swapped(model: MechanicalModel, q, pbar, h: float = DEFAULT_STEP) -> Ar
     """
     if model.zrs:
         return np.zeros((model.n, model.n))
-    return swapped_from_brackets(factor_brackets(model, q, h), pbar)
+    return swapped_from_brackets(factor_brackets(model, q), pbar)
 
 
-def grad_integral_map_residual(model: MechanicalModel, q, h: float = DEFAULT_STEP) -> float:
+def grad_integral_map_residual(model: MechanicalModel, q) -> float:
     """Frobenius norm of grad Q(q) - T^-1(q), grad Q by central differences."""
     if model.integral_map is None:
         raise ValueError("model supplies no integral map")
-    G = jacobian_fd(model.integral_map, np.asarray(q, dtype=float), h)
+    G = jacobian_fd(model.integral_map, np.asarray(q, dtype=float))
     return float(np.linalg.norm(G - model.factor_inverse(q)))
 
 
@@ -112,12 +110,10 @@ class AssumptionReport:
     the worst deviation of the integral map's Jacobian from T^-1 (None when
     the model has no integral map).  constant_row_residual measures, for
     each unknown-friction row of T, how far it strays from its value at the
-    first sample.  Verdicts hold exactly when the residuals are within the
-    recorded tolerances.
+    first sample.  Verdicts hold exactly when the residuals are within
+    STRUCTURE_TOL (brackets, integral map) and ROW_TOL (rows).
     """
 
-    tol: float
-    row_tol: float
     max_bracket_norm: float
     pair_norms: List[Tuple[int, int, float]]
     gradq_residual: Optional[float]
@@ -137,8 +133,8 @@ class AssumptionReport:
 
     def to_text(self) -> str:
         lines = [
-            f"tolerance = {self.tol:g}",
-            f"row_tolerance = {self.row_tol:g}",
+            f"tolerance = {STRUCTURE_TOL:g}",
+            f"row_tolerance = {ROW_TOL:g}",
             f"max_bracket_norm = {self.max_bracket_norm:.6e}",
         ]
         for i, j, v in self.pair_norms:
@@ -158,13 +154,7 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def check_zrs(
-    model: MechanicalModel,
-    sample_qs: Sequence[Array],
-    h: float = DEFAULT_STEP,
-    tol: float = DEFAULT_TOL,
-    row_tol: float = ROW_TOL,
-) -> AssumptionReport:
+def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionReport:
     """Evaluate the structural assumptions over a sample set.
 
     Never raises on failure; the report carries residuals and verdicts so
@@ -176,7 +166,7 @@ def check_zrs(
     n = model.n
     pair_max = np.zeros((n, n))
     for q in samples:
-        br = factor_brackets(model, q, h)
+        br = factor_brackets(model, q)
         norms = np.linalg.norm(br, axis=2)
         pair_max = np.maximum(pair_max, norms)
     pair_norms = [(i, j, float(pair_max[i, j])) for i in range(n) for j in range(i + 1, n)]
@@ -184,7 +174,7 @@ def check_zrs(
 
     gradq = None
     if model.integral_map is not None:
-        gradq = max(grad_integral_map_residual(model, q, h) for q in samples)
+        gradq = max(grad_integral_map_residual(model, q) for q in samples)
 
     kappa = model.friction.unknown_indices
     row_res = []
@@ -197,19 +187,17 @@ def check_zrs(
         row_res = [(int(i), float(v)) for i, v in zip(kappa, worst)]
 
     return AssumptionReport(
-        tol=tol,
-        row_tol=row_tol,
         max_bracket_norm=max_bracket,
         pair_norms=pair_norms,
         gradq_residual=gradq,
         constant_row_residual=row_res,
-        commuting_factor_ok=max_bracket <= tol,
-        integral_map_ok=None if gradq is None else gradq <= tol,
-        constant_rows_ok=all(v <= row_tol for _, v in row_res),
+        commuting_factor_ok=max_bracket <= STRUCTURE_TOL,
+        integral_map_ok=None if gradq is None else gradq <= STRUCTURE_TOL,
+        constant_rows_ok=all(v <= ROW_TOL for _, v in row_res),
     )
 
 
-def sample_positions(n: int, count: int = 100, scale: float = np.pi, seed: int = 0) -> Array:
-    """Deterministic random q samples for structural checks."""
+def sample_positions(n: int, count: int = 100, seed: int = 0) -> Array:
+    """Deterministic random q samples in [-pi, pi]^n for structural checks."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-scale, scale, size=(count, n))
+    return rng.uniform(-np.pi, np.pi, size=(count, n))

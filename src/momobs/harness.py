@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptive import AdaptiveObserver
-from .model import DisturbanceSchedule, MechanicalModel, _plant_rhs
+from .model import DisturbanceSchedule, MechanicalModel, ModelError, _plant_rhs
 from .scaled import ScaledObserver, ScaledParams
 
 Array = np.ndarray
@@ -26,6 +26,8 @@ Array = np.ndarray
 OBSERVER_TYPES = {"prop1": AdaptiveObserver, "prop2": ScaledObserver}
 OBSERVER_KINDS = ("none", *OBSERVER_TYPES)
 _GAIN_KEYS = {key for cls in OBSERVER_TYPES.values() for key in cls.gain_keys}
+CONVERGENCE_EPS = 1e-2  # momenta error norm below which a run counts as settled
+LYAP_TOL = 1e-8  # largest sample-to-sample rise of lyap not counted as a violation
 
 
 def observer_keys(kind: str, attr: str) -> Tuple[str, ...]:
@@ -70,14 +72,15 @@ class Scenario:
     t_final: float = 10.0
     dt: float = 1e-3
     stride: int = 10
-    verify: bool = True
     name: str = ""
 
     def __post_init__(self):
         if self.observer not in OBSERVER_KINDS:
             raise ValueError(f"observer must be one of {OBSERVER_KINDS}")
-        if self.dt <= 0 or self.t_final < self.dt:
-            raise ValueError("need dt > 0 and t_final >= dt")
+        if not 0 < self.dt <= self.t_final < math.inf:
+            raise ValueError("need finite dt > 0 and t_final >= dt")
+        if not self.lam > 0:
+            raise ValueError(f"gain lambda must be positive, got {self.lam!r}")
         if self.stride < 1:
             raise ValueError("sample stride must be at least 1")
         n = self.model.n
@@ -93,6 +96,11 @@ class Scenario:
             object.__setattr__(self, "disturbance", DisturbanceSchedule.constant(np.zeros(n)))
         if self.disturbance.levels.shape[1] != n:
             raise ValueError("disturbance dimension does not match the model")
+        try:
+            self.disturbance.aligned(self.dt)
+        except ModelError as exc:
+            raise ModelError(f"disturbance switch times collide when snapped onto the "
+                             f"dt = {self.dt:g} step grid ({exc})") from None
 
     def input_value(self, t: float) -> Array:
         u = np.zeros(self.model.m)
@@ -104,7 +112,7 @@ class Scenario:
         if self.observer == "none":
             return None
         if self.observer == "prop1":
-            return AdaptiveObserver(self.model, self.lam, verify=self.verify)
+            return AdaptiveObserver(self.model, self.lam)
         return ScaledObserver(self.model, self.scaled_params)
 
 
@@ -308,17 +316,18 @@ def _assemble_series(sc, obs, sched, ts, states) -> TimeSeries:
     return series
 
 
-def compute_metrics(ts: TimeSeries, eps: float = 1e-2, lyap_tol: float = 1e-8) -> Metrics:
+def compute_metrics(ts: TimeSeries) -> Metrics:
     """Convergence time of the momenta error plus decay-violation counts.
 
-    convergence_time(eps) is the first sample time after which the momenta
-    error norm stays below eps; inf when it never settles within the run.
+    convergence_time is the first sample time after which the momenta error
+    norm stays below CONVERGENCE_EPS; inf when it never settles within the
+    run.  A violation is a rise of lyap by more than LYAP_TOL between samples.
     """
     if ts.t.size == 0:
         raise ValueError("empty time series")
     if ts.ptil_norm is None:
         raise ValueError("series has no observer diagnostics")
-    above = np.flatnonzero(ts.ptil_norm >= eps)
+    above = np.flatnonzero(ts.ptil_norm >= CONVERGENCE_EPS)
     if above.size == 0:
         conv_time, converged = float(ts.t[0]), True
     elif above[-1] == ts.t.size - 1:
@@ -327,7 +336,7 @@ def compute_metrics(ts: TimeSeries, eps: float = 1e-2, lyap_tol: float = 1e-8) -
         conv_time, converged = float(ts.t[above[-1] + 1]), True
 
     diffs = np.diff(ts.lyap)
-    bad = diffs > lyap_tol
+    bad = diffs > LYAP_TOL
     return Metrics(
         convergence_time=conv_time,
         converged=converged,
@@ -360,13 +369,3 @@ def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
             vec[idx] = value
             return replace(sc, **{name: vec})
     raise ValueError(f"unknown sweep parameter {param!r}")
-
-
-def sweep_series(sc: Scenario, param: str, values):
-    """Independent runs per value, order preserved; returns (value, TimeSeries) pairs."""
-    return [(float(v), integrate_scenario(apply_sweep_value(sc, param, v))) for v in values]
-
-
-def sweep(sc: Scenario, param: str, values, eps: float = 1e-2):
-    """Like sweep_series but keeps only the metrics: (value, Metrics) pairs."""
-    return [(v, compute_metrics(ts, eps=eps)) for v, ts in sweep_series(sc, param, values)]

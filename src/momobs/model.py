@@ -270,15 +270,15 @@ def momenta_untransform(model: MechanicalModel, q, p) -> Array:
     return model.factor_inverse(q).T @ p
 
 
-def transformed_derivative(model: MechanicalModel, q, p, u, d, gyro=None):
+def transformed_derivative(model: MechanicalModel, q, p, u, d):
     """Time derivative of (q, p) in factored coordinates.
 
     qdot = T(q) p
     pdot = (J(q, p) - R(q)) p - T^T(q) (grad V - G u - d)
 
     The gyroscopic matrix J vanishes identically for models whose factor
-    columns commute; for other models pass it in (see geometry.gyro_matrix)
-    or leave gyro=None to have it computed by finite differences.
+    columns commute; for other models it comes from geometry.gyro_matrix,
+    by finite differences.
     """
     q = _check_vector(q, model.n, "q")
     p = _check_vector(p, model.n, "p")
@@ -290,10 +290,8 @@ def transformed_derivative(model: MechanicalModel, q, p, u, d, gyro=None):
         model.grad_potential(q) - model.input_matrix(q) @ u - d
     )
     if not model.zrs:
-        if gyro is None:
-            from .geometry import gyro_matrix
+        from .geometry import gyro_matrix
 
-            gyro = gyro_matrix(model, q, p)
-        pdot = pdot + gyro @ p
+        pdot = pdot + gyro_matrix(model, q, p) @ p
     return qdot, pdot
 

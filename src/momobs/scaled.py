@@ -53,7 +53,7 @@ class ScaledParams:
     psi5_extra: float = 1.0
 
     def __post_init__(self):
-        if min(self.psi3_const, self.psi4_extra, self.psi5_extra) <= 0:
+        if not all(v > 0 for v in (self.psi3_const, self.psi4_extra, self.psi5_extra)):
             raise ValueError("gain margins must be positive")
 
 
@@ -176,13 +176,13 @@ class ScaledObserver:
         return bound_q, _BOUND_SAFETY * float(np.linalg.norm(delta_p, 2)) / gap_p
 
     @staticmethod
-    def _secant_bound(f, x0, x1, samples: int = 10) -> float:
+    def _secant_bound(f, x0, x1) -> float:
         gap = np.linalg.norm(x1 - x0)
         if gap == 0.0:
             return 0.0
         f0 = f(x0)
         worst = 0.0
-        for tau in np.linspace(0.1, 1.0, samples):
+        for tau in np.linspace(0.1, 1.0, 10):
             # tau = 1 is x1 itself, not a rounded copy, so its structure is reused
             x = x1 if tau == 1.0 else x0 + tau * (x1 - x0)
             ratio = np.linalg.norm(f(x) - f0, 2) / (tau * gap)
@@ -346,10 +346,3 @@ class ScaledObserver:
             z = z.copy()
             z[-1] = 1.0
         return z
-
-    def eta(self, z, q, mom_true) -> Array:
-        """Scaled momenta error against the true state (diagnostics only)."""
-        st = Obs2State.from_packed(z, self.n)
-        p_true = self.model.factor(np.asarray(q, float)).T @ np.asarray(mom_true, float)
-        phat = st.p_i + self.mapping_h(st.qbar, st.pbar) @ np.asarray(q, float)
-        return (phat - p_true) / max(st.r, 1.0)

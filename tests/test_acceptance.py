@@ -33,10 +33,10 @@ from momobs import (
     regressor_matrices,
     rk4_solve,
     sample_positions,
-    sweep,
     transformed_derivative,
     velocity_quadratics,
 )
+from momobs.harness import apply_sweep_value
 from momobs.model import _plant_rhs
 
 CRANE_INPUTS = (InputChannel(1.535, 1.0, 0.0, "cos"), InputChannel(7.67, 1.0, 0.0, "sin"))
@@ -67,7 +67,7 @@ def test_criterion_1_structural_identities():
     worst_swap = 0.0
     for model in example_models():
         n = model.n
-        ymats = regressor_matrices(model, sample_count=100, tol=1e-10)
+        ymats = regressor_matrices(model)
         kappa = model.friction.unknown_indices
         for _ in range(1000):
             q = rng.uniform(-np.pi, np.pi, n)
@@ -108,8 +108,8 @@ def test_criterion_2_geometry_gates():
     chol = make_spider_crane_cholesky()
     manip = make_planar_manipulator()
     samples3 = sample_positions(3, 100, seed=2)
-    crane_report = check_zrs(crane, samples3, tol=1e-6)
-    chol_report = check_zrs(chol, samples3, tol=1e-6)
+    crane_report = check_zrs(crane, samples3)
+    chol_report = check_zrs(chol, samples3)
     rng = np.random.default_rng(2)
     manip_resid = max(
         grad_integral_map_residual(manip, rng.uniform(-np.pi, np.pi, 4)) for _ in range(100)
@@ -167,7 +167,6 @@ def crane_prop1_scenario(**kw):
         t_final=60.0,
         dt=2e-3,
         stride=50,
-        verify=False,
     )
     defaults.update(kw)
     return Scenario(**defaults)
@@ -175,7 +174,7 @@ def crane_prop1_scenario(**kw):
 
 def test_criterion_4_adaptive_convergence():
     sc = crane_prop1_scenario()
-    obs = AdaptiveObserver(sc.model, sc.lam, verify=False)
+    obs = AdaptiveObserver(sc.model, sc.lam)
     default = obs.default_state(np.asarray(sc.q0))
     rng = np.random.default_rng(42)
 
@@ -243,8 +242,8 @@ def test_criterion_6_scaled_convergence():
 
 def test_criterion_7_gain_trend():
     sc = crane_prop1_scenario()
-    results = sweep(sc, "lambda", [0.4, 0.8, 2.0], eps=1e-2)
-    times = [m.convergence_time for _, m in results]
+    runs = [integrate_scenario(apply_sweep_value(sc, "lambda", lam)) for lam in (0.4, 0.8, 2.0)]
+    times = [compute_metrics(ts).convergence_time for ts in runs]
     ok = all(math.isfinite(t) for t in times) and times[0] >= times[1] >= times[2]
     report(7, ok, "convergence times " + ", ".join(f"{t:.2f}" for t in times)
                   + " s non-increasing in the gain")
@@ -272,8 +271,7 @@ def test_criterion_9_exact_initialization_invariance():
         t_final=10.0,
         stride=100,
     )
-    sc1 = Scenario(model=make_spider_crane(), observer="prop1", lam=0.8, dt=5e-4,
-                   verify=False, **gentle)
+    sc1 = Scenario(model=make_spider_crane(), observer="prop1", lam=0.8, dt=5e-4, **gentle)
     ts1 = integrate_scenario(replace(sc1, obs_init=exact_observer_init(sc1)))
     worst1 = max(ts1.ptil_norm.max(), ts1.dtil_norm.max(), ts1.rutil_norm.max())
 

@@ -162,7 +162,7 @@ def test_observer_requires_positive_gain(crane):
 
 
 def test_output_neutral_state(crane):
-    obs = AdaptiveObserver(crane, 0.8, verify=False)
+    obs = AdaptiveObserver(crane, 0.8)
     rng = np.random.default_rng(10)
     q = rng.uniform(-1, 1, 3)
     z = np.concatenate([-0.8 * crane.integral_map(q), np.zeros(1), -q])
@@ -174,7 +174,7 @@ def test_output_neutral_state(crane):
 
 
 def test_default_state_gives_zero_estimates(crane):
-    obs = AdaptiveObserver(crane, 1.3, verify=False)
+    obs = AdaptiveObserver(crane, 1.3)
     q0 = np.array([0.4, -0.2, 0.9])
     est = obs.output(obs.default_state(q0), q0)
     assert np.allclose(est.p, 0.0, atol=1e-14)
@@ -183,7 +183,7 @@ def test_default_state_gives_zero_estimates(crane):
 
 def test_proportional_friction_gradient(crane):
     # gradient of the quadratic term must equal -(1/lam) * transposed regressor
-    obs = AdaptiveObserver(crane, 0.7, verify=False)
+    obs = AdaptiveObserver(crane, 0.7)
     rng = np.random.default_rng(11)
     phat = rng.normal(size=3)
     h = 1e-6
@@ -198,7 +198,7 @@ def test_proportional_friction_gradient(crane):
 
 
 def test_disturbance_proportional_shifts_with_position(crane):
-    obs = AdaptiveObserver(crane, 0.8, verify=False)
+    obs = AdaptiveObserver(crane, 0.8)
     z = obs.default_state(np.zeros(3))
     q1 = np.array([0.3, -0.1, 0.2])
     q2 = q1 + np.array([0.05, 0.0, -0.02])
@@ -208,7 +208,7 @@ def test_disturbance_proportional_shifts_with_position(crane):
 
 
 def test_derivative_at_rest(crane):
-    obs = AdaptiveObserver(crane, 0.8, verify=False)
+    obs = AdaptiveObserver(crane, 0.8)
     q = np.zeros(3)
     # state chosen so the momenta and disturbance estimates are both zero
     z = np.concatenate([-0.8 * crane.integral_map(q), np.zeros(1), -q])
@@ -228,7 +228,6 @@ def crane_scenario(crane, lam=0.8, t_final=5.0, dt=1e-4, **kw):
         t_final=t_final,
         dt=dt,
         stride=10,
-        verify=False,
         **kw,
     )
 
@@ -258,7 +257,7 @@ def test_exact_initialization_stays_on_manifold(crane):
 def test_observer_with_no_unknown_coefficients(crane_known):
     # all friction known: the friction-estimation channel is empty and the
     # observer still rejects the disturbance
-    obs = AdaptiveObserver(crane_known, 1.0, verify=False)
+    obs = AdaptiveObserver(crane_known, 1.0)
     assert obs.s == 0 and obs.dim == 6
     sc = Scenario(
         model=crane_known,
@@ -270,7 +269,6 @@ def test_observer_with_no_unknown_coefficients(crane_known):
         t_final=20.0,
         dt=2e-3,
         stride=20,
-        verify=False,
     )
     ts = integrate_scenario(sc)
     assert ts.ruhat.shape[1] == 0

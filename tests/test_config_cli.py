@@ -158,10 +158,28 @@ def test_cli_run(tmp_path):
     assert "," in csv[1]
 
 
-def test_cli_run_config_error(tmp_path, capsys):
-    cfg = write(tmp_path, "bad.cfg", CRANE_CFG.replace("dt = 0.002", "dt = -1"))
-    assert main(["run", cfg, "-o", str(tmp_path)]) == 2
-    assert "dt" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("dt = 0.002", "dt = -1", "dt"),
+        ("t_final = 1.0", "t_final = inf", "t_final"),
+        ("dt = 0.002", "dt = nan", "dt"),
+        ("lambda = 0.8", "lambda = nan", "lambda"),
+        ("q = 0, 0, 1.0", "q = 0, nan, 1.0", "q"),
+        ("stride = 10", "stride = 2.5", "stride"),
+        ("lambda = 0.8", "lambda = -1", "lambda"),
+        # 1e-4 snaps onto t = 0, where step1 already switches
+        ("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, 0.2, 0.2\nstep2 = 0.0001, 0.3, 0.2, 0.2",
+         "dt"),
+    ],
+    ids=["negative-dt", "inf-t_final", "nan-dt", "nan-lambda", "nan-q", "fractional-stride",
+         "negative-lambda", "colliding-switch"],
+)
+def test_cli_run_config_error(tmp_path, capsys, old, new, key):
+    cfg = write(tmp_path, "bad.cfg", CRANE_CFG.replace(old, new))
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "out" / "timeseries.csv").exists()
 
 
 def test_cli_run_rejects_noncommuting_factor(tmp_path, capsys):
@@ -209,7 +227,8 @@ def test_cli_check_constant(tmp_path, capsys):
 def test_cli_sweep(tmp_path):
     cfg = write(tmp_path, "sweep.cfg", CRANE_CFG)
     out = tmp_path / "sweepout"
-    code = main(["sweep", cfg, "--param", "lambda", "--values", "0.4,0.8,2.0",
+    # an unsorted list: rows keep the given order
+    code = main(["sweep", cfg, "--param", "lambda", "--values", "2.0,0.4,0.8",
                  "-o", str(out)])
     assert code == 0
     csvs = sorted(p.name for p in out.glob("lambda_*timeseries.csv"))
@@ -217,7 +236,7 @@ def test_cli_sweep(tmp_path):
     rows = (out / "sweep_metrics.csv").read_text().splitlines()
     assert len(rows) == 4
     values = [float(r.split(",")[0]) for r in rows[1:]]
-    assert values == [0.4, 0.8, 2.0]
+    assert values == [2.0, 0.4, 0.8]
 
 
 def test_cli_sweep_bad_args(tmp_path, capsys):
@@ -228,8 +247,13 @@ def test_cli_sweep_bad_args(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["sweep", cfg, "--param", "psi5_extra", "--values", "1", "-o", out]) == 2
     assert main(["sweep", cfg, "--param", "q0[7]", "--values", "0.1", "-o", out]) == 2
+    # non-finite values and a non-positive gain
+    assert main(["sweep", cfg, "--param", "lambda", "--values", "nan", "-o", out]) == 2
+    assert main(["sweep", cfg, "--param", "q0[2]", "--values", "inf", "-o", out]) == 2
+    assert main(["sweep", cfg, "--param", "lambda", "--values", "-1", "-o", out]) == 2
     cfg = write(tmp_path, "sweep2.cfg", PROP2_CFG)
     assert main(["sweep", cfg, "--param", "lambda", "--values", "1", "-o", out]) == 2
+    assert main(["sweep", cfg, "--param", "psi5_extra", "--values", "nan", "-o", out]) == 2
 
 
 def test_cli_outdir_from_environment(tmp_path, monkeypatch):
@@ -297,7 +321,7 @@ def test_observer_override_partial_uses_defaults():
     sc = build_scenario(parse_config(text))
     from momobs import AdaptiveObserver
 
-    obs = AdaptiveObserver(sc.model, 0.8, verify=False)
+    obs = AdaptiveObserver(sc.model, 0.8)
     default = obs.default_state(sc.q0)
     assert np.allclose(sc.obs_init[:3], default[:3])
     assert sc.obs_init[3] == 0.25

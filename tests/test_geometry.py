@@ -38,12 +38,6 @@ def test_bracket_antisymmetry():
         assert np.abs(fwd + bwd).max() < 2e-9
 
 
-def test_bracket_rejects_bad_step():
-    X = lambda q: q
-    with pytest.raises(ValueError):
-        lie_bracket(X, X, np.zeros(2), h=0.0)
-
-
 def test_crane_factor_columns_commute(crane):
     rng = np.random.default_rng(2)
     for q in rng.uniform(-np.pi, np.pi, size=(20, 3)):

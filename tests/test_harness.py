@@ -13,8 +13,6 @@ from momobs import (
     compute_metrics,
     integrate_scenario,
     make_constant_inertia,
-    sweep,
-    sweep_series,
 )
 from momobs.harness import apply_sweep_value
 
@@ -31,7 +29,6 @@ def crane_prop1_scenario(crane, **kw):
         t_final=5.0,
         dt=1e-3,
         stride=10,
-        verify=False,
     )
     defaults.update(kw)
     return Scenario(**defaults)
@@ -129,19 +126,20 @@ def test_metrics_zero_series():
     ts = TimeSeries(observer="prop1", t=t, q=np.zeros((11, 1)), mom=np.zeros((11, 1)),
                     ptil_norm=np.zeros(11), dtil_norm=np.zeros(11),
                     rutil_norm=np.zeros(11), lyap=np.zeros(11))
-    m = compute_metrics(ts, eps=1e-3)
+    m = compute_metrics(ts)
     assert m.convergence_time == 0.0
     assert m.converged
     assert m.lyap_violations == 0
 
 
 def test_metrics_exponential_series():
+    # the momenta error falls through the 1e-2 convergence threshold at t = 3
     t = np.arange(0.0, 6.0, 0.01)
-    decay = np.exp(-t)
+    decay = 1e-2 * np.exp(3.0 - t)
     ts = TimeSeries(observer="prop1", t=t, q=np.zeros((t.size, 1)),
                     mom=np.zeros((t.size, 1)), ptil_norm=decay,
                     dtil_norm=decay, rutil_norm=decay, lyap=decay)
-    m = compute_metrics(ts, eps=math.exp(-3.0))
+    m = compute_metrics(ts)
     assert abs(m.convergence_time - 3.0) <= 0.01 + 1e-12
     assert m.lyap_violations == 0
 
@@ -151,7 +149,7 @@ def test_metrics_not_converged():
     ones = np.ones(5)
     ts = TimeSeries(observer="prop1", t=t, q=np.zeros((5, 1)), mom=np.zeros((5, 1)),
                     ptil_norm=ones, dtil_norm=ones, rutil_norm=ones, lyap=ones[::-1] * 0)
-    m = compute_metrics(ts, eps=0.5)
+    m = compute_metrics(ts)
     assert math.isinf(m.convergence_time)
     assert not m.converged
 
@@ -170,15 +168,9 @@ def test_metrics_counts_violations():
 def test_sweep_single_value_matches_run(crane):
     sc = crane_prop1_scenario(crane, t_final=2.0)
     direct = compute_metrics(integrate_scenario(replace(sc, lam=1.1)))
-    [(value, swept)] = sweep(sc, "lambda", [1.1])
-    assert value == 1.1
-    assert swept == direct
-
-
-def test_sweep_preserves_order(crane):
-    sc = crane_prop1_scenario(crane, t_final=1.0)
-    out = sweep_series(sc, "lambda", [2.0, 0.5, 1.0])
-    assert [v for v, _ in out] == [2.0, 0.5, 1.0]
+    swept_sc = apply_sweep_value(sc, "lambda", 1.1)
+    assert swept_sc.lam == 1.1
+    assert compute_metrics(integrate_scenario(swept_sc)) == direct
 
 
 def test_sweep_unknown_parameter(crane):

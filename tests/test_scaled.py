@@ -246,15 +246,18 @@ def test_eta_definition(crane_known):
     q = rng.uniform(-1, 1, 3)
     mom = rng.normal(size=3)
     p = momenta_transform(crane_known, q, mom)
+    # eta = (phat - p) / r, read through diagnostics as its norm
+    d = np.zeros(3)
     for r, scale in ((1.0, 1.0), (2.0, 0.5)):
         p_i = 2.0 * p - obs.mapping_h(q, np.zeros(3)) @ q  # phat = 2 p
         z = Obs2State(q.copy(), np.zeros(3), p_i, np.zeros(3), r).pack()
-        eta = obs.eta(z, q, mom)
-        assert np.allclose(eta, scale * p, atol=1e-10)
+        diag = obs.diagnostics(z, q, p, d)
+        assert np.allclose(diag["phat"], 2.0 * p, atol=1e-10)
+        assert diag["eta_norm"] == pytest.approx(np.linalg.norm(scale * p), abs=1e-10)
     # exact estimate gives zero scaled error
     p_i = p - obs.mapping_h(q, np.zeros(3)) @ q
     z = Obs2State(q.copy(), np.zeros(3), p_i, np.zeros(3), 1.3).pack()
-    assert np.allclose(obs.eta(z, q, mom), 0.0, atol=1e-12)
+    assert obs.diagnostics(z, q, p, d)["eta_norm"] == pytest.approx(0.0, abs=1e-12)
 
 
 def scaled_scenario(model, t_final=4.0, dt=1e-3, **kw):
