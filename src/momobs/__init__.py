@@ -18,7 +18,6 @@ from .geometry import (
     grad_integral_map_residual,
     gyro_matrix,
     gyro_swapped,
-    lie_bracket,
     sample_positions,
 )
 from .adaptive import (

@@ -205,11 +205,10 @@ class AdaptiveObserver:
         default = Obs1State.from_packed(self.default_state(q0), self.n, self.s)
         return replace_fields(default, fields).pack()
 
-    def exact_state(self, q0, p0, d0) -> Array:
-        """State whose estimation errors all vanish at position q0, momenta p0, disturbance d0."""
+    def exact_state(self, q0, p0, d0) -> dict:
+        """state_with fields whose estimation errors vanish at q0, momenta p0, disturbance d0."""
         q0 = np.asarray(q0, dtype=float)
-        return self.state_with(
-            q0,
+        return dict(
             p_i=p0 - self.lam * self.model.integral_map(q0),
             ru_i=self.model.friction.unknown_coeffs - self.proportional_friction(p0),
             d_i=d0 - q0,

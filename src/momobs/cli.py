@@ -123,6 +123,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momobs",
@@ -137,7 +144,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify the structural assumptions of a model")
     p_check.add_argument("config")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.set_defaults(func=cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="re-run a scenario over a list of parameter values")

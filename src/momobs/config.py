@@ -24,7 +24,7 @@ Sections:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -117,7 +117,6 @@ def _parse_bool_vector(raw, line):
 
 def _split_sections(text: str):
     sections: Dict[str, List[Tuple[int, str, str]]] = {}
-    section_lines: Dict[str, int] = {}
     current = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.strip()
@@ -130,7 +129,6 @@ def _split_sections(text: str):
             if current in sections:
                 raise ConfigError(lineno, f"duplicate section [{current}]")
             sections[current] = []
-            section_lines[current] = lineno
             continue
         if current is None:
             raise ConfigError(lineno, "key outside of any section")
@@ -141,11 +139,11 @@ def _split_sections(text: str):
         if any(k == key for _, k, _ in sections[current]):
             raise ConfigError(lineno, f"duplicate key {key!r} in [{current}]")
         sections[current].append((lineno, key, value))
-    return sections, section_lines
+    return sections
 
 
 def parse_config(text: str, require_sim: bool = True) -> RunConfig:
-    sections, _ = _split_sections(text)
+    sections = _split_sections(text)
     if "model" not in sections:
         raise ConfigError(0, "missing required section [model]")
     model_entries = {k: (ln, v) for ln, k, v in sections["model"]}
@@ -334,7 +332,7 @@ def build_model(cfg: RunConfig):
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:
-    """Construct the Scenario; observer state overrides replace fields of its default state."""
+    """Construct the Scenario; observer state overrides become its obs_init fields."""
     model = build_model(cfg)
     n = model.n
     q0 = np.asarray(cfg.q0, dtype=float) if cfg.q0 is not None else np.zeros(n)
@@ -359,7 +357,8 @@ def build_scenario(cfg: RunConfig) -> Scenario:
         dt=cfg.dt,
         stride=cfg.stride,
         name=cfg.model_name,
+        obs_init=dict(cfg.overrides),
     )
-    if not cfg.overrides:
-        return sc
-    return replace(sc, obs_init=sc.build_observer().state_with(sc.q0, **cfg.overrides))
+    if cfg.overrides:  # a bad override is a configuration error, found before the run
+        sc.build_observer().state_with(sc.q0, **sc.obs_init)
+    return sc

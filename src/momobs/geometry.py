@@ -36,14 +36,12 @@ def jacobian_fd(f: Callable[[Array], Array], q: Array) -> Array:
     return J
 
 
-def lie_bracket(X, Y, q) -> Array:
-    """[X, Y](q) = dY(q) X(q) - dX(q) Y(q), Jacobians by central differences."""
-    q = np.asarray(q, dtype=float)
-    return jacobian_fd(Y, q) @ np.asarray(X(q)) - jacobian_fd(X, q) @ np.asarray(Y(q))
-
-
 def factor_brackets(model: MechanicalModel, q) -> Array:
-    """All pairwise brackets of factor columns; entry [i, j] = [(T)_i, (T)_j]."""
+    """All pairwise Lie brackets of factor columns; entry [i, j] = [(T)_i, (T)_j].
+
+    [X, Y] = dY X - dX Y, Jacobians by central differences.  Entry [j, i]
+    is the exact negative of entry [i, j].
+    """
     q = np.asarray(q, dtype=float)
     T = model.factor(q)
     # jac[j] has columns d(T e_j)/dq_k
@@ -66,20 +64,12 @@ def swapped_from_brackets(br: Array, pbar) -> Array:
 def gyro_matrix(model: MechanicalModel, q, p) -> Array:
     """Skew matrix J with J[j, k] = -p^T [(T)_j, (T)_k].
 
-    Only the upper triangle is computed and mirrored, so J + J^T = 0 holds
+    The bracket tensor is exactly skew in (j, k), so J + J^T = 0 holds
     exactly.  Models whose factor columns commute get an exact zero.
     """
     if model.zrs:
         return np.zeros((model.n, model.n))
-    p = np.asarray(p, dtype=float)
-    br = factor_brackets(model, q)
-    J = np.zeros((model.n, model.n))
-    for j in range(model.n):
-        for k in range(j + 1, model.n):
-            v = -float(p @ br[j, k])
-            J[j, k] = v
-            J[k, j] = -v
-    return J
+    return -factor_brackets(model, q) @ np.asarray(p, dtype=float)
 
 
 def gyro_swapped(model: MechanicalModel, q, pbar) -> Array:

@@ -11,8 +11,8 @@ trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +58,12 @@ class InputChannel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete experiment description for one run."""
+    """Complete experiment description for one run.
+
+    obs_init names observer state fields (Obs1State or Obs2State) that
+    replace the observer's default start, which is built at q0 and with the
+    scenario's gains when the run starts.
+    """
 
     model: MechanicalModel
     observer: str = "none"
@@ -66,7 +71,7 @@ class Scenario:
     scaled_params: ScaledParams = ScaledParams()
     q0: Sequence[float] = ()
     mom0: Sequence[float] = ()
-    obs_init: Optional[Array] = None
+    obs_init: Mapping[str, object] = field(default_factory=dict)
     inputs: Tuple[InputChannel, ...] = ()
     disturbance: Optional[DisturbanceSchedule] = None
     t_final: float = 10.0
@@ -81,8 +86,8 @@ class Scenario:
             raise ValueError("need finite dt > 0 and t_final >= dt")
         if not self.lam > 0:
             raise ValueError(f"gain lambda must be positive, got {self.lam!r}")
-        if self.stride < 1:
-            raise ValueError("sample stride must be at least 1")
+        if not (self.stride >= 1 and float(self.stride).is_integer()):
+            raise ValueError(f"sample stride must be a positive integer, got {self.stride!r}")
         n = self.model.n
         q0 = np.asarray(self.q0, dtype=float) if len(self.q0) else np.zeros(n)
         mom0 = np.asarray(self.mom0, dtype=float) if len(self.mom0) else np.zeros(n)
@@ -218,8 +223,8 @@ def rk4_solve(f, x0, t_final, dt, record_stride: int = 1):
     return np.array(ts), np.array(xs)
 
 
-def exact_observer_init(sc: Scenario) -> Array:
-    """Observer state whose estimation errors are all zero at t = 0.
+def exact_observer_init(sc: Scenario) -> dict:
+    """Observer state fields (for Scenario.obs_init) whose estimation errors are all zero at t = 0.
 
     Uses the scenario's true initial momenta, friction coefficients and
     initial disturbance level, so it is a diagnostic tool: with this start
@@ -248,14 +253,7 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     steps = int(round(sc.t_final / sc.dt))
     dt = sc.dt
 
-    if obs is None:
-        z0 = np.zeros(0)
-    elif sc.obs_init is not None:
-        z0 = np.asarray(sc.obs_init, dtype=float)
-        if z0.shape != (obs.dim,):
-            raise ValueError(f"observer initial state must have length {obs.dim}")
-    else:
-        z0 = obs.default_state(sc.q0)
+    z0 = np.zeros(0) if obs is None else obs.state_with(sc.q0, **sc.obs_init)
     x = np.concatenate([sc.q0, sc.mom0, z0])
 
     input_value = sc.input_value

@@ -140,20 +140,12 @@ class ScaledObserver:
             return self.psi * Tinv
         return (self.psi * np.eye(self.n) + swapped_from_brackets(br, phat)) @ Tinv
 
-    def delta_split(self, q, qbar, phat, pbar) -> Tuple[Array, Array]:
-        """Split H(q, phat) - H(qbar, pbar) into position and momenta parts.
-
-        Returns (delta_q, delta_p) = (H(q, phat) - H(qbar, phat),
-        H(qbar, phat) - H(qbar, pbar)); their sum telescopes exactly and
-        each vanishes when its copy error does.
-        """
-        h_qp = self.mapping_h(q, phat)
-        h_bp = self.mapping_h(qbar, phat)
-        h_bb = self.mapping_h(qbar, pbar)
-        return h_qp - h_bp, h_bp - h_bb
-
     def delta_bounds(self, q, qbar, phat, pbar) -> Tuple[float, float]:
         """Scalars bounding |delta_q| <= bound_q |e_q|, |delta_p| <= bound_p |e_p|.
+
+        H(q, phat) - H(qbar, pbar) splits into delta_q = H(q, phat) -
+        H(qbar, phat) and delta_p = H(qbar, phat) - H(qbar, pbar); each
+        vanishes when its copy error does.
 
         Models with commuting factor columns and a Lipschitz constant for
         T^-1 get the sharp analytic bounds (the momenta part is then zero).
@@ -191,18 +183,8 @@ class ScaledObserver:
 
     # -- gain schedule ------------------------------------------------------
 
-    def gains(self, state: Obs2State, q, phat) -> GainSet:
-        """Evaluate the state-dependent gain schedule; fails hard on r < 1."""
-        if state.r < 1.0 - 1e-12:
-            raise ValueError(f"scaling factor fell below one (r = {state.r!r})")
-        q = np.asarray(q, float)
-        phat = np.asarray(phat, float)
-        norm_t = _spec_norm(self.model.factor(q))
-        norm_h = _spec_norm(self.mapping_h(state.qbar, state.pbar))
-        bounds = self.delta_bounds(q, state.qbar, phat, state.pbar)
-        return self._gains(max(state.r, 1.0), norm_t, norm_h, bounds)
-
-    def _gains(self, r, norm_t, norm_h, bounds) -> GainSet:
+    def gains(self, r, norm_t, norm_h, bounds) -> GainSet:
+        """Gain schedule at scaling factor r, from |T(q)|, |H(qbar, pbar)| and delta_bounds."""
         p = self.params
         bound_q, bound_p = bounds
         rtil = r - 1.0
@@ -232,10 +214,10 @@ class ScaledObserver:
         default = Obs2State.from_packed(self.default_state(q0, r0), self.n)
         return replace_fields(default, fields).pack()
 
-    def exact_state(self, q0, p0, d0) -> Array:
-        """State whose estimation and copy errors all vanish at q0, p0 (r = 1)."""
+    def exact_state(self, q0, p0, d0) -> dict:
+        """state_with fields whose estimation and copy errors all vanish at q0, p0 (r = 1)."""
         q0 = np.asarray(q0, dtype=float)
-        return self.state_with(q0, pbar=p0, p_i=p0 - self.mapping_h(q0, p0) @ q0, d_i=d0 - q0)
+        return dict(pbar=p0, p_i=p0 - self.mapping_h(q0, p0) @ q0, d_i=d0 - q0)
 
     def diagnostics(self, z, q, p_true, d_true) -> dict:
         """Estimates, error norms, scaling factor and Lyapunov value at one sample.
@@ -323,7 +305,7 @@ class ScaledObserver:
         norm_t = _spec_norm(T)
         norm_h = _spec_norm(h_bb)
         bounds = self.delta_bounds(q, qbar, phat, pbar)
-        gains = self._gains(r, norm_t, norm_h, bounds)
+        gains = self.gains(r, norm_t, norm_h, bounds)
 
         w = T.T @ (model.input_matrix(q) @ u)
         grad_v = model.grad_potential(q)

@@ -5,7 +5,7 @@ integrator-order and cross-representation checks run at the stated 1 ms.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from momobs import (
     DisturbanceSchedule,
     FrictionSpec,
     InputChannel,
+    Obs1State,
     Scenario,
     SpiderCraneParams,
     check_zrs,
@@ -182,7 +183,8 @@ def test_criterion_4_adaptive_convergence():
     worst_viol = 0
     for _ in range(5):
         z0 = default + 0.25 * rng.uniform(-1.0, 1.0, obs.dim)
-        ts = integrate_scenario(replace(sc, obs_init=z0))
+        fields = asdict(Obs1State.from_packed(z0, obs.n, obs.s))
+        ts = integrate_scenario(replace(sc, obs_init=fields))
         i40 = np.searchsorted(ts.t, 40.0)
         worst_p = max(worst_p, ts.ptil_norm[i40:].max())
         worst_viol = max(worst_viol, compute_metrics(ts).lyap_violations)

@@ -1,9 +1,10 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from momobs import ConfigError, build_scenario, dump_config, parse_config
+from momobs import ConfigError, build_scenario, dump_config, integrate_scenario, parse_config
 from momobs.cli import main
 
 CRANE_CFG = """
@@ -208,6 +209,12 @@ def test_cli_check_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "commuting_factor = pass" in out
 
+    # a negative sample seed is a bad argument, not a failed check
+    with pytest.raises(SystemExit) as exc:
+        main(["check", good, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
     bad = write(tmp_path, "bad.cfg", "[model]\nname = spider-crane-cholesky\n")
     assert main(["check", bad]) == 1
     out = capsys.readouterr().out
@@ -237,6 +244,24 @@ def test_cli_sweep(tmp_path):
     assert len(rows) == 4
     values = [float(r.split(",")[0]) for r in rows[1:]]
     assert values == [2.0, 0.4, 0.8]
+
+
+@pytest.mark.parametrize("param, values", [("lambda", "0.8,2"), ("q0[2]", "0.5,1")])
+def test_cli_sweep_starts_observer_per_value(tmp_path, param, values):
+    # ru_i = 0 is its own default: naming it in [initial] must not pin the
+    # observer start to the config's lambda and q0 for every swept value
+    text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.2")
+    named = text.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nru_i = 0")
+    outs = []
+    for name, body in (("plain", text), ("named", named)):
+        out = tmp_path / name
+        assert main(["sweep", write(tmp_path, f"{name}.cfg", body), "--param", param,
+                     "--values", values, "-o", str(out)]) == 0
+        outs.append(out)
+    csvs = sorted(p.name for p in outs[0].glob("*timeseries.csv"))
+    assert len(csvs) == 2
+    for csv in csvs:
+        assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), csv
 
 
 def test_cli_sweep_bad_args(tmp_path, capsys):
@@ -298,6 +323,11 @@ def test_cli_run_rejects_prop2_with_unknown_friction(tmp_path, capsys):
     assert "friction" in capsys.readouterr().err
 
 
+def start(sc):
+    """Observer state at t = 0 of a run of the scenario."""
+    return integrate_scenario(replace(sc, t_final=sc.dt)).obs[0]
+
+
 def test_observer_override_round_trips():
     text = CRANE_CFG.replace(
         "[initial]\nq = 0, 0, 1.0\nmom = 0, 0, 0",
@@ -308,7 +338,7 @@ def test_observer_override_round_trips():
     again = parse_config(dump_config(cfg))
     assert again == cfg
     sc = build_scenario(cfg)
-    assert np.allclose(sc.obs_init, [0.1, 0.2, 0.3, 0.05, 1, 1, 1])
+    assert np.allclose(start(sc), [0.1, 0.2, 0.3, 0.05, 1, 1, 1])
 
 
 def test_observer_override_partial_uses_defaults():
@@ -323,9 +353,10 @@ def test_observer_override_partial_uses_defaults():
 
     obs = AdaptiveObserver(sc.model, 0.8)
     default = obs.default_state(sc.q0)
-    assert np.allclose(sc.obs_init[:3], default[:3])
-    assert sc.obs_init[3] == 0.25
-    assert np.allclose(sc.obs_init[4:], default[4:])
+    z0 = start(sc)
+    assert np.allclose(z0[:3], default[:3])
+    assert z0[3] == 0.25
+    assert np.allclose(z0[4:], default[4:])
 
 
 def test_scaled_observer_override():
@@ -338,10 +369,11 @@ def test_scaled_observer_override():
     cfg = parse_config(text)
     sc = build_scenario(cfg)
     assert sc.observer == "prop2"
-    assert sc.obs_init[-1] == 1.5
-    assert np.allclose(sc.obs_init[:3], [0.1, 0.1, 0.1])
+    z0 = start(sc)
+    assert z0[-1] == 1.5
+    assert np.allclose(z0[:3], [0.1, 0.1, 0.1])
     # d_i defaults to -q0 / r^2
-    assert np.allclose(sc.obs_init[9:12], -np.asarray(sc.q0) / 1.5**2)
+    assert np.allclose(z0[9:12], -np.asarray(sc.q0) / 1.5**2)
     assert parse_config(dump_config(cfg)) == cfg
 
 

@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 
 from momobs import (
+    FrictionSpec,
+    MechanicalModel,
     check_zrs,
     factor_brackets,
     grad_integral_map_residual,
     gyro_matrix,
     gyro_swapped,
-    lie_bracket,
     sample_positions,
 )
+
+
+def lie_bracket(X, Y, q):
+    """[X, Y](q), read from factor_brackets of a 2-dof model whose factor columns are X and Y."""
+    model = MechanicalModel(
+        n=2, m=0, minv=None, potential=None, grad_potential=None, input_matrix=None,
+        factor=lambda x: np.column_stack([X(x), Y(x)]), factor_inv=None,
+        friction=FrictionSpec(np.zeros(2), np.ones(2, dtype=bool)),
+    )
+    return factor_brackets(model, q)[0, 1]
 
 
 def test_constant_fields_commute():
@@ -89,6 +100,10 @@ def test_gyro_skew_exact(crane_cholesky):
         p = rng.normal(size=3)
         J = gyro_matrix(crane_cholesky, q, p)
         assert np.array_equal(J, -J.T)
+        # entrywise definition J[j, k] = -p^T [(T)_j, (T)_k] as the reference
+        br = factor_brackets(crane_cholesky, q)
+        ref = np.array([[-(p @ br[j, k]) for k in range(3)] for j in range(3)])
+        assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
         # quadratic form of an exactly skew matrix is numerically negligible
         scale = max(np.abs(J).max() * (p @ p), 1e-300)
         assert abs(p @ (J @ p)) <= 1e-13 * scale

@@ -54,6 +54,13 @@ def test_scenario_validation(crane):
         Scenario(model=crane, disturbance=DisturbanceSchedule.constant([1.0]))
 
 
+def test_scenario_rejects_fractional_stride(crane):
+    with pytest.raises(ValueError, match="stride"):
+        Scenario(model=crane, t_final=0.01, dt=1e-3, stride=2.5)
+    with pytest.raises(ValueError, match="stride"):
+        Scenario(model=crane, stride=0)
+
+
 def test_zero_dynamics_constant():
     model = make_constant_inertia(np.eye(2), np.zeros((2, 2)),
                                   FrictionSpec(np.zeros(2), np.ones(2, dtype=bool)))
