@@ -9,8 +9,10 @@ number.
 Sections:
 
   [model]        name plus numeric parameters, friction vector, known mask
-  [observer]     kind = prop1 | prop2 | none, and the gains that kind reads
-                 (prop1: lambda; prop2: psi3_const, psi4_extra, psi5_extra)
+  [observer]     kind = prop1 | prop2 | none, and any of the gains that kind
+                 reads (prop1: lambda; prop2: psi3_const, psi4_extra,
+                 psi5_extra); each must be positive, and a gain left out
+                 takes the observer's default
   [initial]      plant q / mom and optional overrides of the configured
                  observer's state fields (prop1: p_i, ru_i, d_i; prop2:
                  qbar, pbar, p_i, d_i, r); each vector must have its field's
@@ -31,7 +33,6 @@ import numpy as np
 
 from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys
 from .model import DisturbanceSchedule
-from .scaled import ScaledParams
 from .systems import build_named_model
 
 
@@ -52,7 +53,6 @@ _MODEL_KEYS = {
 _SIM_KEYS = {"t_final", "dt", "stride"}
 _OUTPUT_KEYS = {"directory", "emit_svg"}
 _SECTIONS = {"model", "observer", "initial", "input", "disturbance", "sim", "output"}
-_GAIN_ATTRS = {"lambda": "lam"}  # RunConfig attribute of a gain key, where the two differ
 
 
 @dataclass
@@ -64,10 +64,7 @@ class RunConfig:
     friction: Optional[List[float]] = None
     known: Optional[List[bool]] = None
     observer_kind: str = "none"
-    lam: float = 0.8
-    psi3_const: float = 1.0
-    psi4_extra: float = 1.0
-    psi5_extra: float = 1.0
+    gains: Dict[str, float] = field(default_factory=dict)
     q0: Optional[List[float]] = None
     mom0: Optional[List[float]] = None
     overrides: Dict[str, object] = field(default_factory=dict)
@@ -181,7 +178,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if key != "kind":
             if key not in observer_keys(kind, "gain_keys"):
                 raise ConfigError(ln, f"{key!r} in [observer] is not a gain of observer kind {kind}")
-            setattr(cfg, _GAIN_ATTRS.get(key, key), _parse_float(value, ln, key))
+            cfg.gains[key] = _parse_float(value, ln, key)
 
     for ln, key, value in sections.get("initial", []):
         if key == "q":
@@ -281,8 +278,8 @@ def dump_config(cfg: RunConfig) -> str:
     if cfg.known is not None:
         lines.append("known = " + ", ".join(str(b).lower() for b in cfg.known))
     lines += ["", "[observer]", f"kind = {cfg.observer_kind}"]
-    for key in observer_keys(cfg.observer_kind, "gain_keys"):
-        lines.append(f"{key} = {getattr(cfg, _GAIN_ATTRS.get(key, key)):.17g}")
+    for key, value in cfg.gains.items():
+        lines.append(f"{key} = {value:.17g}")
     lines += ["", "[initial]"]
     if cfg.q0 is not None:
         lines.append(f"q = {_fmt_vec(cfg.q0)}")
@@ -334,10 +331,6 @@ def build_model(cfg: RunConfig):
 def build_scenario(cfg: RunConfig) -> Scenario:
     """Construct the Scenario; observer state overrides become its obs_init fields."""
     model = build_model(cfg)
-    n = model.n
-    q0 = np.asarray(cfg.q0, dtype=float) if cfg.q0 is not None else np.zeros(n)
-    mom0 = np.asarray(cfg.mom0, dtype=float) if cfg.mom0 is not None else np.zeros(n)
-
     disturbance = None
     if cfg.disturbance:
         disturbance = DisturbanceSchedule(
@@ -347,16 +340,14 @@ def build_scenario(cfg: RunConfig) -> Scenario:
     sc = Scenario(
         model=model,
         observer=cfg.observer_kind,
-        lam=cfg.lam,
-        scaled_params=ScaledParams(cfg.psi3_const, cfg.psi4_extra, cfg.psi5_extra),
-        q0=q0,
-        mom0=mom0,
+        gains=dict(cfg.gains),
+        q0=cfg.q0 or (),
+        mom0=cfg.mom0 or (),
         inputs=tuple(InputChannel(*ch) for ch in cfg.inputs),
         disturbance=disturbance,
         t_final=cfg.t_final,
         dt=cfg.dt,
         stride=cfg.stride,
-        name=cfg.model_name,
         obs_init=dict(cfg.overrides),
     )
     if cfg.overrides:  # a bad override is a configuration error, found before the run

@@ -60,15 +60,17 @@ class InputChannel:
 class Scenario:
     """Complete experiment description for one run.
 
-    obs_init names observer state fields (Obs1State or Obs2State) that
-    replace the observer's default start, which is built at q0 and with the
-    scenario's gains when the run starts.
+    gains names the observer's gains by its gain_keys (prop1: lambda; prop2:
+    psi3_const, psi4_extra, psi5_extra); a gain left out takes the
+    observer's default.  obs_init names observer state fields (Obs1State or
+    Obs2State) that replace the observer's default start, which is built at
+    q0 and with the scenario's gains when the run starts.  Both refuse a
+    name the observer kind does not read, and every gain must be positive.
     """
 
     model: MechanicalModel
     observer: str = "none"
-    lam: float = 0.8
-    scaled_params: ScaledParams = ScaledParams()
+    gains: Mapping[str, float] = field(default_factory=dict)
     q0: Sequence[float] = ()
     mom0: Sequence[float] = ()
     obs_init: Mapping[str, object] = field(default_factory=dict)
@@ -77,15 +79,22 @@ class Scenario:
     t_final: float = 10.0
     dt: float = 1e-3
     stride: int = 10
-    name: str = ""
 
     def __post_init__(self):
         if self.observer not in OBSERVER_KINDS:
             raise ValueError(f"observer must be one of {OBSERVER_KINDS}")
         if not 0 < self.dt <= self.t_final < math.inf:
             raise ValueError("need finite dt > 0 and t_final >= dt")
-        if not self.lam > 0:
-            raise ValueError(f"gain lambda must be positive, got {self.lam!r}")
+        for what, names, attr in (("gain", self.gains, "gain_keys"),
+                                  ("state field", self.obs_init, "state_fields")):
+            allowed = observer_keys(self.observer, attr)
+            for key in names:
+                if key not in allowed:
+                    raise ValueError(f"observer kind {self.observer} has no {what} {key!r}; "
+                                     f"it reads {list(allowed)}")
+        for key, value in self.gains.items():
+            if not value > 0:
+                raise ValueError(f"gain {key} must be positive, got {value!r}")
         if not (self.stride >= 1 and float(self.stride).is_integer()):
             raise ValueError(f"sample stride must be a positive integer, got {self.stride!r}")
         n = self.model.n
@@ -117,8 +126,8 @@ class Scenario:
         if self.observer == "none":
             return None
         if self.observer == "prop1":
-            return AdaptiveObserver(self.model, self.lam)
-        return ScaledObserver(self.model, self.scaled_params)
+            return AdaptiveObserver(self.model, self.gains.get("lambda", 0.8))
+        return ScaledObserver(self.model, ScaledParams(**self.gains))
 
 
 # CSV column groups in order: (label, TimeSeries field); a vector field gives one column per entry
@@ -136,7 +145,6 @@ class TimeSeries:
     the dynamic scaling factor of the prop2 observer.
     """
 
-    observer: str
     t: Array
     q: Array
     mom: Array
@@ -303,7 +311,7 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
 
 def _assemble_series(sc, obs, sched, ts, states) -> TimeSeries:
     n = sc.model.n
-    series = TimeSeries(observer=sc.observer, t=ts, q=states[:, :n], mom=states[:, n : 2 * n])
+    series = TimeSeries(t=ts, q=states[:, :n], mom=states[:, n : 2 * n])
     if obs is None:
         return series
     series.obs = states[:, 2 * n :]
@@ -349,15 +357,11 @@ def compute_metrics(ts: TimeSeries) -> Metrics:
 def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
     """Scenario with one gain or one initial-state entry (q0[i], mom0[i]) set.
 
-    Raises ValueError for a gain the scenario's observer does not read and
-    for an index outside 0..n-1.
+    Raises ValueError for a gain the scenario's observer does not read (the
+    Scenario refuses it) and for an index outside 0..n-1.
     """
     if param in _GAIN_KEYS:
-        if param not in observer_keys(sc.observer, "gain_keys"):
-            raise ValueError(f"observer kind {sc.observer!r} does not read the gain {param!r}")
-        if param == "lambda":
-            return replace(sc, lam=float(value))
-        return replace(sc, scaled_params=replace(sc.scaled_params, **{param: float(value)}))
+        return replace(sc, gains={**sc.gains, param: float(value)})
     for name in ("q0", "mom0"):
         if param.startswith(name + "[") and param.endswith("]"):
             idx = int(param[len(name) + 1 : -1])

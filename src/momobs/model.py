@@ -184,7 +184,6 @@ class MechanicalModel:
     factor_inv: Optional[Callable[[Array], Array]]
     friction: FrictionSpec
     integral_map: Optional[Callable[[Array], Array]] = None
-    zrs: bool = False
     factor_jac: Optional[Callable[[Array], Array]] = None
     lip_factor_inv: Optional[float] = None
     name: str = ""
@@ -192,6 +191,11 @@ class MechanicalModel:
     def __post_init__(self):
         if self.friction.n != self.n:
             raise ModelError("friction spec length must match degrees of freedom")
+
+    @property
+    def zrs(self) -> bool:
+        """Whether the factor's columns commute, read from the integral map's presence."""
+        return self.integral_map is not None
 
     def factor_inverse(self, q: Array) -> Array:
         """T^-1(q), from the closed form when supplied, else by solving."""

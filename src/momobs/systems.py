@@ -84,7 +84,6 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
         factor_inv=lambda q: Tinv,
         friction=friction,
         integral_map=lambda q: Tinv @ q,
-        zrs=True,
         factor_jac=lambda q: zeros_jac,
         lip_factor_inv=0.0,
         name="constant",
@@ -168,7 +167,6 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
         factor_inv=factor_inv,
         friction=friction,
         integral_map=integral_map,
-        zrs=True,
         factor_jac=factor_jac,
         name="manipulator",
     )
@@ -240,7 +238,6 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
         factor_inv=factor_inv,
         friction=friction,
         integral_map=integral_map,
-        zrs=True,
         factor_jac=factor_jac,
         lip_factor_inv=alm,
         name="spider-crane",
@@ -271,7 +268,6 @@ def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) 
         factor_inv=None,
         friction=friction,
         integral_map=None,
-        zrs=False,
         name="spider-crane-cholesky",
     )
 

@@ -160,7 +160,7 @@ def crane_prop1_scenario(**kw):
     defaults = dict(
         model=make_spider_crane(),
         observer="prop1",
-        lam=0.8,
+        gains={"lambda": 0.8},
         q0=[0.0, 0.0, 1.0],
         mom0=[0.0, 0.0, 0.0],
         inputs=CRANE_INPUTS,
@@ -175,7 +175,7 @@ def crane_prop1_scenario(**kw):
 
 def test_criterion_4_adaptive_convergence():
     sc = crane_prop1_scenario()
-    obs = AdaptiveObserver(sc.model, sc.lam)
+    obs = AdaptiveObserver(sc.model, sc.gains["lambda"])
     default = obs.default_state(np.asarray(sc.q0))
     rng = np.random.default_rng(42)
 
@@ -203,7 +203,7 @@ def test_criterion_5_step_disturbance_tracking():
     levels = [0.1, 0.4, -0.2]
     switches = [0.0, 25.0, 50.0]
     sched = DisturbanceSchedule(switches, [[l, 0.2, 0.2] for l in levels])
-    sc = crane_prop1_scenario(lam=2.0, disturbance=sched, t_final=75.0)
+    sc = crane_prop1_scenario(gains={"lambda": 2.0}, disturbance=sched, t_final=75.0)
     ts = integrate_scenario(sc)
     ends = switches[1:] + [75.0]
     details = []
@@ -273,7 +273,7 @@ def test_criterion_9_exact_initialization_invariance():
         t_final=10.0,
         stride=100,
     )
-    sc1 = Scenario(model=make_spider_crane(), observer="prop1", lam=0.8, dt=5e-4, **gentle)
+    sc1 = Scenario(model=make_spider_crane(), observer="prop1", gains={"lambda": 0.8}, dt=5e-4, **gentle)
     ts1 = integrate_scenario(replace(sc1, obs_init=exact_observer_init(sc1)))
     worst1 = max(ts1.ptil_norm.max(), ts1.dtil_norm.max(), ts1.rutil_norm.max())
 

@@ -220,7 +220,7 @@ def crane_scenario(crane, lam=0.8, t_final=5.0, dt=1e-4, **kw):
     return Scenario(
         model=crane,
         observer="prop1",
-        lam=lam,
+        gains={"lambda": lam},
         q0=[0.0, 0.0, 0.3],
         mom0=[0.1, -0.05, 0.1],
         inputs=(InputChannel(0.5, 1.0, 0.0, "cos"), InputChannel(0.5, 1.0, 0.0, "sin")),
@@ -239,7 +239,7 @@ def test_lyapunov_monotone_and_decay_rate(crane):
     ts = integrate_scenario(sc)
     assert np.diff(ts.lyap).max() <= 1e-8
     vdot = (ts.lyap[2:] - ts.lyap[:-2]) / (ts.t[2:] - ts.t[:-2])
-    bound = -sc.lam * ts.ptil_norm[1:-1] ** 2
+    bound = -sc.gains["lambda"] * ts.ptil_norm[1:-1] ** 2
     assert (vdot - bound).max() <= 1e-6
 
 
@@ -262,7 +262,7 @@ def test_observer_with_no_unknown_coefficients(crane_known):
     sc = Scenario(
         model=crane_known,
         observer="prop1",
-        lam=1.0,
+        gains={"lambda": 1.0},
         q0=[0.0, 0.0, 0.3],
         inputs=(InputChannel(0.5, 1.0, 0.0, "cos"), InputChannel(0.5, 1.0, 0.0, "sin")),
         disturbance=DisturbanceSchedule.constant([0.1, 0.2, 0.2]),

@@ -51,7 +51,7 @@ def test_parse_and_build():
     cfg = parse_config(CRANE_CFG)
     assert cfg.model_name == "spider-crane"
     assert cfg.observer_kind == "prop1"
-    assert cfg.lam == 0.8
+    assert cfg.gains == {"lambda": 0.8}
     assert cfg.inputs[1] == (7.67, 1.0, 0.0, "sin")
     sc = build_scenario(cfg)
     assert sc.model.n == 3

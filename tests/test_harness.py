@@ -21,7 +21,7 @@ def crane_prop1_scenario(crane, **kw):
     defaults = dict(
         model=crane,
         observer="prop1",
-        lam=0.8,
+        gains={"lambda": 0.8},
         q0=[0.0, 0.0, 0.6],
         mom0=[0.0, 0.0, 0.0],
         inputs=(InputChannel(1.535, 1.0, 0.0, "cos"), InputChannel(7.67, 1.0, 0.0, "sin")),
@@ -61,6 +61,26 @@ def test_scenario_rejects_fractional_stride(crane):
         Scenario(model=crane, stride=0)
 
 
+@pytest.mark.parametrize(
+    "observer, given, key",
+    [
+        ("prop2", dict(gains={"lambda": 5.0}), "lambda"),
+        ("prop1", dict(gains={"psi5_extra": 9.0}), "psi5_extra"),
+        ("none", dict(gains={"lambda": 1.0}), "lambda"),
+        ("none", dict(obs_init={"p_i": [1.0, 2.0, 3.0]}), "p_i"),
+        ("prop1", dict(obs_init={"qbar": [0.1, 0.1, 0.1]}), "qbar"),
+        ("prop2", dict(gains={"psi4_extra": 0.0}), "psi4_extra"),
+        ("prop1", dict(gains={"lambda": math.nan}), "lambda"),
+    ],
+    ids=["prop2-lambda", "prop1-psi5_extra", "none-lambda", "none-p_i", "prop1-qbar",
+         "zero-psi4_extra", "nan-lambda"],
+)
+def test_scenario_refuses_what_its_observer_does_not_read(crane, observer, given, key):
+    # the library refuses what the config refuses, before any run starts
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        Scenario(model=crane, observer=observer, **given)
+
+
 def test_zero_dynamics_constant():
     model = make_constant_inertia(np.eye(2), np.zeros((2, 2)),
                                   FrictionSpec(np.zeros(2), np.ones(2, dtype=bool)))
@@ -97,7 +117,7 @@ def test_determinism(crane):
 def test_observer_not_intrusive(crane):
     with_obs = integrate_scenario(crane_prop1_scenario(crane, t_final=2.0))
     without = integrate_scenario(
-        crane_prop1_scenario(crane, t_final=2.0, observer="none")
+        crane_prop1_scenario(crane, t_final=2.0, observer="none", gains={})
     )
     assert np.array_equal(with_obs.q, without.q)
     assert np.array_equal(with_obs.mom, without.mom)
@@ -119,7 +139,7 @@ def test_piecewise_disturbance_integration():
 
 
 def test_divergence_truncates(crane):
-    sc = crane_prop1_scenario(crane, lam=1e8, t_final=5.0)
+    sc = crane_prop1_scenario(crane, gains={"lambda": 1e8}, t_final=5.0)
     with np.errstate(all="ignore"):
         ts = integrate_scenario(sc)
     assert ts.diverged
@@ -130,7 +150,7 @@ def test_divergence_truncates(crane):
 
 def test_metrics_zero_series():
     t = np.linspace(0.0, 1.0, 11)
-    ts = TimeSeries(observer="prop1", t=t, q=np.zeros((11, 1)), mom=np.zeros((11, 1)),
+    ts = TimeSeries(t=t, q=np.zeros((11, 1)), mom=np.zeros((11, 1)),
                     ptil_norm=np.zeros(11), dtil_norm=np.zeros(11),
                     rutil_norm=np.zeros(11), lyap=np.zeros(11))
     m = compute_metrics(ts)
@@ -143,7 +163,7 @@ def test_metrics_exponential_series():
     # the momenta error falls through the 1e-2 convergence threshold at t = 3
     t = np.arange(0.0, 6.0, 0.01)
     decay = 1e-2 * np.exp(3.0 - t)
-    ts = TimeSeries(observer="prop1", t=t, q=np.zeros((t.size, 1)),
+    ts = TimeSeries(t=t, q=np.zeros((t.size, 1)),
                     mom=np.zeros((t.size, 1)), ptil_norm=decay,
                     dtil_norm=decay, rutil_norm=decay, lyap=decay)
     m = compute_metrics(ts)
@@ -154,7 +174,7 @@ def test_metrics_exponential_series():
 def test_metrics_not_converged():
     t = np.linspace(0.0, 1.0, 5)
     ones = np.ones(5)
-    ts = TimeSeries(observer="prop1", t=t, q=np.zeros((5, 1)), mom=np.zeros((5, 1)),
+    ts = TimeSeries(t=t, q=np.zeros((5, 1)), mom=np.zeros((5, 1)),
                     ptil_norm=ones, dtil_norm=ones, rutil_norm=ones, lyap=ones[::-1] * 0)
     m = compute_metrics(ts)
     assert math.isinf(m.convergence_time)
@@ -164,7 +184,7 @@ def test_metrics_not_converged():
 def test_metrics_counts_violations():
     t = np.linspace(0.0, 1.0, 5)
     lyap = np.array([1.0, 0.9, 0.95, 0.8, 0.81])
-    ts = TimeSeries(observer="prop1", t=t, q=np.zeros((5, 1)), mom=np.zeros((5, 1)),
+    ts = TimeSeries(t=t, q=np.zeros((5, 1)), mom=np.zeros((5, 1)),
                     ptil_norm=np.zeros(5), dtil_norm=np.zeros(5),
                     rutil_norm=np.zeros(5), lyap=lyap)
     m = compute_metrics(ts)
@@ -174,9 +194,9 @@ def test_metrics_counts_violations():
 
 def test_sweep_single_value_matches_run(crane):
     sc = crane_prop1_scenario(crane, t_final=2.0)
-    direct = compute_metrics(integrate_scenario(replace(sc, lam=1.1)))
+    direct = compute_metrics(integrate_scenario(replace(sc, gains={"lambda": 1.1})))
     swept_sc = apply_sweep_value(sc, "lambda", 1.1)
-    assert swept_sc.lam == 1.1
+    assert swept_sc.gains == {"lambda": 1.1}
     assert compute_metrics(integrate_scenario(swept_sc)) == direct
 
 
@@ -220,6 +240,6 @@ def test_csv_layout_prop2(tmp_path, crane_known):
 
 
 def test_csv_layout_plain(tmp_path, crane):
-    sc = crane_prop1_scenario(crane, observer="none", t_final=0.5)
+    sc = crane_prop1_scenario(crane, observer="none", gains={}, t_final=0.5)
     ts = integrate_scenario(sc)
     assert len(ts.column_labels()) == 7
