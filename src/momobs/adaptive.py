@@ -138,12 +138,11 @@ def replace_fields(state, fields: dict):
 
 @dataclass(frozen=True)
 class Obs1Estimates:
-    """Observer outputs: transformed momenta, friction, disturbance, momenta."""
+    """Observer outputs: transformed momenta, friction, disturbance."""
 
     p: Array
     ru: Array
     d: Array
-    mom: Array
 
 
 class AdaptiveObserver:
@@ -155,7 +154,6 @@ class AdaptiveObserver:
     precomputes the constant regressor and quadratic matrices.
     """
 
-    kind = "prop1"
     gain_keys = ("lambda",)  # config and sweep names of the gains it reads
     state_fields = tuple(f.name for f in dataclasses.fields(Obs1State))
 
@@ -193,16 +191,13 @@ class AdaptiveObserver:
         self._yflat = self.ymats.reshape(self.n, -1)  # regressor as one matvec
         self.dim = 2 * self.n + self.s
 
-    def default_state(self, q0) -> Array:
-        """Neutral start: all estimates zero at the initial position."""
-        q0 = np.asarray(q0, dtype=float)
-        return np.concatenate(
-            [-self.lam * self.model.integral_map(q0), np.zeros(self.s), -q0]
-        )
-
     def state_with(self, q0, **fields) -> Array:
-        """Packed default state with the named Obs1State fields replaced."""
-        default = Obs1State.from_packed(self.default_state(q0), self.n, self.s)
+        """Packed start at q0: the named Obs1State fields, the rest the neutral start.
+
+        The neutral start makes every estimate zero at q0.
+        """
+        q0 = np.asarray(q0, dtype=float)
+        default = Obs1State(-self.lam * self.model.integral_map(q0), np.zeros(self.s), -q0)
         return replace_fields(default, fields).pack()
 
     def exact_state(self, q0, p0, d0) -> dict:
@@ -230,8 +225,7 @@ class AdaptiveObserver:
         q = np.asarray(q, dtype=float)
         z = np.asarray(z, dtype=float)
         phat, ruhat, dhat = self._estimates(z, q)
-        mom = self.model.factor_inverse(q).T @ phat
-        return Obs1Estimates(p=phat, ru=ruhat, d=dhat, mom=mom)
+        return Obs1Estimates(p=phat, ru=ruhat, d=dhat)
 
     def diagnostics(self, z, q, p_true, d_true) -> dict:
         """Estimates, error norms and error energy at one sample, keyed by TimeSeries field."""

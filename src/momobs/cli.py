@@ -14,12 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-
-from .adaptive import StructureError
 from .config import ConfigError, build_model, build_scenario, load_config
 from .geometry import check_zrs, sample_positions
 from .harness import Metrics, apply_sweep_value, compute_metrics, integrate_scenario
-from .model import ModelError
 from .svgplot import write_line_svg
 
 EXIT_OK = 0
@@ -40,8 +37,10 @@ def _fail_config(exc) -> int:
     return EXIT_CONFIG
 
 
-def _write_artifacts(ts, outdir: Path, emit_svg: bool, prefix: str = "") -> None:
+def _write_artifacts(ts, outdir: Path, emit_svg: bool, prefix: str = ""):
+    """Write the series and plots; returns its Metrics, or None for a plant-only run."""
     ts.to_csv(outdir / f"{prefix}timeseries.csv")
+    metrics = None
     if ts.ptil_norm is not None:
         metrics = compute_metrics(ts)
         (outdir / f"{prefix}metrics.txt").write_text(metrics.to_text() + "\n")
@@ -52,19 +51,17 @@ def _write_artifacts(ts, outdir: Path, emit_svg: bool, prefix: str = "") -> None
         if ts.rutil_norm is not None:
             write_line_svg(outdir / f"{prefix}rutil.svg", ts.t, ts.rutil_norm,
                            "friction error norm")
+    return metrics
 
 
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         scenario = build_scenario(cfg)
-    except (ConfigError, ModelError, StructureError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, ModelError and StructureError included
         return _fail_config(exc)
     outdir = _resolve_outdir(args.output, cfg.directory)
-    try:
-        ts = integrate_scenario(scenario)
-    except StructureError as exc:
-        return _fail_config(exc)
+    ts = integrate_scenario(scenario)
     _write_artifacts(ts, outdir, cfg.emit_svg)
     if ts.diverged:
         print(f"run diverged: {ts.message}", file=sys.stderr)
@@ -77,7 +74,7 @@ def cmd_check(args) -> int:
     try:
         cfg = load_config(args.config, require_sim=False)
         model = build_model(cfg)
-    except (ConfigError, ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail_config(exc)
     report = check_zrs(model, sample_positions(model.n, count=100, seed=args.seed))
     print(report.to_text())
@@ -87,31 +84,29 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         cfg = load_config(args.config)
-        scenario = build_scenario(cfg)
-        if scenario.observer == "none":
+        if cfg.observer_kind == "none":
             raise ConfigError(0, "sweep needs an observer to produce metrics")
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         if not values:
             raise ConfigError(0, "empty sweep value list")
         if not all(map(math.isfinite, values)):
             raise ConfigError(0, f"sweep values must be finite, got {args.values!r}")
-        swept = [apply_sweep_value(scenario, args.param, v) for v in values]
-    except (ConfigError, ModelError, StructureError, ValueError, OSError) as exc:
+        n = build_model(cfg).n
+        cfg = dataclasses.replace(cfg, q0=cfg.q0 or [0.0] * n, mom0=cfg.mom0 or [0.0] * n)
+        # each swept Scenario builds and checks its observer here, before anything is written
+        swept = [build_scenario(apply_sweep_value(cfg, args.param, v)) for v in values]
+    except (ValueError, OSError) as exc:
         return _fail_config(exc)
     outdir = _resolve_outdir(args.output, cfg.directory)
     rows = []
     for value, sc in zip(values, swept):
-        try:
-            ts = integrate_scenario(sc)
-        except StructureError as exc:
-            return _fail_config(exc)
+        ts = integrate_scenario(sc)
         tag = f"{args.param.replace('[', '_').replace(']', '')}_{value:g}_"
-        _write_artifacts(ts, outdir, cfg.emit_svg, prefix=tag)
+        metrics = _write_artifacts(ts, outdir, cfg.emit_svg, prefix=tag)
         if ts.diverged:
             print(f"run at {args.param} = {value:g} diverged: {ts.message}", file=sys.stderr)
             return EXIT_DIVERGED
-        m = compute_metrics(ts)
-        rows.append((value, m))
+        rows.append((value, metrics))
     with open(outdir / "sweep_metrics.csv", "w", newline="\n") as fh:
         fh.write(",".join(["value"] + [f.name for f in dataclasses.fields(Metrics)]) + "\n")
         for value, m in rows:

@@ -308,37 +308,28 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def build_model(cfg: RunConfig):
+    """The configured model; the config's `known` is the factories' known_mask."""
     params = dict(cfg.model_params)
     if cfg.friction is not None:
         params["friction"] = tuple(cfg.friction)
     if cfg.known is not None:
         params["known_mask"] = tuple(cfg.known)
-    if cfg.model_name == "constant":
-        from .model import FrictionSpec
-        from .systems import make_constant_inertia
-
-        M = np.asarray(params.pop("M", np.eye(2)), dtype=float)
-        K = np.asarray(params.pop("K", np.eye(len(M))), dtype=float)
-        friction = None
-        if "friction" in params or "known_mask" in params:
-            coeffs = np.asarray(params.pop("friction", np.zeros(len(M))), dtype=float)
-            mask = np.asarray(params.pop("known_mask", np.zeros(len(M), dtype=bool)), dtype=bool)
-            friction = FrictionSpec(coeffs, mask)
-        return make_constant_inertia(M, K, friction)
     return build_named_model(cfg.model_name, **params)
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:
-    """Construct the Scenario; observer state overrides become its obs_init fields."""
-    model = build_model(cfg)
+    """Construct the Scenario, which builds and checks its observer and start.
+
+    Observer state overrides become its obs_init fields.
+    """
     disturbance = None
     if cfg.disturbance:
         disturbance = DisturbanceSchedule(
             np.array([t for t, _ in cfg.disturbance]),
             np.array([lvl for _, lvl in cfg.disturbance]),
         )
-    sc = Scenario(
-        model=model,
+    return Scenario(
+        model=build_model(cfg),
         observer=cfg.observer_kind,
         gains=dict(cfg.gains),
         q0=cfg.q0 or (),
@@ -350,6 +341,3 @@ def build_scenario(cfg: RunConfig) -> Scenario:
         stride=cfg.stride,
         obs_init=dict(cfg.overrides),
     )
-    if cfg.overrides:  # a bad override is a configuration error, found before the run
-        sc.build_observer().state_with(sc.q0, **sc.obs_init)
-    return sc

@@ -63,9 +63,14 @@ class Scenario:
     gains names the observer's gains by its gain_keys (prop1: lambda; prop2:
     psi3_const, psi4_extra, psi5_extra); a gain left out takes the
     observer's default.  obs_init names observer state fields (Obs1State or
-    Obs2State) that replace the observer's default start, which is built at
-    q0 and with the scenario's gains when the run starts.  Both refuse a
-    name the observer kind does not read, and every gain must be positive.
+    Obs2State) that replace the observer's default start at q0.  Both refuse
+    a name the observer kind does not read, and every gain must be positive.
+
+    Construction builds the observer once, which runs its structural checks
+    (StructureError), packs its start with state_with (a mis-sized field or
+    r < 1 is a ValueError) and snaps the disturbance schedule onto the dt
+    grid (colliding switches are a ModelError); every run of the scenario
+    reuses all three, so a scenario that constructs is one that can run.
     """
 
     model: MechanicalModel
@@ -111,10 +116,20 @@ class Scenario:
         if self.disturbance.levels.shape[1] != n:
             raise ValueError("disturbance dimension does not match the model")
         try:
-            self.disturbance.aligned(self.dt)
+            schedule = self.disturbance.aligned(self.dt)
         except ModelError as exc:
             raise ModelError(f"disturbance switch times collide when snapped onto the "
                              f"dt = {self.dt:g} step grid ({exc})") from None
+        obs = None
+        if self.observer == "prop1":
+            obs = AdaptiveObserver(self.model, self.gains.get("lambda", 0.8))
+        elif self.observer == "prop2":
+            obs = ScaledObserver(self.model, ScaledParams(**self.gains))
+        z0 = np.zeros(0) if obs is None else obs.state_with(q0, **self.obs_init)
+        # built once here and read by every run; not fields, so nothing more to set
+        object.__setattr__(self, "_observer", obs)
+        object.__setattr__(self, "_z0", z0)
+        object.__setattr__(self, "_schedule", schedule)
 
     def input_value(self, t: float) -> Array:
         u = np.zeros(self.model.m)
@@ -123,11 +138,8 @@ class Scenario:
         return u
 
     def build_observer(self):
-        if self.observer == "none":
-            return None
-        if self.observer == "prop1":
-            return AdaptiveObserver(self.model, self.gains.get("lambda", 0.8))
-        return ScaledObserver(self.model, ScaledParams(**self.gains))
+        """The observer built with the scenario (None for "none")."""
+        return self._observer
 
 
 # CSV column groups in order: (label, TimeSeries field); a vector field gives one column per entry
@@ -257,12 +269,11 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     model = sc.model
     n = model.n
     obs = sc.build_observer()
-    sched = sc.disturbance.aligned(sc.dt)
+    sched = sc._schedule
     steps = int(round(sc.t_final / sc.dt))
     dt = sc.dt
 
-    z0 = np.zeros(0) if obs is None else obs.state_with(sc.q0, **sc.obs_init)
-    x = np.concatenate([sc.q0, sc.mom0, z0])
+    x = np.concatenate([sc.q0, sc.mom0, sc._z0])
 
     input_value = sc.input_value
     project = getattr(obs, "project", None)
@@ -354,20 +365,21 @@ def compute_metrics(ts: TimeSeries) -> Metrics:
     )
 
 
-def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
-    """Scenario with one gain or one initial-state entry (q0[i], mom0[i]) set.
+def apply_sweep_value(sc, param: str, value: float):
+    """Copy of sc with one gain or one initial-state entry (q0[i], mom0[i]) set.
 
-    Raises ValueError for a gain the scenario's observer does not read (the
-    Scenario refuses it) and for an index outside 0..n-1.
+    sc is a Scenario, or a RunConfig whose q0 and mom0 are set.  Raises
+    ValueError for an index outside 0..n-1 and, for a Scenario, for a gain
+    its observer does not read (the Scenario refuses it).
     """
     if param in _GAIN_KEYS:
         return replace(sc, gains={**sc.gains, param: float(value)})
     for name in ("q0", "mom0"):
         if param.startswith(name + "[") and param.endswith("]"):
             idx = int(param[len(name) + 1 : -1])
-            vec = np.array(getattr(sc, name), dtype=float)
-            if not 0 <= idx < vec.size:
-                raise ValueError(f"sweep index {param!r} outside 0..{vec.size - 1}")
+            vec = [float(v) for v in getattr(sc, name)]
+            if not 0 <= idx < len(vec):
+                raise ValueError(f"sweep index {param!r} outside 0..{len(vec) - 1}")
             vec[idx] = value
             return replace(sc, **{name: vec})
     raise ValueError(f"unknown sweep parameter {param!r}")

@@ -89,7 +89,6 @@ class Obs2State:
 class Obs2Estimates:
     p: Array
     d: Array
-    mom: Array
 
 
 class ScaledObserver:
@@ -99,7 +98,6 @@ class ScaledObserver:
     known; friction is compensated, not estimated, here.
     """
 
-    kind = "prop2"
     gain_keys = tuple(f.name for f in dataclasses.fields(ScaledParams))  # config and sweep names
     state_fields = tuple(f.name for f in dataclasses.fields(Obs2State))
 
@@ -197,21 +195,19 @@ class ScaledObserver:
 
     # -- observer dynamics ---------------------------------------------------
 
-    def default_state(self, q0, r0: float = 1.0) -> Array:
-        q0 = np.asarray(q0, dtype=float)
-        if not r0 >= 1.0:
-            raise ValueError(f"initial scaling factor r must be at least one, got {r0!r}")
-        zeros = np.zeros(self.n)
-        return Obs2State(q0.copy(), zeros, zeros.copy(), -q0 / r0**2, r0).pack()
-
     def state_with(self, q0, **fields) -> Array:
-        """Packed default state with the named Obs2State fields replaced.
+        """Packed start at q0: the named Obs2State fields, the rest the neutral start.
 
-        r goes through default_state, so it must be at least one and d_i
-        defaults to -q0 / r^2.
+        The neutral start copies q0 into qbar, zeros pbar and p_i, and sets
+        d_i = -q0 / r^2 at the scaling factor r, which defaults to one and
+        must be at least one.
         """
-        r0 = float(fields.pop("r", 1.0))
-        default = Obs2State.from_packed(self.default_state(q0, r0), self.n)
+        q0 = np.asarray(q0, dtype=float)
+        r = float(fields.pop("r", 1.0))
+        if not r >= 1.0:
+            raise ValueError(f"initial scaling factor r must be at least one, got {r!r}")
+        zeros = np.zeros(self.n)
+        default = Obs2State(q0.copy(), zeros, zeros, -q0 / r**2, r)
         return replace_fields(default, fields).pack()
 
     def exact_state(self, q0, p0, d0) -> dict:
@@ -243,8 +239,7 @@ class ScaledObserver:
         r = max(st.r, 1.0)
         phat = st.p_i + self.mapping_h(st.qbar, st.pbar) @ q
         dhat = st.d_i + q / r**2
-        mom = self.model.factor_inverse(q).T @ phat
-        return Obs2Estimates(p=phat, d=dhat, mom=mom)
+        return Obs2Estimates(p=phat, d=dhat)
 
     def _mapping_h_rate(self, qbar, pbar, qbar_dot, pbar_dot) -> Array:
         """Time derivative of H(qbar, pbar) along the copy dynamics.

@@ -272,10 +272,19 @@ def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) 
     )
 
 
+def _constant_inertia_by_keys(M=((1.0, 0.0), (0.0, 1.0)), K=None, friction=None,
+                              known_mask=None) -> MechanicalModel:
+    """make_constant_inertia from [model] keys: K defaults to I, friction to zero and unknown."""
+    n = len(M)
+    spec = FrictionSpec(np.zeros(n) if friction is None else friction,
+                        np.zeros(n, dtype=bool) if known_mask is None else known_mask)
+    return make_constant_inertia(M, np.eye(n) if K is None else K, spec)
+
+
 def build_named_model(name: str, **kwargs) -> MechanicalModel:
-    """Factory dispatch used by the CLI configuration layer."""
+    """Factory dispatch by config model name; kwargs are that model's [model] keys."""
     if name == "constant":
-        return make_constant_inertia(**kwargs)
+        return _constant_inertia_by_keys(**kwargs)
     if name == "manipulator":
         return make_planar_manipulator(ManipulatorParams(**kwargs))
     if name == "spider-crane":

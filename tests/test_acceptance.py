@@ -176,7 +176,7 @@ def crane_prop1_scenario(**kw):
 def test_criterion_4_adaptive_convergence():
     sc = crane_prop1_scenario()
     obs = AdaptiveObserver(sc.model, sc.gains["lambda"])
-    default = obs.default_state(np.asarray(sc.q0))
+    default = obs.state_with(np.asarray(sc.q0))
     rng = np.random.default_rng(42)
 
     worst_p = 0.0

@@ -170,13 +170,12 @@ def test_output_neutral_state(crane):
     assert np.allclose(est.p, 0.0, atol=1e-14)
     assert np.allclose(est.ru, 0.0, atol=1e-14)
     assert np.allclose(est.d, 0.0, atol=1e-14)
-    assert np.allclose(est.mom, 0.0, atol=1e-14)
 
 
 def test_default_state_gives_zero_estimates(crane):
     obs = AdaptiveObserver(crane, 1.3)
     q0 = np.array([0.4, -0.2, 0.9])
-    est = obs.output(obs.default_state(q0), q0)
+    est = obs.output(obs.state_with(q0), q0)
     assert np.allclose(est.p, 0.0, atol=1e-14)
     assert np.allclose(est.d, 0.0, atol=1e-14)
 
@@ -199,7 +198,7 @@ def test_proportional_friction_gradient(crane):
 
 def test_disturbance_proportional_shifts_with_position(crane):
     obs = AdaptiveObserver(crane, 0.8)
-    z = obs.default_state(np.zeros(3))
+    z = obs.state_with(np.zeros(3))
     q1 = np.array([0.3, -0.1, 0.2])
     q2 = q1 + np.array([0.05, 0.0, -0.02])
     d1 = obs.output(z, q1).d

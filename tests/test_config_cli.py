@@ -180,15 +180,58 @@ def test_cli_run_config_error(tmp_path, capsys, old, new, key):
     cfg = write(tmp_path, "bad.cfg", CRANE_CFG.replace(old, new))
     assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
-    assert not (tmp_path / "out" / "timeseries.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_noncommuting_factor(tmp_path, capsys):
     text = CRANE_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
     cfg = write(tmp_path, "chol.cfg", text)
-    assert main(["run", cfg, "-o", str(tmp_path)]) == 2
+    # refused with every other config error, before the output directory is made
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "commute" in err and "bracket" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_rejects_noncommuting_factor(tmp_path, capsys):
+    text = CRANE_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
+    cfg = write(tmp_path, "chol.cfg", text)
+    assert main(["sweep", cfg, "--param", "lambda", "--values", "0.8,2",
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "commute" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def adaptive_builds(monkeypatch):
+    """List that gains one entry per AdaptiveObserver construction."""
+    from momobs import AdaptiveObserver
+
+    built = []
+    init = AdaptiveObserver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdaptiveObserver, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("initial", ["", "\nru_i = 0"], ids=["plain", "override"])
+def test_cli_run_builds_observer_once(tmp_path, adaptive_builds, initial):
+    text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.02").replace(
+        "mom = 0, 0, 0", "mom = 0, 0, 0" + initial)
+    assert main(["run", write(tmp_path, "run.cfg", text), "-o", str(tmp_path / "out")]) == 0
+    assert len(adaptive_builds) == 1
+
+
+@pytest.mark.parametrize("param, values", [("lambda", "0.4,2"), ("q0[2]", "0.5,1")])
+def test_cli_sweep_builds_observer_per_value(tmp_path, adaptive_builds, param, values):
+    text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.02")
+    assert main(["sweep", write(tmp_path, "sweep.cfg", text), "--param", param,
+                 "--values", values, "-o", str(tmp_path / "out")]) == 0
+    assert len(adaptive_builds) == 2
 
 
 def test_cli_svg_does_not_change_csv(tmp_path):
@@ -319,8 +362,9 @@ def test_cli_run_divergence_exit(tmp_path, capsys, text):
 def test_cli_run_rejects_prop2_with_unknown_friction(tmp_path, capsys):
     text = CRANE_CFG.replace("kind = prop1", "kind = prop2").replace("lambda = 0.8", "")
     cfg = write(tmp_path, "mixed.cfg", text)
-    assert main(["run", cfg, "-o", str(tmp_path)]) == 2
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
     assert "friction" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def start(sc):
@@ -352,7 +396,7 @@ def test_observer_override_partial_uses_defaults():
     from momobs import AdaptiveObserver
 
     obs = AdaptiveObserver(sc.model, 0.8)
-    default = obs.default_state(sc.q0)
+    default = obs.state_with(sc.q0)
     z0 = start(sc)
     assert np.allclose(z0[:3], default[:3])
     assert z0[3] == 0.25
@@ -392,7 +436,7 @@ def test_observer_override_rejected(tmp_path, capsys, text, key):
     cfg = write(tmp_path, "override.cfg", text)
     assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
-    assert not (tmp_path / "out" / "timeseries.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_needs_observer(tmp_path, capsys):

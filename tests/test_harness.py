@@ -62,23 +62,29 @@ def test_scenario_rejects_fractional_stride(crane):
 
 
 @pytest.mark.parametrize(
-    "observer, given, key",
+    "model, observer, given, key",
     [
-        ("prop2", dict(gains={"lambda": 5.0}), "lambda"),
-        ("prop1", dict(gains={"psi5_extra": 9.0}), "psi5_extra"),
-        ("none", dict(gains={"lambda": 1.0}), "lambda"),
-        ("none", dict(obs_init={"p_i": [1.0, 2.0, 3.0]}), "p_i"),
-        ("prop1", dict(obs_init={"qbar": [0.1, 0.1, 0.1]}), "qbar"),
-        ("prop2", dict(gains={"psi4_extra": 0.0}), "psi4_extra"),
-        ("prop1", dict(gains={"lambda": math.nan}), "lambda"),
+        ("crane", "prop2", dict(gains={"lambda": 5.0}), "lambda"),
+        ("crane", "prop1", dict(gains={"psi5_extra": 9.0}), "psi5_extra"),
+        ("crane", "none", dict(gains={"lambda": 1.0}), "lambda"),
+        ("crane", "none", dict(obs_init={"p_i": [1.0, 2.0, 3.0]}), "p_i"),
+        ("crane", "prop1", dict(obs_init={"qbar": [0.1, 0.1, 0.1]}), "qbar"),
+        ("crane", "prop2", dict(gains={"psi4_extra": 0.0}), "psi4_extra"),
+        ("crane", "prop1", dict(gains={"lambda": math.nan}), "lambda"),
+        # refused by building the observer and its start with the scenario
+        ("crane", "prop1", dict(obs_init={"p_i": [1.0, 2.0]}), "p_i"),
+        ("crane_known", "prop2", dict(obs_init={"r": 0.5}), "scaling factor r"),
+        ("crane_cholesky", "prop1", {}, "commute"),
+        ("crane", "prop2", {}, "friction"),
     ],
     ids=["prop2-lambda", "prop1-psi5_extra", "none-lambda", "none-p_i", "prop1-qbar",
-         "zero-psi4_extra", "nan-lambda"],
+         "zero-psi4_extra", "nan-lambda", "missized-p_i", "prop2-r-below-one",
+         "prop1-noncommuting", "prop2-unknown-friction"],
 )
-def test_scenario_refuses_what_its_observer_does_not_read(crane, observer, given, key):
+def test_scenario_refuses_what_its_observer_does_not_read(request, model, observer, given, key):
     # the library refuses what the config refuses, before any run starts
     with pytest.raises(ValueError, match=rf"\b{key}\b"):
-        Scenario(model=crane, observer=observer, **given)
+        Scenario(model=request.getfixturevalue(model), observer=observer, **given)
 
 
 def test_zero_dynamics_constant():

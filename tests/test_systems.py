@@ -158,6 +158,14 @@ def test_named_model_dispatch():
     assert crane.name == "spider-crane"
     manip = build_named_model("manipulator")
     assert manip.n == 4
+    # the [model] keys of a constant-inertia config, known renamed to known_mask
+    const = build_named_model("constant", M=[[2.0, 0.0], [0.0, 1.0]], K=[[1.0, 0.0], [0.0, 4.0]],
+                              friction=(0.1, 0.2), known_mask=(False, True))
+    assert const.name == "constant" and const.n == 2
+    assert np.array_equal(const.friction.coeffs, [0.1, 0.2])
+    assert np.array_equal(const.friction.known_mask, [False, True])
+    assert np.allclose(const.minv(np.zeros(2)), np.diag([0.5, 1.0]))
+    assert np.allclose(const.grad_potential(np.ones(2)), [1.0, 4.0])
     with pytest.raises(ModelError):
         build_named_model("hovercraft")
 
