@@ -31,7 +31,7 @@ from .adaptive import (
     regressor_matrices,
     velocity_quadratics,
 )
-from .scaled import Obs2Estimates, Obs2State, ScaledObserver, ScaledParams
+from .scaled import Obs2Estimates, Obs2State, ScaledObserver
 from .systems import (
     ManipulatorParams,
     SpiderCraneParams,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Mapping
 import numpy as np
 
 from .geometry import STRUCTURE_TOL, check_zrs, sample_positions
@@ -71,8 +72,9 @@ def regressor_matrices(model: MechanicalModel) -> Array:
 
 
 def regressor(ymats: Array, z) -> Array:
-    """Friction regressor Phi(z) = sum_j Y[j] z_j, an n x s matrix."""
-    return np.tensordot(np.asarray(z, dtype=float), ymats, axes=(0, 0))
+    """Friction regressor Phi(z) = sum_j Y[j] z_j, an n x s matrix, as one matvec."""
+    n, _, s = ymats.shape
+    return (np.asarray(z, dtype=float) @ ymats.reshape(n, n * s)).reshape(n, s)
 
 
 def velocity_quadratics(model: MechanicalModel) -> Array:
@@ -124,16 +126,32 @@ class Obs1State:
         return cls(z[:n], z[n : n + s], z[n + s :])
 
 
-def replace_fields(state, fields: dict):
-    """dataclasses.replace on an observer state, refusing unknown names and mis-sized vectors."""
+def checked_gains(defaults: Mapping[str, float], gains: Mapping[str, float]) -> dict:
+    """defaults updated by gains; an unknown name or a value not > 0 (NaN too) is a ValueError."""
+    for name, value in gains.items():
+        if name not in defaults:
+            raise ValueError(f"{name!r} is not a gain of this observer; it reads {list(defaults)}")
+        if not value > 0:
+            raise ValueError(f"gain {name} must be positive, got {value!r}")
+    return {name: float(gains.get(name, value)) for name, value in defaults.items()}
+
+
+def replace_fields(state, fields: Mapping[str, object]):
+    """dataclasses.replace on an observer state, refusing unknown names and mis-sized values.
+
+    A value takes its field's shape, so a number or a one-entry vector sets the scalar r.
+    """
     names = [f.name for f in dataclasses.fields(state)]
+    new = {}
     for name, value in fields.items():
         if name not in names:
             raise ValueError(f"{name!r} is not an observer state field; expected one of {names}")
-        size = np.size(getattr(state, name))
-        if np.ndim(value) != 1 or np.size(value) != size:
-            raise ValueError(f"{name} must be a vector of length {size}, got {np.size(value)}")
-    return dataclasses.replace(state, **{k: np.asarray(v, dtype=float) for k, v in fields.items()})
+        field_value = getattr(state, name)
+        value = np.asarray(value, dtype=float)
+        if value.size != np.size(field_value):
+            raise ValueError(f"{name} must have size {np.size(field_value)}, got {value.size}")
+        new[name] = value.reshape(np.shape(field_value))
+    return dataclasses.replace(state, **new)
 
 
 @dataclass(frozen=True)
@@ -148,18 +166,19 @@ class Obs1Estimates:
 class AdaptiveObserver:
     """Momenta observer that also estimates unknown friction and disturbance.
 
-    State dimension is 2n + s.  Construction always verifies the structural
+    State dimension is 2n + s.  gains may set lambda, the error energy's
+    decay rate (checked_gains).  Construction always verifies the structural
     preconditions numerically on 30 sampled positions (commuting factor
     columns, integral map consistency, constant unknown-friction rows) and
     precomputes the constant regressor and quadratic matrices.
     """
 
-    gain_keys = ("lambda",)  # config and sweep names of the gains it reads
+    default_gains = {"lambda": 0.8}
+    gain_keys = tuple(default_gains)  # config and sweep names of the gains it reads
     state_fields = tuple(f.name for f in dataclasses.fields(Obs1State))
 
-    def __init__(self, model: MechanicalModel, lam: float):
-        if not lam > 0:
-            raise ValueError("gain lam must be positive")
+    def __init__(self, model: MechanicalModel, gains: Mapping[str, float] = {}):
+        self.lam = checked_gains(self.default_gains, gains)["lambda"]
         report = check_zrs(model, sample_positions(model.n, 30))
         if not report.commuting_factor_ok:
             raise StructureError(
@@ -182,13 +201,11 @@ class AdaptiveObserver:
         if model.integral_map is None:
             raise StructureError("model has no integral map; this observer requires one")
         self.model = model
-        self.lam = float(lam)
         self.n = model.n
         self.s = model.friction.num_unknown
         self.ymats = regressor_matrices(model)
         self.quads = estimator_quadratics(self.ymats)
         self._rk_diag = np.where(model.friction.known_mask, model.friction.coeffs, 0.0)
-        self._yflat = self.ymats.reshape(self.n, -1)  # regressor as one matvec
         self.dim = 2 * self.n + self.s
 
     def state_with(self, q0, **fields) -> Array:
@@ -242,7 +259,7 @@ class AdaptiveObserver:
         model = self.model
         phat, ruhat, dhat = self._estimates(z, q)
         T = model.factor(q)
-        phi = (phat @ self._yflat).reshape(self.n, self.s)
+        phi = regressor(self.ymats, phat)
         forces = model.grad_potential(q) - model.input_matrix(q) @ u - dhat
         p_i_dot = (
             -self.lam * phat

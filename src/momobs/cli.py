@@ -58,9 +58,9 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         scenario = build_scenario(cfg)
+        outdir = _resolve_outdir(args.output, cfg.directory)  # last: a config error writes nothing
     except (ValueError, OSError) as exc:  # ConfigError, ModelError and StructureError included
         return _fail_config(exc)
-    outdir = _resolve_outdir(args.output, cfg.directory)
     ts = integrate_scenario(scenario)
     _write_artifacts(ts, outdir, cfg.emit_svg)
     if ts.diverged:
@@ -95,9 +95,9 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(cfg, q0=cfg.q0 or [0.0] * n, mom0=cfg.mom0 or [0.0] * n)
         # each swept Scenario builds and checks its observer here, before anything is written
         swept = [build_scenario(apply_sweep_value(cfg, args.param, v)) for v in values]
+        outdir = _resolve_outdir(args.output, cfg.directory)
     except (ValueError, OSError) as exc:
         return _fail_config(exc)
-    outdir = _resolve_outdir(args.output, cfg.directory)
     rows = []
     for value, sc in zip(values, swept):
         ts = integrate_scenario(sc)

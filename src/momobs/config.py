@@ -15,10 +15,11 @@ Sections:
                  takes the observer's default
   [initial]      plant q / mom and optional overrides of the configured
                  observer's state fields (prop1: p_i, ru_i, d_i; prop2:
-                 qbar, pbar, p_i, d_i, r); each vector must have its field's
-                 length and r must be at least one
+                 qbar, pbar, p_i, d_i, r), each a vector with as many
+                 numbers as its field (one for r, which must be at least 1)
   [input]        u1, u2, ... = amplitude, frequency, phase, cos|sin
-  [disturbance]  step1, step2, ... = switch_time, d1, ..., dn
+  [disturbance]  step1, step2, ... = switch_time, d1, ..., dn, every step
+                 with the same number of levels
   [sim]          t_final, dt, stride (a positive integer)
   [output]       directory, emit_svg
 """
@@ -187,8 +188,6 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
             cfg.mom0 = _parse_vector(value, ln, key)
         elif key not in observer_keys(kind, "state_fields"):
             raise ConfigError(ln, f"{key!r} in [initial] is not a state field of observer {kind}")
-        elif key == "r":
-            cfg.overrides["r"] = _parse_float(value, ln, key)
         else:
             cfg.overrides[key] = _parse_vector(value, ln, key)
 
@@ -218,8 +217,13 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         vec = _parse_vector(value, ln, key)
         if len(vec) < 2:
             raise ConfigError(ln, "disturbance step needs a switch time and a level vector")
-        steps[int(key[4:])] = (vec[0], vec[1:])
-    cfg.disturbance = [steps[i] for i in sorted(steps)]
+        steps[int(key[4:])] = (ln, vec[0], vec[1:])
+    ordered = [steps[i] for i in sorted(steps)]
+    for ln, _, level in ordered:
+        if len(level) != len(ordered[0][2]):
+            raise ConfigError(ln, f"disturbance step has {len(level)} levels, "
+                                  f"the first step has {len(ordered[0][2])}")
+    cfg.disturbance = [(t, level) for _, t, level in ordered]
 
     if "sim" not in sections:
         if require_sim:
@@ -286,10 +290,7 @@ def dump_config(cfg: RunConfig) -> str:
     if cfg.mom0 is not None:
         lines.append(f"mom = {_fmt_vec(cfg.mom0)}")
     for key, value in cfg.overrides.items():
-        if key == "r":
-            lines.append(f"r = {value:.17g}")
-        else:
-            lines.append(f"{key} = {_fmt_vec(value)}")
+        lines.append(f"{key} = {_fmt_vec(value)}")
     if cfg.inputs:
         lines += ["", "[input]"]
         for i, (amp, freq, phase, waveform) in enumerate(cfg.inputs, start=1):

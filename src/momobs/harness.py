@@ -18,7 +18,7 @@ import numpy as np
 
 from .adaptive import AdaptiveObserver
 from .model import DisturbanceSchedule, MechanicalModel, ModelError, _plant_rhs
-from .scaled import ScaledObserver, ScaledParams
+from .scaled import ScaledObserver
 
 Array = np.ndarray
 
@@ -60,17 +60,13 @@ class InputChannel:
 class Scenario:
     """Complete experiment description for one run.
 
-    gains names the observer's gains by its gain_keys (prop1: lambda; prop2:
-    psi3_const, psi4_extra, psi5_extra); a gain left out takes the
-    observer's default.  obs_init names observer state fields (Obs1State or
-    Obs2State) that replace the observer's default start at q0.  Both refuse
-    a name the observer kind does not read, and every gain must be positive.
-
-    Construction builds the observer once, which runs its structural checks
-    (StructureError), packs its start with state_with (a mis-sized field or
-    r < 1 is a ValueError) and snaps the disturbance schedule onto the dt
-    grid (colliding switches are a ModelError); every run of the scenario
-    reuses all three, so a scenario that constructs is one that can run.
+    gains (by name) and obs_init (observer state fields replacing the
+    neutral start at q0) go to the kind's class in OBSERVER_TYPES, which
+    defaults and checks both; kind "none" takes neither.  Construction
+    builds the observer once (gain and structural checks), packs its start
+    with state_with and snaps the disturbance schedule onto the dt grid
+    (colliding switches are a ModelError); every run reuses all three, so a
+    scenario that constructs is one that can run.
     """
 
     model: MechanicalModel
@@ -90,16 +86,9 @@ class Scenario:
             raise ValueError(f"observer must be one of {OBSERVER_KINDS}")
         if not 0 < self.dt <= self.t_final < math.inf:
             raise ValueError("need finite dt > 0 and t_final >= dt")
-        for what, names, attr in (("gain", self.gains, "gain_keys"),
-                                  ("state field", self.obs_init, "state_fields")):
-            allowed = observer_keys(self.observer, attr)
-            for key in names:
-                if key not in allowed:
-                    raise ValueError(f"observer kind {self.observer} has no {what} {key!r}; "
-                                     f"it reads {list(allowed)}")
-        for key, value in self.gains.items():
-            if not value > 0:
-                raise ValueError(f"gain {key} must be positive, got {value!r}")
+        if self.observer == "none" and (self.gains or self.obs_init):
+            raise ValueError("observer kind none reads no gains or state fields, got "
+                             f"{[*self.gains, *self.obs_init]}")
         if not (self.stride >= 1 and float(self.stride).is_integer()):
             raise ValueError(f"sample stride must be a positive integer, got {self.stride!r}")
         n = self.model.n
@@ -120,11 +109,8 @@ class Scenario:
         except ModelError as exc:
             raise ModelError(f"disturbance switch times collide when snapped onto the "
                              f"dt = {self.dt:g} step grid ({exc})") from None
-        obs = None
-        if self.observer == "prop1":
-            obs = AdaptiveObserver(self.model, self.gains.get("lambda", 0.8))
-        elif self.observer == "prop2":
-            obs = ScaledObserver(self.model, ScaledParams(**self.gains))
+        cls = OBSERVER_TYPES.get(self.observer)
+        obs = None if cls is None else cls(self.model, self.gains)
         z0 = np.zeros(0) if obs is None else obs.state_with(q0, **self.obs_init)
         # built once here and read by every run; not fields, so nothing more to set
         object.__setattr__(self, "_observer", obs)

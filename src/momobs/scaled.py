@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from . import geometry
-from .adaptive import StructureError, replace_fields
+from .adaptive import StructureError, checked_gains, replace_fields
 # bench/spans.py traces gyro_matrix and gyro_swapped under this module, so both stay imported
 from .geometry import gyro_matrix, gyro_swapped, swapped_from_brackets  # noqa: F401
 from .model import MechanicalModel
@@ -38,23 +38,6 @@ _BOUND_SAFETY = 2.0
 def _spec_norm(A) -> float:
     """Induced 2-norm (largest singular value)."""
     return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
-@dataclass(frozen=True)
-class ScaledParams:
-    """Free constants of the gain schedule; all must be positive.
-
-    psi3_const is the constant margin on the scaled error; psi4_extra and
-    psi5_extra are the additive margins on the two copy-error gains.
-    """
-
-    psi3_const: float = 1.0
-    psi4_extra: float = 1.0
-    psi5_extra: float = 1.0
-
-    def __post_init__(self):
-        if not all(v > 0 for v in (self.psi3_const, self.psi4_extra, self.psi5_extra)):
-            raise ValueError("gain margins must be positive")
 
 
 class GainSet(NamedTuple):
@@ -94,22 +77,26 @@ class Obs2Estimates:
 class ScaledObserver:
     """Momenta observer with dynamic scaling and disturbance rejection.
 
-    State dimension is 4n + 1.  Requires every friction coefficient to be
-    known; friction is compensated, not estimated, here.
+    State dimension is 4n + 1.  gains may set the schedule's margins
+    (checked_gains, before any structural check): psi3_const on the scaled
+    error, psi4_extra and psi5_extra on the two copy-error gains.  Requires
+    every friction coefficient to be known; friction is compensated, not
+    estimated, here.
     """
 
-    gain_keys = tuple(f.name for f in dataclasses.fields(ScaledParams))  # config and sweep names
+    default_gains = {"psi3_const": 1.0, "psi4_extra": 1.0, "psi5_extra": 1.0}
+    gain_keys = tuple(default_gains)  # config and sweep names of the gains it reads
     state_fields = tuple(f.name for f in dataclasses.fields(Obs2State))
 
-    def __init__(self, model: MechanicalModel, params: ScaledParams = ScaledParams()):
+    def __init__(self, model: MechanicalModel, gains: Mapping[str, float] = {}):
+        self.margins = checked_gains(self.default_gains, gains)
         if model.friction.num_unknown:
             raise StructureError(
                 "this observer needs fully known friction; "
                 f"{model.friction.num_unknown} coefficient(s) are marked unknown"
             )
         self.model = model
-        self.params = params
-        self.psi = 4.0 * (1.0 + params.psi3_const)
+        self.psi = 4.0 * (1.0 + self.margins["psi3_const"])
         self.n = model.n
         self.dim = 4 * model.n + 1
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
@@ -183,15 +170,15 @@ class ScaledObserver:
 
     def gains(self, r, norm_t, norm_h, bounds) -> GainSet:
         """Gain schedule at scaling factor r, from |T(q)|, |H(qbar, pbar)| and delta_bounds."""
-        p = self.params
+        psi3, psi4_extra, psi5_extra = self.margins.values()
         bound_q, bound_p = bounds
         rtil = r - 1.0
-        share = r * rtil / (4.0 * (1.0 + p.psi3_const)) * norm_t**2
-        psi4 = share * bound_q**2 + p.psi4_extra
-        psi5 = share * bound_p**2 + p.psi5_extra
+        share = r * rtil / (4.0 * (1.0 + psi3)) * norm_t**2
+        psi4 = share * bound_q**2 + psi4_extra
+        psi5 = share * bound_p**2 + psi5_extra
         psi1 = 0.5 * r**2 * norm_t**2 + psi4
         psi2 = 0.5 * r**2 * norm_h**2 * norm_t**2 + psi5
-        return GainSet(self.psi, psi1, psi2, p.psi3_const, psi4, psi5)
+        return GainSet(self.psi, psi1, psi2, psi3, psi4, psi5)
 
     # -- observer dynamics ---------------------------------------------------
 
@@ -199,16 +186,18 @@ class ScaledObserver:
         """Packed start at q0: the named Obs2State fields, the rest the neutral start.
 
         The neutral start copies q0 into qbar, zeros pbar and p_i, and sets
-        d_i = -q0 / r^2 at the scaling factor r, which defaults to one and
-        must be at least one.
+        the scaling factor r to one.  r, a number or a one-entry vector, must
+        be at least one; d_i, when not given, is -q0 / r^2 at the start's r.
         """
         q0 = np.asarray(q0, dtype=float)
-        r = float(fields.pop("r", 1.0))
+        zeros = np.zeros(self.n)
+        st = replace_fields(Obs2State(q0.copy(), zeros, zeros, -q0, 1.0), fields)
+        r = float(st.r)
         if not r >= 1.0:
             raise ValueError(f"initial scaling factor r must be at least one, got {r!r}")
-        zeros = np.zeros(self.n)
-        default = Obs2State(q0.copy(), zeros, zeros, -q0 / r**2, r)
-        return replace_fields(default, fields).pack()
+        if "d_i" not in fields:
+            st = dataclasses.replace(st, d_i=-q0 / r**2)
+        return st.pack()
 
     def exact_state(self, q0, p0, d0) -> dict:
         """state_with fields whose estimation and copy errors all vanish at q0, p0 (r = 1)."""

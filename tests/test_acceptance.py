@@ -175,7 +175,7 @@ def crane_prop1_scenario(**kw):
 
 def test_criterion_4_adaptive_convergence():
     sc = crane_prop1_scenario()
-    obs = AdaptiveObserver(sc.model, sc.gains["lambda"])
+    obs = AdaptiveObserver(sc.model, sc.gains)
     default = obs.state_with(np.asarray(sc.q0))
     rng = np.random.default_rng(42)
 

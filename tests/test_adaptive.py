@@ -151,18 +151,22 @@ def test_error_energy():
 
 def test_observer_requires_structure(crane_cholesky):
     with pytest.raises(StructureError) as err:
-        AdaptiveObserver(crane_cholesky, 0.8)
+        AdaptiveObserver(crane_cholesky, {"lambda": 0.8})
     # the failure reports how badly the columns fail to commute
     assert "commute" in str(err.value) or err.value.residual is not None
 
 
 def test_observer_requires_positive_gain(crane):
     with pytest.raises(ValueError):
-        AdaptiveObserver(crane, 0.0)
+        AdaptiveObserver(crane, {"lambda": 0.0})
+    # a NaN gain and a gain only the scaled observer reads are refused by name
+    for gains, key in [({"lambda": float("nan")}, "lambda"), ({"psi5_extra": 1.0}, "psi5_extra")]:
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            AdaptiveObserver(crane, gains)
 
 
 def test_output_neutral_state(crane):
-    obs = AdaptiveObserver(crane, 0.8)
+    obs = AdaptiveObserver(crane, {"lambda": 0.8})
     rng = np.random.default_rng(10)
     q = rng.uniform(-1, 1, 3)
     z = np.concatenate([-0.8 * crane.integral_map(q), np.zeros(1), -q])
@@ -173,7 +177,7 @@ def test_output_neutral_state(crane):
 
 
 def test_default_state_gives_zero_estimates(crane):
-    obs = AdaptiveObserver(crane, 1.3)
+    obs = AdaptiveObserver(crane, {"lambda": 1.3})
     q0 = np.array([0.4, -0.2, 0.9])
     est = obs.output(obs.state_with(q0), q0)
     assert np.allclose(est.p, 0.0, atol=1e-14)
@@ -182,7 +186,7 @@ def test_default_state_gives_zero_estimates(crane):
 
 def test_proportional_friction_gradient(crane):
     # gradient of the quadratic term must equal -(1/lam) * transposed regressor
-    obs = AdaptiveObserver(crane, 0.7)
+    obs = AdaptiveObserver(crane, {"lambda": 0.7})
     rng = np.random.default_rng(11)
     phat = rng.normal(size=3)
     h = 1e-6
@@ -197,7 +201,7 @@ def test_proportional_friction_gradient(crane):
 
 
 def test_disturbance_proportional_shifts_with_position(crane):
-    obs = AdaptiveObserver(crane, 0.8)
+    obs = AdaptiveObserver(crane, {"lambda": 0.8})
     z = obs.state_with(np.zeros(3))
     q1 = np.array([0.3, -0.1, 0.2])
     q2 = q1 + np.array([0.05, 0.0, -0.02])
@@ -207,7 +211,7 @@ def test_disturbance_proportional_shifts_with_position(crane):
 
 
 def test_derivative_at_rest(crane):
-    obs = AdaptiveObserver(crane, 0.8)
+    obs = AdaptiveObserver(crane, {"lambda": 0.8})
     q = np.zeros(3)
     # state chosen so the momenta and disturbance estimates are both zero
     z = np.concatenate([-0.8 * crane.integral_map(q), np.zeros(1), -q])
@@ -256,7 +260,7 @@ def test_exact_initialization_stays_on_manifold(crane):
 def test_observer_with_no_unknown_coefficients(crane_known):
     # all friction known: the friction-estimation channel is empty and the
     # observer still rejects the disturbance
-    obs = AdaptiveObserver(crane_known, 1.0)
+    obs = AdaptiveObserver(crane_known, {"lambda": 1.0})
     assert obs.s == 0 and obs.dim == 6
     sc = Scenario(
         model=crane_known,

@@ -90,6 +90,14 @@ def test_unknown_key_cites_line():
         assert bad.splitlines()[err.value.line - 1].startswith(key)
 
 
+def test_ragged_disturbance_steps_cite_line():
+    bad = CRANE_CFG.replace("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, 0.2, 0.2\nstep2 = 1, 0.3")
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert bad.splitlines()[err.value.line - 1] == "step2 = 1, 0.3"
+    assert f"line {err.value.line}" in str(err.value)
+
+
 def test_negative_dt_names_key():
     bad = CRANE_CFG.replace("dt = 0.002", "dt = -0.002")
     with pytest.raises(ConfigError) as err:
@@ -324,6 +332,15 @@ def test_cli_sweep_bad_args(tmp_path, capsys):
     assert main(["sweep", cfg, "--param", "psi5_extra", "--values", "nan", "-o", out]) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda", "--values", "1"]])
+def test_cli_unusable_outdir(tmp_path, capsys, command):
+    cfg = write(tmp_path, "run.cfg", CRANE_CFG)
+    taken = write(tmp_path, "taken", "a file, not a directory\n")
+    assert main([command[0], cfg, *command[1:], "-o", taken]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "taken" in err
+
+
 def test_cli_outdir_from_environment(tmp_path, monkeypatch):
     cfg = write(tmp_path, "run.cfg", CRANE_CFG)
     env_out = tmp_path / "envout"
@@ -395,7 +412,7 @@ def test_observer_override_partial_uses_defaults():
     sc = build_scenario(parse_config(text))
     from momobs import AdaptiveObserver
 
-    obs = AdaptiveObserver(sc.model, 0.8)
+    obs = AdaptiveObserver(sc.model, {"lambda": 0.8})
     default = obs.state_with(sc.q0)
     z0 = start(sc)
     assert np.allclose(z0[:3], default[:3])
@@ -429,8 +446,10 @@ def test_scaled_observer_override():
         (CRANE_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nqbar = 0.1, 0.1, 0.1"), "qbar"),
         (PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nru_i = 0.05"), "ru_i"),
         (PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nr = 0.5"), "r"),
+        (PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nr = 1.5, 2"), "r"),
     ],
-    ids=["prop1-missized-p_i", "prop1-qbar", "prop2-ru_i", "prop2-r-below-one"],
+    ids=["prop1-missized-p_i", "prop1-qbar", "prop2-ru_i", "prop2-r-below-one",
+         "prop2-vector-r"],
 )
 def test_observer_override_rejected(tmp_path, capsys, text, key):
     cfg = write(tmp_path, "override.cfg", text)

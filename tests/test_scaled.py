@@ -8,7 +8,6 @@ from momobs import (
     InputChannel,
     Obs2State,
     ScaledObserver,
-    ScaledParams,
     Scenario,
     StructureError,
     exact_observer_init,
@@ -40,9 +39,23 @@ def const_known():
     return make_constant_inertia(np.diag([2.0, 0.5]), np.diag([1.0, 2.0]), friction)
 
 
-def test_params_validate():
-    with pytest.raises(ValueError):
-        ScaledParams(psi3_const=0.0)
+def test_params_validate(crane_known):
+    # a margin that is not positive and a gain only the adaptive observer reads
+    for gains, key in [({"psi3_const": 0.0}, "psi3_const"), ({"psi4_extra": 0.0}, "psi4_extra"),
+                       ({"lambda": 1.0}, "lambda")]:
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            ScaledObserver(crane_known, gains)
+
+
+def test_start_r_number_or_one_entry_vector(crane_known):
+    obs = ScaledObserver(crane_known)
+    q0 = np.array([0.1, -0.2, 0.7])
+    z = obs.state_with(q0, r=1.5)
+    assert np.array_equal(z, obs.state_with(q0, r=[1.5]))
+    assert z[-1] == 1.5
+    assert np.array_equal(z[9:12], -q0 / 1.5**2)  # d_i defaults to -q0 / r^2
+    # a given d_i is kept
+    assert np.array_equal(obs.state_with(q0, r=2.0, d_i=[1.0, 2.0, 3.0])[9:12], [1.0, 2.0, 3.0])
 
 
 def test_rejects_unknown_friction(crane):
