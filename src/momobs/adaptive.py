@@ -137,7 +137,7 @@ def checked_gains(defaults: Mapping[str, float], gains: Mapping[str, float]) -> 
 
 
 def replace_fields(state, fields: Mapping[str, object]):
-    """dataclasses.replace on an observer state, refusing unknown names and mis-sized values.
+    """dataclasses.replace on an observer state, refusing unknown names and bad or mis-sized values.
 
     A value takes its field's shape, so a number or a one-entry vector sets the scalar r.
     """
@@ -147,7 +147,11 @@ def replace_fields(state, fields: Mapping[str, object]):
         if name not in names:
             raise ValueError(f"{name!r} is not an observer state field; expected one of {names}")
         field_value = getattr(state, name)
-        value = np.asarray(value, dtype=float)
+        try:
+            value = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            size = np.size(field_value)
+            raise ValueError(f"{name} must be {size} number(s), got {value!r}") from None
         if value.size != np.size(field_value):
             raise ValueError(f"{name} must have size {np.size(field_value)}, got {value.size}")
         new[name] = value.reshape(np.shape(field_value))

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import MechanicalModel, central_differences
+from .model import MechanicalModel, central_differences, central_points, solved_inverse
 
 Array = np.ndarray
 
@@ -36,24 +36,48 @@ def jacobian_fd(f: Callable[[Array], Array], q: Array) -> Array:
     return J
 
 
+def _brackets(T: Array, dT: Array) -> Array:
+    """Bracket tensor from T and its stacked dT/dq_k, at one position or a stack."""
+    # along[..., j, :, i] is the derivative of column j along column i
+    along = np.swapaxes(dT, -3, -1) @ T[..., None, :, :]
+    n = T.shape[-1]
+    out = np.zeros(T.shape[:-2] + (n, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = along[..., j, :, i] - along[..., i, :, j]
+            out[..., i, j, :] = b
+            out[..., j, i, :] = -b
+    return out
+
+
 def factor_brackets(model: MechanicalModel, q) -> Array:
     """All pairwise Lie brackets of factor columns; entry [i, j] = [(T)_i, (T)_j].
 
     [X, Y] = dY X - dX Y, Jacobians by central differences.  Entry [j, i]
-    is the exact negative of entry [i, j].
+    is the exact negative of entry [i, j].  q may be a (k, n) stack when the
+    model's factor maps stacks (MechanicalModel's stack contract).
     """
     q = np.asarray(q, dtype=float)
-    T = model.factor(q)
-    # jac[j] has columns d(T e_j)/dq_k
-    jac = np.transpose(model.factor_jacobian(q, FD_STEP), (2, 1, 0))
+    return _brackets(model.factor(q), model.factor_jacobian(q, FD_STEP))
+
+
+def factor_structure(model: MechanicalModel, q) -> Tuple[Array, Array]:
+    """(T^-1, factor_brackets) at q, or at each row of a (k, n) stack.
+
+    A model with neither factor_inv nor factor_jac gets both from one factor
+    call on q and its 2n central_points, bit for bit the values of
+    factor_inverse and factor_brackets; other models get those two.
+    """
+    if model.factor_inv is not None or model.factor_jac is not None:
+        return model.factor_inverse(q), factor_brackets(model, q)
+    q = np.asarray(q, dtype=float)
     n = model.n
-    out = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = jac[j] @ T[:, i] - jac[i] @ T[:, j]
-            out[i, j] = b
-            out[j, i] = -b
-    return out
+    shifted = central_points(q, FD_STEP).reshape(q.shape[:-1] + (2 * n, n))
+    points = np.concatenate([q[..., None, :], shifted], axis=-2)  # centre, plus, minus
+    T = model.factor(points.reshape(-1, n)).reshape(points.shape + (n,))
+    centre = T[..., 0, :, :]
+    dT = (T[..., 1 : n + 1, :, :] - T[..., n + 1 :, :, :]) / (2.0 * FD_STEP)
+    return solved_inverse(centre), _brackets(centre, dT)
 
 
 def swapped_from_brackets(br: Array, pbar) -> Array:

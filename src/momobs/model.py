@@ -29,18 +29,34 @@ Array = np.ndarray
 _COND_LIMIT = 1e12
 
 
+def central_points(q, h: float) -> Array:
+    """The 2n central-difference points of q, or of each row of a (k, n) stack.
+
+    Shape q.shape[:-1] + (2, n, n): entry [..., 0, k] is q + h e_k and
+    entry [..., 1, k] is q - h e_k.
+    """
+    q = np.asarray(q, dtype=float)
+    # q + (-x) is q - x, bit for bit
+    steps = h * np.array([1.0, -1.0])[:, None, None] * np.eye(q.shape[-1])
+    return q[..., None, None, :] + steps
+
+
 def central_differences(f: Callable[[Array], Array], q, h: float) -> Array:
     """(f(q + h e_k) - f(q - h e_k)) / 2h for every k, stacked along a new first axis.
 
-    Evaluates f only at the 2n shifted points, never at q itself.
+    Evaluates f one point at a time, at the 2n central_points only, never at q itself.
     """
-    q = np.asarray(q, dtype=float)
-    out = []
-    for k in range(q.size):
-        e = np.zeros(q.size)
-        e[k] = h
-        out.append((np.asarray(f(q + e)) - np.asarray(f(q - e))) / (2.0 * h))
-    return np.array(out)
+    points = central_points(q, h)
+    values = np.array([f(x) for x in points.reshape(-1, points.shape[-1])])
+    values = values.reshape(points.shape[:2] + values.shape[1:])
+    return (values[0] - values[1]) / (2.0 * h)
+
+
+def solved_inverse(T: Array) -> Array:
+    """T^-1 by solving, for one factor or a stack; a numerically singular one is refused."""
+    if np.any(np.linalg.cond(T) > _COND_LIMIT):
+        raise ModelError("factor is numerically singular at the requested q")
+    return np.linalg.solve(T, np.eye(T.shape[-1]))
 
 
 class ModelError(ValueError):
@@ -172,6 +188,15 @@ class MechanicalModel:
     T are needed.  lip_factor_inv is an optional global Lipschitz constant
     of q -> T^-1(q) in the induced 2-norm, used by the scaled observer's
     gain schedule.
+
+    Stack contract: a model without factor_jac has a factor that maps a
+    (k, n) stack of positions to the (k, n, n) stack of factors, and a
+    factor_inv, when it has one, does the same; one position (n,) maps to
+    (n, n) through the same code as k = 1.  Each stacked factor must equal
+    the one of its position alone, bit for bit.  factor_inverse,
+    factor_jacobian, geometry.factor_brackets and geometry.factor_structure
+    then take stacks too, so finite differences and the scaled observer
+    evaluate many positions in one call.
     """
 
     n: int
@@ -201,16 +226,19 @@ class MechanicalModel:
         """T^-1(q), from the closed form when supplied, else by solving."""
         if self.factor_inv is not None:
             return self.factor_inv(q)
-        T = self.factor(q)
-        if np.linalg.cond(T) > _COND_LIMIT:
-            raise ModelError("factor is numerically singular at the requested q")
-        return np.linalg.solve(T, np.eye(self.n))
+        return solved_inverse(self.factor(q))
 
     def factor_jacobian(self, q: Array, h: float = 1e-6) -> Array:
-        """Stacked dT/dq_k, analytic when available, else central differences."""
+        """Stacked dT/dq_k, analytic when available, else central differences.
+
+        The differences take one factor call on the 2n central_points of
+        every position in q.
+        """
         if self.factor_jac is not None:
             return self.factor_jac(q)
-        return central_differences(self.factor, q, h)
+        points = central_points(q, h)
+        T = self.factor(points.reshape(-1, self.n)).reshape(points.shape + (self.n,))
+        return (T[..., 0, :, :, :] - T[..., 1, :, :, :]) / (2.0 * h)
 
     def transformed_friction(self, q: Array) -> Array:
         """R(q) = T^T diag(r) T, the friction matrix in factored coordinates."""

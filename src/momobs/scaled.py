@@ -101,6 +101,7 @@ class ScaledObserver:
         self.dim = 4 * model.n + 1
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
         self._memo = None  # position bytes -> structure, live during derivative()
+        self._stacked = not model.zrs and model.factor_jac is None  # see _prefetch
 
     # -- mappings ----------------------------------------------------------
 
@@ -113,7 +114,7 @@ class ScaledObserver:
         if self._memo is not None and key in self._memo:
             return self._memo[key]
         model = self.model
-        found = (model.factor_inverse(x), None if model.zrs else geometry.factor_brackets(model, x))
+        found = (model.factor_inverse(x), None) if model.zrs else geometry.factor_structure(model, x)
         if self._memo is not None:
             self._memo[key] = found
         return found
@@ -152,16 +153,15 @@ class ScaledObserver:
         delta_p = self.mapping_h(qbar, phat) - self.mapping_h(qbar, pbar)
         return bound_q, _BOUND_SAFETY * float(np.linalg.norm(delta_p, 2)) / gap_p
 
-    @staticmethod
-    def _secant_bound(f, x0, x1) -> float:
+    @classmethod
+    def _secant_bound(cls, f, x0, x1) -> float:
+        """Twice the largest secant slope of f from x0 to the _secant_points towards x1."""
         gap = np.linalg.norm(x1 - x0)
         if gap == 0.0:
             return 0.0
         f0 = f(x0)
         worst = 0.0
-        for tau in np.linspace(0.1, 1.0, 10):
-            # tau = 1 is x1 itself, not a rounded copy, so its structure is reused
-            x = x1 if tau == 1.0 else x0 + tau * (x1 - x0)
+        for tau, x in cls._secant_points(x0, x1):
             ratio = np.linalg.norm(f(x) - f0, 2) / (tau * gap)
             worst = max(worst, float(ratio))
         return _BOUND_SAFETY * worst
@@ -235,8 +235,8 @@ class ScaledObserver:
 
         Commuting-factor models with analytic factor derivatives get the
         exact chain rule through T^-1; anything else falls back to a
-        directional central difference with step 1e-6, whose two points
-        each get one structure evaluation like every other position.
+        directional central difference with step 1e-6, whose two points get
+        their structure once each, as one stack where _prefetch applies.
         """
         model = self.model
         if model.zrs and model.factor_jac is not None:
@@ -251,16 +251,12 @@ class ScaledObserver:
             return np.zeros((self.n, self.n))
         uq, up = qbar_dot / scale, pbar_dot / scale
         tau = _FD_STEP
-        plus = self.mapping_h(qbar + tau * uq, pbar + tau * up)
-        minus = self.mapping_h(qbar - tau * uq, pbar - tau * up)
+        ends = qbar + tau * uq, qbar - tau * uq
+        if self._stacked:  # the last two positions this derivative touches, as one stack
+            self._prefetch(ends)
+        plus = self.mapping_h(ends[0], pbar + tau * up)
+        minus = self.mapping_h(ends[1], pbar - tau * up)
         return scale * (plus - minus) / (2.0 * tau)
-
-    def derivative(self, z, q, u) -> Array:
-        self._memo = {}
-        try:
-            return self._derivative(np.asarray(z, dtype=float), np.asarray(q, dtype=float), u)
-        finally:
-            self._memo = None
 
     def _derivative(self, z, q, u) -> Array:
         model = self.model
@@ -269,6 +265,10 @@ class ScaledObserver:
         r = max(float(z[-1]), 1.0)
 
         T = model.factor(q)
+        # the structure of every position the mappings and bounds below read:
+        # qbar, q and the secant samples between them, as one stack
+        if self._stacked:
+            self._prefetch([qbar, q] + [x for _, x in self._secant_points(qbar, q)])
         h_bb = self.mapping_h(qbar, pbar)
         phat = p_i + h_bb @ q
         dhat = d_i + q / r**2
@@ -305,6 +305,33 @@ class ScaledObserver:
         )
         d_i_dot = -(T @ phat) / r**2 + (2.0 / r**3) * r_dot * q
         return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot, [r_dot]])
+
+    def derivative(self, z, q, u) -> Array:
+        self._memo = {}
+        try:
+            return self._derivative(np.asarray(z, dtype=float), np.asarray(q, dtype=float), u)
+        finally:
+            self._memo = None
+
+    @staticmethod
+    def _secant_points(x0, x1):
+        """(tau, x0 + tau (x1 - x0)) for the secant samples; none when x0 and x1 coincide."""
+        if np.linalg.norm(x1 - x0) == 0.0:
+            return []
+        # tau = 1 is x1 itself, not a rounded copy, so its structure is reused
+        taus = np.linspace(0.1, 1.0, 10)
+        return [(tau, x1 if tau == 1.0 else x0 + tau * (x1 - x0)) for tau in taus]
+
+    def _prefetch(self, xs) -> None:
+        """Memoise the structure of the positions xs as one stack, bit for bit _structure's.
+
+        For non-commuting models under the stack contract (no factor_jac);
+        other models evaluate each position on first use.
+        """
+        fresh = {key: x for x in xs if (key := x.tobytes()) not in self._memo}
+        if fresh:
+            Tinv, br = geometry.factor_structure(self.model, np.array(list(fresh.values())))
+            self._memo.update(zip(fresh, zip(Tinv, br)))
 
     def project(self, z) -> Array:
         """Post-step projection keeping the scaling factor at least one."""

@@ -249,12 +249,22 @@ def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) 
 
     That factor's columns do not commute, so this model has no integral map
     and fails the structural checks; it exists to demonstrate that the
-    factor choice matters.
+    factor choice matters.  Without closed forms it follows the stack
+    contract: factor maps a (k, 3) stack of positions to (k, 3, 3).
     """
     base = make_spider_crane(params)
 
     def factor(q):
-        return np.linalg.cholesky(base.minv(q))
+        # M^-1 depends on q3 alone: the scalar minv runs once per distinct q3
+        # (told apart by bit pattern), then one batched cholesky; a broadcast
+        # minv would square through a different routine and move the last bit
+        q = np.asarray(q, dtype=float)
+        rows = q.reshape(-1, 3)
+        bits = rows[:, 2].view(np.int64).tolist()
+        slot = {}
+        which = [slot.setdefault(b, len(slot)) for b in bits]
+        minv = np.array([base.minv(rows[bits.index(b)]) for b in slot])
+        return np.linalg.cholesky(minv[which]).reshape(q.shape + (3,))
 
     friction = FrictionSpec(np.asarray(params.friction, float), np.asarray(params.known_mask, bool))
     return MechanicalModel(

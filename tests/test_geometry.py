@@ -15,9 +15,16 @@ from momobs import (
 
 def lie_bracket(X, Y, q):
     """[X, Y](q), read from factor_brackets of a 2-dof model whose factor columns are X and Y."""
+
+    def factor(x):
+        # the stack contract of a model without factor_jac: (k, 2) -> (k, 2, 2), (2,) -> (2, 2)
+        x = np.asarray(x, dtype=float)
+        T = np.array([np.column_stack([X(p), Y(p)]) for p in x.reshape(-1, 2)])
+        return T.reshape(x.shape + (2,))
+
     model = MechanicalModel(
         n=2, m=0, minv=None, potential=None, grad_potential=None, input_matrix=None,
-        factor=lambda x: np.column_stack([X(x), Y(x)]), factor_inv=None,
+        factor=factor, factor_inv=None,
         friction=FrictionSpec(np.zeros(2), np.ones(2, dtype=bool)),
     )
     return factor_brackets(model, q)[0, 1]

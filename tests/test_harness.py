@@ -75,12 +75,15 @@ def test_scenario_rejects_fractional_stride(crane):
         ("crane", "prop1", dict(obs_init={"p_i": [1.0, 2.0]}), "p_i"),
         ("crane_known", "prop2", dict(obs_init={"r": 0.5}), "scaling factor r"),
         ("crane_known", "prop2", dict(obs_init={"r": [1.5, 2.0]}), "r"),
+        ("crane_known", "prop2", dict(obs_init={"qbar": [[1, 2], [3]]}), "qbar"),
+        ("crane_known", "prop2", dict(obs_init={"qbar": "abc"}), "qbar"),
         ("crane_cholesky", "prop1", {}, "commute"),
         ("crane", "prop2", {}, "friction"),
     ],
     ids=["prop2-lambda", "prop1-psi5_extra", "none-lambda", "none-p_i", "prop1-qbar",
          "zero-psi4_extra", "nan-lambda", "missized-p_i", "prop2-r-below-one",
-         "prop2-vector-r", "prop1-noncommuting", "prop2-unknown-friction"],
+         "prop2-vector-r", "prop2-ragged-qbar", "prop2-text-qbar", "prop1-noncommuting",
+         "prop2-unknown-friction"],
 )
 def test_scenario_refuses_what_its_observer_does_not_read(request, model, observer, given, key):
     # the library refuses what the config refuses, before any run starts

@@ -158,13 +158,15 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
 
 
 def test_derivative_structure_once_per_position(cholesky_known):
-    # one derivative touches q, qbar, the bound_q secant samples (the last is
-    # q itself) and the two points of the H-rate difference; each gets one
-    # factor inverse and one bracket build of 1 + 2n factor calls
+    # one derivative touches q, qbar, the nine bound_q secant samples strictly
+    # between them and the two points of the H-rate difference.  Each position
+    # is evaluated once, with its 2n central-difference points, in one of two
+    # stacked factor calls: q, qbar and the samples before the bounds, the two
+    # H-rate points after the gains.  The third call is T(q) itself.
     calls = []
 
     def counted(q):
-        calls.append(1)
+        calls.append(np.asarray(q).reshape(-1, 3).shape[0])
         return cholesky_known.factor(q)
 
     obs = ScaledObserver(dataclasses.replace(cholesky_known, factor=counted))
@@ -173,7 +175,7 @@ def test_derivative_structure_once_per_position(cholesky_known):
     z = Obs2State(rng.uniform(-1, 1, 3), rng.normal(size=3), rng.normal(size=3),
                   rng.normal(size=3), 1.3).pack()
     obs.derivative(z, q, np.array([0.3, 0.1]))
-    assert len(calls) <= 112
+    assert calls == [1, 11 * 7, 2 * 7]
 
 
 def schedule_inputs(obs, q, qbar, phat, pbar):
@@ -412,8 +414,9 @@ def test_state_packing_roundtrip():
 def test_noncommuting_factor_path(cholesky_known):
     # the observer's reason to exist: no commuting factor, no integral map,
     # still a convergent momenta estimate; kept short because every
-    # derivative evaluation builds the bracket structure numerically, once
-    # per position it touches
+    # derivative evaluation builds the bracket structure of the 13 positions
+    # it touches numerically, in two stacked factor calls of 2n + 1 points
+    # per position
     sc = Scenario(
         model=cholesky_known,
         observer="prop2",

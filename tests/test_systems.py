@@ -8,11 +8,14 @@ from momobs import (
     build_named_model,
     check_zrs,
     crane_constants,
+    factor_brackets,
     integrate_scenario,
     make_constant_inertia,
     sample_positions,
     SpiderCraneParams,
 )
+from momobs.geometry import factor_structure
+from momobs.model import central_points
 
 
 def test_constant_identity_inertia():
@@ -144,6 +147,34 @@ def test_cholesky_variant_shares_inertia(crane, crane_cholesky):
         assert np.linalg.norm(L @ L.T - crane.minv(q)) <= 1e-12
     assert crane_cholesky.integral_map is None
     assert not crane_cholesky.zrs
+
+
+def test_cholesky_stack_matches_each_position(crane_cholesky):
+    # the stack contract, bit for bit (signs of zero included): at 200 seeded
+    # positions, their central-difference points at the bracket step 1e-5 and
+    # a q3 where a broadcast minv would round sin(q3)**2 differently, every
+    # stacked evaluation equals the evaluations of its positions one by one
+    rng = np.random.default_rng(29)
+    centres = rng.uniform(-np.pi, np.pi, size=(200, 3))
+    Q = np.vstack([centres, central_points(centres, 1e-5).reshape(-1, 3),
+                   [[0.3, -0.2, 1.0186570831121868]]])
+    model = crane_cholesky
+    evaluators = {
+        "factor": model.factor,
+        "factor_inverse": model.factor_inverse,
+        "factor_jacobian": model.factor_jacobian,
+        "factor_brackets": lambda q: factor_brackets(model, q),
+        "factor_structure[0]": lambda q: factor_structure(model, q)[0],
+        "factor_structure[1]": lambda q: factor_structure(model, q)[1],
+    }
+    for name, f in evaluators.items():
+        stacked = f(Q)
+        one_by_one = np.array([f(q) for q in Q])
+        assert np.array_equal(stacked, one_by_one), name
+        assert stacked.tobytes() == one_by_one.tobytes(), name
+    # factor_structure is factor_inverse and factor_brackets from one call
+    assert factor_structure(model, Q)[0].tobytes() == model.factor_inverse(Q).tobytes()
+    assert factor_structure(model, Q)[1].tobytes() == factor_brackets(model, Q).tobytes()
 
 
 def test_structure_reports(crane, crane_cholesky, manipulator):
