@@ -86,15 +86,20 @@ def cmd_sweep(args) -> int:
         cfg = load_config(args.config)
         if cfg.observer_kind == "none":
             raise ConfigError(0, "sweep needs an observer to produce metrics")
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        if not values:
-            raise ConfigError(0, "empty sweep value list")
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(0, f"sweep values must be finite, got {args.values!r}")
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(0, f"--values: {exc}") from None
+        if not values or not all(map(math.isfinite, values)):
+            raise ConfigError(0, f"--values: need finite numbers, got {args.values!r}")
         n = build_model(cfg).n
         cfg = dataclasses.replace(cfg, q0=cfg.q0 or [0.0] * n, mom0=cfg.mom0 or [0.0] * n)
+        try:
+            configs = [apply_sweep_value(cfg, args.param, v) for v in values]
+        except ValueError as exc:
+            raise ConfigError(0, f"--param: {exc}") from None
         # each swept Scenario builds and checks its observer here, before anything is written
-        swept = [build_scenario(apply_sweep_value(cfg, args.param, v)) for v in values]
+        swept = [build_scenario(c) for c in configs]
         outdir = _resolve_outdir(args.output, cfg.directory)
     except (ValueError, OSError) as exc:
         return _fail_config(exc)

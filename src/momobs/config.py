@@ -13,13 +13,15 @@ Sections:
                  reads (prop1: lambda; prop2: psi3_const, psi4_extra,
                  psi5_extra); each must be positive, and a gain left out
                  takes the observer's default
-  [initial]      plant q / mom and optional overrides of the configured
+  [initial]      plant q / mom (one number per degree of freedom of the
+                 model) and optional overrides of the configured
                  observer's state fields (prop1: p_i, ru_i, d_i; prop2:
                  qbar, pbar, p_i, d_i, r), each a vector with as many
                  numbers as its field (one for r, which must be at least 1)
-  [input]        u1, u2, ... = amplitude, frequency, phase, cos|sin
-  [disturbance]  step1, step2, ... = switch_time, d1, ..., dn, every step
-                 with the same number of levels
+  [input]        u1, u2, ... = amplitude, frequency, phase, cos|sin, up to
+                 the model's number of inputs
+  [disturbance]  step1, step2, ... = switch_time, d1, ..., dn, with n the
+                 model's degrees of freedom
   [sim]          t_final, dt, stride (a positive integer)
   [output]       directory, emit_svg
 """
@@ -167,6 +169,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
             cfg.model_params[key] = _parse_matrix(value, ln, key)
         else:
             cfg.model_params[key] = _parse_float(value, ln, key)
+    model = build_model(cfg)  # [initial], [input] and [disturbance] must fit its sizes
 
     observer_entries = sections.get("observer", [])
     for ln, key, value in observer_entries:
@@ -182,10 +185,11 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
             cfg.gains[key] = _parse_float(value, ln, key)
 
     for ln, key, value in sections.get("initial", []):
-        if key == "q":
-            cfg.q0 = _parse_vector(value, ln, key)
-        elif key == "mom":
-            cfg.mom0 = _parse_vector(value, ln, key)
+        if key in ("q", "mom"):
+            vec = _parse_vector(value, ln, key)
+            if len(vec) != model.n:
+                raise ConfigError(ln, f"{key}: expected {model.n} numbers, got {len(vec)}")
+            setattr(cfg, f"{key}0", vec)
         elif key not in observer_keys(kind, "state_fields"):
             raise ConfigError(ln, f"{key!r} in [initial] is not a state field of observer {kind}")
         else:
@@ -198,6 +202,8 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         idx = int(key[1:])
         if idx < 1:
             raise ConfigError(ln, "input channels are numbered from 1")
+        if idx > model.m:
+            raise ConfigError(ln, f"{key}: input channel {idx}, the model has {model.m} inputs")
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 4:
             raise ConfigError(ln, "input channel needs amplitude, frequency, phase, waveform")
@@ -215,15 +221,11 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if not (key.startswith("step") and key[4:].isdigit()):
             raise ConfigError(ln, f"disturbance keys look like step1, step2, ...; got {key!r}")
         vec = _parse_vector(value, ln, key)
-        if len(vec) < 2:
-            raise ConfigError(ln, "disturbance step needs a switch time and a level vector")
-        steps[int(key[4:])] = (ln, vec[0], vec[1:])
-    ordered = [steps[i] for i in sorted(steps)]
-    for ln, _, level in ordered:
-        if len(level) != len(ordered[0][2]):
-            raise ConfigError(ln, f"disturbance step has {len(level)} levels, "
-                                  f"the first step has {len(ordered[0][2])}")
-    cfg.disturbance = [(t, level) for _, t, level in ordered]
+        if len(vec) != model.n + 1:
+            raise ConfigError(ln, f"{key}: expected a switch time and {model.n} levels, "
+                                  f"got {len(vec)} numbers")
+        steps[int(key[4:])] = (vec[0], vec[1:])
+    cfg.disturbance = [steps[i] for i in sorted(steps)]
 
     if "sim" not in sections:
         if require_sim:

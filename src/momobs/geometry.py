@@ -9,16 +9,19 @@ The observer designs need two structural facts about the factor T(q):
 Both are checked numerically on a sample set and summarized in an
 AssumptionReport.  The same bracket machinery builds the skew-symmetric
 gyroscopic matrix that appears in the factored-coordinate dynamics.
+
+factor_brackets and factor_structure (T^-1 with the brackets) read T and
+dT from one evaluation, at one position or a stack: _factor_and_jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import MechanicalModel, central_differences, central_points, solved_inverse
+from .model import MechanicalModel, central_differences, solved_inverse
 
 Array = np.ndarray
 
@@ -27,13 +30,11 @@ STRUCTURE_TOL = 1e-6  # largest bracket norm and integral-map residual that pass
 ROW_TOL = 1e-9  # largest drift of an unknown-friction row of T that passes
 
 
-def jacobian_fd(f: Callable[[Array], Array], q: Array) -> Array:
-    """Jacobian of a vector field by central differences, column per q_k."""
-    q = np.asarray(q, dtype=float)
-    J = central_differences(f, q, FD_STEP).reshape(q.size, -1).T
-    if not np.all(np.isfinite(J)):
-        raise ValueError("vector field evaluated to non-finite values near q")
-    return J
+def _factor_and_jacobian(model: MechanicalModel, q: Array) -> Tuple[Array, Array]:
+    """T and stacked dT/dq_k at q or each row of a stack: factor_jac, else central_differences."""
+    if model.factor_jac is not None:
+        return model.factor(q), model.factor_jac(q)
+    return central_differences(model.factor, q, FD_STEP)
 
 
 def _brackets(T: Array, dT: Array) -> Array:
@@ -53,31 +54,22 @@ def _brackets(T: Array, dT: Array) -> Array:
 def factor_brackets(model: MechanicalModel, q) -> Array:
     """All pairwise Lie brackets of factor columns; entry [i, j] = [(T)_i, (T)_j].
 
-    [X, Y] = dY X - dX Y, Jacobians by central differences.  Entry [j, i]
+    [X, Y] = dY X - dX Y, Jacobians from _factor_and_jacobian.  Entry [j, i]
     is the exact negative of entry [i, j].  q may be a (k, n) stack when the
-    model's factor maps stacks (MechanicalModel's stack contract).
+    model maps stacks (MechanicalModel's stack contract).
     """
-    q = np.asarray(q, dtype=float)
-    return _brackets(model.factor(q), model.factor_jacobian(q, FD_STEP))
+    return _brackets(*_factor_and_jacobian(model, np.asarray(q, dtype=float)))
 
 
 def factor_structure(model: MechanicalModel, q) -> Tuple[Array, Array]:
-    """(T^-1, factor_brackets) at q, or at each row of a (k, n) stack.
+    """(T^-1, factor_brackets) at q or each row of a stack, from one _factor_and_jacobian.
 
-    A model with neither factor_inv nor factor_jac gets both from one factor
-    call on q and its 2n central_points, bit for bit the values of
-    factor_inverse and factor_brackets; other models get those two.
+    T^-1 is bit for bit factor_inverse's.
     """
-    if model.factor_inv is not None or model.factor_jac is not None:
-        return model.factor_inverse(q), factor_brackets(model, q)
     q = np.asarray(q, dtype=float)
-    n = model.n
-    shifted = central_points(q, FD_STEP).reshape(q.shape[:-1] + (2 * n, n))
-    points = np.concatenate([q[..., None, :], shifted], axis=-2)  # centre, plus, minus
-    T = model.factor(points.reshape(-1, n)).reshape(points.shape + (n,))
-    centre = T[..., 0, :, :]
-    dT = (T[..., 1 : n + 1, :, :] - T[..., n + 1 :, :, :]) / (2.0 * FD_STEP)
-    return solved_inverse(centre), _brackets(centre, dT)
+    T, dT = _factor_and_jacobian(model, q)
+    Tinv = solved_inverse(T) if model.factor_inv is None else model.factor_inv(q)
+    return Tinv, _brackets(T, dT)
 
 
 def swapped_from_brackets(br: Array, pbar) -> Array:
@@ -108,11 +100,22 @@ def gyro_swapped(model: MechanicalModel, q, pbar) -> Array:
 
 
 def grad_integral_map_residual(model: MechanicalModel, q) -> float:
-    """Frobenius norm of grad Q(q) - T^-1(q), grad Q by central differences."""
+    """Frobenius norm of grad Q(q) - T^-1(q), grad Q by central differences.
+
+    q may be a (k, n) stack of positions; the largest norm over its rows.
+    """
     if model.integral_map is None:
         raise ValueError("model supplies no integral map")
-    G = jacobian_fd(model.integral_map, np.asarray(q, dtype=float))
-    return float(np.linalg.norm(G - model.factor_inverse(q)))
+    q = np.asarray(q, dtype=float)
+
+    def stacked(xs):  # the integral map takes one position at a time
+        return np.array([model.integral_map(x) for x in xs])
+
+    grads = central_differences(stacked, q, FD_STEP)[1].reshape(-1, model.n, model.n)
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("vector field evaluated to non-finite values near q")
+    return max(float(np.linalg.norm(G.T - model.factor_inverse(x)))
+               for G, x in zip(grads, q.reshape(-1, model.n)))
 
 
 @dataclass
@@ -188,7 +191,7 @@ def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionR
 
     gradq = None
     if model.integral_map is not None:
-        gradq = max(grad_integral_map_residual(model, q) for q in samples)
+        gradq = grad_integral_map_residual(model, np.array(samples))
 
     kappa = model.friction.unknown_indices
     row_res = []

@@ -355,17 +355,18 @@ def apply_sweep_value(sc, param: str, value: float):
     """Copy of sc with one gain or one initial-state entry (q0[i], mom0[i]) set.
 
     sc is a Scenario, or a RunConfig whose q0 and mom0 are set.  Raises
-    ValueError for an index outside 0..n-1 and, for a Scenario, for a gain
-    its observer does not read (the Scenario refuses it).
+    ValueError for an unknown name, an index that is not an integer in
+    0..n-1 and, for a Scenario, a gain its observer does not read (the
+    Scenario refuses it).
     """
     if param in _GAIN_KEYS:
         return replace(sc, gains={**sc.gains, param: float(value)})
     for name in ("q0", "mom0"):
         if param.startswith(name + "[") and param.endswith("]"):
-            idx = int(param[len(name) + 1 : -1])
+            index = param[len(name) + 1 : -1]
             vec = [float(v) for v in getattr(sc, name)]
-            if not 0 <= idx < len(vec):
-                raise ValueError(f"sweep index {param!r} outside 0..{len(vec) - 1}")
-            vec[idx] = value
+            if not (index.isdecimal() and int(index) < len(vec)):
+                raise ValueError(f"sweep index {param!r} is not one of 0..{len(vec) - 1}")
+            vec[int(index)] = value
             return replace(sc, **{name: vec})
     raise ValueError(f"unknown sweep parameter {param!r}")

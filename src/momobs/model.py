@@ -15,41 +15,40 @@ Two equivalent state representations are supported:
 Friction is a constant diagonal matrix diag(r) acting on velocities; a
 boolean mask marks which coefficients are known.  The unknown ones are
 collected through a constant selector matrix C with C^T r = r_u.
+
+central_differences is the package's one axis-wise central difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 Array = np.ndarray
 
 _COND_LIMIT = 1e12
+_JACOBIAN_STEP = 1e-6  # central-difference step of factor_jacobian without factor_jac
 
 
-def central_points(q, h: float) -> Array:
-    """The 2n central-difference points of q, or of each row of a (k, n) stack.
+def central_differences(f: Callable[[Array], Array], q, h: float) -> Tuple[Array, Array]:
+    """f(q) and (f(q + h e_k) - f(q - h e_k)) / 2h for every k, at one position or a (k, n) stack.
 
-    Shape q.shape[:-1] + (2, n, n): entry [..., 0, k] is q + h e_k and
-    entry [..., 1, k] is q - h e_k.
+    f maps a (k, n) stack of positions to the stack of its values.  It is
+    called once, on every position of q followed by its 2n shifted points.
+    The differences carry their axis k right after the positions' axes.
     """
     q = np.asarray(q, dtype=float)
-    # q + (-x) is q - x, bit for bit
-    steps = h * np.array([1.0, -1.0])[:, None, None] * np.eye(q.shape[-1])
-    return q[..., None, None, :] + steps
-
-
-def central_differences(f: Callable[[Array], Array], q, h: float) -> Array:
-    """(f(q + h e_k) - f(q - h e_k)) / 2h for every k, stacked along a new first axis.
-
-    Evaluates f one point at a time, at the 2n central_points only, never at q itself.
-    """
-    points = central_points(q, h)
-    values = np.array([f(x) for x in points.reshape(-1, points.shape[-1])])
-    values = values.reshape(points.shape[:2] + values.shape[1:])
-    return (values[0] - values[1]) / (2.0 * h)
+    n = q.shape[-1]
+    e = np.eye(n)
+    # steps to the centre, plus and minus points, bit for bit: x + (-0.0) is x, q + (-x) is q - x
+    points = q[..., None, :] + np.concatenate([-0.0 * e[:1], h * e, -h * e])
+    values = f(points.reshape(-1, n))
+    values = values.reshape((-1, 2 * n + 1) + values.shape[1:])
+    diffs = (values[:, 1 : n + 1] - values[:, n + 1 :]) / (2.0 * h)
+    batch = q.shape[:-1]
+    return values[:, 0].reshape(batch + values.shape[2:]), diffs.reshape(batch + diffs.shape[1:])
 
 
 def solved_inverse(T: Array) -> Array:
@@ -189,14 +188,15 @@ class MechanicalModel:
     of q -> T^-1(q) in the induced 2-norm, used by the scaled observer's
     gain schedule.
 
-    Stack contract: a model without factor_jac has a factor that maps a
+    Stack contract: a model maps stacks exactly when it has no factor_jac,
+    and maps_stacks is the one place that decides it.  Its factor maps a
     (k, n) stack of positions to the (k, n, n) stack of factors, and a
     factor_inv, when it has one, does the same; one position (n,) maps to
     (n, n) through the same code as k = 1.  Each stacked factor must equal
     the one of its position alone, bit for bit.  factor_inverse,
     factor_jacobian, geometry.factor_brackets and geometry.factor_structure
-    then take stacks too, so finite differences and the scaled observer
-    evaluate many positions in one call.
+    then take stacks too, so central_differences calls the factor once per
+    stack and the scaled observer evaluates many positions in one call.
     """
 
     n: int
@@ -222,23 +222,22 @@ class MechanicalModel:
         """Whether the factor's columns commute, read from the integral map's presence."""
         return self.integral_map is not None
 
+    @property
+    def maps_stacks(self) -> bool:
+        """Whether the evaluators take (k, n) stacks of positions: the stack contract."""
+        return self.factor_jac is None
+
     def factor_inverse(self, q: Array) -> Array:
         """T^-1(q), from the closed form when supplied, else by solving."""
         if self.factor_inv is not None:
             return self.factor_inv(q)
         return solved_inverse(self.factor(q))
 
-    def factor_jacobian(self, q: Array, h: float = 1e-6) -> Array:
-        """Stacked dT/dq_k, analytic when available, else central differences.
-
-        The differences take one factor call on the 2n central_points of
-        every position in q.
-        """
+    def factor_jacobian(self, q: Array) -> Array:
+        """Stacked dT/dq_k, analytic when available, else central differences."""
         if self.factor_jac is not None:
             return self.factor_jac(q)
-        points = central_points(q, h)
-        T = self.factor(points.reshape(-1, self.n)).reshape(points.shape + (self.n,))
-        return (T[..., 0, :, :, :] - T[..., 1, :, :, :]) / (2.0 * h)
+        return central_differences(self.factor, q, _JACOBIAN_STEP)[1]
 
     def transformed_friction(self, q: Array) -> Array:
         """R(q) = T^T diag(r) T, the friction matrix in factored coordinates."""

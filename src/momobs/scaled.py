@@ -101,7 +101,6 @@ class ScaledObserver:
         self.dim = 4 * model.n + 1
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
         self._memo = None  # position bytes -> structure, live during derivative()
-        self._stacked = not model.zrs and model.factor_jac is None  # see _prefetch
 
     # -- mappings ----------------------------------------------------------
 
@@ -118,6 +117,13 @@ class ScaledObserver:
         if self._memo is not None:
             self._memo[key] = found
         return found
+
+    def _prefetch(self, xs) -> None:
+        """Memoise the structure of the positions xs as one stack, bit for bit _structure's."""
+        fresh = {key: x for x in xs if (key := x.tobytes()) not in self._memo}
+        if fresh:
+            Tinv, br = geometry.factor_structure(self.model, np.array(list(fresh.values())))
+            self._memo.update(zip(fresh, zip(Tinv, br)))
 
     def mapping_h(self, q, phat) -> Array:
         """H(q, phat) = (psi I + Jbar(q, phat)) T^-1(q)."""
@@ -146,25 +152,27 @@ class ScaledObserver:
         qbar = np.asarray(qbar, dtype=float)
         phat = np.asarray(phat, dtype=float)
         pbar = np.asarray(pbar, dtype=float)
-        bound_q = self._secant_bound(lambda x: self.mapping_h(x, phat), qbar, q)
+        h_bp = self.mapping_h(qbar, phat)
+        gap_q = np.linalg.norm(q - qbar)
+        worst = 0.0
+        for tau, x in self._secant_points(qbar, q):
+            ratio = np.linalg.norm(self.mapping_h(x, phat) - h_bp, 2) / (tau * gap_q)
+            worst = max(worst, float(ratio))
+        bound_q = _BOUND_SAFETY * worst
         gap_p = np.linalg.norm(phat - pbar)
         if gap_p == 0.0:
             return bound_q, 0.0
-        delta_p = self.mapping_h(qbar, phat) - self.mapping_h(qbar, pbar)
+        delta_p = h_bp - self.mapping_h(qbar, pbar)
         return bound_q, _BOUND_SAFETY * float(np.linalg.norm(delta_p, 2)) / gap_p
 
-    @classmethod
-    def _secant_bound(cls, f, x0, x1) -> float:
-        """Twice the largest secant slope of f from x0 to the _secant_points towards x1."""
-        gap = np.linalg.norm(x1 - x0)
-        if gap == 0.0:
-            return 0.0
-        f0 = f(x0)
-        worst = 0.0
-        for tau, x in cls._secant_points(x0, x1):
-            ratio = np.linalg.norm(f(x) - f0, 2) / (tau * gap)
-            worst = max(worst, float(ratio))
-        return _BOUND_SAFETY * worst
+    @staticmethod
+    def _secant_points(x0, x1):
+        """(tau, x0 + tau (x1 - x0)) for the secant samples; none when x0 and x1 coincide."""
+        if np.linalg.norm(x1 - x0) == 0.0:
+            return []
+        # tau = 1 is x1 itself, not a rounded copy, so its structure is reused
+        taus = np.linspace(0.1, 1.0, 10)
+        return [(tau, x1 if tau == 1.0 else x0 + tau * (x1 - x0)) for tau in taus]
 
     # -- gain schedule ------------------------------------------------------
 
@@ -252,11 +260,18 @@ class ScaledObserver:
         uq, up = qbar_dot / scale, pbar_dot / scale
         tau = _FD_STEP
         ends = qbar + tau * uq, qbar - tau * uq
-        if self._stacked:  # the last two positions this derivative touches, as one stack
+        if not model.zrs and model.maps_stacks:  # the last two positions, as one stack
             self._prefetch(ends)
         plus = self.mapping_h(ends[0], pbar + tau * up)
         minus = self.mapping_h(ends[1], pbar - tau * up)
         return scale * (plus - minus) / (2.0 * tau)
+
+    def derivative(self, z, q, u) -> Array:
+        self._memo = {}
+        try:
+            return self._derivative(np.asarray(z, dtype=float), np.asarray(q, dtype=float), u)
+        finally:
+            self._memo = None
 
     def _derivative(self, z, q, u) -> Array:
         model = self.model
@@ -267,7 +282,7 @@ class ScaledObserver:
         T = model.factor(q)
         # the structure of every position the mappings and bounds below read:
         # qbar, q and the secant samples between them, as one stack
-        if self._stacked:
+        if not model.zrs and model.maps_stacks:
             self._prefetch([qbar, q] + [x for _, x in self._secant_points(qbar, q)])
         h_bb = self.mapping_h(qbar, pbar)
         phat = p_i + h_bb @ q
@@ -305,33 +320,6 @@ class ScaledObserver:
         )
         d_i_dot = -(T @ phat) / r**2 + (2.0 / r**3) * r_dot * q
         return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot, [r_dot]])
-
-    def derivative(self, z, q, u) -> Array:
-        self._memo = {}
-        try:
-            return self._derivative(np.asarray(z, dtype=float), np.asarray(q, dtype=float), u)
-        finally:
-            self._memo = None
-
-    @staticmethod
-    def _secant_points(x0, x1):
-        """(tau, x0 + tau (x1 - x0)) for the secant samples; none when x0 and x1 coincide."""
-        if np.linalg.norm(x1 - x0) == 0.0:
-            return []
-        # tau = 1 is x1 itself, not a rounded copy, so its structure is reused
-        taus = np.linspace(0.1, 1.0, 10)
-        return [(tau, x1 if tau == 1.0 else x0 + tau * (x1 - x0)) for tau in taus]
-
-    def _prefetch(self, xs) -> None:
-        """Memoise the structure of the positions xs as one stack, bit for bit _structure's.
-
-        For non-commuting models under the stack contract (no factor_jac);
-        other models evaluate each position on first use.
-        """
-        fresh = {key: x for x in xs if (key := x.tobytes()) not in self._memo}
-        if fresh:
-            Tinv, br = geometry.factor_structure(self.model, np.array(list(fresh.values())))
-            self._memo.update(zip(fresh, zip(Tinv, br)))
 
     def project(self, z) -> Array:
         """Post-step projection keeping the scaling factor at least one."""

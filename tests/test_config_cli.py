@@ -168,26 +168,37 @@ def test_cli_run(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "old, new, key",
+    "old, new, key, cited",
     [
-        ("dt = 0.002", "dt = -1", "dt"),
-        ("t_final = 1.0", "t_final = inf", "t_final"),
-        ("dt = 0.002", "dt = nan", "dt"),
-        ("lambda = 0.8", "lambda = nan", "lambda"),
-        ("q = 0, 0, 1.0", "q = 0, nan, 1.0", "q"),
-        ("stride = 10", "stride = 2.5", "stride"),
-        ("lambda = 0.8", "lambda = -1", "lambda"),
+        ("dt = 0.002", "dt = -1", "dt", None),
+        ("t_final = 1.0", "t_final = inf", "t_final", None),
+        ("dt = 0.002", "dt = nan", "dt", None),
+        ("lambda = 0.8", "lambda = nan", "lambda", None),
+        ("q = 0, 0, 1.0", "q = 0, nan, 1.0", "q", None),
+        ("stride = 10", "stride = 2.5", "stride", None),
+        ("lambda = 0.8", "lambda = -1", "lambda", None),
         # 1e-4 snaps onto t = 0, where step1 already switches
         ("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, 0.2, 0.2\nstep2 = 0.0001, 0.3, 0.2, 0.2",
-         "dt"),
+         "dt", None),
+        # sizes that do not fit the 3-dof, 2-input crane, cited with their line
+        ("q = 0, 0, 1.0", "q = 0, 0", "q", "q = 0, 0"),
+        ("mom = 0, 0, 0", "mom = 0, 0, 0, 0", "mom", "mom = 0, 0, 0, 0"),
+        ("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, 0.2", "step1", "step1 = 0, 0.1, 0.2"),
+        ("u2 = 7.67, 1.0, 0.0, sin", "u2 = 7.67, 1.0, 0.0, sin\nu3 = 1.0, 1.0, 0.0, cos", "u3",
+         "u3 = 1.0, 1.0, 0.0, cos"),
     ],
     ids=["negative-dt", "inf-t_final", "nan-dt", "nan-lambda", "nan-q", "fractional-stride",
-         "negative-lambda", "colliding-switch"],
+         "negative-lambda", "colliding-switch", "short-q", "long-mom", "short-disturbance",
+         "extra-input"],
 )
-def test_cli_run_config_error(tmp_path, capsys, old, new, key):
-    cfg = write(tmp_path, "bad.cfg", CRANE_CFG.replace(old, new))
+def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
+    text = CRANE_CFG.replace(old, new)
+    cfg = write(tmp_path, "bad.cfg", text)
     assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 2
-    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{key}\b", err)
+    if cited is not None:
+        assert f"line {text.splitlines().index(cited) + 1}: " in err
     assert not (tmp_path / "out").exists()
 
 
@@ -330,6 +341,12 @@ def test_cli_sweep_bad_args(tmp_path, capsys):
     cfg = write(tmp_path, "sweep2.cfg", PROP2_CFG)
     assert main(["sweep", cfg, "--param", "lambda", "--values", "1", "-o", out]) == 2
     assert main(["sweep", cfg, "--param", "psi5_extra", "--values", "nan", "-o", out]) == 2
+    # an index that is not an integer, and a value that is not a number, name their argument
+    capsys.readouterr()
+    for param, values, argument in [("q0[x]", "0.1", "--param"), ("q0[1.5]", "0.1", "--param"),
+                                    ("q0[]", "0.1", "--param"), ("psi5_extra", "1,abc", "--values")]:
+        assert main(["sweep", cfg, "--param", param, "--values", values, "-o", out]) == 2
+        assert argument in capsys.readouterr().err, param
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda", "--values", "1"]])

@@ -52,6 +52,11 @@ def test_scenario_validation(crane):
         Scenario(model=crane, q0=[0.0, 0.0])
     with pytest.raises(ValueError):
         Scenario(model=crane, disturbance=DisturbanceSchedule.constant([1.0]))
+    # the sizes the config checks with their line, refused here for library callers
+    with pytest.raises(ValueError):
+        Scenario(model=crane, mom0=[0.0] * 4)
+    with pytest.raises(ValueError):
+        Scenario(model=crane, inputs=(InputChannel(1.0),) * 3)
 
 
 def test_scenario_rejects_fractional_stride(crane):

@@ -157,25 +157,50 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
     assert obs.delta_bounds(q, q, phat, phat) == (0.0, 0.0)
 
 
-def test_derivative_structure_once_per_position(cholesky_known):
-    # one derivative touches q, qbar, the nine bound_q secant samples strictly
-    # between them and the two points of the H-rate difference.  Each position
-    # is evaluated once, with its 2n central-difference points, in one of two
-    # stacked factor calls: q, qbar and the samples before the bounds, the two
-    # H-rate points after the gains.  The third call is T(q) itself.
-    calls = []
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # one derivative touches q, qbar, the nine bound_q secant samples strictly
+        # between them and the two points of the H-rate difference.  Each position
+        # is evaluated once, with its 2n central-difference points, in one of two
+        # stacked factor calls: q, qbar and the samples before the bounds, the two
+        # H-rate points after the gains.  The third call is T(q) itself.
+        ("cholesky_known", {"factor": [1, 11 * 7, 2 * 7], "brackets": 2}),
+        # commuting columns, analytic dT and a Lipschitz bound: T(q), T^-1 at
+        # qbar and q, dT at qbar for the exact H-rate, and no bracket at all
+        ("crane_known", {"factor": [1], "factor_inv": [1, 1], "factor_jac": [1], "brackets": 0}),
+    ],
+    ids=["cholesky", "crane"],
+)
+def test_derivative_structure_once_per_position(request, monkeypatch, name, expected):
+    model = request.getfixturevalue(name)
+    calls = {}
 
-    def counted(q):
-        calls.append(np.asarray(q).reshape(-1, 3).shape[0])
-        return cholesky_known.factor(q)
+    def counted(attr):
+        evaluate = getattr(model, attr)
 
-    obs = ScaledObserver(dataclasses.replace(cholesky_known, factor=counted))
+        def wrapped(q):
+            calls.setdefault(attr, []).append(np.asarray(q).reshape(-1, 3).shape[0])
+            return evaluate(q)
+
+        return wrapped
+
+    brackets = momobs.geometry._brackets
+
+    def counted_brackets(T, dT):
+        calls["brackets"] += 1
+        return brackets(T, dT)
+
+    calls["brackets"] = 0
+    monkeypatch.setattr(momobs.geometry, "_brackets", counted_brackets)
+    evaluators = [attr for attr in ("factor", "factor_inv", "factor_jac") if getattr(model, attr)]
+    obs = ScaledObserver(dataclasses.replace(model, **{a: counted(a) for a in evaluators}))
     rng = np.random.default_rng(14)
     q = rng.uniform(-1, 1, 3)
     z = Obs2State(rng.uniform(-1, 1, 3), rng.normal(size=3), rng.normal(size=3),
                   rng.normal(size=3), 1.3).pack()
     obs.derivative(z, q, np.array([0.3, 0.1]))
-    assert calls == [1, 11 * 7, 2 * 7]
+    assert calls == expected
 
 
 def schedule_inputs(obs, q, qbar, phat, pbar):

@@ -14,8 +14,8 @@ from momobs import (
     sample_positions,
     SpiderCraneParams,
 )
-from momobs.geometry import factor_structure
-from momobs.model import central_points
+from momobs.geometry import FD_STEP, factor_structure
+from momobs.model import central_differences
 
 
 def test_constant_identity_inertia():
@@ -156,13 +156,15 @@ def test_cholesky_stack_matches_each_position(crane_cholesky):
     # stacked evaluation equals the evaluations of its positions one by one
     rng = np.random.default_rng(29)
     centres = rng.uniform(-np.pi, np.pi, size=(200, 3))
-    Q = np.vstack([centres, central_points(centres, 1e-5).reshape(-1, 3),
-                   [[0.3, -0.2, 1.0186570831121868]]])
+    shifted = centres[:, None, :] + FD_STEP * np.vstack([np.eye(3), -np.eye(3)])
+    Q = np.vstack([centres, shifted.reshape(-1, 3), [[0.3, -0.2, 1.0186570831121868]]])
     model = crane_cholesky
     evaluators = {
         "factor": model.factor,
         "factor_inverse": model.factor_inverse,
         "factor_jacobian": model.factor_jacobian,
+        "central_differences[0]": lambda q: central_differences(model.factor, q, FD_STEP)[0],
+        "central_differences[1]": lambda q: central_differences(model.factor, q, FD_STEP)[1],
         "factor_brackets": lambda q: factor_brackets(model, q),
         "factor_structure[0]": lambda q: factor_structure(model, q)[0],
         "factor_structure[1]": lambda q: factor_structure(model, q)[1],
@@ -172,7 +174,9 @@ def test_cholesky_stack_matches_each_position(crane_cholesky):
         one_by_one = np.array([f(q) for q in Q])
         assert np.array_equal(stacked, one_by_one), name
         assert stacked.tobytes() == one_by_one.tobytes(), name
-    # factor_structure is factor_inverse and factor_brackets from one call
+    # the helper's centre is the factor itself; factor_structure is
+    # factor_inverse and factor_brackets from one call
+    assert central_differences(model.factor, Q, FD_STEP)[0].tobytes() == model.factor(Q).tobytes()
     assert factor_structure(model, Q)[0].tobytes() == model.factor_inverse(Q).tobytes()
     assert factor_structure(model, Q)[1].tobytes() == factor_brackets(model, Q).tobytes()
 
