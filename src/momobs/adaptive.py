@@ -177,8 +177,7 @@ class AdaptiveObserver:
     precomputes the constant regressor and quadratic matrices.
     """
 
-    default_gains = {"lambda": 0.8}
-    gain_keys = tuple(default_gains)  # config and sweep names of the gains it reads
+    default_gains = {"lambda": 0.8}  # by config and sweep name, the gains it reads
     state_fields = tuple(f.name for f in dataclasses.fields(Obs1State))
 
     def __init__(self, model: MechanicalModel, gains: Mapping[str, float] = {}):

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .adaptive import checked_gains
 from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys
 from .model import DisturbanceSchedule
 from .systems import build_named_model
@@ -169,7 +170,10 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
             cfg.model_params[key] = _parse_matrix(value, ln, key)
         else:
             cfg.model_params[key] = _parse_float(value, ln, key)
-    model = build_model(cfg)  # [initial], [input] and [disturbance] must fit its sizes
+    try:  # [initial], [input] and [disturbance] must fit its sizes
+        model = build_model(cfg)
+    except ValueError as exc:  # ModelError included
+        raise ConfigError(name_line, f"model {name}: {exc}") from None
 
     observer_entries = sections.get("observer", [])
     for ln, key, value in observer_entries:
@@ -180,9 +184,12 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
     kind = cfg.observer_kind
     for ln, key, value in observer_entries:
         if key != "kind":
-            if key not in observer_keys(kind, "gain_keys"):
-                raise ConfigError(ln, f"{key!r} in [observer] is not a gain of observer kind {kind}")
-            cfg.gains[key] = _parse_float(value, ln, key)
+            gain = {key: _parse_float(value, ln, key)}
+            try:  # the observers' own rule: a gain the kind reads, and positive
+                checked_gains(observer_keys(kind, "default_gains"), gain)
+            except ValueError as exc:
+                raise ConfigError(ln, str(exc)) from None
+            cfg.gains.update(gain)
 
     for ln, key, value in sections.get("initial", []):
         if key in ("q", "mom"):
@@ -197,7 +204,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
 
     channels = {}
     for ln, key, value in sections.get("input", []):
-        if not (key.startswith("u") and key[1:].isdigit()):
+        if not (key.startswith("u") and key[1:].isdecimal()):
             raise ConfigError(ln, f"input keys look like u1, u2, ...; got {key!r}")
         idx = int(key[1:])
         if idx < 1:
@@ -218,7 +225,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
 
     steps = {}
     for ln, key, value in sections.get("disturbance", []):
-        if not (key.startswith("step") and key[4:].isdigit()):
+        if not (key.startswith("step") and key[4:].isdecimal()):
             raise ConfigError(ln, f"disturbance keys look like step1, step2, ...; got {key!r}")
         vec = _parse_vector(value, ln, key)
         if len(vec) != model.n + 1:

@@ -25,13 +25,13 @@ Array = np.ndarray
 # observer classes by kind; "none" integrates the plant alone
 OBSERVER_TYPES = {"prop1": AdaptiveObserver, "prop2": ScaledObserver}
 OBSERVER_KINDS = ("none", *OBSERVER_TYPES)
-_GAIN_KEYS = {key for cls in OBSERVER_TYPES.values() for key in cls.gain_keys}
+_GAIN_KEYS = {key for cls in OBSERVER_TYPES.values() for key in cls.default_gains}
 CONVERGENCE_EPS = 1e-2  # momenta error norm below which a run counts as settled
 LYAP_TOL = 1e-8  # largest sample-to-sample rise of lyap not counted as a violation
 
 
-def observer_keys(kind: str, attr: str) -> Tuple[str, ...]:
-    """Config names of what the observer of a kind reads: attr "gain_keys" or "state_fields"."""
+def observer_keys(kind: str, attr: str):
+    """What the observer of a kind reads, by config name: attr "default_gains" or "state_fields"."""
     return getattr(OBSERVER_TYPES.get(kind), attr, ())
 
 

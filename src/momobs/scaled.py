@@ -10,6 +10,9 @@ The position-proportional term is H(qbar, pbar) q with
 evaluated at the state copies so that no partial differential equation has
 to be solved; the mismatch against H(q, phat) splits into two pieces that
 vanish with the copy errors, and the scaling dynamics absorb their effect.
+Jbar comes from the brackets of the factor's columns, as in the factored
+coordinates of Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC
+55(5), 2010); a derivative evaluates each position's T^-1 and brackets once.
 The disturbance estimate's proportional term q / r^2 couples the estimate
 to the scaling factor, which is what makes constant disturbances
 rejectable here.
@@ -33,6 +36,7 @@ Array = np.ndarray
 
 _FD_STEP = 1e-6
 _BOUND_SAFETY = 2.0
+_SECANT_TAUS = np.linspace(0.1, 1.0, 10)  # bound_q's samples along qbar -> q
 
 
 def _spec_norm(A) -> float:
@@ -85,7 +89,6 @@ class ScaledObserver:
     """
 
     default_gains = {"psi3_const": 1.0, "psi4_extra": 1.0, "psi5_extra": 1.0}
-    gain_keys = tuple(default_gains)  # config and sweep names of the gains it reads
     state_fields = tuple(f.name for f in dataclasses.fields(Obs2State))
 
     def __init__(self, model: MechanicalModel, gains: Mapping[str, float] = {}):
@@ -100,37 +103,42 @@ class ScaledObserver:
         self.n = model.n
         self.dim = 4 * model.n + 1
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
-        self._memo = None  # position bytes -> structure, live during derivative()
 
     # -- mappings ----------------------------------------------------------
 
-    def _structure(self, x: Array):
-        """(T^-1(x), factor-column brackets at x or None when columns commute).
+    def _structures(self, xs) -> list:
+        """(T^-1(x), factor-column brackets at x or None when columns commute) for each x in xs.
 
-        Inside one derivative call each distinct position is evaluated once.
+        factor_inverse per x if columns commute, else factor_structure: one stack if the model can.
         """
-        key = x.tobytes()
-        if self._memo is not None and key in self._memo:
-            return self._memo[key]
         model = self.model
-        found = (model.factor_inverse(x), None) if model.zrs else geometry.factor_structure(model, x)
-        if self._memo is not None:
-            self._memo[key] = found
-        return found
+        if model.zrs:
+            return [(model.factor_inverse(x), None) for x in xs]
+        if model.maps_stacks:
+            return list(zip(*geometry.factor_structure(model, np.array(xs))))
+        return [geometry.factor_structure(model, x) for x in xs]
 
-    def _prefetch(self, xs) -> None:
-        """Memoise the structure of the positions xs as one stack, bit for bit _structure's."""
-        fresh = {key: x for x in xs if (key := x.tobytes()) not in self._memo}
-        if fresh:
-            Tinv, br = geometry.factor_structure(self.model, np.array(list(fresh.values())))
-            self._memo.update(zip(fresh, zip(Tinv, br)))
+    def _h(self, structure, p) -> Array:
+        """H(x, p) = (psi I + Jbar(x, p)) T^-1(x), from the _structures entry of x."""
+        Tinv, br = structure
+        if br is None:
+            return self.psi * Tinv
+        return (self.psi * np.eye(self.n) + swapped_from_brackets(br, p)) @ Tinv
 
     def mapping_h(self, q, phat) -> Array:
         """H(q, phat) = (psi I + Jbar(q, phat)) T^-1(q)."""
-        Tinv, br = self._structure(np.asarray(q, dtype=float))
-        if br is None:
-            return self.psi * Tinv
-        return (self.psi * np.eye(self.n) + swapped_from_brackets(br, phat)) @ Tinv
+        return self._h(self._structures([np.asarray(q, dtype=float)])[0], phat)
+
+    def _towards_q(self, qbar, q) -> list:
+        """The positions besides qbar where derivative and delta_bounds read H(., phat).
+
+        q under analytic bounds; else bound_q's secant samples, q itself last, or none if q is qbar.
+        """
+        if self._analytic_bounds:
+            return [q]
+        if np.linalg.norm(q - qbar) == 0.0:
+            return []
+        return [q if tau == 1.0 else qbar + tau * (q - qbar) for tau in _SECANT_TAUS]
 
     def delta_bounds(self, q, qbar, phat, pbar) -> Tuple[float, float]:
         """Scalars bounding |delta_q| <= bound_q |e_q|, |delta_p| <= bound_p |e_p|.
@@ -146,33 +154,25 @@ class ScaledObserver:
         every secant slope towards phat equals |delta_p| / |e_p|; bound_p is
         that exact slope, doubled likewise (the value the sampled secant gave).
         """
+        q, qbar, phat, pbar = (np.asarray(a, dtype=float) for a in (q, qbar, phat, pbar))
+        s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
+        h_bp = self._h(s_bar, phat)
+        return self._bounds(q - qbar, h_bp, [self._h(s, phat) for s in towards_q],
+                            h_bp - self._h(s_bar, pbar), phat - pbar)
+
+    def _bounds(self, e_q, h_bp, h_towards_q, delta_p, e_p) -> Tuple[float, float]:
+        """delta_bounds from e_q, H(qbar, phat), H(., phat) at _towards_q, delta_p and e_p."""
         if self._analytic_bounds:
             return self.psi * float(self.model.lip_factor_inv), 0.0
-        q = np.asarray(q, dtype=float)
-        qbar = np.asarray(qbar, dtype=float)
-        phat = np.asarray(phat, dtype=float)
-        pbar = np.asarray(pbar, dtype=float)
-        h_bp = self.mapping_h(qbar, phat)
-        gap_q = np.linalg.norm(q - qbar)
+        gap_q = np.linalg.norm(e_q)
         worst = 0.0
-        for tau, x in self._secant_points(qbar, q):
-            ratio = np.linalg.norm(self.mapping_h(x, phat) - h_bp, 2) / (tau * gap_q)
-            worst = max(worst, float(ratio))
+        for tau, h in zip(_SECANT_TAUS, h_towards_q):
+            worst = max(worst, float(np.linalg.norm(h - h_bp, 2) / (tau * gap_q)))
         bound_q = _BOUND_SAFETY * worst
-        gap_p = np.linalg.norm(phat - pbar)
+        gap_p = np.linalg.norm(e_p)
         if gap_p == 0.0:
             return bound_q, 0.0
-        delta_p = h_bp - self.mapping_h(qbar, pbar)
         return bound_q, _BOUND_SAFETY * float(np.linalg.norm(delta_p, 2)) / gap_p
-
-    @staticmethod
-    def _secant_points(x0, x1):
-        """(tau, x0 + tau (x1 - x0)) for the secant samples; none when x0 and x1 coincide."""
-        if np.linalg.norm(x1 - x0) == 0.0:
-            return []
-        # tau = 1 is x1 itself, not a rounded copy, so its structure is reused
-        taus = np.linspace(0.1, 1.0, 10)
-        return [(tau, x1 if tau == 1.0 else x0 + tau * (x1 - x0)) for tau in taus]
 
     # -- gain schedule ------------------------------------------------------
 
@@ -238,17 +238,16 @@ class ScaledObserver:
         dhat = st.d_i + q / r**2
         return Obs2Estimates(p=phat, d=dhat)
 
-    def _mapping_h_rate(self, qbar, pbar, qbar_dot, pbar_dot) -> Array:
-        """Time derivative of H(qbar, pbar) along the copy dynamics.
+    def _mapping_h_rate(self, Tinv, qbar, pbar, qbar_dot, pbar_dot) -> Array:
+        """Time derivative of H(qbar, pbar) along the copy dynamics; Tinv is T^-1(qbar).
 
         Commuting-factor models with analytic factor derivatives get the
         exact chain rule through T^-1; anything else falls back to a
         directional central difference with step 1e-6, whose two points get
-        their structure once each, as one stack where _prefetch applies.
+        their structures from one _structures call.
         """
         model = self.model
         if model.zrs and model.factor_jac is not None:
-            Tinv = self._structure(qbar)[0]
             dT = model.factor_jac(qbar)
             n = self.n
             Tdot = (qbar_dot @ dT.reshape(n, n * n)).reshape(n, n)
@@ -259,32 +258,24 @@ class ScaledObserver:
             return np.zeros((self.n, self.n))
         uq, up = qbar_dot / scale, pbar_dot / scale
         tau = _FD_STEP
-        ends = qbar + tau * uq, qbar - tau * uq
-        if not model.zrs and model.maps_stacks:  # the last two positions, as one stack
-            self._prefetch(ends)
-        plus = self.mapping_h(ends[0], pbar + tau * up)
-        minus = self.mapping_h(ends[1], pbar - tau * up)
+        s_plus, s_minus = self._structures([qbar + tau * uq, qbar - tau * uq])
+        plus, minus = self._h(s_plus, pbar + tau * up), self._h(s_minus, pbar - tau * up)
         return scale * (plus - minus) / (2.0 * tau)
 
     def derivative(self, z, q, u) -> Array:
-        self._memo = {}
-        try:
-            return self._derivative(np.asarray(z, dtype=float), np.asarray(q, dtype=float), u)
-        finally:
-            self._memo = None
+        """Rate of the packed state z at plant position q and input u; each H formed once.
 
-    def _derivative(self, z, q, u) -> Array:
+        Structures come from two _structures calls: qbar with _towards_q's, then the H-rate points.
+        """
+        z, q = np.asarray(z, dtype=float), np.asarray(q, dtype=float)
         model = self.model
         n = self.n
         qbar, pbar, p_i, d_i = z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n : 4 * n]
         r = max(float(z[-1]), 1.0)
 
         T = model.factor(q)
-        # the structure of every position the mappings and bounds below read:
-        # qbar, q and the secant samples between them, as one stack
-        if not model.zrs and model.maps_stacks:
-            self._prefetch([qbar, q] + [x for _, x in self._secant_points(qbar, q)])
-        h_bb = self.mapping_h(qbar, pbar)
+        s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
+        h_bb = self._h(s_bar, pbar)
         phat = p_i + h_bb @ q
         dhat = d_i + q / r**2
         e_q = qbar - q
@@ -295,15 +286,17 @@ class ScaledObserver:
             gyro_term = np.zeros(n)
             norm_dp = 0.0
         else:
-            h_bp = self.mapping_h(qbar, phat)
+            h_bp = self._h(s_bar, phat)
             # J(q, phat) phat, read through the swap identity J(q, p) b = Jbar(q, b) p
-            gyro_term = swapped_from_brackets(self._structure(q)[1], phat) @ phat
+            s_q = towards_q[-1] if towards_q else s_bar
+            gyro_term = swapped_from_brackets(s_q[1], phat) @ phat
             norm_dp = _spec_norm((h_bp - h_bb) @ T)
-        delta_q = self.mapping_h(q, phat) - h_bp
+        h_towards_q = [self._h(s, phat) for s in towards_q]  # the last one at q
+        delta_q = (h_towards_q[-1] if towards_q else h_bp) - h_bp
 
         norm_t = _spec_norm(T)
         norm_h = _spec_norm(h_bb)
-        bounds = self.delta_bounds(q, qbar, phat, pbar)
+        bounds = self._bounds(e_q, h_bp, h_towards_q, h_bp - h_bb, e_p)
         gains = self.gains(r, norm_t, norm_h, bounds)
 
         w = T.T @ (model.input_matrix(q) @ u)
@@ -313,7 +306,7 @@ class ScaledObserver:
 
         qbar_dot = T @ phat - gains.psi1 * e_q
         pbar_dot = rest - gains.psi2 * e_p
-        h_rate = self._mapping_h_rate(qbar, pbar, qbar_dot, pbar_dot)
+        h_rate = self._mapping_h_rate(s_bar[0], qbar, pbar, qbar_dot, pbar_dot)
         p_i_dot = -h_rate @ q - h_bb @ (T @ phat) + rest
         r_dot = -(self.psi / 4.0) * (r - 1.0) + (r / self.psi) * (
             norm_dp**2 + _spec_norm(delta_q @ T) ** 2

@@ -176,7 +176,7 @@ def test_cli_run(tmp_path):
         ("lambda = 0.8", "lambda = nan", "lambda", None),
         ("q = 0, 0, 1.0", "q = 0, nan, 1.0", "q", None),
         ("stride = 10", "stride = 2.5", "stride", None),
-        ("lambda = 0.8", "lambda = -1", "lambda", None),
+        ("lambda = 0.8", "lambda = -1", "lambda", "lambda = -1"),
         # 1e-4 snaps onto t = 0, where step1 already switches
         ("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, 0.2, 0.2\nstep2 = 0.0001, 0.3, 0.2, 0.2",
          "dt", None),
@@ -186,10 +186,15 @@ def test_cli_run(tmp_path):
         ("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, 0.2", "step1", "step1 = 0, 0.1, 0.2"),
         ("u2 = 7.67, 1.0, 0.0, sin", "u2 = 7.67, 1.0, 0.0, sin\nu3 = 1.0, 1.0, 0.0, cos", "u3",
          "u3 = 1.0, 1.0, 0.0, cos"),
+        # a parameter the model's factory refuses cites the model's name line
+        ("m = 1.0", "m = -1.0", "masses", "name = spider-crane"),
+        # suffixes that str.isdigit accepts but int does not
+        ("u1 = 1.535", "u\u00b2 = 1.535", "u\u00b2", "u\u00b2 = 1.535, 1.0, 0.0, cos"),
+        ("step1 = ", "step\u00b2 = ", "step\u00b2", "step\u00b2 = 0, 0.1, 0.2, 0.2"),
     ],
     ids=["negative-dt", "inf-t_final", "nan-dt", "nan-lambda", "nan-q", "fractional-stride",
          "negative-lambda", "colliding-switch", "short-q", "long-mom", "short-disturbance",
-         "extra-input"],
+         "extra-input", "negative-mass", "superscript-input", "superscript-step"],
 )
 def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     text = CRANE_CFG.replace(old, new)

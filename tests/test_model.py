@@ -118,6 +118,35 @@ def test_transformed_gyro_contribution_vanishes_for_commuting_factor(crane):
     assert np.array_equal(pd1, pd2)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "crane",
+        "manipulator",
+        "const2",
+        pytest.param("crane_cholesky", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: the gyroscopic matrix contracts the factor-column "
+                                "brackets with p where mom = T^-T p belongs")),
+    ],
+)
+def test_transformed_momenta_rate_pointwise(request, name):
+    # the factored pdot is the rate of p = T^T(q) mom along the plant's flow:
+    # against its central difference, step 1e-6, at seeded states
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(15)
+    h = 1e-6
+    worst = 0.0
+    for _ in range(50):
+        q, mom, d = rng.uniform(-1, 1, (3, model.n))
+        u = rng.uniform(-1, 1, model.m)
+        qdot, momdot = plant_derivative(model, GeneralizedState(q, mom), u, d)
+        rate = (momenta_transform(model, q + h * qdot, mom + h * momdot)
+                - momenta_transform(model, q - h * qdot, mom - h * momdot)) / (2.0 * h)
+        _, pdot = transformed_derivative(model, q, momenta_transform(model, q, mom), u, d)
+        worst = max(worst, float(np.abs(pdot - rate).max()))
+    assert worst <= 1e-6, worst
+
+
 def test_cross_representation_short(crane):
     # the two state representations must tell the same story through the
     # momenta map; full-length check lives in the acceptance suite

@@ -158,23 +158,30 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
 
 
 @pytest.mark.parametrize(
-    "name, expected",
+    "name, coincident, expected",
     [
         # one derivative touches q, qbar, the nine bound_q secant samples strictly
         # between them and the two points of the H-rate difference.  Each position
         # is evaluated once, with its 2n central-difference points, in one of two
-        # stacked factor calls: q, qbar and the samples before the bounds, the two
-        # H-rate points after the gains.  The third call is T(q) itself.
-        ("cholesky_known", {"factor": [1, 11 * 7, 2 * 7], "brackets": 2}),
+        # stacked factor calls: qbar, the samples and q before the bounds, the two
+        # H-rate points after the gains.  The third call is T(q) itself.  Each H
+        # is formed once: at (qbar, pbar), at (qbar, phat), at the samples and q
+        # towards phat and at the two H-rate points, one Jbar contraction each,
+        # plus the gyro term's Jbar(q, phat).
+        ("cholesky_known", False,
+         {"factor": [1, 11 * 7, 2 * 7], "brackets": 2, "swapped": 14 + 1}),
+        # qbar = q: no secant sample, so the first stack holds qbar alone
+        ("cholesky_known", True, {"factor": [1, 7, 2 * 7], "brackets": 2, "swapped": 4 + 1}),
         # commuting columns, analytic dT and a Lipschitz bound: T(q), T^-1 at
         # qbar and q, dT at qbar for the exact H-rate, and no bracket at all
-        ("crane_known", {"factor": [1], "factor_inv": [1, 1], "factor_jac": [1], "brackets": 0}),
+        ("crane_known", False,
+         {"factor": [1], "factor_inv": [1, 1], "factor_jac": [1], "brackets": 0, "swapped": 0}),
     ],
-    ids=["cholesky", "crane"],
+    ids=["cholesky", "cholesky-coincident", "crane"],
 )
-def test_derivative_structure_once_per_position(request, monkeypatch, name, expected):
+def test_derivative_structure_once_per_position(request, monkeypatch, name, coincident, expected):
     model = request.getfixturevalue(name)
-    calls = {}
+    calls = {"brackets": 0, "swapped": 0}
 
     def counted(attr):
         evaluate = getattr(model, attr)
@@ -185,20 +192,23 @@ def test_derivative_structure_once_per_position(request, monkeypatch, name, expe
 
         return wrapped
 
-    brackets = momobs.geometry._brackets
+    def tallied(key, module, attr):
+        evaluate = getattr(module, attr)
 
-    def counted_brackets(T, dT):
-        calls["brackets"] += 1
-        return brackets(T, dT)
+        def wrapped(*args):
+            calls[key] += 1
+            return evaluate(*args)
 
-    calls["brackets"] = 0
-    monkeypatch.setattr(momobs.geometry, "_brackets", counted_brackets)
+        monkeypatch.setattr(module, attr, wrapped)
+
+    tallied("brackets", momobs.geometry, "_brackets")
+    tallied("swapped", momobs.scaled, "swapped_from_brackets")
     evaluators = [attr for attr in ("factor", "factor_inv", "factor_jac") if getattr(model, attr)]
     obs = ScaledObserver(dataclasses.replace(model, **{a: counted(a) for a in evaluators}))
     rng = np.random.default_rng(14)
     q = rng.uniform(-1, 1, 3)
-    z = Obs2State(rng.uniform(-1, 1, 3), rng.normal(size=3), rng.normal(size=3),
-                  rng.normal(size=3), 1.3).pack()
+    qbar = q.copy() if coincident else rng.uniform(-1, 1, 3)
+    z = Obs2State(qbar, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), 1.3).pack()
     obs.derivative(z, q, np.array([0.3, 0.1]))
     assert calls == expected
 
