@@ -6,8 +6,10 @@
 #
 # The set: prop2 on the Cholesky crane at dt = 2.5e-4 to t = 0.05, the same
 # at dt = 2 ms (it diverges, exit 3), the shipped prop1, prop2 and steps
-# configs to t = 2, a psi5_extra sweep on prop2 and a lambda sweep on prop1,
-# and `momobs check` on the crane and Cholesky configs at seeds 0 and 3.
+# configs to t = 2, prop1 to t = 3 at its dt = 1 ms, the steps config to
+# t = 26, across its disturbance switch at t = 25, a psi5_extra sweep on
+# prop2 and a lambda sweep on prop1, and `momobs check` on the crane and
+# Cholesky configs at seeds 0 and 3.
 # Configs are edited copies of ROOT's shipped ones.  Paths to ROOT and OUT
 # read ROOT and OUT, and numpy's RuntimeWarning lines (each with the source
 # line it quotes) are dropped, so `diff -r` of two such directories, made
@@ -51,12 +53,16 @@ variant cholesky_probe spider_crane_prop2.cfg "${cholesky[@]}" "s/^t_final = .*/
 for shipped in prop1 prop2 steps; do
   variant "$shipped" "spider_crane_$shipped.cfg" "${short[@]}"
 done
+variant prop1_3s spider_crane_prop1.cfg "s/^t_final = .*/t_final = 3/"
+variant steps_switch spider_crane_steps.cfg "s/^t_final = .*/t_final = 26/"
 
 record run_cholesky run "$out/cfg/cholesky.cfg" -o "$out/run_cholesky"
 record run_cholesky_probe run "$out/cfg/cholesky_probe.cfg" -o "$out/run_cholesky_probe"
 for shipped in prop1 prop2 steps; do
   record "run_$shipped" run "$out/cfg/$shipped.cfg" -o "$out/run_$shipped"
 done
+record run_prop1_3s run "$out/cfg/prop1_3s.cfg" -o "$out/run_prop1_3s"
+record run_steps_switch run "$out/cfg/steps_switch.cfg" -o "$out/run_steps_switch"
 record sweep_prop2 sweep "$out/cfg/prop2.cfg" --param psi5_extra --values 0.5,1,2 -o "$out/sweep_prop2"
 record sweep_prop1 sweep "$out/cfg/prop1.cfg" --param lambda --values 0.4,2 -o "$out/sweep_prop1"
 for seed in 0 3; do

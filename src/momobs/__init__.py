@@ -6,9 +6,11 @@ from .model import (
     GeneralizedState,
     MechanicalModel,
     ModelError,
+    StageTerms,
     momenta_transform,
     momenta_untransform,
     plant_derivative,
+    stage_terms,
     transformed_derivative,
 )
 from .geometry import (

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import STRUCTURE_TOL, check_zrs, sample_positions
-from .model import MechanicalModel
+from .model import MechanicalModel, StageTerms
 
 Array = np.ndarray
 
@@ -257,13 +257,12 @@ class AdaptiveObserver:
                     dtil_norm=np.linalg.norm(dtil), rutil_norm=np.linalg.norm(rutil),
                     lyap=error_energy(ptil, dtil, rutil))
 
-    def derivative(self, z, q, u) -> Array:
-        """Packed time derivative of the integrator state."""
-        model = self.model
+    def derivative(self, z, terms: StageTerms) -> Array:
+        """Packed time derivative of the integrator state at the plant's stage terms."""
+        q, T = terms.q, terms.T
         phat, ruhat, dhat = self._estimates(z, q)
-        T = model.factor(q)
         phi = regressor(self.ymats, phat)
-        forces = model.grad_potential(q) - model.input_matrix(q) @ u - dhat
+        forces = terms.grad_v - terms.gu - dhat
         p_i_dot = (
             -self.lam * phat
             - T.T @ forces

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, build_model, build_scenario, load_config
+from .config import ConfigError, build_scenario, config_model, load_config
 from .geometry import check_zrs, sample_positions
 from .harness import Metrics, apply_sweep_value, compute_metrics, integrate_scenario
 from .svgplot import write_line_svg
@@ -73,7 +73,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     try:
         cfg = load_config(args.config, require_sim=False)
-        model = build_model(cfg)
+        model = config_model(cfg)
     except (ValueError, OSError) as exc:
         return _fail_config(exc)
     report = check_zrs(model, sample_positions(model.n, count=100, seed=args.seed))
@@ -92,7 +92,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(0, f"--values: {exc}") from None
         if not values or not all(map(math.isfinite, values)):
             raise ConfigError(0, f"--values: need finite numbers, got {args.values!r}")
-        n = build_model(cfg).n
+        n = config_model(cfg).n
         cfg = dataclasses.replace(cfg, q0=cfg.q0 or [0.0] * n, mom0=cfg.mom0 or [0.0] * n)
         try:
             configs = [apply_sweep_value(cfg, args.param, v) for v in values]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .adaptive import checked_gains
 from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys
-from .model import DisturbanceSchedule
+from .model import DisturbanceSchedule, MechanicalModel
 from .systems import build_named_model
 
 
@@ -61,7 +61,10 @@ _SECTIONS = {"model", "observer", "initial", "input", "disturbance", "sim", "out
 
 @dataclass
 class RunConfig:
-    """Parsed configuration; build_scenario turns it into a runnable Scenario."""
+    """Parsed configuration; build_scenario turns it into a runnable Scenario.
+
+    _built is config_model's cache: the model and the repr of the fields it was built from.
+    """
 
     model_name: str
     model_params: Dict[str, object] = field(default_factory=dict)
@@ -79,6 +82,7 @@ class RunConfig:
     stride: int = 10
     directory: Optional[str] = None
     emit_svg: bool = False
+    _built: Optional[Tuple[str, MechanicalModel]] = field(default=None, repr=False, compare=False)
 
 
 def _parse_float(raw, line, key):
@@ -171,7 +175,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         else:
             cfg.model_params[key] = _parse_float(value, ln, key)
     try:  # [initial], [input] and [disturbance] must fit its sizes
-        model = build_model(cfg)
+        model = config_model(cfg)
     except ValueError as exc:  # ModelError included
         raise ConfigError(name_line, f"model {name}: {exc}") from None
 
@@ -317,7 +321,7 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_model(cfg: RunConfig):
+def build_model(cfg: RunConfig) -> MechanicalModel:
     """The configured model; the config's `known` is the factories' known_mask."""
     params = dict(cfg.model_params)
     if cfg.friction is not None:
@@ -325,6 +329,17 @@ def build_model(cfg: RunConfig):
     if cfg.known is not None:
         params["known_mask"] = tuple(cfg.known)
     return build_named_model(cfg.model_name, **params)
+
+
+def config_model(cfg: RunConfig) -> MechanicalModel:
+    """cfg's model, built by build_model once and again only after a model field changed.
+
+    The fields' repr is the key: floats repr exactly, so an equal key means equal fields.
+    """
+    key = repr((cfg.model_name, cfg.model_params, cfg.friction, cfg.known))
+    if cfg._built is None or cfg._built[0] != key:
+        cfg._built = (key, build_model(cfg))
+    return cfg._built[1]
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:
@@ -339,7 +354,7 @@ def build_scenario(cfg: RunConfig) -> Scenario:
             np.array([lvl for _, lvl in cfg.disturbance]),
         )
     return Scenario(
-        model=build_model(cfg),
+        model=config_model(cfg),
         observer=cfg.observer_kind,
         gains=dict(cfg.gains),
         q0=cfg.q0 or (),

@@ -3,7 +3,10 @@
 Integration is classic fixed-step fourth-order Runge-Kutta: runs are
 deterministic and step-halving gives a clean order check.  Disturbance
 switch times are snapped onto the step grid and the level is frozen per
-step, so the right-hand side stays smooth inside every step.  The observer
+step, so the right-hand side stays smooth inside every step; every step's
+level is looked up before the loop.  Each RK4 stage evaluates the plant
+terms T(q), grad V(q) and G(q) u once (model.stage_terms), and the plant
+right-hand side and the observer derivative both read them.  The observer
 never feeds back into the plant input; enabling it cannot change the plant
 trajectory.
 """
@@ -17,7 +20,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptive import AdaptiveObserver
-from .model import DisturbanceSchedule, MechanicalModel, ModelError, _plant_rhs
+from .model import DisturbanceSchedule, MechanicalModel, ModelError, _plant_rhs, stage_terms
 from .scaled import ScaledObserver
 
 Array = np.ndarray
@@ -258,6 +261,10 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     sched = sc._schedule
     steps = int(round(sc.t_final / sc.dt))
     dt = sc.dt
+    # the row of sched.levels each step freezes: sched.value's at the midpoint k * dt + 0.5 * dt,
+    # which lies past the first switch time, 0
+    mids = np.arange(steps) * dt + 0.5 * dt
+    level_of_step = np.searchsorted(sched.times, mids, side="right") - 1
 
     x = np.concatenate([sc.q0, sc.mom0, sc._z0])
 
@@ -265,19 +272,17 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     project = getattr(obs, "project", None)
 
     def rhs(t, state, d):
-        q = state[:n]
-        mom = state[n : 2 * n]
-        u = input_value(t)
-        qd, momd = _plant_rhs(model, q, mom, u, d)
+        terms = stage_terms(model, state[:n], input_value(t))
+        qd, momd = _plant_rhs(model, terms, state[n : 2 * n], d)
         if obs is None:
             return np.concatenate([qd, momd])
-        return np.concatenate([qd, momd, obs.derivative(state[2 * n :], q, u)])
+        return np.concatenate([qd, momd, obs.derivative(state[2 * n :], terms)])
 
     samples = [(0.0, x.copy())]
     message = ""
     for k in range(steps):
         t = k * dt
-        d = sched.value(t + 0.5 * dt)
+        d = sched.levels[level_of_step[k]]
         f = lambda tt, xx: rhs(tt, xx, d)
         last = x  # rk4_step returns a new array, so this stays the state at t
         try:
@@ -287,7 +292,7 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
                 tail = project(view)
                 if tail is not view:
                     x[2 * n :] = tail
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 message = f"state became non-finite in the step from t = {t:.6g}"
         except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
             message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"

@@ -17,12 +17,14 @@ boolean mask marks which coefficients are known.  The unknown ones are
 collected through a constant selector matrix C with C^T r = r_u.
 
 central_differences is the package's one axis-wise central difference.
+stage_terms evaluates, once per right-hand side, the plant terms at (q, u)
+that the plant and both observers read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -254,6 +256,20 @@ def _check_vector(x, n, what) -> Array:
     return x
 
 
+class StageTerms(NamedTuple):
+    """The plant terms at one position q and input u: T(q), grad V(q) and G(q) u."""
+
+    q: Array
+    T: Array
+    grad_v: Array
+    gu: Array
+
+
+def stage_terms(model: MechanicalModel, q: Array, u: Array) -> StageTerms:
+    """StageTerms of the model at q and u, which the plant RHS and the observer derivatives read."""
+    return StageTerms(q, model.factor(q), model.grad_potential(q), model.input_matrix(q) @ u)
+
+
 def plant_derivative(model: MechanicalModel, state: GeneralizedState, u, d):
     """Time derivative of (q, mom) for the perturbed system.
 
@@ -270,22 +286,17 @@ def plant_derivative(model: MechanicalModel, state: GeneralizedState, u, d):
     q, mom = state.q, state.mom
     if q.size != model.n:
         raise ModelError("state dimension does not match model")
-    return _plant_rhs(model, q, mom, u, d)
+    return _plant_rhs(model, stage_terms(model, q, u), mom, d)
 
 
-def _plant_rhs(model, q, mom, u, d):
-    T = model.factor(q)
+def _plant_rhs(model, terms: StageTerms, mom, d):
+    """plant_derivative's (qdot, momdot) from the stage terms at q, without checks."""
+    T = terms.T
     p = T.T @ mom
     qdot = T @ p  # M^-1 mom through the factor
-    dT = model.factor_jacobian(q)
+    dT = model.factor_jacobian(terms.q)
     kinetic_grad = (dT @ p) @ mom
-    momdot = (
-        -model.grad_potential(q)
-        - kinetic_grad
-        - model.friction.coeffs * qdot
-        + model.input_matrix(q) @ u
-        + d
-    )
+    momdot = -terms.grad_v - kinetic_grad - model.friction.coeffs * qdot + terms.gu + d
     return qdot, momdot
 
 

@@ -30,18 +30,13 @@ from . import geometry
 from .adaptive import StructureError, checked_gains, replace_fields
 # bench/spans.py traces gyro_matrix and gyro_swapped under this module, so both stay imported
 from .geometry import gyro_matrix, gyro_swapped, swapped_from_brackets  # noqa: F401
-from .model import MechanicalModel
+from .model import MechanicalModel, StageTerms
 
 Array = np.ndarray
 
 _FD_STEP = 1e-6
 _BOUND_SAFETY = 2.0
 _SECANT_TAUS = np.linspace(0.1, 1.0, 10)  # bound_q's samples along qbar -> q
-
-
-def _spec_norm(A) -> float:
-    """Induced 2-norm (largest singular value)."""
-    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 class GainSet(NamedTuple):
@@ -262,18 +257,19 @@ class ScaledObserver:
         plus, minus = self._h(s_plus, pbar + tau * up), self._h(s_minus, pbar - tau * up)
         return scale * (plus - minus) / (2.0 * tau)
 
-    def derivative(self, z, q, u) -> Array:
-        """Rate of the packed state z at plant position q and input u; each H formed once.
+    def derivative(self, z, terms: StageTerms) -> Array:
+        """Rate of the packed state z at the plant's stage terms; each H and T(q) phat formed once.
 
         Structures come from two _structures calls: qbar with _towards_q's, then the H-rate points.
+        The spectral norms of T(q), H(qbar, pbar), delta_q T(q) and, for non-commuting columns,
+        delta_p T(q) come from one stacked SVD.
         """
-        z, q = np.asarray(z, dtype=float), np.asarray(q, dtype=float)
         model = self.model
         n = self.n
+        q, T = terms.q, terms.T
         qbar, pbar, p_i, d_i = z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n : 4 * n]
         r = max(float(z[-1]), 1.0)
 
-        T = model.factor(q)
         s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
         h_bb = self._h(s_bar, pbar)
         phat = p_i + h_bb @ q
@@ -284,34 +280,34 @@ class ScaledObserver:
         if model.zrs:
             h_bp = h_bb  # H does not depend on momenta
             gyro_term = np.zeros(n)
-            norm_dp = 0.0
         else:
             h_bp = self._h(s_bar, phat)
             # J(q, phat) phat, read through the swap identity J(q, p) b = Jbar(q, b) p
             s_q = towards_q[-1] if towards_q else s_bar
             gyro_term = swapped_from_brackets(s_q[1], phat) @ phat
-            norm_dp = _spec_norm((h_bp - h_bb) @ T)
         h_towards_q = [self._h(s, phat) for s in towards_q]  # the last one at q
         delta_q = (h_towards_q[-1] if towards_q else h_bp) - h_bp
 
-        norm_t = _spec_norm(T)
-        norm_h = _spec_norm(h_bb)
+        normed = [T, h_bb, delta_q @ T]
+        if not model.zrs:
+            normed.append((h_bp - h_bb) @ T)
+        # induced 2-norms, the largest singular values; a stacked SVD gives each one bit for bit
+        norms = np.linalg.svd(np.array(normed), compute_uv=False)[:, 0].tolist()
+        norm_t, norm_h, norm_dq, *dp_norms = norms
+        norm_dp = dp_norms[0] if dp_norms else 0.0  # delta_p vanishes on commuting columns
         bounds = self._bounds(e_q, h_bp, h_towards_q, h_bp - h_bb, e_p)
         gains = self.gains(r, norm_t, norm_h, bounds)
 
-        w = T.T @ (model.input_matrix(q) @ u)
-        grad_v = model.grad_potential(q)
-        friction_term = T.T @ (model.friction.coeffs * (T @ phat))
-        rest = w - friction_term - T.T @ grad_v + T.T @ dhat + gyro_term
+        t_phat = T @ phat
+        friction_term = T.T @ (model.friction.coeffs * t_phat)
+        rest = T.T @ terms.gu - friction_term - T.T @ terms.grad_v + T.T @ dhat + gyro_term
 
-        qbar_dot = T @ phat - gains.psi1 * e_q
+        qbar_dot = t_phat - gains.psi1 * e_q
         pbar_dot = rest - gains.psi2 * e_p
         h_rate = self._mapping_h_rate(s_bar[0], qbar, pbar, qbar_dot, pbar_dot)
-        p_i_dot = -h_rate @ q - h_bb @ (T @ phat) + rest
-        r_dot = -(self.psi / 4.0) * (r - 1.0) + (r / self.psi) * (
-            norm_dp**2 + _spec_norm(delta_q @ T) ** 2
-        )
-        d_i_dot = -(T @ phat) / r**2 + (2.0 / r**3) * r_dot * q
+        p_i_dot = -h_rate @ q - h_bb @ t_phat + rest
+        r_dot = -(self.psi / 4.0) * (r - 1.0) + (r / self.psi) * (norm_dp**2 + norm_dq**2)
+        d_i_dot = -t_phat / r**2 + (2.0 / r**3) * r_dot * q
         return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot, [r_dot]])
 
     def project(self, z) -> Array:

@@ -38,7 +38,7 @@ from momobs import (
     velocity_quadratics,
 )
 from momobs.harness import apply_sweep_value
-from momobs.model import _plant_rhs
+from momobs.model import _plant_rhs, stage_terms
 
 CRANE_INPUTS = (InputChannel(1.535, 1.0, 0.0, "cos"), InputChannel(7.67, 1.0, 0.0, "sin"))
 CRANE_D = (0.1, 0.2, 0.2)
@@ -135,7 +135,7 @@ def test_criterion_3_cross_representation():
         return np.array([1.535 * math.cos(t), 7.67 * math.sin(t)])
 
     def plant_f(t, x):
-        qd, md = _plant_rhs(crane, x[:3], x[3:], u_of(t), d)
+        qd, md = _plant_rhs(crane, stage_terms(crane, x[:3], u_of(t)), x[3:], d)
         return np.concatenate([qd, md])
 
     def trans_f(t, x):

@@ -4,7 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from momobs import ConfigError, build_scenario, dump_config, integrate_scenario, parse_config
+from momobs import (
+    ConfigError,
+    SpiderCraneParams,
+    build_scenario,
+    dump_config,
+    integrate_scenario,
+    make_spider_crane,
+    parse_config,
+)
 from momobs.cli import main
 
 CRANE_CFG = """
@@ -258,6 +266,38 @@ def test_cli_sweep_builds_observer_per_value(tmp_path, adaptive_builds, param, v
     assert len(adaptive_builds) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda", "--values", "0.4,2"]])
+def test_cli_builds_model_once(tmp_path, monkeypatch, command):
+    import momobs.config
+
+    built = []
+    build = momobs.config.build_model
+    monkeypatch.setattr(momobs.config, "build_model", lambda cfg: built.append(cfg) or build(cfg))
+    text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.02")
+    cfg = write(tmp_path, "model.cfg", text)
+    assert main([command[0], cfg, *command[1:], "-o", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+
+
+def test_edited_model_fields_rebuild_the_model():
+    cfg = parse_config(CRANE_CFG)
+    model = build_scenario(cfg).model
+    assert build_scenario(replace(cfg, t_final=0.5)).model is model
+    # a field set anew, a list edited in place, and a copy with another model name
+    cfg.model_params["m"] = 2.0
+    cfg.friction[2] = 0.9
+    edited = build_scenario(cfg).model
+    q = np.array([0.1, -0.2, 0.7])
+    expected = make_spider_crane(SpiderCraneParams(m=2.0, friction=(0.0, 0.0, 0.9)))
+    assert np.array_equal(edited.factor(q), expected.factor(q))
+    assert np.array_equal(edited.friction.coeffs, [0.0, 0.0, 0.9])
+    assert not np.array_equal(edited.factor(q), model.factor(q))
+    other = build_scenario(replace(cfg, model_name="spider-crane-cholesky", observer_kind="none",
+                                   gains={})).model
+    assert other.name == "spider-crane-cholesky"
+    assert build_scenario(cfg).model is edited
+
+
 def test_cli_svg_does_not_change_csv(tmp_path):
     cfg_plain = write(tmp_path, "plain.cfg", CRANE_CFG)
     cfg_svg = write(tmp_path, "svg.cfg", CRANE_CFG.replace("emit_svg = false", "emit_svg = true"))
@@ -372,24 +412,27 @@ def test_cli_outdir_from_environment(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, cause",
     [
-        CRANE_CFG.replace("lambda = 0.8", "lambda = 1e9").replace("t_final = 1.0", "t_final = 2.0"),
-        # prop2 on the non-commuting factor at dt = 2 ms: an SVD inside a step
-        # fails to converge instead of the state turning non-finite
-        CRANE_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
-        .replace("known = true, true, false", "known = true, true, true")
-        .replace("kind = prop1\nlambda = 0.8", "kind = prop2"),
+        (CRANE_CFG.replace("lambda = 0.8", "lambda = 1e9").replace("t_final = 1.0", "t_final = 2.0"),
+         "non-finite"),
+        # prop2 on the non-commuting factor at dt = 2 ms: the scaling factor r
+        # grows until r**2, a Python float power, raises OverflowError inside a
+        # step before the state turns non-finite
+        (CRANE_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
+         .replace("known = true, true, false", "known = true, true, true")
+         .replace("kind = prop1\nlambda = 0.8", "kind = prop2"),
+         "OverflowError"),
     ],
-    ids=["nonfinite-state", "linalg-error"],
+    ids=["nonfinite-state", "overflow-error"],
 )
-def test_cli_run_divergence_exit(tmp_path, capsys, text):
+def test_cli_run_divergence_exit(tmp_path, capsys, text, cause):
     cfg = write(tmp_path, "blowup.cfg", text)
     with np.errstate(all="ignore"):
         code = main(["run", cfg, "-o", str(tmp_path / "div")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "diverged" in err
+    assert "diverged" in err and cause in err, err
     # the truncated series is still written for inspection, and it ends with
     # the last finite state: the one at the start of the failing step
     rows = (tmp_path / "div" / "timeseries.csv").read_text().splitlines()[1:]

@@ -7,12 +7,16 @@ import pytest
 from momobs import (
     DisturbanceSchedule,
     FrictionSpec,
+    GeneralizedState,
     InputChannel,
     Scenario,
     TimeSeries,
     compute_metrics,
     integrate_scenario,
     make_constant_inertia,
+    plant_derivative,
+    rk4_step,
+    stage_terms,
 )
 from momobs.harness import apply_sweep_value
 
@@ -136,6 +140,67 @@ def test_observer_not_intrusive(crane):
     )
     assert np.array_equal(with_obs.q, without.q)
     assert np.array_equal(with_obs.mom, without.mom)
+
+
+def plain_loop_states(sc):
+    """The states integrate_scenario samples, from a plain loop over rk4_step.
+
+    Each stage calls plant_derivative and the observer derivative with
+    sc.input_value(t), each step reads its level with sched.value(t + 0.5 dt)
+    and projects the observer state after the step.
+    """
+    model, obs, n, dt = sc.model, sc.build_observer(), sc.model.n, sc.dt
+    sched = sc.disturbance.aligned(dt)
+
+    def coupled(t, x, d):
+        q, mom, z = x[:n], x[n : 2 * n], x[2 * n :]
+        u = sc.input_value(t)
+        qdot, momdot = plant_derivative(model, GeneralizedState(q, mom), u, d)
+        return np.concatenate([qdot, momdot, obs.derivative(z, stage_terms(model, q, u))])
+
+    x = np.concatenate([sc.q0, sc.mom0, obs.state_with(sc.q0, **sc.obs_init)])
+    states = [x]
+    steps = int(round(sc.t_final / dt))
+    for k in range(steps):
+        t = k * dt
+        d = sched.value(t + 0.5 * dt)
+        x = rk4_step(lambda tt, xx: coupled(tt, xx, d), t, x, dt)
+        x = np.concatenate([x[: 2 * n], getattr(obs, "project", lambda z: z)(x[2 * n :])])
+        if (k + 1) % sc.stride == 0 or k + 1 == steps:
+            states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("observer, t_final", [("prop1", 3.0), ("prop2", 1.0)])
+def test_step_loop_matches_plain_loop_bit_for_bit(crane, crane_known, observer, t_final):
+    # a level switch at 1.5 s, and inputs evaluated afresh at every stage: an
+    # input from t + dt is not the one at the next step's (k + 1) dt
+    sched = DisturbanceSchedule([0.0, 1.5], [[0.1, 0.2, 0.2], [0.4, 0.2, 0.2]])
+    sc = crane_prop1_scenario(crane if observer == "prop1" else crane_known, observer=observer,
+                              gains={}, mom0=[0.2, -0.1, 0.3], disturbance=sched,
+                              t_final=t_final, dt=1e-3, stride=50)
+    ts = integrate_scenario(sc)
+    assert not ts.diverged
+    assert np.array_equal(np.hstack([ts.q, ts.mom, ts.obs]), plain_loop_states(sc))
+
+
+@pytest.mark.parametrize("observer, fixture", [("prop1", "crane"), ("prop2", "crane_known")])
+def test_one_factor_evaluation_per_stage(request, observer, fixture):
+    # the plant and the observer share each stage's T(q); the series reads one
+    # more T(q) per sample, at t = 0 and at the end of these short runs
+    model = request.getfixturevalue(fixture)
+    calls = []
+    counted = replace(model, factor=lambda q: calls.append(q) or model.factor(q))
+
+    def factor_calls(steps):
+        sc = crane_prop1_scenario(counted, observer=observer, gains={}, t_final=steps * 1e-3)
+        del calls[:]  # the observer's structural checks at construction do not count
+        integrate_scenario(sc)
+        return len(calls)
+
+    one_step, two_steps = factor_calls(1), factor_calls(2)
+    assert two_steps - one_step == 4
+    assert one_step == 4 + 2
 
 
 def test_piecewise_disturbance_integration():

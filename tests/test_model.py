@@ -14,7 +14,7 @@ from momobs import (
     rk4_solve,
     transformed_derivative,
 )
-from momobs.model import _plant_rhs
+from momobs.model import _plant_rhs, stage_terms
 
 
 def free_mass(n=2, friction=None):
@@ -156,7 +156,7 @@ def test_cross_representation_short(crane):
         return np.array([1.535 * np.cos(t), 7.67 * np.sin(t)])
 
     def plant_f(t, x):
-        qd, md = _plant_rhs(crane, x[:3], x[3:], u_of(t), d)
+        qd, md = _plant_rhs(crane, stage_terms(crane, x[:3], u_of(t)), x[3:], d)
         return np.concatenate([qd, md])
 
     def trans_f(t, x):

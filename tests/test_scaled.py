@@ -14,7 +14,6 @@ from momobs import (
     integrate_scenario,
     momenta_transform,
 )
-from momobs.scaled import _spec_norm
 from momobs import (
     GeneralizedState,
     ManipulatorParams,
@@ -23,6 +22,7 @@ from momobs import (
     make_planar_manipulator,
     make_spider_crane_cholesky,
     plant_derivative,
+    stage_terms,
 )
 import momobs
 
@@ -130,8 +130,8 @@ def test_delta_bounds_analytic_crane(crane_known):
         dq, dp = delta_split(obs, q, qbar, phat, pbar)
         e_q = np.linalg.norm(qbar - q)
         e_p = np.linalg.norm(pbar - phat)
-        assert _spec_norm(dq) <= bound_q * e_q + 1e-12
-        assert _spec_norm(dp) <= bound_p * e_p + 1e-12
+        assert np.linalg.norm(dq, 2) <= bound_q * e_q + 1e-12
+        assert np.linalg.norm(dp, 2) <= bound_p * e_p + 1e-12
     assert bound_p == 0.0
 
 
@@ -148,8 +148,8 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
         phat, pbar = rng.normal(size=3), rng.normal(size=3)
         bound_q, bound_p = obs.delta_bounds(q, qbar, phat, pbar)
         dq, dp = delta_split(obs, q, qbar, phat, pbar)
-        assert _spec_norm(dq) <= bound_q * np.linalg.norm(qbar - q) + 1e-12
-        assert _spec_norm(dp) <= bound_p * np.linalg.norm(pbar - phat) + 1e-12
+        assert np.linalg.norm(dq, 2) <= bound_q * np.linalg.norm(qbar - q) + 1e-12
+        assert np.linalg.norm(dp, 2) <= bound_p * np.linalg.norm(pbar - phat) + 1e-12
         # H is affine in momenta, so the momenta bound is the doubled exact slope
         exact = 2.0 * np.linalg.norm(dp, 2) / np.linalg.norm(pbar - phat)
         assert bound_p == pytest.approx(exact, rel=1e-12)
@@ -164,30 +164,32 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
         # between them and the two points of the H-rate difference.  Each position
         # is evaluated once, with its 2n central-difference points, in one of two
         # stacked factor calls: qbar, the samples and q before the bounds, the two
-        # H-rate points after the gains.  The third call is T(q) itself.  Each H
+        # H-rate points after the gains.  T(q) is a stage term, evaluated outside
+        # the derivative and shared with the plant.  Each H
         # is formed once: at (qbar, pbar), at (qbar, phat), at the samples and q
         # towards phat and at the two H-rate points, one Jbar contraction each,
         # plus the gyro term's Jbar(q, phat).
         ("cholesky_known", False,
-         {"factor": [1, 11 * 7, 2 * 7], "brackets": 2, "swapped": 14 + 1}),
+         {"factor": [11 * 7, 2 * 7], "brackets": 2, "swapped": 14 + 1}),
         # qbar = q: no secant sample, so the first stack holds qbar alone
-        ("cholesky_known", True, {"factor": [1, 7, 2 * 7], "brackets": 2, "swapped": 4 + 1}),
-        # commuting columns, analytic dT and a Lipschitz bound: T(q), T^-1 at
-        # qbar and q, dT at qbar for the exact H-rate, and no bracket at all
+        ("cholesky_known", True, {"factor": [7, 2 * 7], "brackets": 2, "swapped": 4 + 1}),
+        # commuting columns, analytic dT and a Lipschitz bound: T^-1 at qbar and
+        # q, dT at qbar for the exact H-rate, no factor call and no bracket at all
         ("crane_known", False,
-         {"factor": [1], "factor_inv": [1, 1], "factor_jac": [1], "brackets": 0, "swapped": 0}),
+         {"factor": [], "factor_inv": [1, 1], "factor_jac": [1], "brackets": 0, "swapped": 0}),
     ],
     ids=["cholesky", "cholesky-coincident", "crane"],
 )
 def test_derivative_structure_once_per_position(request, monkeypatch, name, coincident, expected):
     model = request.getfixturevalue(name)
-    calls = {"brackets": 0, "swapped": 0}
+    evaluators = [attr for attr in ("factor", "factor_inv", "factor_jac") if getattr(model, attr)]
+    calls = {"brackets": 0, "swapped": 0, **{attr: [] for attr in evaluators}}
 
     def counted(attr):
         evaluate = getattr(model, attr)
 
         def wrapped(q):
-            calls.setdefault(attr, []).append(np.asarray(q).reshape(-1, 3).shape[0])
+            calls[attr].append(np.asarray(q).reshape(-1, 3).shape[0])
             return evaluate(q)
 
         return wrapped
@@ -203,20 +205,19 @@ def test_derivative_structure_once_per_position(request, monkeypatch, name, coin
 
     tallied("brackets", momobs.geometry, "_brackets")
     tallied("swapped", momobs.scaled, "swapped_from_brackets")
-    evaluators = [attr for attr in ("factor", "factor_inv", "factor_jac") if getattr(model, attr)]
     obs = ScaledObserver(dataclasses.replace(model, **{a: counted(a) for a in evaluators}))
     rng = np.random.default_rng(14)
     q = rng.uniform(-1, 1, 3)
     qbar = q.copy() if coincident else rng.uniform(-1, 1, 3)
     z = Obs2State(qbar, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), 1.3).pack()
-    obs.derivative(z, q, np.array([0.3, 0.1]))
+    obs.derivative(z, stage_terms(model, q, np.array([0.3, 0.1])))  # terms of the uncounted model
     assert calls == expected
 
 
 def schedule_inputs(obs, q, qbar, phat, pbar):
     """(|T(q)|, |H(qbar, pbar)|, delta_bounds), the norms the gain schedule reads."""
-    norm_t = _spec_norm(obs.model.factor(q))
-    norm_h = _spec_norm(obs.mapping_h(qbar, pbar))
+    norm_t = np.linalg.norm(obs.model.factor(q), 2)
+    norm_h = np.linalg.norm(obs.mapping_h(qbar, pbar), 2)
     return norm_t, norm_h, obs.delta_bounds(q, qbar, phat, pbar)
 
 
@@ -298,7 +299,7 @@ def test_derivative_rest_scale(crane_known):
     pbar = rng.normal(size=3)
     p_i = pbar - obs.mapping_h(q, pbar) @ q  # makes phat == pbar
     z = Obs2State(q.copy(), pbar, p_i, np.zeros(3), 1.0).pack()
-    zdot = obs.derivative(z, q, np.zeros(2))
+    zdot = obs.derivative(z, stage_terms(crane_known, q, np.zeros(2)))
     assert zdot[-1] == 0.0
 
 
@@ -396,7 +397,7 @@ def max_lyapunov_rate(model):
     def field(x):
         q, mom, z = x[:n], x[n : 2 * n], x[2 * n :]
         qdot, momdot = plant_derivative(model, GeneralizedState(q, mom), u, d)
-        return np.concatenate([qdot, momdot, obs.derivative(z, q, u)])
+        return np.concatenate([qdot, momdot, obs.derivative(z, stage_terms(model, q, u))])
 
     def lyap(x):
         q, mom, z = x[:n], x[n : 2 * n], x[2 * n :]
