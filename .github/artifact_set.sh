@@ -8,9 +8,13 @@
 # at dt = 2 ms (it diverges, exit 3), the shipped prop1, prop2 and steps
 # configs to t = 2, prop1 to t = 3 at its dt = 1 ms, the steps config to
 # t = 26, across its disturbance switch at t = 25, a psi5_extra sweep on
-# prop2 and a lambda sweep on prop1, and `momobs check` on the crane and
-# Cholesky configs at seeds 0 and 3.
-# Configs are edited copies of ROOT's shipped ones.  Paths to ROOT and OUT
+# prop2, a lambda sweep on prop1, a psi5_extra sweep on the dt = 2 ms
+# Cholesky run (its first value diverges, exit 3), `momobs check` on the
+# crane and Cholesky configs at seeds 0 and 3, and a run and a check of a
+# constant-inertia prop2 config whose first RK4 step lands on r = 0, below
+# the projection's r >= 1.
+# Configs are edited copies of ROOT's shipped ones, but for the constant one,
+# written here so every checkout runs the same text.  Paths to ROOT and OUT
 # read ROOT and OUT, and numpy's RuntimeWarning lines (each with the source
 # line it quotes) are dropped, so `diff -r` of two such directories, made
 # from two checkouts, shows only what the code does differently.
@@ -55,6 +59,33 @@ for shipped in prop1 prop2 steps; do
 done
 variant prop1_3s spider_crane_prop1.cfg "s/^t_final = .*/t_final = 3/"
 variant steps_switch spider_crane_steps.cfg "s/^t_final = .*/t_final = 26/"
+# psi = 4 (1 + 59) = 240: r falls at rate 60 (r - 1), and one step of 0.1 s
+# takes it from 1.5 to 0.0
+cat > "$out/cfg/constant_r.cfg" <<'CFG'
+[model]
+name = constant
+M = 1, 0; 0, 1
+K = 1, 0; 0, 1
+friction = 0, 0
+known = true, true
+
+[observer]
+kind = prop2
+psi3_const = 59
+
+[initial]
+q = 0, 0
+mom = 0, 0
+r = 1.5
+
+[sim]
+t_final = 0.5
+dt = 0.1
+stride = 1
+
+[output]
+emit_svg = false
+CFG
 
 record run_cholesky run "$out/cfg/cholesky.cfg" -o "$out/run_cholesky"
 record run_cholesky_probe run "$out/cfg/cholesky_probe.cfg" -o "$out/run_cholesky_probe"
@@ -65,6 +96,10 @@ record run_prop1_3s run "$out/cfg/prop1_3s.cfg" -o "$out/run_prop1_3s"
 record run_steps_switch run "$out/cfg/steps_switch.cfg" -o "$out/run_steps_switch"
 record sweep_prop2 sweep "$out/cfg/prop2.cfg" --param psi5_extra --values 0.5,1,2 -o "$out/sweep_prop2"
 record sweep_prop1 sweep "$out/cfg/prop1.cfg" --param lambda --values 0.4,2 -o "$out/sweep_prop1"
+record sweep_cholesky_probe sweep "$out/cfg/cholesky_probe.cfg" --param psi5_extra --values 1,2 \
+  -o "$out/sweep_cholesky_probe"
+record run_constant_r run "$out/cfg/constant_r.cfg" -o "$out/run_constant_r"
+record check_constant_r check "$out/cfg/constant_r.cfg"
 for seed in 0 3; do
   record "check_crane_$seed" check "$root/configs/spider_crane_prop1.cfg" --seed "$seed"
   record "check_cholesky_$seed" check "$root/configs/spider_crane_cholesky_check.cfg" --seed "$seed"

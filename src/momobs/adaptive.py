@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Mapping
 import numpy as np
 
-from .geometry import STRUCTURE_TOL, check_zrs, sample_positions
+# bench/spans.py traces check_zrs under this module
+from .geometry import check_zrs, sample_positions
 from .model import MechanicalModel, StageTerms
 
 Array = np.ndarray
@@ -182,25 +183,9 @@ class AdaptiveObserver:
 
     def __init__(self, model: MechanicalModel, gains: Mapping[str, float] = {}):
         self.lam = checked_gains(self.default_gains, gains)["lambda"]
-        report = check_zrs(model, sample_positions(model.n, 30))
-        if not report.commuting_factor_ok:
-            raise StructureError(
-                "factor columns do not commute "
-                f"(max bracket norm {report.max_bracket_norm:.3e} > {STRUCTURE_TOL:g})",
-                residual=report.max_bracket_norm,
-            )
-        if report.integral_map_ok is False:
-            raise StructureError(
-                "integral map Jacobian does not match the factor inverse "
-                f"(residual {report.gradq_residual:.3e})",
-                residual=report.gradq_residual,
-            )
-        if not report.constant_rows_ok:
-            worst = max(v for _, v in report.constant_row_residual)
-            raise StructureError(
-                f"unknown-friction rows of the factor vary with q (residual {worst:.3e})",
-                residual=worst,
-            )
+        failures = check_zrs(model, sample_positions(model.n, 30)).failures
+        if failures:
+            raise StructureError(*failures[0])
         if model.integral_map is None:
             raise StructureError("model has no integral map; this observer requires one")
         self.model = model
@@ -263,12 +248,8 @@ class AdaptiveObserver:
         phat, ruhat, dhat = self._estimates(z, q)
         phi = regressor(self.ymats, phat)
         forces = terms.grad_v - terms.gu - dhat
-        p_i_dot = (
-            -self.lam * phat
-            - T.T @ forces
-            - phi @ ruhat
-            - T.T @ (self._rk_diag * (T @ phat))
-        )
+        t_phat = T @ phat
+        p_i_dot = -self.lam * phat - T.T @ forces - phi @ ruhat - T.T @ (self._rk_diag * t_phat)
         ru_i_dot = (1.0 / self.lam) * (phi.T @ (p_i_dot + self.lam * phat))
-        d_i_dot = -T @ phat
+        d_i_dot = -t_phat
         return np.concatenate([p_i_dot, ru_i_dot, d_i_dot])

@@ -113,12 +113,7 @@ def cmd_sweep(args) -> int:
             return EXIT_DIVERGED
         rows.append((value, metrics))
     with open(outdir / "sweep_metrics.csv", "w", newline="\n") as fh:
-        fh.write(",".join(["value"] + [f.name for f in dataclasses.fields(Metrics)]) + "\n")
-        for value, m in rows:
-            # floats with 17 significant digits, the flag and the count as integers
-            cells = (f"{c:.17g}" if isinstance(c, float) else str(int(c))
-                     for c in (value, *dataclasses.astuple(m)))
-            fh.write(",".join(cells) + "\n")
+        fh.write(Metrics.sweep_csv(rows))
     print(f"wrote {outdir / 'sweep_metrics.csv'}")
     return EXIT_OK
 

@@ -7,8 +7,26 @@ The observer designs need two structural facts about the factor T(q):
   * whether the rows carrying unknown friction are independent of q.
 
 Both are checked numerically on a sample set and summarized in an
-AssumptionReport.  The same bracket machinery builds the skew-symmetric
-gyroscopic matrix that appears in the factored-coordinate dynamics.
+AssumptionReport, which also words the adaptive observer's refusals.  The
+same bracket machinery builds the skew-symmetric gyroscopic matrix that
+appears in the factored-coordinate dynamics.
+
+The gyroscopic matrix.  With p = T^T(q) mom and qdot = T p, the rate of p
+along the plant's flow holds, besides its potential, friction and input
+terms, Tdot^T mom minus T^T times the q-gradient of |T^T mom|^2 / 2:
+
+    pdot_i = sum_j mom^T (dT_i T_j - dT_j T_i) p_j = -sum_j mom^T [T_i, T_j] p_j,
+
+with [X, Y] = dY X - dX Y.  As mom = T^-T p,
+
+    J(q, p)[i, j] = -(T^-T p)^T [T_i, T_j] = -p^T B[i, j],   B[i, j] = T^-1(q) [T_i, T_j],
+
+so the brackets are read in the factor's frame, as in the factored
+coordinates of Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC
+55(5), 2010): J = -B p and Jbar(q, b) = -b B.  Both vanish when the columns
+commute.  The scaled observer still hands swapped_from_brackets the bare
+brackets, not B; its Lyapunov-certificate test on the Cholesky crane is a
+strict xfail for that reason.
 
 factor_brackets and factor_structure (T^-1 with the brackets) read T and
 dT from one evaluation, at one position or a stack: _factor_and_jacobian.
@@ -77,15 +95,21 @@ def swapped_from_brackets(br: Array, pbar) -> Array:
     return -np.tensordot(np.asarray(pbar, dtype=float), br, axes=(0, 1))
 
 
-def gyro_matrix(model: MechanicalModel, q, p) -> Array:
-    """Skew matrix J with J[j, k] = -p^T [(T)_j, (T)_k].
+def _frame_brackets(model: MechanicalModel, q) -> Array:
+    """B[i, j] = T^-1(q) [(T)_i, (T)_j], the factor-column brackets in the factor's frame."""
+    q = np.asarray(q, dtype=float)
+    return np.einsum("kl,ijl->ijk", model.factor_inverse(q), factor_brackets(model, q))
 
-    The bracket tensor is exactly skew in (j, k), so J + J^T = 0 holds
-    exactly.  Models whose factor columns commute get an exact zero.
+
+def gyro_matrix(model: MechanicalModel, q, p) -> Array:
+    """Skew matrix J = -B p, that is J[j, k] = -p^T T^-1 [(T)_j, (T)_k] (module docstring).
+
+    B is exactly skew in (j, k), so J + J^T = 0 holds exactly.  Models
+    whose factor columns commute get an exact zero.
     """
     if model.zrs:
         return np.zeros((model.n, model.n))
-    return -factor_brackets(model, q) @ np.asarray(p, dtype=float)
+    return -_frame_brackets(model, q) @ np.asarray(p, dtype=float)
 
 
 def gyro_swapped(model: MechanicalModel, q, pbar) -> Array:
@@ -96,7 +120,7 @@ def gyro_swapped(model: MechanicalModel, q, pbar) -> Array:
     """
     if model.zrs:
         return np.zeros((model.n, model.n))
-    return swapped_from_brackets(factor_brackets(model, q), pbar)
+    return swapped_from_brackets(_frame_brackets(model, q), pbar)
 
 
 def grad_integral_map_residual(model: MechanicalModel, q) -> float:
@@ -120,24 +144,52 @@ def grad_integral_map_residual(model: MechanicalModel, q) -> float:
 
 @dataclass
 class AssumptionReport:
-    """Numeric verdicts for the structural assumptions of a model.
+    """Residuals of the structural assumptions of a model, and the verdicts they give.
 
-    max_bracket_norm is the largest column-pair bracket norm over the sample
-    set; pair_norms lists that maximum per (i, j) pair.  gradq_residual is
-    the worst deviation of the integral map's Jacobian from T^-1 (None when
-    the model has no integral map).  constant_row_residual measures, for
-    each unknown-friction row of T, how far it strays from its value at the
-    first sample.  Verdicts hold exactly when the residuals are within
-    STRUCTURE_TOL (brackets, integral map) and ROW_TOL (rows).
+    pair_norms lists the largest bracket norm over the sample set per
+    column pair (i, j).  gradq_residual is the worst deviation of the
+    integral map's Jacobian from T^-1 (None when the model has no integral
+    map).  constant_row_residual measures, for each unknown-friction row of
+    T, how far it strays from its value at the first sample.  Each verdict
+    holds exactly when its residuals are within STRUCTURE_TOL (brackets,
+    integral map) or ROW_TOL (rows); failures words the failed ones.
     """
 
-    max_bracket_norm: float
     pair_norms: List[Tuple[int, int, float]]
     gradq_residual: Optional[float]
     constant_row_residual: List[Tuple[int, float]]
-    commuting_factor_ok: bool
-    integral_map_ok: Optional[bool]
-    constant_rows_ok: bool
+
+    @property
+    def max_bracket_norm(self) -> float:
+        return max((v for _, _, v in self.pair_norms), default=0.0)
+
+    @property
+    def commuting_factor_ok(self) -> bool:
+        return self.max_bracket_norm <= STRUCTURE_TOL
+
+    @property
+    def integral_map_ok(self) -> Optional[bool]:
+        return None if self.gradq_residual is None else self.gradq_residual <= STRUCTURE_TOL
+
+    @property
+    def constant_rows_ok(self) -> bool:
+        return all(v <= ROW_TOL for _, v in self.constant_row_residual)
+
+    @property
+    def failures(self) -> List[Tuple[str, float]]:
+        """(message, residual) per failed verdict, in the order commuting, integral map, rows."""
+        out = []
+        if not self.commuting_factor_ok:
+            out.append(("factor columns do not commute (max bracket norm "
+                        f"{self.max_bracket_norm:.3e} > {STRUCTURE_TOL:g})", self.max_bracket_norm))
+        if self.integral_map_ok is False:
+            out.append(("integral map Jacobian does not match the factor inverse "
+                        f"(residual {self.gradq_residual:.3e})", self.gradq_residual))
+        if not self.constant_rows_ok:
+            worst = max(v for _, v in self.constant_row_residual)
+            out.append((f"unknown-friction rows of the factor vary with q (residual {worst:.3e})",
+                        worst))
+        return out
 
     @property
     def zrs_ok(self) -> bool:
@@ -187,7 +239,6 @@ def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionR
         norms = np.linalg.norm(br, axis=2)
         pair_max = np.maximum(pair_max, norms)
     pair_norms = [(i, j, float(pair_max[i, j])) for i in range(n) for j in range(i + 1, n)]
-    max_bracket = max((v for _, _, v in pair_norms), default=0.0)
 
     gradq = None
     if model.integral_map is not None:
@@ -203,15 +254,7 @@ def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionR
             worst = np.maximum(worst, np.linalg.norm(rows - base, axis=1))
         row_res = [(int(i), float(v)) for i, v in zip(kappa, worst)]
 
-    return AssumptionReport(
-        max_bracket_norm=max_bracket,
-        pair_norms=pair_norms,
-        gradq_residual=gradq,
-        constant_row_residual=row_res,
-        commuting_factor_ok=max_bracket <= STRUCTURE_TOL,
-        integral_map_ok=None if gradq is None else gradq <= STRUCTURE_TOL,
-        constant_rows_ok=all(v <= ROW_TOL for _, v in row_res),
-    )
+    return AssumptionReport(pair_norms, gradq, row_res)
 
 
 def sample_positions(n: int, count: int = 100, seed: int = 0) -> Array:

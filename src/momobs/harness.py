@@ -14,7 +14,7 @@ trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,18 +196,22 @@ class Metrics:
     lyap_violations: int
     lyap_max_violation: float
 
+    def _cells(self, true: str, false: str) -> List[Tuple[str, str]]:
+        """(name, text) per field: the flag as true or false, the count as is, floats as %.17g."""
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, (true if v else false) if isinstance(v, bool)
+                 else str(v) if isinstance(v, int) else f"{v:.17g}") for name, v in values]
+
     def to_text(self) -> str:
-        return "\n".join(
-            [
-                f"convergence_time = {self.convergence_time:.17g}",
-                f"converged = {str(self.converged).lower()}",
-                f"final_ptil = {self.final_ptil:.17g}",
-                f"final_dtil = {self.final_dtil:.17g}",
-                f"final_rutil = {self.final_rutil:.17g}",
-                f"lyap_violations = {self.lyap_violations}",
-                f"lyap_max_violation = {self.lyap_max_violation:.17g}",
-            ]
-        )
+        """metrics.txt: one `name = text` line per field."""
+        return "\n".join(f"{name} = {text}" for name, text in self._cells("true", "false"))
+
+    @staticmethod
+    def sweep_csv(rows) -> str:
+        """sweep_metrics.csv of (swept value, Metrics) pairs: the value, then _cells (flag 1/0)."""
+        lines = [["value", *(f.name for f in fields(Metrics))]]
+        lines += [[f"{value:.17g}", *(text for _, text in m._cells("1", "0"))] for value, m in rows]
+        return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 def rk4_step(f, t, x, dt):
@@ -243,7 +247,7 @@ def exact_observer_init(sc: Scenario) -> dict:
     if obs is None:
         raise ValueError("scenario has no observer")
     p0 = sc.model.factor(sc.q0).T @ sc.mom0
-    return obs.exact_state(sc.q0, p0, sc.disturbance.value(0.0))
+    return obs.exact_state(sc.q0, p0, sc._schedule.value(0.0))
 
 
 def integrate_scenario(sc: Scenario) -> TimeSeries:
@@ -258,13 +262,9 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     model = sc.model
     n = model.n
     obs = sc.build_observer()
-    sched = sc._schedule
     steps = int(round(sc.t_final / sc.dt))
     dt = sc.dt
-    # the row of sched.levels each step freezes: sched.value's at the midpoint k * dt + 0.5 * dt,
-    # which lies past the first switch time, 0
-    mids = np.arange(steps) * dt + 0.5 * dt
-    level_of_step = np.searchsorted(sched.times, mids, side="right") - 1
+    step_levels = sc._schedule.value(np.arange(steps) * dt + 0.5 * dt)  # at each step's midpoint
 
     x = np.concatenate([sc.q0, sc.mom0, sc._z0])
 
@@ -282,16 +282,13 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     message = ""
     for k in range(steps):
         t = k * dt
-        d = sched.levels[level_of_step[k]]
+        d = step_levels[k]
         f = lambda tt, xx: rhs(tt, xx, d)
         last = x  # rk4_step returns a new array, so this stays the state at t
         try:
             x = rk4_step(f, t, x, dt)
             if project is not None:
-                view = x[2 * n :]
-                tail = project(view)
-                if tail is not view:
-                    x[2 * n :] = tail
+                project(x[2 * n :])
             if not np.isfinite(x).all():
                 message = f"state became non-finite in the step from t = {t:.6g}"
         except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
@@ -305,20 +302,20 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
 
     ts = np.array([s[0] for s in samples])
     states = np.array([s[1] for s in samples])
-    series = _assemble_series(sc, obs, sched, ts, states)
+    series = _assemble_series(sc, obs, ts, states)
     series.diverged = bool(message)
     series.message = message
     return series
 
 
-def _assemble_series(sc, obs, sched, ts, states) -> TimeSeries:
+def _assemble_series(sc, obs, ts, states) -> TimeSeries:
     n = sc.model.n
     series = TimeSeries(t=ts, q=states[:, :n], mom=states[:, n : 2 * n])
     if obs is None:
         return series
     series.obs = states[:, 2 * n :]
-    rows = [obs.diagnostics(z, q, sc.model.factor(q).T @ mom, sched.value(t))
-            for t, q, mom, z in zip(ts, series.q, series.mom, series.obs)]
+    rows = [obs.diagnostics(z, q, sc.model.factor(q).T @ mom, d)
+            for q, mom, z, d in zip(series.q, series.mom, series.obs, sc._schedule.value(ts))]
     for name in rows[0]:
         setattr(series, name, np.array([row[name] for row in rows]))
     return series

@@ -164,10 +164,10 @@ class DisturbanceSchedule:
     def constant(cls, d: Sequence[float]) -> "DisturbanceSchedule":
         return cls(np.zeros(1), np.atleast_2d(np.asarray(d, dtype=float)))
 
-    def value(self, t: float) -> Array:
-        """Level in force at time t (right-continuous at switches)."""
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.levels[max(k, 0)]
+    def value(self, t) -> Array:
+        """Level in force at time t (right-continuous at switches), stacked for an array of t."""
+        k = np.searchsorted(self.times, t, side="right") - 1
+        return self.levels[np.maximum(k, 0)]
 
     def aligned(self, dt: float) -> "DisturbanceSchedule":
         """Copy with switch times rounded onto the integration grid (half up)."""

@@ -310,9 +310,7 @@ class ScaledObserver:
         d_i_dot = -t_phat / r**2 + (2.0 / r**3) * r_dot * q
         return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot, [r_dot]])
 
-    def project(self, z) -> Array:
-        """Post-step projection keeping the scaling factor at least one."""
+    def project(self, z) -> None:
+        """Post-step projection keeping the scaling factor at least one, in place in z."""
         if z[-1] < 1.0:
-            z = z.copy()
             z[-1] = 1.0
-        return z

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,27 @@ def test_observer_requires_structure(crane_cholesky):
         AdaptiveObserver(crane_cholesky, {"lambda": 0.8})
     # the failure reports how badly the columns fail to commute
     assert "commute" in str(err.value) or err.value.residual is not None
+
+
+def test_observer_refuses_mismatched_integral_map(crane):
+    doubled = replace(crane, integral_map=lambda q: 2.0 * crane.integral_map(q))
+    with pytest.raises(StructureError, match="integral map Jacobian does not match") as err:
+        AdaptiveObserver(doubled)
+    assert err.value.residual == pytest.approx(1.80, abs=5e-3)
+
+
+def test_observer_refuses_varying_unknown_rows():
+    # the crane's first factor row varies with q; marking its friction unknown breaks prop1
+    model = make_spider_crane(SpiderCraneParams(known_mask=(False, True, True)))
+    with pytest.raises(StructureError, match="rows of the factor vary") as err:
+        AdaptiveObserver(model)
+    assert err.value.residual == pytest.approx(2.27, abs=5e-3)
+
+
+def test_observer_refuses_missing_integral_map(crane):
+    with pytest.raises(StructureError, match="model has no integral map") as err:
+        AdaptiveObserver(replace(crane, integral_map=None))
+    assert err.value.residual is None
 
 
 def test_observer_requires_positive_gain(crane):

@@ -54,6 +54,11 @@ PROP2_CFG = CRANE_CFG.replace("kind = prop1\nlambda = 0.8", "kind = prop2").repl
     "known = true, true, false", "known = true, true, true"
 )
 
+# prop2 on the non-commuting factor at dt = 2 ms: the scaling factor r grows
+# until r**2, a Python float power, raises OverflowError inside a step before
+# the state turns non-finite
+CHOLESKY_PROBE_CFG = PROP2_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
+
 
 def test_parse_and_build():
     cfg = parse_config(CRANE_CFG)
@@ -152,9 +157,14 @@ lambda = 1.0
 t_final = 0.5
 dt = 0.001
 """
-    sc = build_scenario(parse_config(text))
+    cfg = parse_config(text)
+    sc = build_scenario(cfg)
     assert sc.model.n == 2
     assert np.allclose(sc.model.minv(np.zeros(2)), np.diag([0.5, 1.0]))
+    # the matrices echo row by row and parse back to the same config
+    echoed = dump_config(cfg)
+    assert {"M = 2, 0; 0, 1", "K = 1, 0; 0, 4"} <= set(echoed.splitlines())
+    assert parse_config(echoed) == cfg
 
 
 def write(tmp_path, name, text):
@@ -322,6 +332,10 @@ def test_cli_check_pass_and_fail(tmp_path, capsys):
     assert exc.value.code == 2
     assert "seed" in capsys.readouterr().err
 
+    # any other non-negative seed draws another sample set
+    assert main(["check", good, "--seed", "3"]) == 0
+    assert "commuting_factor = pass" in capsys.readouterr().out
+
     bad = write(tmp_path, "bad.cfg", "[model]\nname = spider-crane-cholesky\n")
     assert main(["check", bad]) == 1
     out = capsys.readouterr().out
@@ -351,6 +365,19 @@ def test_cli_sweep(tmp_path):
     assert len(rows) == 4
     values = [float(r.split(",")[0]) for r in rows[1:]]
     assert values == [2.0, 0.4, 0.8]
+
+
+def test_cli_sweep_stops_at_first_divergence(tmp_path, capsys):
+    # the run at the first value diverges: exit 3 naming that value, its series
+    # written for inspection, and neither the later runs nor sweep_metrics.csv
+    cfg = write(tmp_path, "probe.cfg", CHOLESKY_PROBE_CFG)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["sweep", cfg, "--param", "psi5_extra", "--values", "1,2", "-o", str(out)])
+    assert code == 3
+    assert "run at psi5_extra = 1 diverged" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["psi5_extra_1_metrics.txt",
+                                                     "psi5_extra_1_timeseries.csv"]
 
 
 @pytest.mark.parametrize("param, values", [("lambda", "0.8,2"), ("q0[2]", "0.5,1")])
@@ -403,6 +430,21 @@ def test_cli_unusable_outdir(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "taken" in err
 
 
+def test_cli_outdir_from_config(tmp_path, monkeypatch):
+    # without -o the config's [output] directory comes before MOMOBS_OUTDIR,
+    # and dump_config keeps it
+    cfg_out = tmp_path / "cfgout"
+    text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.1").replace(
+        "[output]\n", f"[output]\ndirectory = {cfg_out}\n")
+    monkeypatch.setenv("MOMOBS_OUTDIR", str(tmp_path / "envout"))
+    assert main(["run", write(tmp_path, "run.cfg", text)]) == 0
+    assert (cfg_out / "timeseries.csv").exists()
+    assert not (tmp_path / "envout").exists()
+    cfg = parse_config(text)
+    assert cfg.directory == str(cfg_out)
+    assert parse_config(dump_config(cfg)) == cfg
+
+
 def test_cli_outdir_from_environment(tmp_path, monkeypatch):
     cfg = write(tmp_path, "run.cfg", CRANE_CFG)
     env_out = tmp_path / "envout"
@@ -416,13 +458,7 @@ def test_cli_outdir_from_environment(tmp_path, monkeypatch):
     [
         (CRANE_CFG.replace("lambda = 0.8", "lambda = 1e9").replace("t_final = 1.0", "t_final = 2.0"),
          "non-finite"),
-        # prop2 on the non-commuting factor at dt = 2 ms: the scaling factor r
-        # grows until r**2, a Python float power, raises OverflowError inside a
-        # step before the state turns non-finite
-        (CRANE_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
-         .replace("known = true, true, false", "known = true, true, true")
-         .replace("kind = prop1\nlambda = 0.8", "kind = prop2"),
-         "OverflowError"),
+        (CHOLESKY_PROBE_CFG, "OverflowError"),
     ],
     ids=["nonfinite-state", "overflow-error"],
 )

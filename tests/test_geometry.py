@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from momobs import (
+    AssumptionReport,
     FrictionSpec,
     MechanicalModel,
     check_zrs,
@@ -87,6 +88,23 @@ def test_check_zrs_report_text(crane):
     assert "commuting_factor = pass" in text
 
 
+def test_report_verdicts_follow_residuals():
+    # each verdict is its residual against STRUCTURE_TOL = 1e-6 or ROW_TOL = 1e-9,
+    # and failures lists the failed ones in the adaptive observer's refusal order
+    bad = AssumptionReport([(0, 1, 2e-6), (0, 2, 1e-7)], 3e-6, [(2, 2e-9)])
+    assert not (bad.commuting_factor_ok or bad.integral_map_ok or bad.constant_rows_ok)
+    assert bad.max_bracket_norm == 2e-6
+    assert [residual for _, residual in bad.failures] == [2e-6, 3e-6, 2e-9]
+    assert [message.split(" (")[0] for message, _ in bad.failures] == [
+        "factor columns do not commute",
+        "integral map Jacobian does not match the factor inverse",
+        "unknown-friction rows of the factor vary with q",
+    ]
+    good = AssumptionReport([(0, 1, 1e-6)], None, [(2, 1e-9)])
+    assert good.failures == [] and good.all_ok and good.integral_map_ok is None
+    assert AssumptionReport([], None, []).max_bracket_norm == 0.0
+
+
 def test_check_zrs_needs_samples(crane):
     with pytest.raises(ValueError):
         check_zrs(crane, [])
@@ -107,9 +125,10 @@ def test_gyro_skew_exact(crane_cholesky):
         p = rng.normal(size=3)
         J = gyro_matrix(crane_cholesky, q, p)
         assert np.array_equal(J, -J.T)
-        # entrywise definition J[j, k] = -p^T [(T)_j, (T)_k] as the reference
+        # entrywise reference J[j, k] = -p^T B[j, k] with B[j, k] = T^-1 [(T)_j, (T)_k]
+        Tinv = crane_cholesky.factor_inverse(q)
         br = factor_brackets(crane_cholesky, q)
-        ref = np.array([[-(p @ br[j, k]) for k in range(3)] for j in range(3)])
+        ref = np.array([[-(p @ (Tinv @ br[j, k])) for k in range(3)] for j in range(3)])
         assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
         # quadratic form of an exactly skew matrix is numerically negligible
         scale = max(np.abs(J).max() * (p @ p), 1e-300)

@@ -9,7 +9,9 @@ from momobs import (
     FrictionSpec,
     GeneralizedState,
     InputChannel,
+    Metrics,
     Scenario,
+    ScaledObserver,
     TimeSeries,
     compute_metrics,
     integrate_scenario,
@@ -147,7 +149,7 @@ def plain_loop_states(sc):
 
     Each stage calls plant_derivative and the observer derivative with
     sc.input_value(t), each step reads its level with sched.value(t + 0.5 dt)
-    and projects the observer state after the step.
+    and projects the observer state in place after the step.
     """
     model, obs, n, dt = sc.model, sc.build_observer(), sc.model.n, sc.dt
     sched = sc.disturbance.aligned(dt)
@@ -165,7 +167,8 @@ def plain_loop_states(sc):
         t = k * dt
         d = sched.value(t + 0.5 * dt)
         x = rk4_step(lambda tt, xx: coupled(tt, xx, d), t, x, dt)
-        x = np.concatenate([x[: 2 * n], getattr(obs, "project", lambda z: z)(x[2 * n :])])
+        if hasattr(obs, "project"):
+            obs.project(x[2 * n :])
         if (k + 1) % sc.stride == 0 or k + 1 == steps:
             states.append(x)
     return np.array(states)
@@ -270,6 +273,43 @@ def test_metrics_counts_violations():
     m = compute_metrics(ts)
     assert m.lyap_violations == 2
     assert m.lyap_max_violation == pytest.approx(0.05)
+
+
+def test_metrics_text_and_sweep_csv():
+    # one rendering per field: floats to 17 significant digits, the count as an
+    # integer, the flag as true/false in metrics.txt and 1/0 in the sweep CSV
+    m = Metrics(convergence_time=math.inf, converged=False, final_ptil=0.1, final_dtil=2.0,
+                final_rutil=float("nan"), lyap_violations=3, lyap_max_violation=1e-3)
+    assert m.to_text().splitlines() == [
+        "convergence_time = inf", "converged = false", "final_ptil = 0.10000000000000001",
+        "final_dtil = 2", "final_rutil = nan", "lyap_violations = 3", "lyap_max_violation = 0.001",
+    ]
+    settled = replace(m, convergence_time=1.25, converged=True, lyap_violations=0)
+    assert Metrics.sweep_csv([(0.5, m), (2.0, settled)]).splitlines() == [
+        "value,convergence_time,converged,final_ptil,final_dtil,final_rutil,lyap_violations,"
+        "lyap_max_violation",
+        "0.5,inf,0,0.10000000000000001,2,nan,3,0.001",
+        "2,1.25,1,0.10000000000000001,2,nan,0,0.001",
+    ]
+
+
+def test_scaling_factor_projected_in_place(monkeypatch):
+    # psi = 4 (1 + 59) = 240, so r falls at rate 60 (r - 1) from r = 1.5; the
+    # derivative reads r below one as one, and the single RK4 step of 0.1 s
+    # lands on r = 0.0, which the projection lifts to 1 inside the run's state
+    friction = FrictionSpec(np.zeros(2), np.ones(2, dtype=bool))
+    model = make_constant_inertia(np.eye(2), np.eye(2), friction)
+    sc = Scenario(model=model, observer="prop2", gains={"psi3_const": 59.0},
+                  obs_init={"r": 1.5}, t_final=0.1, dt=0.1)
+    project = ScaledObserver.project
+    landed = []
+    monkeypatch.setattr(ScaledObserver, "project",
+                        lambda self, z: landed.append(float(z[-1])) or project(self, z))
+    ts = integrate_scenario(sc)
+    assert landed == [0.0]
+    assert not ts.diverged
+    assert ts.scale.tolist() == [1.5, 1.0]
+    assert ts.obs[-1, -1] == 1.0
 
 
 def test_sweep_single_value_matches_run(crane):

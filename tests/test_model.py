@@ -124,9 +124,7 @@ def test_transformed_gyro_contribution_vanishes_for_commuting_factor(crane):
         "crane",
         "manipulator",
         "const2",
-        pytest.param("crane_cholesky", marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1: the gyroscopic matrix contracts the factor-column "
-                                "brackets with p where mom = T^-T p belongs")),
+        "crane_cholesky",
     ],
 )
 def test_transformed_momenta_rate_pointwise(request, name):
@@ -147,31 +145,35 @@ def test_transformed_momenta_rate_pointwise(request, name):
     assert worst <= 1e-6, worst
 
 
-def test_cross_representation_short(crane):
+def test_cross_representation_short(crane, crane_cholesky):
     # the two state representations must tell the same story through the
-    # momenta map; full-length check lives in the acceptance suite
+    # momenta map, on a commuting factor and on the Cholesky one, whose
+    # factored dynamics carry the gyroscopic term; full-length check lives
+    # in the acceptance suite
     d = np.array([0.1, 0.2, 0.2])
 
     def u_of(t):
         return np.array([1.535 * np.cos(t), 7.67 * np.sin(t)])
 
-    def plant_f(t, x):
-        qd, md = _plant_rhs(crane, stage_terms(crane, x[:3], u_of(t)), x[3:], d)
-        return np.concatenate([qd, md])
+    for model in (crane, crane_cholesky):
+        def plant_f(t, x):
+            qd, md = _plant_rhs(model, stage_terms(model, x[:3], u_of(t)), x[3:], d)
+            return np.concatenate([qd, md])
 
-    def trans_f(t, x):
-        qd, pd = transformed_derivative(crane, x[:3], x[3:], u_of(t), d)
-        return np.concatenate([qd, pd])
+        def trans_f(t, x):
+            qd, pd = transformed_derivative(model, x[:3], x[3:], u_of(t), d)
+            return np.concatenate([qd, pd])
 
-    q0 = np.array([0.0, 0.0, 0.8])
-    mom0 = np.array([0.2, -0.1, 0.1])
-    x0 = np.concatenate([q0, mom0])
-    y0 = np.concatenate([q0, momenta_transform(crane, q0, mom0)])
-    _, xs = rk4_solve(plant_f, x0, 2.0, 1e-3, record_stride=100)
-    _, ys = rk4_solve(trans_f, y0, 2.0, 1e-3, record_stride=100)
-    for xk, yk in zip(xs, ys):
-        assert np.abs(xk[:3] - yk[:3]).max() < 1e-8
-        assert np.abs(momenta_transform(crane, xk[:3], xk[3:]) - yk[3:]).max() < 1e-8
+        q0 = np.array([0.0, 0.0, 0.8])
+        mom0 = np.array([0.2, -0.1, 0.1])
+        x0 = np.concatenate([q0, mom0])
+        y0 = np.concatenate([q0, momenta_transform(model, q0, mom0)])
+        _, xs = rk4_solve(plant_f, x0, 2.0, 1e-3, record_stride=100)
+        _, ys = rk4_solve(trans_f, y0, 2.0, 1e-3, record_stride=100)
+        for xk, yk in zip(xs, ys):
+            p = momenta_transform(model, xk[:3], xk[3:])
+            assert np.abs(xk[:3] - yk[:3]).max() < 1e-8, model.name
+            assert np.abs(p - yk[3:]).max() < 1e-8, model.name
 
 
 def test_friction_spec_selector_shape():
@@ -223,6 +225,11 @@ def test_disturbance_schedule():
     assert sched.value(0.999) == pytest.approx(1.0)
     assert sched.value(1.0) == pytest.approx(2.0)
     assert sched.value(10.0) == pytest.approx(3.0)
+    # before the first switch the first level holds; an array of times gives the stacked levels
+    assert sched.value(-1.0) == pytest.approx(1.0)
+    times = np.array([-1.0, 0.0, 0.999, 1.0, 10.0])
+    assert np.array_equal(sched.value(times), np.array([sched.value(t) for t in times]))
+    assert sched.value(times).shape == (5, 1)
     snapped = sched.aligned(0.4)
     assert np.allclose(snapped.times, [0.0, 1.2, 2.4])
     with pytest.raises(ModelError):
