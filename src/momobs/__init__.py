@@ -54,6 +54,7 @@ from .harness import (
     integrate_scenario,
     rk4_solve,
     rk4_step,
+    share_plant,
 )
 from .config import ConfigError, RunConfig, build_scenario, dump_config, load_config, parse_config
 

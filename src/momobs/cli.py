@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import ConfigError, build_scenario, config_model, load_config
 from .geometry import check_zrs, sample_positions
-from .harness import Metrics, apply_sweep_value, compute_metrics, integrate_scenario
+from .harness import Metrics, apply_sweep_value, compute_metrics, integrate_scenario, share_plant
 from .svgplot import write_line_svg
 
 EXIT_OK = 0
@@ -100,6 +100,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(0, f"--param: {exc}") from None
         # each swept Scenario builds and checks its observer here, before anything is written
         swept = [build_scenario(c) for c in configs]
+        share_plant(swept)  # a gain sweep integrates its plant once; the other runs replay it
         outdir = _resolve_outdir(args.output, cfg.directory)
     except (ValueError, OSError) as exc:
         return _fail_config(exc)

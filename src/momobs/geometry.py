@@ -91,7 +91,12 @@ def factor_structure(model: MechanicalModel, q) -> Tuple[Array, Array]:
 
 
 def swapped_from_brackets(br: Array, pbar) -> Array:
-    """Jbar(q, pbar) from br = factor_brackets(model, q): Jbar[j, k] = -pbar^T br[j, :, k]."""
+    """Jbar[j, k] = -pbar^T br[j, :, k], contracting whichever bracket tensor br it is given.
+
+    gyro_swapped passes the frame brackets B = T^-1 [T_i, T_j], which give
+    the gyroscopic Jbar(q, pbar); ScaledObserver passes the bare brackets
+    factor_brackets(model, q) (module docstring).
+    """
     return -np.tensordot(np.asarray(pbar, dtype=float), br, axes=(0, 1))
 
 

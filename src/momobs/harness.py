@@ -9,6 +9,15 @@ terms T(q), grad V(q) and G(q) u once (model.stage_terms), and the plant
 right-hand side and the observer derivative both read them.  The observer
 never feeds back into the plant input; enabling it cannot change the plant
 trajectory.
+
+Plant replay.  share_plant gives scenarios that integrate the same plant
+one tape.  The first run of the group records each stage's plant terms
+and plant rate (qdot, momdot), n^2 + 4n floats, and publishes the tape
+only if it ends without diverging.  Later runs read them from the tape in
+place of evaluating them, through the same step loop and the same rk4_step
+on the full state.  The replay is exact: RK4 combines the stage rates
+elementwise, so the plant part of every stage state depends on the plant
+rates alone, and those are the recorded values, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptive import AdaptiveObserver
-from .model import DisturbanceSchedule, MechanicalModel, ModelError, _plant_rhs, stage_terms
+from .model import (DisturbanceSchedule, MechanicalModel, ModelError, StageTerms, _plant_rhs,
+                    stage_terms)
 from .scaled import ScaledObserver
 
 Array = np.ndarray
@@ -69,7 +79,8 @@ class Scenario:
     builds the observer once (gain and structural checks), packs its start
     with state_with and snaps the disturbance schedule onto the dt grid
     (colliding switches are a ModelError); every run reuses all three, so a
-    scenario that constructs is one that can run.
+    scenario that constructs is one that can run.  share_plant may later
+    hand it a plant tape shared with other scenarios; a copy starts without.
     """
 
     model: MechanicalModel
@@ -119,6 +130,12 @@ class Scenario:
         object.__setattr__(self, "_observer", obs)
         object.__setattr__(self, "_z0", z0)
         object.__setattr__(self, "_schedule", schedule)
+        object.__setattr__(self, "_plant_tape", None)
+
+    @property
+    def steps(self) -> int:
+        """RK4 steps of a run: t_final / dt, rounded."""
+        return int(round(self.t_final / self.dt))
 
     def input_value(self, t: float) -> Array:
         u = np.zeros(self.model.m)
@@ -250,6 +267,35 @@ def exact_observer_init(sc: Scenario) -> dict:
     return obs.exact_state(sc.q0, p0, sc._schedule.value(0.0))
 
 
+class _PlantTape:
+    """One share_plant group's plant trajectory, None until a run records it without diverging.
+
+    rows packs one RK4 stage per row: T(q) row by row, grad V(q), G(q) u,
+    qdot and momdot.
+    """
+
+    rows: Optional[Array] = None
+
+
+def share_plant(scenarios: Sequence[Scenario]) -> None:
+    """Give each group of scenarios that integrate the same plant one plant tape.
+
+    The same plant means the same model object, equal q0, mom0, inputs and
+    snapped disturbance schedule (floats by their bits), and equal dt and
+    step count; the observers may differ.  A scenario that shares with no
+    other gets no tape, and its runs record nothing.
+    """
+    groups = {}
+    for sc in scenarios:
+        key = (id(sc.model), sc.q0.tobytes(), sc.mom0.tobytes(), repr(sc.inputs),
+               sc._schedule.times.tobytes(), sc._schedule.levels.tobytes(), sc.dt, sc.steps)
+        groups.setdefault(key, []).append(sc)
+    for group in groups.values():
+        tape = _PlantTape() if len(group) > 1 else None
+        for sc in group:
+            object.__setattr__(sc, "_plant_tape", tape)
+
+
 def integrate_scenario(sc: Scenario) -> TimeSeries:
     """Run the coupled plant and observer system.
 
@@ -258,11 +304,13 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     truncates the series and flags it, with a message saying in the step
     from which time the run blew up and what was raised.  The series ends
     with the state at that time, the last finite one, even off the stride.
+    A scenario with a plant tape (share_plant) replays the plant from it,
+    or records it when no run of its group has yet.
     """
     model = sc.model
     n = model.n
     obs = sc.build_observer()
-    steps = int(round(sc.t_final / sc.dt))
+    steps = sc.steps
     dt = sc.dt
     step_levels = sc._schedule.value(np.arange(steps) * dt + 0.5 * dt)  # at each step's midpoint
 
@@ -271,9 +319,26 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     input_value = sc.input_value
     project = getattr(obs, "project", None)
 
+    tape = sc._plant_tape
+    replay = tape is not None and tape.rows is not None
+    if tape is not None:  # per RK4 stage, in the order rk4_step asks: T, grad V, G u, qdot, momdot
+        rows = tape.rows if replay else np.empty((4 * steps, n * (n + 4)))
+        stages = zip(rows[:, : n * n].reshape(-1, n, n), *np.split(rows[:, n * n :], 4, axis=1))
+    c_ordered = True  # a replayed T is C-ordered, and matmul may round another layout differently
+
     def rhs(t, state, d):
-        terms = stage_terms(model, state[:n], input_value(t))
-        qd, momd = _plant_rhs(model, terms, state[n : 2 * n], d)
+        nonlocal c_ordered
+        q = state[:n]
+        if replay:
+            T, grad_v, gu, qd, momd = next(stages)
+            terms = StageTerms(q, T, grad_v, gu)
+        else:
+            terms = stage_terms(model, q, input_value(t))
+            qd, momd = _plant_rhs(model, terms, state[n : 2 * n], d)
+            if tape is not None:
+                for slot, value in zip(next(stages), (*terms[1:], qd, momd)):
+                    slot[...] = value
+                c_ordered = c_ordered and terms.T.flags.c_contiguous
         if obs is None:
             return np.concatenate([qd, momd])
         return np.concatenate([qd, momd, obs.derivative(state[2 * n :], terms)])
@@ -300,6 +365,9 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
         if (k + 1) % sc.stride == 0 or k + 1 == steps:
             samples.append(((k + 1) * dt, x.copy()))
 
+    if tape is not None and not replay and not message and c_ordered:
+        rows.flags.writeable = False  # replays read it; a write would reach every later one
+        tape.rows = rows
     ts = np.array([s[0] for s in samples])
     states = np.array([s[1] for s in samples])
     series = _assemble_series(sc, obs, ts, states)

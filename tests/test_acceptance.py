@@ -34,6 +34,7 @@ from momobs import (
     regressor_matrices,
     rk4_solve,
     sample_positions,
+    share_plant,
     transformed_derivative,
     velocity_quadratics,
 )
@@ -179,12 +180,16 @@ def test_criterion_4_adaptive_convergence():
     default = obs.state_with(np.asarray(sc.q0))
     rng = np.random.default_rng(42)
 
-    worst_p = 0.0
-    worst_viol = 0
+    starts = []
     for _ in range(5):
         z0 = default + 0.25 * rng.uniform(-1.0, 1.0, obs.dim)
-        fields = asdict(Obs1State.from_packed(z0, obs.n, obs.s))
-        ts = integrate_scenario(replace(sc, obs_init=fields))
+        starts.append(replace(sc, obs_init=asdict(Obs1State.from_packed(z0, obs.n, obs.s))))
+    share_plant([*starts, sc])  # six observers on one plant: it is integrated once
+
+    worst_p = 0.0
+    worst_viol = 0
+    for start in starts:
+        ts = integrate_scenario(start)
         i40 = np.searchsorted(ts.t, 40.0)
         worst_p = max(worst_p, ts.ptil_norm[i40:].max())
         worst_viol = max(worst_viol, compute_metrics(ts).lyap_violations)
@@ -244,7 +249,9 @@ def test_criterion_6_scaled_convergence():
 
 def test_criterion_7_gain_trend():
     sc = crane_prop1_scenario()
-    runs = [integrate_scenario(apply_sweep_value(sc, "lambda", lam)) for lam in (0.4, 0.8, 2.0)]
+    swept = [apply_sweep_value(sc, "lambda", lam) for lam in (0.4, 0.8, 2.0)]
+    share_plant(swept)
+    runs = [integrate_scenario(s) for s in swept]
     times = [compute_metrics(ts).convergence_time for ts in runs]
     ok = all(math.isfinite(t) for t in times) and times[0] >= times[1] >= times[2]
     report(7, ok, "convergence times " + ", ".join(f"{t:.2f}" for t in times)

@@ -276,6 +276,28 @@ def test_cli_sweep_builds_observer_per_value(tmp_path, adaptive_builds, param, v
     assert len(adaptive_builds) == 2
 
 
+@pytest.mark.parametrize("param, values, shared", [("lambda", "0.4,0.8,2", True),
+                                                    ("q0[2]", "0.5,1", False)])
+def test_cli_sweep_shares_the_plant_of_a_gain_sweep(tmp_path, monkeypatch, param, values, shared):
+    # one integrate_scenario(sc) per value, looked up on momobs.cli; the
+    # swept runs share one plant tape exactly when only a gain changes
+    import momobs.cli
+
+    seen = []
+    integrate = momobs.cli.integrate_scenario
+    monkeypatch.setattr(momobs.cli, "integrate_scenario", lambda sc: seen.append(sc) or integrate(sc))
+    text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.02")
+    assert main(["sweep", write(tmp_path, "sweep.cfg", text), "--param", param,
+                 "--values", values, "-o", str(tmp_path / "out")]) == 0
+    tapes = [sc._plant_tape for sc in seen]
+    assert len(seen) == len(values.split(","))
+    if shared:
+        assert tapes[0] is not None and all(tape is tapes[0] for tape in tapes)
+        assert tapes[0].rows is not None
+    else:
+        assert tapes == [None] * len(seen)
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda", "--values", "0.4,2"]])
 def test_cli_builds_model_once(tmp_path, monkeypatch, command):
     import momobs.config

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,12 +12,15 @@ from momobs import (
     Metrics,
     Scenario,
     ScaledObserver,
+    SpiderCraneParams,
     TimeSeries,
     compute_metrics,
     integrate_scenario,
     make_constant_inertia,
+    make_spider_crane_cholesky,
     plant_derivative,
     rk4_step,
+    share_plant,
     stage_terms,
 )
 from momobs.harness import apply_sweep_value
@@ -204,6 +207,112 @@ def test_one_factor_evaluation_per_stage(request, observer, fixture):
     one_step, two_steps = factor_calls(1), factor_calls(2)
     assert two_steps - one_step == 4
     assert one_step == 4 + 2
+
+
+def same_series(a: TimeSeries, b: TimeSeries) -> bool:
+    """Every field equal; arrays element for element and bit for bit."""
+    for f in fields(TimeSeries):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            if not (isinstance(vb, np.ndarray) and np.array_equal(va, vb)
+                    and va.tobytes() == vb.tobytes()):
+                return False
+        elif va != vb:
+            return False
+    return True
+
+
+def gain_group(request, case):
+    """Scenarios of one plant that differ in an observer gain, by case name."""
+    switch = DisturbanceSchedule([0.0, 0.005], [[0.1, 0.2, 0.2], [0.4, -0.1, 0.2]])
+    if case == "prop1_crane":
+        sc = crane_prop1_scenario(request.getfixturevalue("crane"), t_final=0.5, stride=7)
+        return [apply_sweep_value(sc, "lambda", lam) for lam in (0.4, 0.8, 2.0)]
+    if case == "prop2_crane":
+        sc = crane_prop1_scenario(request.getfixturevalue("crane_known"), observer="prop2",
+                                  gains={}, t_final=0.3, stride=7)
+        return [apply_sweep_value(sc, "psi5_extra", v) for v in (0.5, 1.0, 3.0)]
+    # the non-commuting path, at the step it needs, across a disturbance switch
+    cholesky = make_spider_crane_cholesky(SpiderCraneParams(friction=(0.0, 0.0, 0.5),
+                                                            known_mask=(True, True, True)))
+    sc = crane_prop1_scenario(cholesky, observer="prop2", gains={}, q0=[0.0, 0.0, 1.0],
+                              disturbance=switch, t_final=0.01, dt=2.5e-4, stride=3)
+    return [apply_sweep_value(sc, "psi5_extra", v) for v in (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("case", ["prop1_crane", "prop2_crane", "prop2_cholesky"])
+def test_shared_plant_replays_bit_for_bit(request, case):
+    unshared = [integrate_scenario(sc) for sc in gain_group(request, case)]
+    group = gain_group(request, case)
+    share_plant(group)
+    tape = group[0]._plant_tape
+    assert tape is not None and all(sc._plant_tape is tape for sc in group)
+    shared = []
+    for sc in group:
+        shared.append(integrate_scenario(sc))
+        assert tape.rows is not None  # published by the first run, read by the rest
+    assert not any(ts.diverged for ts in unshared)
+    assert all(same_series(a, b) for a, b in zip(unshared, shared))
+
+
+@pytest.mark.parametrize("observer, fixture", [("prop1", "crane"), ("prop2", "crane_known")])
+def test_replay_evaluates_no_plant_factor(request, observer, fixture):
+    # a replaying run reads every stage's T(q) from the tape; the series
+    # still reads T(q) once per sample, here at t = 0 and at the end
+    model = request.getfixturevalue(fixture)
+    calls = []
+    counted = replace(model, factor=lambda q: calls.append(q) or model.factor(q))
+
+    def replay_factor_calls(steps):
+        key = "lambda" if observer == "prop1" else "psi5_extra"
+        sc = crane_prop1_scenario(counted, observer=observer, gains={}, t_final=steps * 1e-3)
+        recording, replaying = (apply_sweep_value(sc, key, v) for v in (1.0, 2.0))
+        share_plant([recording, replaying])
+        integrate_scenario(recording)
+        del calls[:]
+        integrate_scenario(replaying)
+        return len(calls)
+
+    assert replay_factor_calls(1) == replay_factor_calls(2) == 2
+
+
+def test_diverged_recording_publishes_no_tape(crane):
+    sc = crane_prop1_scenario(crane, t_final=0.2)
+    expected = integrate_scenario(sc)
+    group = [apply_sweep_value(sc, "lambda", 1e8), replace(sc)]
+    share_plant(group)
+    tape = group[0]._plant_tape
+    with np.errstate(all="ignore"):
+        assert integrate_scenario(group[0]).diverged
+    assert tape.rows is None
+    assert same_series(integrate_scenario(group[1]), expected)  # it records anew
+    assert tape.rows is not None
+
+
+def test_no_tape_from_a_factor_in_another_layout(crane):
+    # a tape's T is C-ordered, and matmul rounds a Fortran-ordered T differently
+    fortran = replace(crane, factor=lambda q: np.asfortranarray(crane.factor(q)))
+    sc = crane_prop1_scenario(fortran, t_final=0.2)
+    expected = [integrate_scenario(apply_sweep_value(sc, "lambda", v)) for v in (0.4, 2.0)]
+    group = [apply_sweep_value(sc, "lambda", v) for v in (0.4, 2.0)]
+    share_plant(group)
+    assert all(same_series(integrate_scenario(s), e) for s, e in zip(group, expected))
+    assert group[0]._plant_tape.rows is None
+
+
+def test_share_plant_groups_equal_plants_only(crane):
+    sc = crane_prop1_scenario(crane, t_final=0.01)
+    starts = [apply_sweep_value(sc, "q0[2]", v) for v in (0.5, 0.6)]
+    share_plant(starts)
+    assert all(s._plant_tape is None for s in starts)
+    gains = [apply_sweep_value(sc, "lambda", v) for v in (0.4, 2.0)]
+    plant_only = replace(sc, observer="none", gains={})  # the same plant, no observer
+    longer = replace(sc, t_final=0.02)
+    share_plant([*gains, starts[0], longer, plant_only])
+    tape = gains[0]._plant_tape
+    assert tape is not None and gains[1]._plant_tape is tape and plant_only._plant_tape is tape
+    assert starts[0]._plant_tape is None and longer._plant_tape is None
+    assert replace(gains[0])._plant_tape is None  # a copy starts without
 
 
 def test_piecewise_disturbance_integration():
