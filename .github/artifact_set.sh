@@ -8,9 +8,12 @@
 # at dt = 2 ms (it diverges, exit 3), the shipped prop1, prop2 and steps
 # configs to t = 2, prop1 to t = 3 at its dt = 1 ms, the steps config to
 # t = 26, across its disturbance switch at t = 25, a psi5_extra sweep on
-# prop2, a lambda sweep on prop1, a q0[2] sweep on prop2 (its runs share no
-# plant), a psi5_extra sweep on the dt = 2.5e-4 Cholesky run (its runs
-# replay one plant on the non-commuting path), a psi5_extra sweep on the
+# prop2, a psi3_const sweep on prop2 (psi differs per lockstep row), a
+# lambda sweep on prop1, a lambda sweep on prop1 whose last value, 1e8,
+# diverges (exit 3; its group falls back to one run per value), a q0[2]
+# sweep on prop2 (its runs share no plant), a psi5_extra sweep on the
+# dt = 2.5e-4 Cholesky run (its runs step in lockstep on the non-commuting
+# path), a psi5_extra sweep on the
 # dt = 2 ms Cholesky run (its first value diverges, exit 3), `momobs check`
 # on the crane and Cholesky configs at seeds 0 and 3, and a run and a check of a
 # constant-inertia prop2 config whose first RK4 step lands on r = 0, below
@@ -97,7 +100,11 @@ done
 record run_prop1_3s run "$out/cfg/prop1_3s.cfg" -o "$out/run_prop1_3s"
 record run_steps_switch run "$out/cfg/steps_switch.cfg" -o "$out/run_steps_switch"
 record sweep_prop2 sweep "$out/cfg/prop2.cfg" --param psi5_extra --values 0.5,1,2 -o "$out/sweep_prop2"
+record sweep_prop2_psi3 sweep "$out/cfg/prop2.cfg" --param psi3_const --values 0.5,1,1.5 \
+  -o "$out/sweep_prop2_psi3"
 record sweep_prop1 sweep "$out/cfg/prop1.cfg" --param lambda --values 0.4,2 -o "$out/sweep_prop1"
+record sweep_prop1_diverge sweep "$out/cfg/prop1.cfg" --param lambda --values 0.4,2,1e8 \
+  -o "$out/sweep_prop1_diverge"
 record sweep_prop2_q0 sweep "$out/cfg/prop2.cfg" --param "q0[2]" --values 0.8,1 -o "$out/sweep_prop2_q0"
 record sweep_cholesky sweep "$out/cfg/cholesky.cfg" --param psi5_extra --values 1,2 -o "$out/sweep_cholesky"
 record sweep_cholesky_probe sweep "$out/cfg/cholesky_probe.cfg" --param psi5_extra --values 1,2 \

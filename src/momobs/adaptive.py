@@ -24,6 +24,7 @@ sign and scale conventions used below:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
@@ -31,7 +32,7 @@ import numpy as np
 
 # bench/spans.py traces check_zrs under this module
 from .geometry import check_zrs, sample_positions
-from .model import MechanicalModel, StageTerms
+from .model import MechanicalModel, StageTerms, _matvec
 
 Array = np.ndarray
 
@@ -73,9 +74,11 @@ def regressor_matrices(model: MechanicalModel) -> Array:
 
 
 def regressor(ymats: Array, z) -> Array:
-    """Friction regressor Phi(z) = sum_j Y[j] z_j, an n x s matrix, as one matvec."""
+    """Friction regressor Phi(z) = sum_j Y[j] z_j, an n x s matrix, as one matvec; per row of z."""
     n, _, s = ymats.shape
-    return (np.asarray(z, dtype=float) @ ymats.reshape(n, n * s)).reshape(n, s)
+    z = np.asarray(z, dtype=float)
+    rows = z if z.ndim == 1 else z[..., None, :]  # a (B, n) @ (n, n s) product rounds otherwise
+    return (rows @ ymats.reshape(n, n * s)).reshape(z.shape[:-1] + (n, s))
 
 
 def velocity_quadratics(model: MechanicalModel) -> Array:
@@ -176,6 +179,8 @@ class AdaptiveObserver:
     preconditions numerically on 30 sampled positions (commuting factor
     columns, integral map consistency, constant unknown-friction rows) and
     precomputes the constant regressor and quadratic matrices.
+
+    derivative takes one state or, on a _stacked observer, a stack of them.
     """
 
     default_gains = {"lambda": 0.8}  # by config and sweep name, the gains it reads
@@ -214,16 +219,29 @@ class AdaptiveObserver:
             d_i=d0 - q0,
         )
 
+    def _stacked(self, observers) -> "AdaptiveObserver":
+        """A copy whose derivative takes a (B, dim) stack, row b with the gain of observers[b].
+
+        Its lam is a (B, 1) column.  Each row's rate equals observers[b].derivative of that row,
+        bit for bit: the rows share every model evaluation and all products are per row.
+        """
+        stacked = copy.copy(self)
+        stacked.lam = np.array([[obs.lam] for obs in observers])
+        return stacked
+
     def proportional_friction(self, phat) -> Array:
-        """Quadratic proportional part of the friction estimate."""
+        """Quadratic proportional part of the friction estimate, per row of a stack of phat."""
         phat = np.asarray(phat, dtype=float)
-        return (0.5 / self.lam) * ((self.quads @ phat) @ phat)
+        if phat.ndim == 1:
+            return (0.5 / self.lam) * ((self.quads @ phat) @ phat)
+        forms_phat = (self.quads @ phat[:, None, :, None])[..., 0]  # (B, s, n): forms times phat
+        return (0.5 / self.lam) * _matvec(forms_phat, phat)
 
     def _estimates(self, z, q):
         n, s = self.n, self.s
-        phat = z[:n] + self.lam * self.model.integral_map(q)
-        ruhat = z[n : n + s] + self.proportional_friction(phat)
-        dhat = z[n + s :] + q
+        phat = z[..., :n] + self.lam * self.model.integral_map(q)
+        ruhat = z[..., n : n + s] + self.proportional_friction(phat)
+        dhat = z[..., n + s :] + q
         return phat, ruhat, dhat
 
     def output(self, z, q) -> Obs1Estimates:
@@ -243,13 +261,14 @@ class AdaptiveObserver:
                     lyap=error_energy(ptil, dtil, rutil))
 
     def derivative(self, z, terms: StageTerms) -> Array:
-        """Packed time derivative of the integrator state at the plant's stage terms."""
-        q, T = terms.q, terms.T
+        """Packed time derivative of the integrator state, or of each row of a stack of them."""
+        mv = np.matmul if z.ndim == 1 else _matvec  # one state's products need no stacking
+        lam, q, T, Tt = self.lam, terms.q, terms.T, terms.T.T
         phat, ruhat, dhat = self._estimates(z, q)
         phi = regressor(self.ymats, phat)
         forces = terms.grad_v - terms.gu - dhat
-        t_phat = T @ phat
-        p_i_dot = -self.lam * phat - T.T @ forces - phi @ ruhat - T.T @ (self._rk_diag * t_phat)
-        ru_i_dot = (1.0 / self.lam) * (phi.T @ (p_i_dot + self.lam * phat))
+        t_phat = mv(T, phat)
+        p_i_dot = -lam * phat - mv(Tt, forces) - mv(phi, ruhat) - mv(Tt, self._rk_diag * t_phat)
+        ru_i_dot = (1.0 / lam) * mv(phi.mT, p_i_dot + lam * phat)
         d_i_dot = -t_phat
-        return np.concatenate([p_i_dot, ru_i_dot, d_i_dot])
+        return np.concatenate([p_i_dot, ru_i_dot, d_i_dot], axis=-1)

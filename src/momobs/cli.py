@@ -92,6 +92,12 @@ def cmd_sweep(args) -> int:
             raise ConfigError(0, f"--values: {exc}") from None
         if not values or not all(map(math.isfinite, values)):
             raise ConfigError(0, f"--values: need finite numbers, got {args.values!r}")
+        tags = [f"{v:g}" for v in values]  # each value's files; two values must not share them
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                first = values[tags.index(tag)]
+                raise ConfigError(0, f"--values: {first!r} and {values[i]!r} would both write "
+                                     f"the files tagged {tag}")
         n = config_model(cfg).n
         cfg = dataclasses.replace(cfg, q0=cfg.q0 or [0.0] * n, mom0=cfg.mom0 or [0.0] * n)
         try:
@@ -100,7 +106,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(0, f"--param: {exc}") from None
         # each swept Scenario builds and checks its observer here, before anything is written
         swept = [build_scenario(c) for c in configs]
-        share_plant(swept)  # a gain sweep integrates its plant once; the other runs replay it
+        share_plant(swept)  # a gain sweep steps its runs in lockstep on one plant
         outdir = _resolve_outdir(args.output, cfg.directory)
     except (ValueError, OSError) as exc:
         return _fail_config(exc)

@@ -10,18 +10,19 @@ right-hand side and the observer derivative both read them.  The observer
 never feeds back into the plant input; enabling it cannot change the plant
 trajectory.
 
-Plant replay.  share_plant gives scenarios that integrate the same plant
-one tape.  The first run of the group records each stage's plant terms
-and plant rate (qdot, momdot), n^2 + 4n floats, and publishes the tape
-only if it ends without diverging.  Later runs read them from the tape in
-place of evaluating them, through the same step loop and the same rk4_step
-on the full state.  The replay is exact: RK4 combines the stage rates
-elementwise, so the plant part of every stage state depends on the plant
-rates alone, and those are the recorded values, bit for bit.
+Lockstep groups.  share_plant groups scenarios that integrate the same
+plant with observers of one kind.  The first run of a group integrates all
+of them in one RK4 loop over [q, mom, z_1, ..., z_B]: each stage evaluates
+the plant terms and the plant rate once and every observer's rate in one
+stacked derivative call, whose rows equal the observers' own derivatives
+bit for bit.  RK4 combines stage rates elementwise, so each scenario's
+series is the one it gets alone.  A group that diverges or raises anywhere
+is discarded, and each scenario then runs alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -29,8 +30,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptive import AdaptiveObserver
-from .model import (DisturbanceSchedule, MechanicalModel, ModelError, StageTerms, _plant_rhs,
-                    stage_terms)
+from .model import DisturbanceSchedule, MechanicalModel, ModelError, _plant_rhs, stage_terms
 from .scaled import ScaledObserver
 
 Array = np.ndarray
@@ -80,7 +80,7 @@ class Scenario:
     with state_with and snaps the disturbance schedule onto the dt grid
     (colliding switches are a ModelError); every run reuses all three, so a
     scenario that constructs is one that can run.  share_plant may later
-    hand it a plant tape shared with other scenarios; a copy starts without.
+    put it in a lockstep group with other scenarios; a copy starts in none.
     """
 
     model: MechanicalModel
@@ -130,7 +130,7 @@ class Scenario:
         object.__setattr__(self, "_observer", obs)
         object.__setattr__(self, "_z0", z0)
         object.__setattr__(self, "_schedule", schedule)
-        object.__setattr__(self, "_plant_tape", None)
+        object.__setattr__(self, "_lockstep", None)
 
     @property
     def steps(self) -> int:
@@ -267,33 +267,35 @@ def exact_observer_init(sc: Scenario) -> dict:
     return obs.exact_state(sc.q0, p0, sc._schedule.value(0.0))
 
 
-class _PlantTape:
-    """One share_plant group's plant trajectory, None until a run records it without diverging.
+@dataclass
+class _Lockstep:
+    """One share_plant group: its scenarios and the series of its lockstep run not yet handed out.
 
-    rows packs one RK4 stage per row: T(q) row by row, grad V(q), G(q) u,
-    qdot and momdot.
+    series is None until the group's first integrate_scenario call runs the lockstep; then it
+    maps id(scenario) to its series, and is empty if the run diverged or raised.
     """
 
-    rows: Optional[Array] = None
+    scenarios: List[Scenario]
+    series: Optional[dict] = None
 
 
 def share_plant(scenarios: Sequence[Scenario]) -> None:
-    """Give each group of scenarios that integrate the same plant one plant tape.
+    """Group the scenarios that integrate one plant with one observer kind, to step in lockstep.
 
     The same plant means the same model object, equal q0, mom0, inputs and
     snapped disturbance schedule (floats by their bits), and equal dt and
-    step count; the observers may differ.  A scenario that shares with no
-    other gets no tape, and its runs record nothing.
+    step count; the observers' gains and starts may differ.  A scenario that
+    shares with no other joins no group, and its runs integrate alone.
     """
     groups = {}
     for sc in scenarios:
-        key = (id(sc.model), sc.q0.tobytes(), sc.mom0.tobytes(), repr(sc.inputs),
+        key = (id(sc.model), sc.observer, sc.q0.tobytes(), sc.mom0.tobytes(), repr(sc.inputs),
                sc._schedule.times.tobytes(), sc._schedule.levels.tobytes(), sc.dt, sc.steps)
         groups.setdefault(key, []).append(sc)
     for group in groups.values():
-        tape = _PlantTape() if len(group) > 1 else None
+        lockstep = _Lockstep(group) if len(group) > 1 else None
         for sc in group:
-            object.__setattr__(sc, "_plant_tape", tape)
+            object.__setattr__(sc, "_lockstep", lockstep)
 
 
 def integrate_scenario(sc: Scenario) -> TimeSeries:
@@ -304,89 +306,133 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     truncates the series and flags it, with a message saying in the step
     from which time the run blew up and what was raised.  The series ends
     with the state at that time, the last finite one, even off the stride.
-    A scenario with a plant tape (share_plant) replays the plant from it,
-    or records it when no run of its group has yet.
+    The first call on a scenario of a share_plant group integrates the
+    whole group in lockstep and returns this scenario's series; later calls
+    return the others' series, each once.  If the lockstep diverges or
+    raises, each scenario integrates alone on its own call instead.
     """
+    group = sc._lockstep
+    if group is None:
+        return _integrate([sc])[0]
+    if group.series is None:
+        series = _integrate(group.scenarios)
+        group.series = {} if series is None else dict(zip(map(id, group.scenarios), series))
+    series = group.series.pop(id(sc), None)
+    return _integrate([sc])[0] if series is None else series
+
+
+def _group_rate(observers):
+    """The observers' rate of their states z, or of the (B, dim) stack of a lockstep group's states.
+
+    A stacking observer takes the stack in one derivative call; otherwise the rows run one by one.
+    """
+    obs = observers[0]
+    if obs is None or len(observers) == 1:
+        return None if obs is None else obs.derivative
+    stacked = obs._stacked(observers)
+    if stacked is not None:
+        return stacked.derivative
+    return lambda zs, terms: np.array([o.derivative(z, terms) for o, z in zip(observers, zs)])
+
+
+def _integrate(scenarios) -> Optional[List[TimeSeries]]:
+    """Integrate scenarios of one plant, one share_plant group or a scenario alone, in lockstep.
+
+    One RK4 loop over x = [q, mom, z_1, ..., z_B]: each stage evaluates the
+    plant terms and the plant rate once, and the observer rates in one call.
+    RK4 combines stage rates elementwise and each row's rate is its own
+    observer's, bit for bit, so a row's trajectory is its scenario's alone.
+    Returns the series in order; for a group, None if any state went
+    non-finite or a step raised, under numpy overflow raising as Python
+    float overflow does in a run alone.
+    """
+    sc = scenarios[0]
     model = sc.model
     n = model.n
-    obs = sc.build_observer()
+    observers = [s.build_observer() for s in scenarios]
+    obs = observers[0]
+    rows, dim = len(scenarios), sc._z0.size
     steps = sc.steps
     dt = sc.dt
     step_levels = sc._schedule.value(np.arange(steps) * dt + 0.5 * dt)  # at each step's midpoint
 
-    x = np.concatenate([sc.q0, sc.mom0, sc._z0])
+    x = np.concatenate([sc.q0, sc.mom0, *(s._z0 for s in scenarios)])
 
-    input_value = sc.input_value
+    rate = _group_rate(observers)
     project = getattr(obs, "project", None)
+    last_input = [None, None]  # (t, u): RK4's two midpoint stages, and often the next step, share t
 
-    tape = sc._plant_tape
-    replay = tape is not None and tape.rows is not None
-    if tape is not None:  # per RK4 stage, in the order rk4_step asks: T, grad V, G u, qdot, momdot
-        rows = tape.rows if replay else np.empty((4 * steps, n * (n + 4)))
-        stages = zip(rows[:, : n * n].reshape(-1, n, n), *np.split(rows[:, n * n :], 4, axis=1))
-    c_ordered = True  # a replayed T is C-ordered, and matmul may round another layout differently
+    def input_value(t):
+        if t != last_input[0]:
+            last_input[:] = t, sc.input_value(t)
+        return last_input[1]
+
+    def observer_states(state):  # a view: the one state, or the (B, dim) stack of a group's
+        return state[2 * n :] if rows == 1 else state[2 * n :].reshape(rows, dim)
 
     def rhs(t, state, d):
-        nonlocal c_ordered
-        q = state[:n]
-        if replay:
-            T, grad_v, gu, qd, momd = next(stages)
-            terms = StageTerms(q, T, grad_v, gu)
-        else:
-            terms = stage_terms(model, q, input_value(t))
-            qd, momd = _plant_rhs(model, terms, state[n : 2 * n], d)
-            if tape is not None:
-                for slot, value in zip(next(stages), (*terms[1:], qd, momd)):
-                    slot[...] = value
-                c_ordered = c_ordered and terms.T.flags.c_contiguous
-        if obs is None:
+        terms = stage_terms(model, state[:n], input_value(t))
+        qd, momd = _plant_rhs(model, terms, state[n : 2 * n], d)
+        if rate is None:
             return np.concatenate([qd, momd])
-        return np.concatenate([qd, momd, obs.derivative(state[2 * n :], terms)])
+        if rows == 1:
+            return np.concatenate([qd, momd, rate(state[2 * n :], terms)])
+        return np.concatenate([qd, momd, rate(observer_states(state), terms).ravel()])
 
     samples = [(0.0, x.copy())]
     message = ""
-    for k in range(steps):
-        t = k * dt
-        d = step_levels[k]
-        f = lambda tt, xx: rhs(tt, xx, d)
-        last = x  # rk4_step returns a new array, so this stays the state at t
-        try:
-            x = rk4_step(f, t, x, dt)
-            if project is not None:
-                project(x[2 * n :])
-            if not np.isfinite(x).all():
-                message = f"state became non-finite in the step from t = {t:.6g}"
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-            message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"
-        if message:
-            if k % sc.stride:
-                samples.append((t, last))
-            break
-        if (k + 1) % sc.stride == 0 or k + 1 == steps:
-            samples.append(((k + 1) * dt, x.copy()))
+    with np.errstate(over="raise") if rows > 1 else contextlib.nullcontext():
+        for k in range(steps):
+            t = k * dt
+            d = step_levels[k]
+            f = lambda tt, xx: rhs(tt, xx, d)
+            last = x  # rk4_step returns a new array, so this stays the state at t
+            try:
+                x = rk4_step(f, t, x, dt)
+                if project is not None:
+                    project(observer_states(x))
+                if not np.isfinite(x).all():
+                    message = f"state became non-finite in the step from t = {t:.6g}"
+            except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+                message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"
+            if message:
+                if rows > 1:
+                    return None
+                if k % sc.stride:
+                    samples.append((t, last))
+                break
+            if (k + 1) % sc.stride == 0 or k + 1 == steps:
+                samples.append(((k + 1) * dt, x.copy()))
 
-    if tape is not None and not replay and not message and c_ordered:
-        rows.flags.writeable = False  # replays read it; a write would reach every later one
-        tape.rows = rows
     ts = np.array([s[0] for s in samples])
-    states = np.array([s[1] for s in samples])
-    series = _assemble_series(sc, obs, ts, states)
-    series.diverged = bool(message)
-    series.message = message
-    return series
+    return _assemble_series(scenarios, observers, ts, np.array([s[1] for s in samples]), message)
 
 
-def _assemble_series(sc, obs, ts, states) -> TimeSeries:
+def _assemble_series(scenarios, observers, ts, states, message) -> List[TimeSeries]:
+    """Each scenario's series from the sampled states [q, mom, z_1, ..., z_B] of a lockstep run.
+
+    The samples' true momenta and disturbances are evaluated once, for all.
+    """
+    sc = scenarios[0]
     n = sc.model.n
-    series = TimeSeries(t=ts, q=states[:, :n], mom=states[:, n : 2 * n])
-    if obs is None:
-        return series
-    series.obs = states[:, 2 * n :]
-    rows = [obs.diagnostics(z, q, sc.model.factor(q).T @ mom, d)
-            for q, mom, z, d in zip(series.q, series.mom, series.obs, sc._schedule.value(ts))]
-    for name in rows[0]:
-        setattr(series, name, np.array([row[name] for row in rows]))
-    return series
+    plant = states[:, : 2 * n]
+    zs = states[:, 2 * n :].reshape(len(ts), len(scenarios), sc._z0.size)
+    if observers[0] is not None:
+        p_true = [sc.model.factor(q).T @ mom for q, mom in zip(plant[:, :n], plant[:, n:])]
+        d_true = sc._schedule.value(ts)
+    out = []
+    for b, obs in enumerate(observers):
+        own = np.hstack([plant, zs[:, b]])
+        series = TimeSeries(t=ts.copy(), q=own[:, :n], mom=own[:, n : 2 * n],
+                            diverged=bool(message), message=message)
+        if obs is not None:
+            series.obs = own[:, 2 * n :]
+            rows = [obs.diagnostics(z, q, p, d)
+                    for q, z, p, d in zip(series.q, series.obs, p_true, d_true)]
+            for name in rows[0]:
+                setattr(series, name, np.array([row[name] for row in rows]))
+        out.append(series)
+    return out
 
 
 def compute_metrics(ts: TimeSeries) -> Metrics:

@@ -53,6 +53,16 @@ def central_differences(f: Callable[[Array], Array], q, h: float) -> Tuple[Array
     return values[:, 0].reshape(batch + values.shape[2:]), diffs.reshape(batch + diffs.shape[1:])
 
 
+def _matvec(m, v) -> Array:
+    """m @ v for a matrix and a vector, either or both stacked on leading axes.
+
+    Every product rounds as the unstacked m @ v does; a (B, n) @ (n, n)
+    product runs another kernel and may not.  For one vector, m @ v itself
+    is the same and cheaper.
+    """
+    return (m @ v[..., None])[..., 0]
+
+
 def solved_inverse(T: Array) -> Array:
     """T^-1 by solving, for one factor or a stack; a numerically singular one is refused."""
     if np.any(np.linalg.cond(T) > _COND_LIMIT):

@@ -20,7 +20,9 @@ rejectable here.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Tuple
 
@@ -30,13 +32,25 @@ from . import geometry
 from .adaptive import StructureError, checked_gains, replace_fields
 # bench/spans.py traces gyro_matrix and gyro_swapped under this module, so both stay imported
 from .geometry import gyro_matrix, gyro_swapped, swapped_from_brackets  # noqa: F401
-from .model import MechanicalModel, StageTerms
+from .model import MechanicalModel, StageTerms, _matvec
 
 Array = np.ndarray
 
 _FD_STEP = 1e-6
 _BOUND_SAFETY = 2.0
 _SECANT_TAUS = np.linspace(0.1, 1.0, 10)  # bound_q's samples along qbar -> q
+
+
+def _norm(v):
+    """Euclidean norm of v, or of each row of a stack, bit for bit np.linalg.norm of one vector."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _evaluate(f, xs, tail) -> Array:
+    """f at one position xs, or at each of a stack xs[..., n], stacked to xs[..., :-1] + tail."""
+    if xs.ndim == 1:
+        return f(xs)
+    return np.array([f(x) for x in xs.reshape(-1, xs.shape[-1])]).reshape(xs.shape[:-1] + tail)
 
 
 class GainSet(NamedTuple):
@@ -81,6 +95,8 @@ class ScaledObserver:
     error, psi4_extra and psi5_extra on the two copy-error gains.  Requires
     every friction coefficient to be known; friction is compensated, not
     estimated, here.
+
+    derivative takes one state or, on a _stacked observer, a stack of them.
     """
 
     default_gains = {"psi3_const": 1.0, "psi4_extra": 1.0, "psi5_extra": 1.0}
@@ -98,6 +114,28 @@ class ScaledObserver:
         self.n = model.n
         self.dim = 4 * model.n + 1
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
+        self._psi_m = self.psi  # psi shaped to scale T^-1(qbar) of every row
+
+    def _stacked(self, observers):
+        """A copy whose derivative takes a (B, dim) stack, row b with the gains of observers[b].
+
+        Its margins and psi are (B, 1) columns.  Each row's rate equals observers[b].derivative of
+        that row, bit for bit.  None when rows must run one by one: on non-commuting columns, on
+        a model without factor_jac, or when T^-1 or its derivatives come in another layout than
+        C order, which matmul may round differently once stacked.
+        """
+        model = self.model
+        x = np.zeros(self.n)
+        evaluators = (model.factor_inverse, model.factor_jac)
+        if not (model.zrs and model.factor_jac is not None
+                and all(np.asarray(f(x)).flags.c_contiguous for f in evaluators)):
+            return None
+        stacked = copy.copy(self)
+        stacked.margins = {key: np.array([[obs.margins[key]] for obs in observers])
+                           for key in self.margins}
+        stacked.psi = np.array([[obs.psi] for obs in observers])
+        stacked._psi_m = stacked.psi[..., None]
+        return stacked
 
     # -- mappings ----------------------------------------------------------
 
@@ -124,16 +162,19 @@ class ScaledObserver:
         """H(q, phat) = (psi I + Jbar(q, phat)) T^-1(q)."""
         return self._h(self._structures([np.asarray(q, dtype=float)])[0], phat)
 
-    def _towards_q(self, qbar, q) -> list:
-        """The positions besides qbar where derivative and delta_bounds read H(., phat).
+    def _towards_q(self, qbar, q) -> Array:
+        """The positions besides qbar where derivative and delta_bounds read H(., phat), first axis.
 
-        q under analytic bounds; else bound_q's secant samples, q itself last, or none if q is qbar.
+        q under analytic bounds; else bound_q's secant samples, q itself last, per row of a stack
+        of qbar.  None for one qbar at q; a stacked row at q gets samples all at q.
         """
         if self._analytic_bounds:
-            return [q]
-        if np.linalg.norm(q - qbar) == 0.0:
-            return []
-        return [q if tau == 1.0 else qbar + tau * (q - qbar) for tau in _SECANT_TAUS]
+            return q[None]
+        if qbar.ndim == 1 and _norm(q - qbar) == 0.0:
+            return np.empty((0, self.n))
+        points = qbar + _SECANT_TAUS.reshape((-1,) + (1,) * qbar.ndim) * (q - qbar)
+        points[-1] = q
+        return points
 
     def delta_bounds(self, q, qbar, phat, pbar) -> Tuple[float, float]:
         """Scalars bounding |delta_q| <= bound_q |e_q|, |delta_p| <= bound_p |e_p|.
@@ -156,14 +197,23 @@ class ScaledObserver:
                             h_bp - self._h(s_bar, pbar), phat - pbar)
 
     def _bounds(self, e_q, h_bp, h_towards_q, delta_p, e_p) -> Tuple[float, float]:
-        """delta_bounds from e_q, H(qbar, phat), H(., phat) at _towards_q, delta_p and e_p."""
+        """delta_bounds from e_q, H(qbar, phat), H(., phat) at _towards_q, delta_p and e_p.
+
+        Per row of a stack on commuting columns, where delta_p vanishes.  The largest secant
+        slope skips NaN, as Python's max does: a stacked row where q is qbar has only 0 / 0.
+        """
         if self._analytic_bounds:
             return self.psi * float(self.model.lip_factor_inv), 0.0
-        gap_q = np.linalg.norm(e_q)
-        worst = 0.0
-        for tau, h in zip(_SECANT_TAUS, h_towards_q):
-            worst = max(worst, float(np.linalg.norm(h - h_bp, 2) / (tau * gap_q)))
-        bound_q = _BOUND_SAFETY * worst
+        gap_q = _norm(e_q)
+        h_towards_q = np.reshape(h_towards_q, (-1,) + h_bp.shape)  # (0, n, n) when there are none
+        secants = np.linalg.svd(h_towards_q - h_bp, compute_uv=False).max(axis=-1)
+        taus = _SECANT_TAUS[: len(secants)].reshape((-1,) + (1,) * gap_q.ndim)
+        with np.errstate(invalid="ignore"):
+            slopes = secants / (taus * gap_q)
+        bound_q = _BOUND_SAFETY * np.fmax.reduce(slopes, axis=0, initial=0.0)
+        bound_q = float(bound_q) if e_q.ndim == 1 else bound_q[:, None]
+        if self.model.zrs:
+            return bound_q, 0.0
         gap_p = np.linalg.norm(e_p)
         if gap_p == 0.0:
             return bound_q, 0.0
@@ -175,12 +225,15 @@ class ScaledObserver:
         """Gain schedule at scaling factor r, from |T(q)|, |H(qbar, pbar)| and delta_bounds."""
         psi3, psi4_extra, psi5_extra = self.margins.values()
         bound_q, bound_p = bounds
+        # per row: r, norm_h and bound_q; norm_t and bound_p are numbers (see derivative on pw)
+        pw = np.float_power if isinstance(r, np.ndarray) else operator.pow
         rtil = r - 1.0
-        share = r * rtil / (4.0 * (1.0 + psi3)) * norm_t**2
-        psi4 = share * bound_q**2 + psi4_extra
+        r2, norm_t2 = pw(r, 2), norm_t**2
+        share = r * rtil / (4.0 * (1.0 + psi3)) * norm_t2
+        psi4 = share * pw(bound_q, 2) + psi4_extra
         psi5 = share * bound_p**2 + psi5_extra
-        psi1 = 0.5 * r**2 * norm_t**2 + psi4
-        psi2 = 0.5 * r**2 * norm_h**2 * norm_t**2 + psi5
+        psi1 = 0.5 * r2 * norm_t2 + psi4
+        psi2 = 0.5 * r2 * pw(norm_h, 2) * norm_t2 + psi5
         return GainSet(self.psi, psi1, psi2, psi3, psi4, psi5)
 
     # -- observer dynamics ---------------------------------------------------
@@ -237,16 +290,17 @@ class ScaledObserver:
         """Time derivative of H(qbar, pbar) along the copy dynamics; Tinv is T^-1(qbar).
 
         Commuting-factor models with analytic factor derivatives get the
-        exact chain rule through T^-1; anything else falls back to a
-        directional central difference with step 1e-6, whose two points get
-        their structures from one _structures call.
+        exact chain rule through T^-1, per row of a stack; anything else
+        falls back to a directional central difference with step 1e-6, whose
+        two points get their structures from one _structures call.
         """
         model = self.model
         if model.zrs and model.factor_jac is not None:
-            dT = model.factor_jac(qbar)
             n = self.n
-            Tdot = (qbar_dot @ dT.reshape(n, n * n)).reshape(n, n)
-            return -self.psi * Tinv @ Tdot @ Tinv
+            dT = _evaluate(model.factor_jac, qbar, (n, n, n)).reshape(qbar.shape[:-1] + (n, n * n))
+            rows = qbar_dot if qbar_dot.ndim == 1 else qbar_dot[:, None, :]  # not a (B, n) @ gemm
+            Tdot = (rows @ dT).reshape(Tinv.shape)
+            return -self._psi_m * Tinv @ Tdot @ Tinv
         direction = np.concatenate([qbar_dot, pbar_dot])
         scale = np.linalg.norm(direction)
         if scale == 0.0:
@@ -260,57 +314,84 @@ class ScaledObserver:
     def derivative(self, z, terms: StageTerms) -> Array:
         """Rate of the packed state z at the plant's stage terms; each H and T(q) phat formed once.
 
-        Structures come from two _structures calls: qbar with _towards_q's, then the H-rate points.
-        The spectral norms of T(q), H(qbar, pbar), delta_q T(q) and, for non-commuting columns,
-        delta_p T(q) come from one stacked SVD.
+        z is one state or, on a _stacked observer, a (B, dim) stack of rows with their own gains.
+        On commuting columns H = psi T^-1 is array code: T^-1 comes from one factor_inverse call
+        per position, q's shared by the rows.  Otherwise the structures of one state come from two
+        _structures calls: qbar with _towards_q's, then the H-rate points.  The spectral norms of
+        T(q), H(qbar, pbar), delta_q T(q) and, for non-commuting columns, delta_p T(q) come from one
+        stacked SVD.
         """
         model = self.model
         n = self.n
+        # one state's products need no stacking, and its powers are Python's: a Python float's **
+        # raises OverflowError as the runs' divergence messages expect, and numpy's ** on arrays
+        # rounds unlike Python's in the last bit, which float_power does not
+        mv, pw = (np.matmul, operator.pow) if z.ndim == 1 else (_matvec, np.float_power)
         q, T = terms.q, terms.T
-        qbar, pbar, p_i, d_i = z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n : 4 * n]
-        r = max(float(z[-1]), 1.0)
+        qbar, pbar = z[..., :n], z[..., n : 2 * n]
+        p_i, d_i = z[..., 2 * n : 3 * n], z[..., 3 * n : 4 * n]
+        r = max(float(z[-1]), 1.0) if z.ndim == 1 else np.maximum(z[:, -1:], 1.0)
 
-        s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
-        h_bb = self._h(s_bar, pbar)
+        if model.zrs:  # H does not depend on momenta
+            tinv_bar = _evaluate(model.factor_inverse, qbar, (n, n))
+            h_bb = h_bp = self._psi_m * tinv_bar
+            if self._analytic_bounds:  # T^-1(q) once, shared by the rows; no secant samples
+                h_q, h_towards_q = self._psi_m * model.factor_inverse(q), None
+            else:
+                towards = self._towards_q(qbar, q)
+                h_towards_q = self._psi_m * _evaluate(model.factor_inverse, towards, (n, n))
+                h_q = h_towards_q[-1] if len(towards) else h_bp
+        else:
+            s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
+            tinv_bar = s_bar[0]
+            h_bb = self._h(s_bar, pbar)
         phat = p_i + h_bb @ q
-        dhat = d_i + q / r**2
+        r2 = pw(r, 2)
+        dhat = d_i + q / r2
         e_q = qbar - q
         e_p = pbar - phat
 
         if model.zrs:
-            h_bp = h_bb  # H does not depend on momenta
-            gyro_term = np.zeros(n)
+            gyro_term = 0.0
         else:
             h_bp = self._h(s_bar, phat)
             # J(q, phat) phat, read through the swap identity J(q, p) b = Jbar(q, b) p
             s_q = towards_q[-1] if towards_q else s_bar
             gyro_term = swapped_from_brackets(s_q[1], phat) @ phat
-        h_towards_q = [self._h(s, phat) for s in towards_q]  # the last one at q
-        delta_q = (h_towards_q[-1] if towards_q else h_bp) - h_bp
+            h_towards_q = [self._h(s, phat) for s in towards_q]  # the last one at q
+            h_q = h_towards_q[-1] if towards_q else h_bp
+        delta_q = h_q - h_bp
 
-        normed = [T, h_bb, delta_q @ T]
-        if not model.zrs:
-            normed.append((h_bp - h_bb) @ T)
+        normed = [T, h_bb, delta_q @ T] + ([] if model.zrs else [(h_bp - h_bb) @ T])
         # induced 2-norms, the largest singular values; a stacked SVD gives each one bit for bit
-        norms = np.linalg.svd(np.array(normed), compute_uv=False)[:, 0].tolist()
-        norm_t, norm_h, norm_dq, *dp_norms = norms
+        stack = (np.array(normed) if z.ndim == 1  # else T, shared by the rows, then theirs
+                 else np.concatenate([m.reshape(-1, n, n) for m in normed]))
+        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        norm_t = float(norms[0])
+        rows = norms[1:].tolist() if z.ndim == 1 else norms[1:].reshape(2, -1, 1)  # floats, columns
+        norm_h, norm_dq, *dp_norms = rows
         norm_dp = dp_norms[0] if dp_norms else 0.0  # delta_p vanishes on commuting columns
         bounds = self._bounds(e_q, h_bp, h_towards_q, h_bp - h_bb, e_p)
         gains = self.gains(r, norm_t, norm_h, bounds)
 
-        t_phat = T @ phat
-        friction_term = T.T @ (model.friction.coeffs * t_phat)
-        rest = T.T @ terms.gu - friction_term - T.T @ terms.grad_v + T.T @ dhat + gyro_term
+        t_phat = mv(T, phat)
+        friction_term = mv(T.T, model.friction.coeffs * t_phat)
+        rest = T.T @ terms.gu - friction_term - T.T @ terms.grad_v + mv(T.T, dhat) + gyro_term
 
         qbar_dot = t_phat - gains.psi1 * e_q
         pbar_dot = rest - gains.psi2 * e_p
-        h_rate = self._mapping_h_rate(s_bar[0], qbar, pbar, qbar_dot, pbar_dot)
-        p_i_dot = -h_rate @ q - h_bb @ t_phat + rest
-        r_dot = -(self.psi / 4.0) * (r - 1.0) + (r / self.psi) * (norm_dp**2 + norm_dq**2)
-        d_i_dot = -t_phat / r**2 + (2.0 / r**3) * r_dot * q
-        return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot, [r_dot]])
+        h_rate = self._mapping_h_rate(tinv_bar, qbar, pbar, qbar_dot, pbar_dot)
+        p_i_dot = -h_rate @ q - mv(h_bb, t_phat) + rest
+        r_dot = (-(self.psi / 4.0) * (r - 1.0)
+                 + (r / self.psi) * (norm_dp**2 + pw(norm_dq, 2)))
+        d_i_dot = -t_phat / r2 + (2.0 / pw(r, 3)) * r_dot * q
+        return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot,
+                               [r_dot] if z.ndim == 1 else r_dot], axis=-1)
 
     def project(self, z) -> None:
-        """Post-step projection keeping the scaling factor at least one, in place in z."""
-        if z[-1] < 1.0:
-            z[-1] = 1.0
+        """Post-step projection keeping the scaling factor at least one, in place in z.
+
+        z is one state or a stack of rows; a NaN factor stays NaN.
+        """
+        r = z[..., -1]
+        np.maximum(r, 1.0, out=r)

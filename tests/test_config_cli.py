@@ -280,7 +280,7 @@ def test_cli_sweep_builds_observer_per_value(tmp_path, adaptive_builds, param, v
                                                     ("q0[2]", "0.5,1", False)])
 def test_cli_sweep_shares_the_plant_of_a_gain_sweep(tmp_path, monkeypatch, param, values, shared):
     # one integrate_scenario(sc) per value, looked up on momobs.cli; the
-    # swept runs share one plant tape exactly when only a gain changes
+    # swept runs step in one lockstep group exactly when only a gain changes
     import momobs.cli
 
     seen = []
@@ -289,13 +289,13 @@ def test_cli_sweep_shares_the_plant_of_a_gain_sweep(tmp_path, monkeypatch, param
     text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.02")
     assert main(["sweep", write(tmp_path, "sweep.cfg", text), "--param", param,
                  "--values", values, "-o", str(tmp_path / "out")]) == 0
-    tapes = [sc._plant_tape for sc in seen]
+    groups = [sc._lockstep for sc in seen]
     assert len(seen) == len(values.split(","))
     if shared:
-        assert tapes[0] is not None and all(tape is tapes[0] for tape in tapes)
-        assert tapes[0].rows is not None
+        assert groups[0] is not None and all(group is groups[0] for group in groups)
+        assert groups[0].series == {}  # the first call ran them all, and each was handed out
     else:
-        assert tapes == [None] * len(seen)
+        assert groups == [None] * len(seen)
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda", "--values", "0.4,2"]])
@@ -441,6 +441,20 @@ def test_cli_sweep_bad_args(tmp_path, capsys):
                                     ("q0[]", "0.1", "--param"), ("psi5_extra", "1,abc", "--values")]:
         assert main(["sweep", cfg, "--param", param, "--values", values, "-o", out]) == 2
         assert argument in capsys.readouterr().err, param
+
+
+@pytest.mark.parametrize("values, named", [("1.0000001,0.5,1.0000002", ("1.0000001", "1.0000002")),
+                                           ("2,0.5,2.0", ("2.0", "2.0"))])
+def test_cli_sweep_rejects_values_whose_files_collide(tmp_path, capsys, values, named):
+    # each value's files are tagged {value:g}: two values printing alike would
+    # write one set, the second over the first, so the sweep refuses them
+    # before anything is written
+    cfg = write(tmp_path, "sweep.cfg", CRANE_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--param", "lambda", "--values", values, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --values:") and all(v in err for v in named)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda", "--values", "1"]])

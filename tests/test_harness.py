@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from momobs import (
+    AdaptiveObserver,
     DisturbanceSchedule,
     FrictionSpec,
     GeneralizedState,
     InputChannel,
+    ManipulatorParams,
     Metrics,
     Scenario,
     ScaledObserver,
@@ -17,6 +19,7 @@ from momobs import (
     compute_metrics,
     integrate_scenario,
     make_constant_inertia,
+    make_planar_manipulator,
     make_spider_crane_cholesky,
     plant_derivative,
     rk4_step,
@@ -240,79 +243,162 @@ def gain_group(request, case):
     return [apply_sweep_value(sc, "psi5_extra", v) for v in (1.0, 2.0)]
 
 
+def integrate_group(group):
+    """share_plant the scenarios, integrate each once, and check the first call ran them all."""
+    share_plant(group)
+    lockstep = group[0]._lockstep
+    assert lockstep is not None and all(sc._lockstep is lockstep for sc in group)
+    series = []
+    for sc in group:
+        series.append(integrate_scenario(sc))
+        assert lockstep.series is not None
+    return series, lockstep
+
+
 @pytest.mark.parametrize("case", ["prop1_crane", "prop2_crane", "prop2_cholesky"])
 def test_shared_plant_replays_bit_for_bit(request, case):
-    unshared = [integrate_scenario(sc) for sc in gain_group(request, case)]
+    # a lockstep group's first call integrates every member on one plant;
+    # each series equals its run alone, bit for bit
+    solo = [integrate_scenario(sc) for sc in gain_group(request, case)]
     group = gain_group(request, case)
     share_plant(group)
-    tape = group[0]._plant_tape
-    assert tape is not None and all(sc._plant_tape is tape for sc in group)
+    lockstep = group[0]._lockstep
+    assert lockstep is not None and all(sc._lockstep is lockstep for sc in group)
     shared = []
-    for sc in group:
+    for i, sc in enumerate(group):
         shared.append(integrate_scenario(sc))
-        assert tape.rows is not None  # published by the first run, read by the rest
-    assert not any(ts.diverged for ts in unshared)
-    assert all(same_series(a, b) for a, b in zip(unshared, shared))
+        assert len(lockstep.series) == len(group) - 1 - i  # the first call ran every member
+    assert not any(ts.diverged for ts in solo)
+    assert all(same_series(a, b) for a, b in zip(solo, shared))
 
 
 @pytest.mark.parametrize("observer, fixture", [("prop1", "crane"), ("prop2", "crane_known")])
 def test_replay_evaluates_no_plant_factor(request, observer, fixture):
-    # a replaying run reads every stage's T(q) from the tape; the series
-    # still reads T(q) once per sample, here at t = 0 and at the end
+    # the members of a lockstep group after the first evaluate no plant
+    # factor: a group of two calls T(q) once per RK4 stage, shared by the
+    # plant and both observers, and once per sample for all series, as one
+    # run alone does
     model = request.getfixturevalue(fixture)
     calls = []
     counted = replace(model, factor=lambda q: calls.append(q) or model.factor(q))
 
-    def replay_factor_calls(steps):
+    def factor_calls(steps, members):
         key = "lambda" if observer == "prop1" else "psi5_extra"
         sc = crane_prop1_scenario(counted, observer=observer, gains={}, t_final=steps * 1e-3)
-        recording, replaying = (apply_sweep_value(sc, key, v) for v in (1.0, 2.0))
-        share_plant([recording, replaying])
-        integrate_scenario(recording)
-        del calls[:]
-        integrate_scenario(replaying)
+        group = [apply_sweep_value(sc, key, v) for v in (1.0, 2.0)[:members]]
+        share_plant(group)
+        del calls[:]  # the observers' structural checks at construction do not count
+        for member in group:
+            integrate_scenario(member)
         return len(calls)
 
-    assert replay_factor_calls(1) == replay_factor_calls(2) == 2
+    assert factor_calls(1, 2) == factor_calls(1, 1) == 4 + 2
+    assert factor_calls(2, 2) == factor_calls(2, 1)
 
 
-def test_diverged_recording_publishes_no_tape(crane):
+def test_diverging_group_runs_each_member_alone(crane):
+    # lambda = 1e8 blows up in the first step; the lockstep run is discarded
+    # and every member, the finite ones included, runs alone on its call
     sc = crane_prop1_scenario(crane, t_final=0.2)
-    expected = integrate_scenario(sc)
-    group = [apply_sweep_value(sc, "lambda", 1e8), replace(sc)]
-    share_plant(group)
-    tape = group[0]._plant_tape
+    values = (0.4, 1e8, 2.0)
     with np.errstate(all="ignore"):
-        assert integrate_scenario(group[0]).diverged
-    assert tape.rows is None
-    assert same_series(integrate_scenario(group[1]), expected)  # it records anew
-    assert tape.rows is not None
+        solo = [integrate_scenario(apply_sweep_value(sc, "lambda", v)) for v in values]
+        shared, lockstep = integrate_group([apply_sweep_value(sc, "lambda", v) for v in values])
+    assert [ts.diverged for ts in solo] == [False, True, False]
+    assert solo[1].message.startswith("state became non-finite")
+    assert all(same_series(a, b) for a, b in zip(solo, shared))
+    assert lockstep.series == {}
 
 
-def test_no_tape_from_a_factor_in_another_layout(crane):
-    # a tape's T is C-ordered, and matmul rounds a Fortran-ordered T differently
-    fortran = replace(crane, factor=lambda q: np.asfortranarray(crane.factor(q)))
-    sc = crane_prop1_scenario(fortran, t_final=0.2)
-    expected = [integrate_scenario(apply_sweep_value(sc, "lambda", v)) for v in (0.4, 2.0)]
-    group = [apply_sweep_value(sc, "lambda", v) for v in (0.4, 2.0)]
-    share_plant(group)
-    assert all(same_series(integrate_scenario(s), e) for s, e in zip(group, expected))
-    assert group[0]._plant_tape.rows is None
+@pytest.mark.parametrize("observer, fixture", [("prop1", "crane"), ("prop2", "crane_known")])
+def test_lockstep_with_a_factor_in_another_layout(request, observer, fixture):
+    # T(q) is shared by the rows; matmul rounds a Fortran-ordered T differently
+    # from C order, so the stacked products must use it as each row alone does
+    model = request.getfixturevalue(fixture)
+    fortran = replace(model, factor=lambda q: np.asfortranarray(model.factor(q)))
+    key = "lambda" if observer == "prop1" else "psi5_extra"
+    sc = crane_prop1_scenario(fortran, observer=observer, gains={}, t_final=0.2)
+    solo = [integrate_scenario(apply_sweep_value(sc, key, v)) for v in (0.4, 2.0)]
+    shared, lockstep = integrate_group([apply_sweep_value(sc, key, v) for v in (0.4, 2.0)])
+    assert all(same_series(a, b) for a, b in zip(solo, shared))
+    assert not any(ts.diverged for ts in solo)
 
 
 def test_share_plant_groups_equal_plants_only(crane):
     sc = crane_prop1_scenario(crane, t_final=0.01)
     starts = [apply_sweep_value(sc, "q0[2]", v) for v in (0.5, 0.6)]
     share_plant(starts)
-    assert all(s._plant_tape is None for s in starts)
+    assert all(s._lockstep is None for s in starts)
     gains = [apply_sweep_value(sc, "lambda", v) for v in (0.4, 2.0)]
-    plant_only = replace(sc, observer="none", gains={})  # the same plant, no observer
+    plant_only = replace(sc, observer="none", gains={})  # the same plant, another observer kind
     longer = replace(sc, t_final=0.02)
     share_plant([*gains, starts[0], longer, plant_only])
-    tape = gains[0]._plant_tape
-    assert tape is not None and gains[1]._plant_tape is tape and plant_only._plant_tape is tape
-    assert starts[0]._plant_tape is None and longer._plant_tape is None
-    assert replace(gains[0])._plant_tape is None  # a copy starts without
+    lockstep = gains[0]._lockstep
+    assert lockstep is not None and gains[1]._lockstep is lockstep
+    assert lockstep.scenarios == [*gains]
+    assert starts[0]._lockstep is None and longer._lockstep is None and plant_only._lockstep is None
+    assert replace(gains[0])._lockstep is None  # a copy starts without
+
+
+def test_plant_only_group_matches_solo_runs(crane):
+    sc = crane_prop1_scenario(crane, observer="none", gains={}, t_final=0.05, stride=7)
+    solo = integrate_scenario(sc)
+    shared, _ = integrate_group([sc, replace(sc)])
+    assert all(same_series(solo, ts) for ts in shared)
+
+
+def stacked_cases(request, case):
+    """(observers, states, terms) of one model: 40 rows with their own gains and states.
+
+    Many rows, since numpy's ** on arrays rounds r**3 unlike Python's in about 5% of values.
+    """
+    rng = np.random.default_rng(sum(map(ord, case)))
+    rows = 40
+    if case == "prop1_crane":
+        model = request.getfixturevalue("crane")
+        observers = [AdaptiveObserver(model, {"lambda": v}) for v in rng.uniform(0.2, 5.0, rows)]
+    else:
+        model = {"prop2_crane": lambda: request.getfixturevalue("crane_known"),
+                 "prop2_constant": lambda: make_constant_inertia(
+                     np.diag([2.0, 0.5]), np.diag([1.0, 2.0]),
+                     FrictionSpec(np.array([0.4, 0.7]), np.array([True, True]))),
+                 "prop2_manipulator": lambda: make_planar_manipulator(
+                     ManipulatorParams(known_mask=(True,) * 4))}[case]()
+        observers = [ScaledObserver(model, {"psi3_const": a, "psi5_extra": b})
+                     for a, b in rng.uniform(0.2, 5.0, (rows, 2))]
+    n = model.n
+    q = rng.uniform(-1, 1, n)
+    zs = np.array([obs.state_with(q) + rng.normal(scale=0.3, size=obs.dim) for obs in observers])
+    if case != "prop1_crane":
+        zs[:, -1] = rng.uniform(0.5, 3.0, rows)  # r below one is read as one
+        zs[:, -1][:2] = 1.0, 0.6
+        zs[2, :n] = q  # qbar = q, which one state samples nowhere and a stack samples at q
+    terms = stage_terms(model, q, rng.normal(size=model.m))
+    return observers, zs, terms
+
+
+@pytest.mark.parametrize("case", ["prop1_crane", "prop2_crane", "prop2_constant",
+                                  "prop2_manipulator"])
+def test_stacked_derivative_rows_match_one_state_bit_for_bit(request, case):
+    observers, zs, terms = stacked_cases(request, case)
+    stacked = observers[0]._stacked(observers)
+    rates = stacked.derivative(zs, terms)
+    assert rates.shape == zs.shape
+    for obs, z, rate in zip(observers, zs, rates):
+        one = obs.derivative(z.copy(), terms)
+        assert np.array_equal(rate, one) and rate.tobytes() == one.tobytes()
+
+
+def test_stacked_projection_clamps_each_row(crane_known):
+    obs = ScaledObserver(crane_known)
+    zs = np.tile(obs.state_with(np.zeros(3)), (4, 1))
+    zs[:, -1] = [0.5, 1.0, np.nan, 2.5]
+    rows = zs.copy()
+    obs.project(zs)
+    for row in rows:
+        obs.project(row)
+    assert np.array_equal(zs, rows, equal_nan=True)
+    assert zs[0, -1] == 1.0 and np.isnan(zs[2, -1]) and zs[3, -1] == 2.5
 
 
 def test_piecewise_disturbance_integration():
