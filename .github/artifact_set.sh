@@ -13,11 +13,10 @@
 # diverges (exit 3; its group falls back to one run per value), a q0[2]
 # sweep on prop2 (its runs share no plant), a psi5_extra sweep on the
 # dt = 2.5e-4 Cholesky run (its runs step in lockstep on the non-commuting
-# path), a psi5_extra sweep on the
-# dt = 2 ms Cholesky run (its first value diverges, exit 3), `momobs check`
-# on the crane and Cholesky configs at seeds 0 and 3, and a run and a check of a
-# constant-inertia prop2 config whose first RK4 step lands on r = 0, below
-# the projection's r >= 1.
+# path), a psi5_extra sweep on the dt = 2 ms Cholesky run (its first value
+# diverges, exit 3), `momobs check` on the crane and Cholesky configs at
+# seeds 0 and 3, and a run and a check of a constant-inertia prop2 config
+# whose first RK4 step lands on r = 0, below the projection's r >= 1.
 # Configs are edited copies of ROOT's shipped ones, but for the constant one,
 # written here so every checkout runs the same text.  Paths to ROOT and OUT
 # read ROOT and OUT, and numpy's RuntimeWarning lines (each with the source

@@ -219,11 +219,12 @@ class AdaptiveObserver:
             d_i=d0 - q0,
         )
 
-    def _stacked(self, observers) -> "AdaptiveObserver":
+    def _stacked(self, observers, q0) -> "AdaptiveObserver":
         """A copy whose derivative takes a (B, dim) stack, row b with the gain of observers[b].
 
         Its lam is a (B, 1) column.  Each row's rate equals observers[b].derivative of that row,
-        bit for bit: the rows share every model evaluation and all products are per row.
+        bit for bit: the rows share every model evaluation and all products are per row, so
+        every layout stacks and the plant's start q0 needs no probe.
         """
         stacked = copy.copy(self)
         stacked.lam = np.array([[obs.lam] for obs in observers])

@@ -283,14 +283,16 @@ def share_plant(scenarios: Sequence[Scenario]) -> None:
     """Group the scenarios that integrate one plant with one observer kind, to step in lockstep.
 
     The same plant means the same model object, equal q0, mom0, inputs and
-    snapped disturbance schedule (floats by their bits), and equal dt and
-    step count; the observers' gains and starts may differ.  A scenario that
-    shares with no other joins no group, and its runs integrate alone.
+    snapped disturbance schedule (floats by their bits), and equal dt, step
+    count and sample stride (a group's series share one sampling); the
+    observers' gains and starts may differ.  A scenario that shares with
+    no other joins no group, and its runs integrate alone.
     """
     groups = {}
     for sc in scenarios:
         key = (id(sc.model), sc.observer, sc.q0.tobytes(), sc.mom0.tobytes(), repr(sc.inputs),
-               sc._schedule.times.tobytes(), sc._schedule.levels.tobytes(), sc.dt, sc.steps)
+               sc._schedule.times.tobytes(), sc._schedule.levels.tobytes(), sc.dt, sc.steps,
+               sc.stride)
         groups.setdefault(key, []).append(sc)
     for group in groups.values():
         lockstep = _Lockstep(group) if len(group) > 1 else None
@@ -315,21 +317,25 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     if group is None:
         return _integrate([sc])[0]
     if group.series is None:
-        series = _integrate(group.scenarios)
+        try:
+            series = _integrate(group.scenarios)
+        except ValueError:  # a ModelError at some member's state, say; each raises its own alone
+            series = None
         group.series = {} if series is None else dict(zip(map(id, group.scenarios), series))
     series = group.series.pop(id(sc), None)
     return _integrate([sc])[0] if series is None else series
 
 
-def _group_rate(observers):
+def _group_rate(observers, q0):
     """The observers' rate of their states z, or of the (B, dim) stack of a lockstep group's states.
 
     A stacking observer takes the stack in one derivative call; otherwise the rows run one by one.
+    q0, the plant's start, is where the observer may probe its model for stacking.
     """
     obs = observers[0]
     if obs is None or len(observers) == 1:
         return None if obs is None else obs.derivative
-    stacked = obs._stacked(observers)
+    stacked = obs._stacked(observers, q0)
     if stacked is not None:
         return stacked.derivative
     return lambda zs, terms: np.array([o.derivative(z, terms) for o, z in zip(observers, zs)])
@@ -343,8 +349,9 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
     RK4 combines stage rates elementwise and each row's rate is its own
     observer's, bit for bit, so a row's trajectory is its scenario's alone.
     Returns the series in order; for a group, None if any state went
-    non-finite or a step raised, under numpy overflow raising as Python
-    float overflow does in a run alone.
+    non-finite or a step raised what a run alone reports as divergence,
+    under numpy overflow raising as Python float overflow does in a run
+    alone.  Anything else a group raises propagates to integrate_scenario.
     """
     sc = scenarios[0]
     model = sc.model
@@ -358,14 +365,9 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
 
     x = np.concatenate([sc.q0, sc.mom0, *(s._z0 for s in scenarios)])
 
-    rate = _group_rate(observers)
+    rate = _group_rate(observers, sc.q0)
     project = getattr(obs, "project", None)
-    last_input = [None, None]  # (t, u): RK4's two midpoint stages, and often the next step, share t
-
-    def input_value(t):
-        if t != last_input[0]:
-            last_input[:] = t, sc.input_value(t)
-        return last_input[1]
+    input_value = sc.input_value
 
     def observer_states(state):  # a view: the one state, or the (B, dim) stack of a group's
         return state[2 * n :] if rows == 1 else state[2 * n :].reshape(rows, dim)
@@ -375,8 +377,6 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
         qd, momd = _plant_rhs(model, terms, state[n : 2 * n], d)
         if rate is None:
             return np.concatenate([qd, momd])
-        if rows == 1:
-            return np.concatenate([qd, momd, rate(state[2 * n :], terms)])
         return np.concatenate([qd, momd, rate(observer_states(state), terms).ravel()])
 
     samples = [(0.0, x.copy())]

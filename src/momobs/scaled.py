@@ -116,16 +116,17 @@ class ScaledObserver:
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
         self._psi_m = self.psi  # psi shaped to scale T^-1(qbar) of every row
 
-    def _stacked(self, observers):
+    def _stacked(self, observers, q0):
         """A copy whose derivative takes a (B, dim) stack, row b with the gains of observers[b].
 
         Its margins and psi are (B, 1) columns.  Each row's rate equals observers[b].derivative of
         that row, bit for bit.  None when rows must run one by one: on non-commuting columns, on
         a model without factor_jac, or when T^-1 or its derivatives come in another layout than
-        C order, which matmul may round differently once stacked.
+        C order, which matmul may round differently once stacked.  The layouts are probed at q0,
+        the plant's start, a position every run visits.
         """
         model = self.model
-        x = np.zeros(self.n)
+        x = np.asarray(q0, dtype=float)
         evaluators = (model.factor_inverse, model.factor_jac)
         if not (model.zrs and model.factor_jac is not None
                 and all(np.asarray(f(x)).flags.c_contiguous for f in evaluators)):

@@ -10,6 +10,7 @@ from momobs import (
     FrictionSpec,
     GeneralizedState,
     InputChannel,
+    ModelError,
     ManipulatorParams,
     Metrics,
     Scenario,
@@ -324,6 +325,56 @@ def test_lockstep_with_a_factor_in_another_layout(request, observer, fixture):
     assert not any(ts.diverged for ts in solo)
 
 
+def test_group_raising_in_one_member_runs_each_member_alone(request):
+    # on the non-commuting path rows run one by one; a ModelError in the
+    # second row's derivative discards the lockstep: the first member's call
+    # returns its run alone, and the second raises on its own call
+    group = gain_group(request, "prop2_cholesky")
+    solo = integrate_scenario(replace(group[0]))
+
+    def no_inverse(z, terms):
+        raise ModelError("factor is singular at this estimate")
+
+    group[1].build_observer().derivative = no_inverse
+    share_plant(group)
+    assert same_series(solo, integrate_scenario(group[0]))
+    assert group[0]._lockstep.series == {}
+    with pytest.raises(ModelError, match="singular"):
+        integrate_scenario(group[1])
+
+
+def test_stacking_probes_the_model_at_the_plant_start(crane_known):
+    # a group evaluates T^-1 nowhere a run alone does not: the layout probe
+    # reads it at q0, so a model that fails off the trajectory still stacks
+    def factor_inv(q):
+        if not np.any(q):
+            raise ModelError("probed at the origin")
+        return crane_known.factor_inverse(q)
+
+    model = replace(crane_known, factor_inv=factor_inv)
+    sc = crane_prop1_scenario(model, observer="prop2", gains={}, t_final=0.05)
+    group = [apply_sweep_value(sc, "psi5_extra", v) for v in (0.5, 3.0)]
+    solo = [integrate_scenario(replace(s)) for s in group]
+    share_plant(group)
+    shared = [integrate_scenario(group[0])]
+    assert len(group[0]._lockstep.series) == 1  # the lockstep ran to the end
+    shared.append(integrate_scenario(group[1]))
+    assert all(same_series(a, b) for a, b in zip(solo, shared))
+
+
+def test_share_plant_groups_one_sample_stride(crane):
+    # a group's series share one sampling: a scenario sampled at another
+    # stride joins no group, and every series equals its run alone
+    sc = crane_prop1_scenario(crane, t_final=0.05, stride=7)
+    group = [*(apply_sweep_value(sc, "lambda", v) for v in (0.4, 2.0)),
+             replace(sc, stride=1, gains={"lambda": 3.0})]
+    solo = [integrate_scenario(replace(s)) for s in group]
+    share_plant(group)
+    assert group[0]._lockstep is group[1]._lockstep is not None
+    assert group[2]._lockstep is None
+    assert all(same_series(a, integrate_scenario(b)) for a, b in zip(solo, group))
+
+
 def test_share_plant_groups_equal_plants_only(crane):
     sc = crane_prop1_scenario(crane, t_final=0.01)
     starts = [apply_sweep_value(sc, "q0[2]", v) for v in (0.5, 0.6)]
@@ -381,7 +432,7 @@ def stacked_cases(request, case):
                                   "prop2_manipulator"])
 def test_stacked_derivative_rows_match_one_state_bit_for_bit(request, case):
     observers, zs, terms = stacked_cases(request, case)
-    stacked = observers[0]._stacked(observers)
+    stacked = observers[0]._stacked(observers, terms.q)
     rates = stacked.derivative(zs, terms)
     assert rates.shape == zs.shape
     for obs, z, rate in zip(observers, zs, rates):
