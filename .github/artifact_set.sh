@@ -15,10 +15,15 @@
 # dt = 2.5e-4 Cholesky run (its runs step in lockstep on the non-commuting
 # path), a psi5_extra sweep on the dt = 2 ms Cholesky run (its first value
 # diverges, exit 3), `momobs check` on the crane and Cholesky configs at
-# seeds 0 and 3, and a run and a check of a constant-inertia prop2 config
-# whose first RK4 step lands on r = 0, below the projection's r >= 1.
-# Configs are edited copies of ROOT's shipped ones, but for the constant one,
-# written here so every checkout runs the same text.  Paths to ROOT and OUT
+# seeds 0 and 3, a run and a check of a constant-inertia prop2 config
+# whose first RK4 step lands on r = 0, below the projection's r >= 1, and,
+# on the planar manipulator (two unknown frictions; stacked trig evaluators
+# with a factor that depends on q1 + q2), `momobs check` at seeds 0 and 3, a
+# lambda sweep on prop1 and, with every friction known, a psi3_const sweep
+# on prop2, whose lockstep rows take the secant-sample path (no Lipschitz
+# constant for T^-1).
+# Configs are edited copies of ROOT's shipped ones, but for the constant and
+# manipulator ones, written here so every checkout runs the same text.  Paths to ROOT and OUT
 # read ROOT and OUT, and numpy's RuntimeWarning lines (each with the source
 # line it quotes) are dropped, so `diff -r` of two such directories, made
 # from two checkouts, shows only what the code does differently.
@@ -91,6 +96,39 @@ stride = 1
 emit_svg = false
 CFG
 
+cat > "$out/cfg/manipulator.cfg" <<'CFG'
+[model]
+name = manipulator
+friction = 0.3, 0.2, 0.1, 0.1
+known = false, false, true, true
+
+[observer]
+kind = prop1
+lambda = 0.8
+
+[initial]
+q = 0.2, -0.1, 0.3, 0.1
+mom = 0, 0, 0, 0
+
+[input]
+u1 = 1.0, 1.0, 0.0, cos
+u2 = 0.5, 2.0, 0.0, sin
+
+[disturbance]
+step1 = 0, 0.1, 0, 0, 0
+
+[sim]
+t_final = 2
+dt = 0.001
+stride = 50
+
+[output]
+emit_svg = false
+CFG
+sed -e "s/^kind = prop1/kind = prop2/" -e "s/^lambda = .*/psi5_extra = 1/" \
+  -e "s/^known = .*/known = true, true, true, true/" \
+  "$out/cfg/manipulator.cfg" > "$out/cfg/manipulator_prop2.cfg"
+
 record run_cholesky run "$out/cfg/cholesky.cfg" -o "$out/run_cholesky"
 record run_cholesky_probe run "$out/cfg/cholesky_probe.cfg" -o "$out/run_cholesky_probe"
 for shipped in prop1 prop2 steps; do
@@ -113,4 +151,9 @@ record check_constant_r check "$out/cfg/constant_r.cfg"
 for seed in 0 3; do
   record "check_crane_$seed" check "$root/configs/spider_crane_prop1.cfg" --seed "$seed"
   record "check_cholesky_$seed" check "$root/configs/spider_crane_cholesky_check.cfg" --seed "$seed"
+  record "check_manipulator_$seed" check "$out/cfg/manipulator.cfg" --seed "$seed"
 done
+record sweep_manipulator_prop1 sweep "$out/cfg/manipulator.cfg" --param lambda --values 0.4,2 \
+  -o "$out/sweep_manipulator_prop1"
+record sweep_manipulator_psi3 sweep "$out/cfg/manipulator_prop2.cfg" --param psi3_const \
+  --values 0.5,1 -o "$out/sweep_manipulator_psi3"

@@ -51,25 +51,22 @@ def regressor_matrices(model: MechanicalModel) -> Array:
     Returns a stacked (n, n, s) array, Y[j] of shape (n, s).  Entries exist
     because the unknown-friction rows of the factor are constant; each Y[j]
     column k is (row kappa_k of T)^T scaled by T[kappa_k, j].  Constancy is
-    verified on 100 random samples, to 1e-10 per entry, and a varying matrix
-    is rejected with the offending index.
+    verified on 100 random samples, to 1e-10 per entry, and a varying (or NaN)
+    matrix is rejected with the offending index, at the first sample where one varies.
     """
     kappa = model.friction.unknown_indices
-    n, s = model.n, kappa.size
-    qs = sample_positions(n, 100)
-    rows = model.factor(qs[0])[kappa, :]
-    base = np.einsum("kj,ka->jak", rows, rows)
-    for q in qs[1:]:
-        rows_q = model.factor(q)[kappa, :]
-        cand = np.einsum("kj,ka->jak", rows_q, rows_q)
-        dev = np.abs(cand - base).reshape(n, -1).max(axis=1) if s else np.zeros(n)
-        bad = np.flatnonzero(dev > 1e-10)
-        if bad.size:
-            raise StructureError(
-                f"regressor matrix {bad[0]} varies with q (deviation {dev[bad[0]]:.3e}); "
-                "unknown-friction rows of the factor must be constant",
-                residual=float(dev[bad[0]]),
-            )
+    rows = model.factor(sample_positions(model.n, 100))[:, kappa, :]
+    base = np.einsum("kj,ka->jak", rows[0], rows[0])
+    cands = np.einsum("qkj,qka->qjak", rows[1:], rows[1:])
+    dev = np.max(np.abs(cands - base).reshape(len(cands), model.n, -1), axis=-1, initial=0.0)
+    bad = np.argwhere(~(dev <= 1e-10))  # a NaN deviation varies too
+    if len(bad):
+        sample, j = bad[0]
+        raise StructureError(
+            f"regressor matrix {j} varies with q (deviation {dev[sample, j]:.3e}); "
+            "unknown-friction rows of the factor must be constant",
+            residual=float(dev[sample, j]),
+        )
     return base
 
 

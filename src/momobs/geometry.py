@@ -6,7 +6,8 @@ The observer designs need two structural facts about the factor T(q):
     is equivalent to the existence of a map Q with grad Q = T^-1, and
   * whether the rows carrying unknown friction are independent of q.
 
-Both are checked numerically on a sample set and summarized in an
+Both are checked numerically on a sample set, in one stacked evaluation
+per evaluator (MechanicalModel's stack contract), and summarized in an
 AssumptionReport, which also words the adaptive observer's refusals.  The
 same bracket machinery builds the skew-symmetric gyroscopic matrix that
 appears in the factored-coordinate dynamics.
@@ -29,7 +30,8 @@ brackets, not B; its Lyapunov-certificate test on the Cholesky crane is a
 strict xfail for that reason.
 
 factor_brackets and factor_structure (T^-1 with the brackets) read T and
-dT from one evaluation, at one position or a stack: _factor_and_jacobian.
+dT from one evaluation, at one position or a (k, n) stack, each row bit for
+bit its position's value: _factor_and_jacobian.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def factor_brackets(model: MechanicalModel, q) -> Array:
     """All pairwise Lie brackets of factor columns; entry [i, j] = [(T)_i, (T)_j].
 
     [X, Y] = dY X - dX Y, Jacobians from _factor_and_jacobian.  Entry [j, i]
-    is the exact negative of entry [i, j].  q may be a (k, n) stack when the
-    model maps stacks (MechanicalModel's stack contract).
+    is the exact negative of entry [i, j].  q may be a (k, n) stack
+    (MechanicalModel's stack contract).
     """
     return _brackets(*_factor_and_jacobian(model, np.asarray(q, dtype=float)))
 
@@ -128,23 +130,27 @@ def gyro_swapped(model: MechanicalModel, q, pbar) -> Array:
     return swapped_from_brackets(_frame_brackets(model, q), pbar)
 
 
+def _worst(values) -> float:
+    """The largest of values, 0.0 for none; NaN if any is, where Python's max would skip it."""
+    return float(np.max(values, initial=0.0))
+
+
 def grad_integral_map_residual(model: MechanicalModel, q) -> float:
     """Frobenius norm of grad Q(q) - T^-1(q), grad Q by central differences.
 
-    q may be a (k, n) stack of positions; the largest norm over its rows.
+    q may be a (k, n) stack of positions; the largest norm over its rows,
+    NaN if any row's is.
     """
     if model.integral_map is None:
         raise ValueError("model supplies no integral map")
-    q = np.asarray(q, dtype=float)
-
-    def stacked(xs):  # the integral map takes one position at a time
-        return np.array([model.integral_map(x) for x in xs])
-
-    grads = central_differences(stacked, q, FD_STEP)[1].reshape(-1, model.n, model.n)
+    n = model.n
+    q = np.asarray(q, dtype=float).reshape(-1, n)
+    grads = central_differences(model.integral_map, q, FD_STEP)[1]
     if not np.all(np.isfinite(grads)):
         raise ValueError("vector field evaluated to non-finite values near q")
-    return max(float(np.linalg.norm(G.T - model.factor_inverse(x)))
-               for G, x in zip(grads, q.reshape(-1, model.n)))
+    # row by row as np.linalg.norm of one matrix: the dot of its C-order entries
+    gaps = (grads.mT - model.factor_inverse(q)).reshape(-1, n * n)
+    return _worst(np.sqrt(np.vecdot(gaps, gaps)))
 
 
 @dataclass
@@ -157,7 +163,8 @@ class AssumptionReport:
     map).  constant_row_residual measures, for each unknown-friction row of
     T, how far it strays from its value at the first sample.  Each verdict
     holds exactly when its residuals are within STRUCTURE_TOL (brackets,
-    integral map) or ROW_TOL (rows); failures words the failed ones.
+    integral map) or ROW_TOL (rows), so a NaN residual fails it; failures
+    words the failed ones.
     """
 
     pair_norms: List[Tuple[int, int, float]]
@@ -166,7 +173,7 @@ class AssumptionReport:
 
     @property
     def max_bracket_norm(self) -> float:
-        return max((v for _, _, v in self.pair_norms), default=0.0)
+        return _worst([v for _, _, v in self.pair_norms])
 
     @property
     def commuting_factor_ok(self) -> bool:
@@ -191,7 +198,7 @@ class AssumptionReport:
             out.append(("integral map Jacobian does not match the factor inverse "
                         f"(residual {self.gradq_residual:.3e})", self.gradq_residual))
         if not self.constant_rows_ok:
-            worst = max(v for _, v in self.constant_row_residual)
+            worst = _worst([v for _, v in self.constant_row_residual])
             out.append((f"unknown-friction rows of the factor vary with q (residual {worst:.3e})",
                         worst))
         return out
@@ -231,33 +238,26 @@ class AssumptionReport:
 def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionReport:
     """Evaluate the structural assumptions over a sample set.
 
-    Never raises on failure; the report carries residuals and verdicts so
-    callers can decide (the adaptive observer refuses models that fail).
+    Each evaluator is called once, on the stack of samples.  Never raises
+    on failure; the report carries residuals and verdicts so callers can
+    decide (the adaptive observer refuses models that fail).
     """
-    samples = [np.asarray(q, dtype=float) for q in sample_qs]
-    if not samples:
-        raise ValueError("sample set must be nonempty")
     n = model.n
-    pair_max = np.zeros((n, n))
-    for q in samples:
-        br = factor_brackets(model, q)
-        norms = np.linalg.norm(br, axis=2)
-        pair_max = np.maximum(pair_max, norms)
+    samples = np.array(sample_qs, dtype=float).reshape(-1, n)
+    if not len(samples):
+        raise ValueError("sample set must be nonempty")
+    # a NaN bracket at any sample makes its pair's maximum NaN
+    pair_max = np.linalg.norm(factor_brackets(model, samples), axis=-1).max(axis=0)
     pair_norms = [(i, j, float(pair_max[i, j])) for i in range(n) for j in range(i + 1, n)]
 
     gradq = None
     if model.integral_map is not None:
-        gradq = grad_integral_map_residual(model, np.array(samples))
+        gradq = grad_integral_map_residual(model, samples)
 
     kappa = model.friction.unknown_indices
-    row_res = []
-    if kappa.size:
-        base = model.factor(samples[0])[kappa, :]
-        worst = np.zeros(kappa.size)
-        for q in samples[1:]:
-            rows = model.factor(q)[kappa, :]
-            worst = np.maximum(worst, np.linalg.norm(rows - base, axis=1))
-        row_res = [(int(i), float(v)) for i, v in zip(kappa, worst)]
+    rows = model.factor(samples)[:, kappa, :]
+    worst = np.max(np.linalg.norm(rows[1:] - rows[0], axis=-1), axis=0, initial=0.0)
+    row_res = [(int(i), float(v)) for i, v in zip(kappa, worst)]
 
     return AssumptionReport(pair_norms, gradq, row_res)
 

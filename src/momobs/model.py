@@ -200,15 +200,14 @@ class MechanicalModel:
     of q -> T^-1(q) in the induced 2-norm, used by the scaled observer's
     gain schedule.
 
-    Stack contract: a model maps stacks exactly when it has no factor_jac,
-    and maps_stacks is the one place that decides it.  Its factor maps a
-    (k, n) stack of positions to the (k, n, n) stack of factors, and a
-    factor_inv, when it has one, does the same; one position (n,) maps to
-    (n, n) through the same code as k = 1.  Each stacked factor must equal
-    the one of its position alone, bit for bit.  factor_inverse,
-    factor_jacobian, geometry.factor_brackets and geometry.factor_structure
-    then take stacks too, so central_differences calls the factor once per
-    stack and the scaled observer evaluates many positions in one call.
+    Stack contract, for every model: factor, factor_inv, factor_jac and
+    integral_map map a (k, n) stack of positions to the (k, ...) stack of
+    their values, and one position (n,) to its value alone; each row of a
+    stack must equal the value of its position alone, bit for bit.
+    factor_inverse, factor_jacobian and the geometry checks then take
+    stacks too, so central_differences, the structural checks and the
+    scaled observer make one evaluator call per stack of positions.  minv,
+    potential, grad_potential and input_matrix take one position.
     """
 
     n: int
@@ -233,11 +232,6 @@ class MechanicalModel:
     def zrs(self) -> bool:
         """Whether the factor's columns commute, read from the integral map's presence."""
         return self.integral_map is not None
-
-    @property
-    def maps_stacks(self) -> bool:
-        """Whether the evaluators take (k, n) stacks of positions: the stack contract."""
-        return self.factor_jac is None
 
     def factor_inverse(self, q: Array) -> Array:
         """T^-1(q), from the closed form when supplied, else by solving."""

@@ -46,13 +46,6 @@ def _norm(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def _evaluate(f, xs, tail) -> Array:
-    """f at one position xs, or at each of a stack xs[..., n], stacked to xs[..., :-1] + tail."""
-    if xs.ndim == 1:
-        return f(xs)
-    return np.array([f(x) for x in xs.reshape(-1, xs.shape[-1])]).reshape(xs.shape[:-1] + tail)
-
-
 class GainSet(NamedTuple):
     psi: float
     psi1: float
@@ -143,14 +136,12 @@ class ScaledObserver:
     def _structures(self, xs) -> list:
         """(T^-1(x), factor-column brackets at x or None when columns commute) for each x in xs.
 
-        factor_inverse per x if columns commute, else factor_structure: one stack if the model can.
+        One factor_inverse call on the stack xs if columns commute, else one factor_structure call.
         """
-        model = self.model
-        if model.zrs:
-            return [(model.factor_inverse(x), None) for x in xs]
-        if model.maps_stacks:
-            return list(zip(*geometry.factor_structure(model, np.array(xs))))
-        return [geometry.factor_structure(model, x) for x in xs]
+        xs = np.array(xs)
+        if self.model.zrs:
+            return [(Tinv, None) for Tinv in self.model.factor_inverse(xs)]
+        return list(zip(*geometry.factor_structure(self.model, xs)))
 
     def _h(self, structure, p) -> Array:
         """H(x, p) = (psi I + Jbar(x, p)) T^-1(x), from the _structures entry of x."""
@@ -297,8 +288,7 @@ class ScaledObserver:
         """
         model = self.model
         if model.zrs and model.factor_jac is not None:
-            n = self.n
-            dT = _evaluate(model.factor_jac, qbar, (n, n, n)).reshape(qbar.shape[:-1] + (n, n * n))
+            dT = model.factor_jac(qbar).reshape(qbar.shape[:-1] + (self.n, -1))
             rows = qbar_dot if qbar_dot.ndim == 1 else qbar_dot[:, None, :]  # not a (B, n) @ gemm
             Tdot = (rows @ dT).reshape(Tinv.shape)
             return -self._psi_m * Tinv @ Tdot @ Tinv
@@ -316,11 +306,11 @@ class ScaledObserver:
         """Rate of the packed state z at the plant's stage terms; each H and T(q) phat formed once.
 
         z is one state or, on a _stacked observer, a (B, dim) stack of rows with their own gains.
-        On commuting columns H = psi T^-1 is array code: T^-1 comes from one factor_inverse call
-        per position, q's shared by the rows.  Otherwise the structures of one state come from two
-        _structures calls: qbar with _towards_q's, then the H-rate points.  The spectral norms of
-        T(q), H(qbar, pbar), delta_q T(q) and, for non-commuting columns, delta_p T(q) come from one
-        stacked SVD.
+        On commuting columns H = psi T^-1 is array code: T^-1 comes from one factor_inverse call on
+        the qbar rows, then one at q shared by the rows or one on every row's secant samples.
+        Otherwise the structures of one state come from two _structures calls: qbar with
+        _towards_q's, then the H-rate points.  The spectral norms of T(q), H(qbar, pbar),
+        delta_q T(q) and, for non-commuting columns, delta_p T(q) come from one stacked SVD.
         """
         model = self.model
         n = self.n
@@ -334,13 +324,14 @@ class ScaledObserver:
         r = max(float(z[-1]), 1.0) if z.ndim == 1 else np.maximum(z[:, -1:], 1.0)
 
         if model.zrs:  # H does not depend on momenta
-            tinv_bar = _evaluate(model.factor_inverse, qbar, (n, n))
+            tinv_bar = model.factor_inverse(qbar)
             h_bb = h_bp = self._psi_m * tinv_bar
             if self._analytic_bounds:  # T^-1(q) once, shared by the rows; no secant samples
                 h_q, h_towards_q = self._psi_m * model.factor_inverse(q), None
-            else:
+            else:  # every secant sample of every row in one (k, n) stack
                 towards = self._towards_q(qbar, q)
-                h_towards_q = self._psi_m * _evaluate(model.factor_inverse, towards, (n, n))
+                tinv_towards = model.factor_inverse(towards.reshape(-1, n))
+                h_towards_q = self._psi_m * tinv_towards.reshape(towards.shape + (n,))
                 h_q = h_towards_q[-1] if len(towards) else h_bp
         else:
             s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])

@@ -5,6 +5,11 @@ form, chosen so that the factor columns commute.  The crane also gets a
 variant built on the ordinary lower-triangular Cholesky factor of the same
 inverse inertia matrix; that factor does not commute and the variant exists
 to exercise the failure path of the structural checks.
+
+Every factory keeps MechanicalModel's stack contract, (k, n) in and (k, ...)
+out, each row bit for bit its position's value alone: the closed forms are
+elementwise trig and arithmetic on the stack's columns, in copies of
+constant templates (_per_position).
 """
 
 from __future__ import annotations
@@ -14,9 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FrictionSpec, MechanicalModel, ModelError
+from .model import FrictionSpec, MechanicalModel, ModelError, _matvec
 
 Array = np.ndarray
+
+
+def _per_position(const: Array, q: Array) -> Array:
+    """A fresh copy of const for one position q, or one per row of a stack of positions."""
+    if q.ndim == 1:  # the same copy, at a third of the cost per call
+        return const.copy()
+    out = np.empty(q.shape[:-1] + const.shape)
+    out[...] = const
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,7 +70,9 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
 
     The factor is the symmetric square root of M^-1, so it is constant, its
     columns trivially commute, and the integral map is linear.  All friction
-    coefficients may be treated as unknown here.
+    coefficients may be treated as unknown here.  A stack of positions gets
+    one copy of T per row, and the integral map multiplies each row on its
+    own, so it rounds as one position does (model._matvec).
     """
     M = np.asarray(M, dtype=float)
     K = np.asarray(K, dtype=float)
@@ -72,7 +88,6 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
     if friction is None:
         friction = FrictionSpec(np.zeros(n), np.zeros(n, dtype=bool))
     G = np.eye(n)
-    zeros_jac = np.zeros((n, n, n))
     return MechanicalModel(
         n=n,
         m=n,
@@ -80,11 +95,11 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
         potential=lambda q: 0.5 * float(q @ K @ q),
         grad_potential=lambda q: K @ q,
         input_matrix=lambda q: G,
-        factor=lambda q: T,
-        factor_inv=lambda q: Tinv,
+        factor=lambda q: _per_position(T, q),
+        factor_inv=lambda q: _per_position(Tinv, q),
         friction=friction,
-        integral_map=lambda q: Tinv @ q,
-        factor_jac=lambda q: zeros_jac,
+        integral_map=lambda q: _matvec(Tinv, q),
+        factor_jac=lambda q: np.zeros(q.shape[:-1] + (n, n, n)),
         lip_factor_inv=0.0,
         name="constant",
     )
@@ -98,6 +113,7 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
     elastic coordinate and the revolute joint can be treated as unknown.
     The potential is not part of this model (it lives with the physical
     parameters we do not fix); structural identities are what it is for.
+    T, T^-1, dT and the integral map take (k, 4) stacks (module docstring).
     """
     I, M, m, l = params.I, params.M, params.m, params.l
     a2 = np.sqrt(M * m) * l / np.sqrt(m + M)
@@ -105,49 +121,39 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
     rho = np.sqrt(M / m)
     sI = np.sqrt(I)
 
-    def trig(q):
-        s = q[0] + q[1]
+    T_const = np.diag([1.0 / sI, 1.0 / a2, 1.0 / a3, 1.0 / a3])
+    T_const[1, 0] = -1.0 / sI
+    Tinv_const = np.diag([sI, a2, a3, a3])
+    Tinv_const[1, 0] = a2
+
+    def trig(x):  # x = q.T: x[k] is coordinate k of each row of a stack, a number for one q
+        s = x[0] + x[1]
         return np.sin(s), np.cos(s)
 
     def factor(q):
-        s12, c12 = trig(q)
-        return np.array(
-            [
-                [1.0 / sI, 0.0, 0.0, 0.0],
-                [-1.0 / sI, 1.0 / a2, 0.0, 0.0],
-                [0.0, -rho * s12 / a3, 1.0 / a3, 0.0],
-                [0.0, rho * c12 / a3, 0.0, 1.0 / a3],
-            ]
-        )
+        s12, c12 = trig(q.T)
+        T = _per_position(T_const, q)
+        T[..., 2, 1], T[..., 3, 1] = -rho * s12 / a3, rho * c12 / a3
+        return T
 
     def factor_inv(q):
-        s12, c12 = trig(q)
-        return np.array(
-            [
-                [sI, 0.0, 0.0, 0.0],
-                [a2, a2, 0.0, 0.0],
-                [a2 * rho * s12, a2 * rho * s12, a3, 0.0],
-                [-a2 * rho * c12, -a2 * rho * c12, 0.0, a3],
-            ]
-        )
+        s12, c12 = trig(q.T)
+        Tinv = _per_position(Tinv_const, q)
+        Tinv[..., 2, 0] = Tinv[..., 2, 1] = a2 * rho * s12
+        Tinv[..., 3, 0] = Tinv[..., 3, 1] = -a2 * rho * c12
+        return Tinv
 
     def integral_map(q):
-        s12, c12 = trig(q)
-        return np.array(
-            [
-                sI * q[0],
-                a2 * (q[0] + q[1]),
-                -a2 * rho * c12 + a3 * q[2],
-                -a2 * rho * s12 + a3 * q[3],
-            ]
-        )
+        x = q.T
+        s12, c12 = trig(x)
+        return np.array([sI * x[0], a2 * (x[0] + x[1]),
+                         -a2 * rho * c12 + a3 * x[2], -a2 * rho * s12 + a3 * x[3]]).T
 
     def factor_jac(q):
-        s12, c12 = trig(q)
-        d = np.zeros((4, 4, 4))
-        col = np.array([0.0, 0.0, -rho * c12 / a3, -rho * s12 / a3])
-        d[0][:, 1] = col
-        d[1][:, 1] = col
+        s12, c12 = trig(q.T)
+        d = np.zeros(q.shape[:-1] + (4, 4, 4))
+        d[..., 0, 2, 1] = d[..., 1, 2, 1] = -rho * c12 / a3
+        d[..., 0, 3, 1] = d[..., 1, 3, 1] = -rho * s12 / a3
         return d
 
     def minv(q):
@@ -186,7 +192,8 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
     Uses the upper-triangular factor whose third row is constant, so the
     cable-angle friction coefficient can be estimated.  The two gantry
     forces are the inputs.  The potential is the pendulum term
-    m g L3 (1 - cos q3); the ring moves in a horizontal plane.
+    m g L3 (1 - cos q3); the ring moves in a horizontal plane.  T, T^-1, dT
+    and the integral map take (k, 3) stacks (module docstring).
     """
     p = params
     a, b, c = crane_constants(p)
@@ -205,25 +212,33 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
             ]
         )
 
-    def factor(q):
-        s3, c3 = np.sin(q[2]), np.cos(q[2])
-        return np.array([[a, 0.0, -b * c3], [0.0, a, -b * s3], [0.0, 0.0, c]])
+    T_const = np.array([[a, 0.0, 0.0], [0.0, a, 0.0], [0.0, 0.0, c]])
+    Tinv_const = np.array([[1.0 / a, 0.0, 0.0], [0.0, 1.0 / a, 0.0], [0.0, 0.0, 1.0 / c]])
+
+    def factor(q):  # q.T[2]: the cable angle of each row of a stack, a number for one q
+        q3 = q.T[2]
+        s3, c3 = np.sin(q3), np.cos(q3)
+        T = _per_position(T_const, q)
+        T[..., 0, 2], T[..., 1, 2] = -b * c3, -b * s3
+        return T
 
     def factor_inv(q):
-        s3, c3 = np.sin(q[2]), np.cos(q[2])
-        return np.array(
-            [[1.0 / a, 0.0, alm * c3], [0.0, 1.0 / a, alm * s3], [0.0, 0.0, 1.0 / c]]
-        )
+        q3 = q.T[2]
+        s3, c3 = np.sin(q3), np.cos(q3)
+        Tinv = _per_position(Tinv_const, q)
+        Tinv[..., 0, 2], Tinv[..., 1, 2] = alm * c3, alm * s3
+        return Tinv
 
     def integral_map(q):
-        s3, c3 = np.sin(q[2]), np.cos(q[2])
-        return np.array([q[0] / a + alm * s3, q[1] / a - alm * c3, q[2] / c])
+        x = q.T
+        s3, c3 = np.sin(x[2]), np.cos(x[2])
+        return np.array([x[0] / a + alm * s3, x[1] / a - alm * c3, x[2] / c]).T
 
     def factor_jac(q):
-        s3, c3 = np.sin(q[2]), np.cos(q[2])
-        d = np.zeros((3, 3, 3))
-        d[2][0, 2] = b * s3
-        d[2][1, 2] = -b * c3
+        q3 = q.T[2]
+        s3, c3 = np.sin(q3), np.cos(q3)
+        d = np.zeros(q.shape[:-1] + (3, 3, 3))
+        d[..., 2, 0, 2], d[..., 2, 1, 2] = b * s3, -b * c3
         return d
 
     friction = FrictionSpec(np.asarray(p.friction, float), np.asarray(p.known_mask, bool))

@@ -19,6 +19,7 @@ from momobs import (
     make_spider_crane,
     regressor,
     regressor_matrices,
+    sample_positions,
     stage_terms,
     velocity_quadratics,
 )
@@ -80,6 +81,19 @@ def test_regressor_matrices_reject_varying_rows():
     with pytest.raises(StructureError) as err:
         regressor_matrices(model)
     assert err.value.residual > 0
+
+
+def test_regressor_matrices_reject_nan_rows(crane):
+    # an unknown-friction row that reads NaN at one sample is not constant
+    bad = sample_positions(3, 100)[5]
+
+    def factor(q):
+        T = crane.factor(q)
+        T[..., 2, 2] = np.where(np.all(q == bad, axis=-1), np.nan, T[..., 2, 2])
+        return T
+
+    with pytest.raises(StructureError, match=r"varies with q \(deviation nan\)"):
+        regressor_matrices(replace(crane, factor=factor))
 
 
 def test_regressor_identity(crane, manipulator):

@@ -1,7 +1,12 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import momobs.cli
 from momobs import (
+    AdaptiveObserver,
     AssumptionReport,
     FrictionSpec,
     MechanicalModel,
@@ -11,6 +16,7 @@ from momobs import (
     gyro_matrix,
     gyro_swapped,
     sample_positions,
+    StructureError,
 )
 
 
@@ -180,3 +186,44 @@ def test_check_zrs_constant_factor_residuals(const2):
     assert report.max_bracket_norm <= 1e-9
     assert report.gradq_residual <= 1e-9
     assert report.all_ok
+
+
+def with_nan_at(model, attr, entry, at):
+    """model whose evaluator attr reads NaN in entry at the position at, in a stack or alone."""
+    evaluate = getattr(model, attr)
+
+    def poisoned(q):
+        out = evaluate(q)
+        index = (..., *entry)
+        out[index] = np.where(np.all(q == at, axis=-1), np.nan, out[index])
+        return out
+
+    return replace(model, **{attr: poisoned})
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize(
+    "attr, entry, lines",
+    [
+        # dT_3 read NaN in row 0, column 2: the bracket of columns 0 and 2 is NaN there
+        ("factor_jac", (2, 0, 2),
+         ["max_bracket_norm = nan", "bracket[0,2] = nan", "commuting_factor = FAIL"]),
+        ("factor_inv", (0, 2), ["gradq_residual = nan", "integral_map = FAIL"]),
+    ],
+    ids=["bracket", "integral-map"],
+)
+def test_nan_residual_fails_its_verdict(crane, monkeypatch, capsys, attr, entry, lines, at):
+    # a NaN residual at any one sample fails its verdict, whichever sample it is:
+    # Python's max would skip it unless it came first.  The adaptive observer's
+    # 30 samples and momobs check's 100 at seed 0 both start with these three
+    samples = sample_positions(3, 3)
+    model = with_nan_at(crane, attr, entry, samples[at])
+    report = check_zrs(model, samples)
+    assert all(line in report.to_text().splitlines() for line in lines)
+    assert not report.all_ok
+    with pytest.raises(StructureError):
+        AdaptiveObserver(model)
+    monkeypatch.setattr(momobs.cli, "config_model", lambda cfg: model)
+    config = Path(__file__).parents[1] / "configs" / "spider_crane_prop1.cfg"
+    assert momobs.cli.main(["check", str(config)]) == 1
+    assert lines[-1] in capsys.readouterr().out

@@ -34,6 +34,11 @@ def cholesky_known():
 
 
 @pytest.fixture(scope="module")
+def manipulator_known():
+    return make_planar_manipulator(ManipulatorParams(known_mask=(True,) * 4))
+
+
+@pytest.fixture(scope="module")
 def const_known():
     friction = momobs.FrictionSpec(np.array([0.4, 0.7]), np.array([True, True]))
     return make_constant_inertia(np.diag([2.0, 0.5]), np.diag([1.0, 2.0]), friction)
@@ -157,6 +162,23 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
     assert obs.delta_bounds(q, q, phat, phat) == (0.0, 0.0)
 
 
+def counting(model, calls, attrs=("factor", "factor_inv", "factor_jac")):
+    """model whose evaluators append to calls[attr] the number of positions of each call."""
+
+    def counted(attr):
+        evaluate = getattr(model, attr)
+
+        def wrapped(q):
+            calls[attr].append(np.asarray(q).reshape(-1, model.n).shape[0])
+            return evaluate(q)
+
+        return wrapped
+
+    present = [attr for attr in attrs if getattr(model, attr)]
+    calls.update({attr: [] for attr in present})
+    return dataclasses.replace(model, **{attr: counted(attr) for attr in present})
+
+
 @pytest.mark.parametrize(
     "name, coincident, expected",
     [
@@ -182,17 +204,8 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
 )
 def test_derivative_structure_once_per_position(request, monkeypatch, name, coincident, expected):
     model = request.getfixturevalue(name)
-    evaluators = [attr for attr in ("factor", "factor_inv", "factor_jac") if getattr(model, attr)]
-    calls = {"brackets": 0, "swapped": 0, **{attr: [] for attr in evaluators}}
-
-    def counted(attr):
-        evaluate = getattr(model, attr)
-
-        def wrapped(q):
-            calls[attr].append(np.asarray(q).reshape(-1, 3).shape[0])
-            return evaluate(q)
-
-        return wrapped
+    calls = {"brackets": 0, "swapped": 0}
+    counted = counting(model, calls)
 
     def tallied(key, module, attr):
         evaluate = getattr(module, attr)
@@ -205,13 +218,55 @@ def test_derivative_structure_once_per_position(request, monkeypatch, name, coin
 
     tallied("brackets", momobs.geometry, "_brackets")
     tallied("swapped", momobs.scaled, "swapped_from_brackets")
-    obs = ScaledObserver(dataclasses.replace(model, **{a: counted(a) for a in evaluators}))
+    obs = ScaledObserver(counted)
     rng = np.random.default_rng(14)
     q = rng.uniform(-1, 1, 3)
     qbar = q.copy() if coincident else rng.uniform(-1, 1, 3)
     z = Obs2State(qbar, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), 1.3).pack()
     obs.derivative(z, stage_terms(model, q, np.array([0.3, 0.1])))  # terms of the uncounted model
     assert calls == expected
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # analytic bounds: T^-1 at the four qbar rows, then at q once for all
+        # rows, and dT at the four qbar rows for the exact H-rate
+        ("crane_known", {"factor": [], "factor_inv": [4, 1], "factor_jac": [4]}),
+        # secant bounds: T^-1 at the qbar rows, then at the ten samples of
+        # every row (q last) in one stack
+        ("manipulator_known", {"factor": [], "factor_inv": [4, 10 * 4], "factor_jac": [4]}),
+    ],
+    ids=["crane", "manipulator"],
+)
+def test_stacked_derivative_one_evaluator_call_per_stack(request, name, expected):
+    model = request.getfixturevalue(name)
+    calls = {}
+    counted = counting(model, calls)
+    rng = np.random.default_rng(15)
+    observers = [ScaledObserver(counted, {"psi5_extra": v}) for v in (0.5, 1.0, 2.0, 4.0)]
+    q = rng.uniform(-1, 1, model.n)
+    zs = np.array([obs.state_with(q) + rng.normal(scale=0.3, size=obs.dim) for obs in observers])
+    terms = stage_terms(model, q, rng.normal(size=model.m))  # terms of the uncounted model
+    stacked = observers[0]._stacked(observers, q)
+    del calls["factor_inv"][:], calls["factor_jac"][:]  # the layout probe at q0 does not count
+    stacked.derivative(zs, terms)
+    assert calls == expected
+
+
+def test_adaptive_setup_one_evaluator_call_per_stack(crane, monkeypatch):
+    # the structural checks take their 30 samples in one stack per evaluator:
+    # T and dT for the brackets, the integral map at every sample's 7
+    # central-difference points, T^-1, and T for the unknown-friction rows;
+    # the regressor matrices then take their 100 samples in one T call
+    calls = {"brackets": []}
+    counted = counting(crane, calls, ("factor", "factor_inv", "factor_jac", "integral_map"))
+    brackets = momobs.geometry.factor_brackets
+    monkeypatch.setattr(momobs.geometry, "factor_brackets",
+                        lambda model, q: calls["brackets"].append(len(q)) or brackets(model, q))
+    momobs.AdaptiveObserver(counted)
+    assert calls == {"brackets": [30], "factor": [30, 30, 100], "factor_jac": [30],
+                     "integral_map": [30 * 7], "factor_inv": [30]}
 
 
 def schedule_inputs(obs, q, qbar, phat, pbar):
@@ -428,11 +483,7 @@ def max_lyapunov_rate(model):
 )
 def test_lyapunov_certificate_pointwise(request, model_name):
     # the guarantee of the second observer, checked pointwise rather than along one run
-    if model_name == "manipulator_known":
-        model = make_planar_manipulator(ManipulatorParams(known_mask=(True,) * 4))
-    else:
-        model = request.getfixturevalue(model_name)
-    assert max_lyapunov_rate(model) <= 1e-6
+    assert max_lyapunov_rate(request.getfixturevalue(model_name)) <= 1e-6
 
 
 def test_state_packing_roundtrip():

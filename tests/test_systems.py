@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from momobs import (
+    AssumptionReport,
     FrictionSpec,
     ModelError,
     Scenario,
@@ -13,6 +14,8 @@ from momobs import (
     make_constant_inertia,
     sample_positions,
     SpiderCraneParams,
+    StructureError,
+    regressor_matrices,
 )
 from momobs.geometry import FD_STEP, factor_structure
 from momobs.model import central_differences
@@ -149,36 +152,118 @@ def test_cholesky_variant_shares_inertia(crane, crane_cholesky):
     assert not crane_cholesky.zrs
 
 
-def test_cholesky_stack_matches_each_position(crane_cholesky):
-    # the stack contract, bit for bit (signs of zero included): at 200 seeded
-    # positions, their central-difference points at the bracket step 1e-5 and
-    # a q3 where a broadcast minv would round sin(q3)**2 differently, every
-    # stacked evaluation equals the evaluations of its positions one by one
-    rng = np.random.default_rng(29)
-    centres = rng.uniform(-np.pi, np.pi, size=(200, 3))
-    shifted = centres[:, None, :] + FD_STEP * np.vstack([np.eye(3), -np.eye(3)])
-    Q = np.vstack([centres, shifted.reshape(-1, 3), [[0.3, -0.2, 1.0186570831121868]]])
-    model = crane_cholesky
+def assert_stacks_match_each_position(model, Q, evaluators):
+    """Each evaluator on the stack Q equals its values at the rows of Q one by one, bit for bit."""
+    for name, f in evaluators.items():
+        stacked = f(Q)
+        one_by_one = np.array([f(q) for q in Q])
+        assert np.array_equal(stacked, one_by_one, equal_nan=True), name
+        assert stacked.tobytes() == one_by_one.tobytes(), name  # signs of zero included
+
+
+def positions_with_fd_points(n, seed, count=200):
+    """count seeded positions followed by their central-difference points at the bracket step."""
+    centres = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(count, n))
+    shifted = centres[:, None, :] + FD_STEP * np.vstack([np.eye(n), -np.eye(n)])
+    return np.vstack([centres, shifted.reshape(-1, n)])
+
+
+def model_evaluators(model):
+    """The model's stack-mapping evaluators, and the geometry built on them, by name."""
     evaluators = {
         "factor": model.factor,
         "factor_inverse": model.factor_inverse,
         "factor_jacobian": model.factor_jacobian,
+        "factor_brackets": lambda q: factor_brackets(model, q),
+    }
+    if model.integral_map is not None:
+        evaluators["integral_map"] = model.integral_map
+    return evaluators
+
+
+@pytest.mark.parametrize("name", ["crane", "manipulator", "const2"])
+def test_stack_matches_each_position(request, name):
+    # the stack contract of every shipped closed form: trig and arithmetic over
+    # the stack's columns give each row the bits of its position alone
+    model = request.getfixturevalue(name)
+    Q = positions_with_fd_points(model.n, seed=29)
+    assert_stacks_match_each_position(model, Q, model_evaluators(model))
+    assert model.factor(Q).flags.c_contiguous and model.factor_inverse(Q).flags.c_contiguous
+
+
+def test_cholesky_stack_matches_each_position(crane_cholesky):
+    # the stack contract, bit for bit: at 200 seeded positions, their
+    # central-difference points at the bracket step 1e-5 and a q3 where a
+    # broadcast minv would round sin(q3)**2 differently, every stacked
+    # evaluation equals the evaluations of its positions one by one
+    model = crane_cholesky
+    Q = np.vstack([positions_with_fd_points(3, seed=29), [[0.3, -0.2, 1.0186570831121868]]])
+    evaluators = {
+        **model_evaluators(model),
         "central_differences[0]": lambda q: central_differences(model.factor, q, FD_STEP)[0],
         "central_differences[1]": lambda q: central_differences(model.factor, q, FD_STEP)[1],
-        "factor_brackets": lambda q: factor_brackets(model, q),
         "factor_structure[0]": lambda q: factor_structure(model, q)[0],
         "factor_structure[1]": lambda q: factor_structure(model, q)[1],
     }
-    for name, f in evaluators.items():
-        stacked = f(Q)
-        one_by_one = np.array([f(q) for q in Q])
-        assert np.array_equal(stacked, one_by_one), name
-        assert stacked.tobytes() == one_by_one.tobytes(), name
+    assert_stacks_match_each_position(model, Q, evaluators)
     # the helper's centre is the factor itself; factor_structure is
     # factor_inverse and factor_brackets from one call
     assert central_differences(model.factor, Q, FD_STEP)[0].tobytes() == model.factor(Q).tobytes()
     assert factor_structure(model, Q)[0].tobytes() == model.factor_inverse(Q).tobytes()
     assert factor_structure(model, Q)[1].tobytes() == factor_brackets(model, Q).tobytes()
+
+
+def check_zrs_one_by_one(model, samples):
+    """check_zrs's report with every evaluator called at one position at a time."""
+    n = model.n
+    pair_max = np.zeros((n, n))
+    for q in samples:
+        pair_max = np.maximum(pair_max, np.linalg.norm(factor_brackets(model, q), axis=2))
+    pair_norms = [(i, j, float(pair_max[i, j])) for i in range(n) for j in range(i + 1, n)]
+    gradq = None
+    if model.integral_map is not None:
+        one_at_a_time = lambda xs: np.array([model.integral_map(x) for x in xs])
+        gradq = max(
+            float(np.linalg.norm(central_differences(one_at_a_time, q, FD_STEP)[1].T
+                                 - model.factor_inverse(q)))
+            for q in samples)
+    kappa = model.friction.unknown_indices
+    base = model.factor(samples[0])[kappa]
+    worst = np.zeros(kappa.size)
+    for q in samples[1:]:
+        worst = np.maximum(worst, np.linalg.norm(model.factor(q)[kappa] - base, axis=1))
+    return AssumptionReport(pair_norms, gradq, [(int(i), float(v)) for i, v in zip(kappa, worst)])
+
+
+def regressor_matrices_one_by_one(model):
+    """regressor_matrices, or its refusal's message, with the factor called at one position at a time."""
+    kappa = model.friction.unknown_indices
+    qs = sample_positions(model.n, 100)
+    ys = [np.einsum("kj,ka->jak", model.factor(q)[kappa], model.factor(q)[kappa]) for q in qs]
+    for y in ys[1:]:
+        dev = np.abs(y - ys[0]).reshape(model.n, -1).max(axis=1, initial=0.0)
+        bad = np.flatnonzero(dev > 1e-10)
+        if bad.size:
+            return (f"regressor matrix {bad[0]} varies with q (deviation {dev[bad[0]]:.3e}); "
+                    "unknown-friction rows of the factor must be constant")
+    return ys[0]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["crane", "manipulator", "crane_cholesky"])
+def test_stacked_checks_match_one_by_one(request, name, seed):
+    # check_zrs and regressor_matrices evaluate their samples in one stack;
+    # their results are those of evaluating one position at a time
+    model = request.getfixturevalue(name)
+    samples = sample_positions(model.n, 100, seed=seed)
+    assert check_zrs(model, samples).to_text() == check_zrs_one_by_one(model, samples).to_text()
+    reference = regressor_matrices_one_by_one(model)
+    if isinstance(reference, str):
+        with pytest.raises(StructureError) as err:
+            regressor_matrices(model)
+        assert str(err.value) == reference
+    else:
+        assert regressor_matrices(model).tobytes() == reference.tobytes()
 
 
 def test_structure_reports(crane, crane_cholesky, manipulator):
