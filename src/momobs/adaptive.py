@@ -32,7 +32,7 @@ import numpy as np
 
 # bench/spans.py traces check_zrs under this module
 from .geometry import check_zrs, sample_positions
-from .model import MechanicalModel, StageTerms, _matvec
+from .model import MechanicalModel, StageTerms
 
 Array = np.ndarray
 
@@ -71,11 +71,10 @@ def regressor_matrices(model: MechanicalModel) -> Array:
 
 
 def regressor(ymats: Array, z) -> Array:
-    """Friction regressor Phi(z) = sum_j Y[j] z_j, an n x s matrix, as one matvec; per row of z."""
+    """Friction regressor Phi(z) = sum_j Y[j] z_j, an n x s matrix; one np.vecmat per row of z."""
     n, _, s = ymats.shape
     z = np.asarray(z, dtype=float)
-    rows = z if z.ndim == 1 else z[..., None, :]  # a (B, n) @ (n, n s) product rounds otherwise
-    return (rows @ ymats.reshape(n, n * s)).reshape(z.shape[:-1] + (n, s))
+    return np.vecmat(z, ymats.reshape(n, n * s)).reshape(z.shape[:-1] + (n, s))
 
 
 def velocity_quadratics(model: MechanicalModel) -> Array:
@@ -228,12 +227,10 @@ class AdaptiveObserver:
         return stacked
 
     def proportional_friction(self, phat) -> Array:
-        """Quadratic proportional part of the friction estimate, per row of a stack of phat."""
+        """Quadratic proportional part of the friction estimate, by np.matvec per row of phat."""
         phat = np.asarray(phat, dtype=float)
-        if phat.ndim == 1:
-            return (0.5 / self.lam) * ((self.quads @ phat) @ phat)
-        forms_phat = (self.quads @ phat[:, None, :, None])[..., 0]  # (B, s, n): forms times phat
-        return (0.5 / self.lam) * _matvec(forms_phat, phat)
+        forms_phat = np.matvec(self.quads, phat[..., None, :])
+        return (0.5 / self.lam) * np.matvec(forms_phat, phat)
 
     def _estimates(self, z, q):
         n, s = self.n, self.s
@@ -260,7 +257,7 @@ class AdaptiveObserver:
 
     def derivative(self, z, terms: StageTerms) -> Array:
         """Packed time derivative of the integrator state, or of each row of a stack of them."""
-        mv = np.matmul if z.ndim == 1 else _matvec  # one state's products need no stacking
+        mv = np.matvec  # one state or a stack: the product rule in model
         lam, q, T, Tt = self.lam, terms.q, terms.T, terms.T.T
         phat, ruhat, dhat = self._estimates(z, q)
         phi = regressor(self.ymats, phat)

@@ -411,14 +411,14 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
 def _assemble_series(scenarios, observers, ts, states, message) -> List[TimeSeries]:
     """Each scenario's series from the sampled states [q, mom, z_1, ..., z_B] of a lockstep run.
 
-    The samples' true momenta and disturbances are evaluated once, for all.
+    The samples' true momenta and disturbances are evaluated once, for all, each in one call.
     """
     sc = scenarios[0]
     n = sc.model.n
     plant = states[:, : 2 * n]
     zs = states[:, 2 * n :].reshape(len(ts), len(scenarios), sc._z0.size)
     if observers[0] is not None:
-        p_true = [sc.model.factor(q).T @ mom for q, mom in zip(plant[:, :n], plant[:, n:])]
+        p_true = np.matvec(sc.model.factor(plant[:, :n]).mT, plant[:, n:])  # T^T mom per sample
         d_true = sc._schedule.value(ts)
     out = []
     for b, obs in enumerate(observers):

@@ -19,6 +19,11 @@ collected through a constant selector matrix C with C^T r = r_u.
 central_differences is the package's one axis-wise central difference.
 stage_terms evaluates, once per right-hand side, the plant terms at (q, u)
 that the plant and both observers read.
+
+One product rule serves one vector and a stack of them: np.matvec(m, v)
+and np.vecmat(v, m) give each row the bits of the unstacked m @ v and
+v @ m, whichever of m and v carries the batch axis, where a (B, n) @ (n, n)
+matmul runs another kernel and may round otherwise.
 """
 
 from __future__ import annotations
@@ -51,16 +56,6 @@ def central_differences(f: Callable[[Array], Array], q, h: float) -> Tuple[Array
     diffs = (values[:, 1 : n + 1] - values[:, n + 1 :]) / (2.0 * h)
     batch = q.shape[:-1]
     return values[:, 0].reshape(batch + values.shape[2:]), diffs.reshape(batch + diffs.shape[1:])
-
-
-def _matvec(m, v) -> Array:
-    """m @ v for a matrix and a vector, either or both stacked on leading axes.
-
-    Every product rounds as the unstacked m @ v does; a (B, n) @ (n, n)
-    product runs another kernel and may not.  For one vector, m @ v itself
-    is the same and cheaper.
-    """
-    return (m @ v[..., None])[..., 0]
 
 
 def solved_inverse(T: Array) -> Array:

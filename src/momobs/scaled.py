@@ -32,7 +32,7 @@ from . import geometry
 from .adaptive import StructureError, checked_gains, replace_fields
 # bench/spans.py traces gyro_matrix and gyro_swapped under this module, so both stay imported
 from .geometry import gyro_matrix, gyro_swapped, swapped_from_brackets  # noqa: F401
-from .model import MechanicalModel, StageTerms, _matvec
+from .model import MechanicalModel, StageTerms
 
 Array = np.ndarray
 
@@ -289,8 +289,7 @@ class ScaledObserver:
         model = self.model
         if model.zrs and model.factor_jac is not None:
             dT = model.factor_jac(qbar).reshape(qbar.shape[:-1] + (self.n, -1))
-            rows = qbar_dot if qbar_dot.ndim == 1 else qbar_dot[:, None, :]  # not a (B, n) @ gemm
-            Tdot = (rows @ dT).reshape(Tinv.shape)
+            Tdot = np.vecmat(qbar_dot, dT).reshape(Tinv.shape)
             return -self._psi_m * Tinv @ Tdot @ Tinv
         direction = np.concatenate([qbar_dot, pbar_dot])
         scale = np.linalg.norm(direction)
@@ -314,10 +313,11 @@ class ScaledObserver:
         """
         model = self.model
         n = self.n
-        # one state's products need no stacking, and its powers are Python's: a Python float's **
-        # raises OverflowError as the runs' divergence messages expect, and numpy's ** on arrays
+        # products are np.matvec for one state or a stack (the product rule in model); one
+        # state's powers stay Python's until ROADMAP item 1: a Python float's ** raises
+        # OverflowError as the runs' divergence messages expect, and numpy's ** on arrays
         # rounds unlike Python's in the last bit, which float_power does not
-        mv, pw = (np.matmul, operator.pow) if z.ndim == 1 else (_matvec, np.float_power)
+        mv, pw = np.matvec, (operator.pow if z.ndim == 1 else np.float_power)
         q, T = terms.q, terms.T
         qbar, pbar = z[..., :n], z[..., n : 2 * n]
         p_i, d_i = z[..., 2 * n : 3 * n], z[..., 3 * n : 4 * n]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FrictionSpec, MechanicalModel, ModelError, _matvec
+from .model import FrictionSpec, MechanicalModel, ModelError
 
 Array = np.ndarray
 
@@ -71,8 +71,8 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
     The factor is the symmetric square root of M^-1, so it is constant, its
     columns trivially commute, and the integral map is linear.  All friction
     coefficients may be treated as unknown here.  A stack of positions gets
-    one copy of T per row, and the integral map multiplies each row on its
-    own, so it rounds as one position does (model._matvec).
+    one copy of T per row, and the integral map is np.matvec, which gives
+    each row the bits of one position (the product rule in model).
     """
     M = np.asarray(M, dtype=float)
     K = np.asarray(K, dtype=float)
@@ -98,7 +98,7 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
         factor=lambda q: _per_position(T, q),
         factor_inv=lambda q: _per_position(Tinv, q),
         friction=friction,
-        integral_map=lambda q: _matvec(Tinv, q),
+        integral_map=lambda q: np.matvec(Tinv, q),
         factor_jac=lambda q: np.zeros(q.shape[:-1] + (n, n, n)),
         lip_factor_inv=0.0,
         name="constant",

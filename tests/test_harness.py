@@ -196,8 +196,8 @@ def test_step_loop_matches_plain_loop_bit_for_bit(crane, crane_known, observer, 
 
 @pytest.mark.parametrize("observer, fixture", [("prop1", "crane"), ("prop2", "crane_known")])
 def test_one_factor_evaluation_per_stage(request, observer, fixture):
-    # the plant and the observer share each stage's T(q); the series reads one
-    # more T(q) per sample, at t = 0 and at the end of these short runs
+    # the plant and the observer share each stage's T(q); the series reads T(q)
+    # at every sample, t = 0 and the end of these short runs, in one stacked call
     model = request.getfixturevalue(fixture)
     calls = []
     counted = replace(model, factor=lambda q: calls.append(q) or model.factor(q))
@@ -206,11 +206,12 @@ def test_one_factor_evaluation_per_stage(request, observer, fixture):
         sc = crane_prop1_scenario(counted, observer=observer, gains={}, t_final=steps * 1e-3)
         del calls[:]  # the observer's structural checks at construction do not count
         integrate_scenario(sc)
+        assert np.shape(calls[-1]) == (2, model.n)  # the two samples
         return len(calls)
 
     one_step, two_steps = factor_calls(1), factor_calls(2)
     assert two_steps - one_step == 4
-    assert one_step == 4 + 2
+    assert one_step == 4 + 1
 
 
 def same_series(a: TimeSeries, b: TimeSeries) -> bool:
@@ -277,8 +278,8 @@ def test_shared_plant_replays_bit_for_bit(request, case):
 def test_replay_evaluates_no_plant_factor(request, observer, fixture):
     # the members of a lockstep group after the first evaluate no plant
     # factor: a group of two calls T(q) once per RK4 stage, shared by the
-    # plant and both observers, and once per sample for all series, as one
-    # run alone does
+    # plant and both observers, and once on the stack of samples for all
+    # series, as one run alone does
     model = request.getfixturevalue(fixture)
     calls = []
     counted = replace(model, factor=lambda q: calls.append(q) or model.factor(q))
@@ -293,7 +294,7 @@ def test_replay_evaluates_no_plant_factor(request, observer, fixture):
             integrate_scenario(member)
         return len(calls)
 
-    assert factor_calls(1, 2) == factor_calls(1, 1) == 4 + 2
+    assert factor_calls(1, 2) == factor_calls(1, 1) == 4 + 1
     assert factor_calls(2, 2) == factor_calls(2, 1)
 
 
@@ -405,8 +406,8 @@ def stacked_cases(request, case):
     """
     rng = np.random.default_rng(sum(map(ord, case)))
     rows = 40
-    if case == "prop1_crane":
-        model = request.getfixturevalue("crane")
+    if case.startswith("prop1"):  # on the manipulator, two unknown frictions: Phi is 4 x 2
+        model = request.getfixturevalue(case.removeprefix("prop1_"))
         observers = [AdaptiveObserver(model, {"lambda": v}) for v in rng.uniform(0.2, 5.0, rows)]
     else:
         model = {"prop2_crane": lambda: request.getfixturevalue("crane_known"),
@@ -420,7 +421,7 @@ def stacked_cases(request, case):
     n = model.n
     q = rng.uniform(-1, 1, n)
     zs = np.array([obs.state_with(q) + rng.normal(scale=0.3, size=obs.dim) for obs in observers])
-    if case != "prop1_crane":
+    if case.startswith("prop2"):
         zs[:, -1] = rng.uniform(0.5, 3.0, rows)  # r below one is read as one
         zs[:, -1][:2] = 1.0, 0.6
         zs[2, :n] = q  # qbar = q, which one state samples nowhere and a stack samples at q
@@ -428,8 +429,8 @@ def stacked_cases(request, case):
     return observers, zs, terms
 
 
-@pytest.mark.parametrize("case", ["prop1_crane", "prop2_crane", "prop2_constant",
-                                  "prop2_manipulator"])
+@pytest.mark.parametrize("case", ["prop1_crane", "prop1_manipulator", "prop2_crane",
+                                  "prop2_constant", "prop2_manipulator"])
 def test_stacked_derivative_rows_match_one_state_bit_for_bit(request, case):
     observers, zs, terms = stacked_cases(request, case)
     stacked = observers[0]._stacked(observers, terms.q)

@@ -191,6 +191,35 @@ def test_stack_matches_each_position(request, name):
     assert model.factor(Q).flags.c_contiguous and model.factor_inverse(Q).flags.c_contiguous
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_matvec_and_vecmat_round_as_matmul(n):
+    # the product rule of model's docstring, which the observers and the harness
+    # rest on: np.matvec(m, v) and np.vecmat(v, m) give one vector, each row of a
+    # (B, n) stack and each pair of a matrix stack the bits of m @ v and v @ m,
+    # for C-ordered m and for F-ordered m (the transposes T.T the observers read)
+    rng = np.random.default_rng(61 + n)
+    draws = 2000
+    mats = rng.normal(size=(draws, n, n)) * 10.0 ** rng.uniform(-3, 3, size=(draws, 1, 1))
+    vecs = rng.normal(size=(draws, 4, n)) * 10.0 ** rng.uniform(-3, 3, size=(draws, 4, 1))
+
+    def same(got, expected):
+        return got.tobytes() == np.array(expected).tobytes()  # signs of zero included
+
+    for layout in (mats, mats.mT):
+        assert layout[0].flags.c_contiguous != layout[0].flags.f_contiguous
+        mismatches = 0
+        for m, stack in zip(layout, vecs):
+            v = stack[0]
+            mismatches += not same(np.matvec(m, v), m @ v)
+            mismatches += not same(np.vecmat(v, m), v @ m)
+            mismatches += not same(np.matvec(m, stack), [m @ row for row in stack])
+            mismatches += not same(np.vecmat(stack, m), [row @ m for row in stack])
+        assert mismatches == 0
+        pairs = vecs[:, 0]
+        assert same(np.matvec(layout, pairs), [m @ v for m, v in zip(layout, pairs)])
+        assert same(np.vecmat(pairs, layout), [v @ m for m, v in zip(layout, pairs)])
+
+
 def test_cholesky_stack_matches_each_position(crane_cholesky):
     # the stack contract, bit for bit: at 200 seeded positions, their
     # central-difference points at the bracket step 1e-5 and a q3 where a
