@@ -51,8 +51,9 @@ def regressor_matrices(model: MechanicalModel) -> Array:
     Returns a stacked (n, n, s) array, Y[j] of shape (n, s).  Entries exist
     because the unknown-friction rows of the factor are constant; each Y[j]
     column k is (row kappa_k of T)^T scaled by T[kappa_k, j].  Constancy is
-    verified on 100 random samples, to 1e-10 per entry, and a varying (or NaN)
-    matrix is rejected with the offending index, at the first sample where one varies.
+    verified on the 100 positions of sample_positions at seed 0, to 1e-10
+    per entry, and a varying (or NaN) matrix is rejected with the offending
+    index, at the first sample where one varies.
     """
     kappa = model.friction.unknown_indices
     rows = model.factor(sample_positions(model.n, 100))[:, kappa, :]

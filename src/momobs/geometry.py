@@ -36,6 +36,8 @@ bit its position's value: _factor_and_jacobian.
 
 from __future__ import annotations
 
+import numbers
+import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -263,6 +265,20 @@ def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionR
 
 
 def sample_positions(n: int, count: int = 100, seed: int = 0) -> Array:
-    """Deterministic random q samples in [-pi, pi]^n for structural checks."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-np.pi, np.pi, size=(count, n))
+    """count seeded pseudo-random positions in [-pi, pi)^n, a (count, n) array, for structural checks.
+
+    The draws are one stdlib random.Random(seed) stream of count * n floats
+    u in [0, 1), in row-major order, each mapped to pi (2u - 1).  So the
+    samples do not depend on PYTHONHASHSEED, fewer samples at a seed are the
+    first rows of more, and numpy's random module (about 6 MB per process)
+    is never loaded.  A seed must be a non-negative integer (Random(-s)
+    would repeat Random(s)) and count at least 1; anything else raises
+    ValueError.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    rng = random.Random(int(seed))
+    draws = np.array([rng.random() for _ in range(count * n)]).reshape(count, n)
+    return np.pi * (2.0 * draws - 1.0)

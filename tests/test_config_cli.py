@@ -1,9 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momobs
 from momobs import (
     ConfigError,
     SpiderCraneParams,
@@ -362,6 +367,23 @@ def test_cli_check_pass_and_fail(tmp_path, capsys):
     assert main(["check", bad]) == 1
     out = capsys.readouterr().out
     assert "commuting_factor = FAIL" in out
+
+
+def test_run_and_check_never_import_numpy_random(tmp_path):
+    # the structural samples come from the stdlib: numpy.random would cost each
+    # prop1 or check process about 6 MB, so a fresh interpreter never loads it
+    shipped = Path(__file__).parents[1] / "configs" / "spider_crane_prop1.cfg"
+    cfg = write(tmp_path, "prop1.cfg",
+                re.sub(r"(?m)^t_final = .*$", "t_final = 0.01", shipped.read_text()))
+    script = ("import sys; from momobs.cli import main; "
+              "codes = main(['run', sys.argv[1], '-o', sys.argv[2]]), main(['check', sys.argv[1]]); "
+              "print(codes, 'numpy.random' in sys.modules)")
+    src = str(Path(momobs.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                            capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.splitlines()[-1] == "(0, 0) False"
+    assert (tmp_path / "out" / "timeseries.csv").exists()
 
 
 def test_cli_check_constant(tmp_path, capsys):

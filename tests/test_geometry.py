@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 
 import momobs.cli
+import momobs.geometry
 from momobs import (
     AdaptiveObserver,
     AssumptionReport,
@@ -179,6 +183,56 @@ def test_grad_integral_map_residuals(crane, manipulator, const2):
 def test_grad_integral_map_requires_map(crane_cholesky):
     with pytest.raises(ValueError):
         grad_integral_map_residual(crane_cholesky, np.zeros(3))
+
+
+def test_sample_positions_contract():
+    qs = sample_positions(4, 500, seed=2)
+    assert qs.shape == (500, 4)
+    assert np.all(qs >= -np.pi) and np.all(qs < np.pi)
+    # fewer samples at a seed are the first rows of more, bit for bit
+    for k in (1, 3, 30, 100, 499):
+        assert sample_positions(4, k, seed=2).tobytes() == qs[:k].tobytes()
+    # another seed draws another set
+    assert np.intersect1d(sample_positions(4, 500, seed=3), qs).size == 0
+
+
+def test_sample_positions_map_the_unit_interval_onto_a_half_open_range(monkeypatch):
+    # the smallest and the largest draw of random.random map to -pi and just below pi
+    class Extremes:
+        def __init__(self, seed):
+            self.draws = iter([0.0, 1.0 - 2.0 ** -53])
+
+        def random(self):
+            return next(self.draws)
+
+    monkeypatch.setattr(momobs.geometry.random, "Random", Extremes)
+    low, high = sample_positions(2, 1)[0]
+    assert low == -np.pi
+    assert high < np.pi
+
+
+def test_sample_positions_ignore_the_hash_seed():
+    # the draws come from random.Random(seed), whose integer seeding never hashes
+    script = ("import sys; from momobs import sample_positions; "
+              "sys.stdout.write(sample_positions(3, 50, seed=7).tobytes().hex())")
+    src = str(Path(momobs.__file__).parents[1])
+    outputs = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)).stdout
+        for hash_seed in ("0", "12345")
+    ]
+    assert outputs[0] == outputs[1] == sample_positions(3, 50, seed=7).tobytes().hex()
+
+
+@pytest.mark.parametrize(
+    "count, seed, what",
+    [(10, -3, "seed"), (10, 1.5, "seed"), (10, "3", "seed"), (0, 0, "count"), (-2, 0, "count")],
+    ids=["negative-seed", "float-seed", "str-seed", "zero-count", "negative-count"],
+)
+def test_sample_positions_refuse_bad_arguments(count, seed, what):
+    # Random(-3) seeds as Random(3) does: a negative seed would repeat another's samples
+    with pytest.raises(ValueError, match=what):
+        sample_positions(3, count, seed)
 
 
 def test_check_zrs_constant_factor_residuals(const2):
