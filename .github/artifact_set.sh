@@ -6,8 +6,10 @@
 #
 # The set: prop2 on the Cholesky crane at dt = 2.5e-4 to t = 0.05, the same
 # at dt = 2 ms (it diverges, exit 3), the shipped prop1, prop2 and steps
-# configs to t = 2, prop1 to t = 3 at its dt = 1 ms, the steps config to
-# t = 26, across its disturbance switch at t = 25, a psi5_extra sweep on
+# configs to t = 2, the shipped prop2 config started at r = 1e155 (r**2
+# overflows to inf, so it diverges in its first step, exit 3), prop1 to
+# t = 3 at its dt = 1 ms, the steps config to t = 26, across its
+# disturbance switch at t = 25, a psi5_extra sweep on
 # prop2, a psi3_const sweep on prop2 (psi differs per lockstep row), a
 # lambda sweep on prop1, a lambda sweep on prop1 whose last value, 1e8,
 # diverges (exit 3; its group falls back to one run per value), a q0[2]
@@ -66,6 +68,7 @@ variant cholesky_probe spider_crane_prop2.cfg "${cholesky[@]}" "s/^t_final = .*/
 for shipped in prop1 prop2 steps; do
   variant "$shipped" "spider_crane_$shipped.cfg" "${short[@]}"
 done
+variant big_r spider_crane_prop2.cfg "/^mom = /a r = 1e155"
 variant prop1_3s spider_crane_prop1.cfg "s/^t_final = .*/t_final = 3/"
 variant steps_switch spider_crane_steps.cfg "s/^t_final = .*/t_final = 26/"
 # psi = 4 (1 + 59) = 240: r falls at rate 60 (r - 1), and one step of 0.1 s
@@ -134,6 +137,7 @@ record run_cholesky_probe run "$out/cfg/cholesky_probe.cfg" -o "$out/run_cholesk
 for shipped in prop1 prop2 steps; do
   record "run_$shipped" run "$out/cfg/$shipped.cfg" -o "$out/run_$shipped"
 done
+record run_big_r run "$out/cfg/big_r.cfg" -o "$out/run_big_r"
 record run_prop1_3s run "$out/cfg/prop1_3s.cfg" -o "$out/run_prop1_3s"
 record run_steps_switch run "$out/cfg/steps_switch.cfg" -o "$out/run_steps_switch"
 record sweep_prop2 sweep "$out/cfg/prop2.cfg" --param psi5_extra --values 0.5,1,2 -o "$out/sweep_prop2"

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .adaptive import checked_gains
 from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys
 from .model import DisturbanceSchedule, MechanicalModel
@@ -235,8 +233,13 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if len(vec) != model.n + 1:
             raise ConfigError(ln, f"{key}: expected a switch time and {model.n} levels, "
                                   f"got {len(vec)} numbers")
-        steps[int(key[4:])] = (vec[0], vec[1:])
-    cfg.disturbance = [steps[i] for i in sorted(steps)]
+        steps[int(key[4:])] = (ln, vec[0], vec[1:])
+    cfg.disturbance = [steps[i][1:] for i in sorted(steps)]
+    for k, i in enumerate(sorted(steps), 1):
+        try:  # the schedule's own rule on steps 1..k, cited at step k's line
+            DisturbanceSchedule(*zip(*cfg.disturbance[:k]))
+        except ValueError as exc:
+            raise ConfigError(steps[i][0], str(exc)) from None
 
     if "sim" not in sections:
         if require_sim:
@@ -347,12 +350,7 @@ def build_scenario(cfg: RunConfig) -> Scenario:
 
     Observer state overrides become its obs_init fields.
     """
-    disturbance = None
-    if cfg.disturbance:
-        disturbance = DisturbanceSchedule(
-            np.array([t for t, _ in cfg.disturbance]),
-            np.array([lvl for _, lvl in cfg.disturbance]),
-        )
+    disturbance = DisturbanceSchedule(*zip(*cfg.disturbance)) if cfg.disturbance else None
     return Scenario(
         model=config_model(cfg),
         observer=cfg.observer_kind,

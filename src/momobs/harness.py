@@ -22,7 +22,6 @@ is discarded, and each scenario then runs alone.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -304,10 +303,10 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     """Run the coupled plant and observer system.
 
     Divergence does not raise: a non-finite state, or a LinAlgError,
-    FloatingPointError or (Python float) OverflowError inside a step,
-    truncates the series and flags it, with a message saying in the step
-    from which time the run blew up and what was raised.  The series ends
-    with the state at that time, the last finite one, even off the stride.
+    FloatingPointError or OverflowError inside a step, truncates the series
+    and flags it, with a message saying in the step from which time the run
+    blew up and what was raised.  The series ends with the state at that
+    time, the last finite one, even off the stride.
     The first call on a scenario of a share_plant group integrates the
     whole group in lockstep and returns this scenario's series; later calls
     return the others' series, each once.  If the lockstep diverges or
@@ -349,9 +348,8 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
     RK4 combines stage rates elementwise and each row's rate is its own
     observer's, bit for bit, so a row's trajectory is its scenario's alone.
     Returns the series in order; for a group, None if any state went
-    non-finite or a step raised what a run alone reports as divergence,
-    under numpy overflow raising as Python float overflow does in a run
-    alone.  Anything else a group raises propagates to integrate_scenario.
+    non-finite or a step raised what a run alone reports as divergence.
+    Anything else a group raises propagates to integrate_scenario.
     """
     sc = scenarios[0]
     model = sc.model
@@ -381,28 +379,27 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
 
     samples = [(0.0, x.copy())]
     message = ""
-    with np.errstate(over="raise") if rows > 1 else contextlib.nullcontext():
-        for k in range(steps):
-            t = k * dt
-            d = step_levels[k]
-            f = lambda tt, xx: rhs(tt, xx, d)
-            last = x  # rk4_step returns a new array, so this stays the state at t
-            try:
-                x = rk4_step(f, t, x, dt)
-                if project is not None:
-                    project(observer_states(x))
-                if not np.isfinite(x).all():
-                    message = f"state became non-finite in the step from t = {t:.6g}"
-            except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-                message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"
-            if message:
-                if rows > 1:
-                    return None
-                if k % sc.stride:
-                    samples.append((t, last))
-                break
-            if (k + 1) % sc.stride == 0 or k + 1 == steps:
-                samples.append(((k + 1) * dt, x.copy()))
+    for k in range(steps):
+        t = k * dt
+        d = step_levels[k]
+        f = lambda tt, xx: rhs(tt, xx, d)
+        last = x  # rk4_step returns a new array, so this stays the state at t
+        try:
+            x = rk4_step(f, t, x, dt)
+            if project is not None:
+                project(observer_states(x))
+            if not np.isfinite(x).all():
+                message = f"state became non-finite in the step from t = {t:.6g}"
+        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+            message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"
+        if message:
+            if rows > 1:
+                return None
+            if k % sc.stride:
+                samples.append((t, last))
+            break
+        if (k + 1) % sc.stride == 0 or k + 1 == steps:
+            samples.append(((k + 1) * dt, x.copy()))
 
     ts = np.array([s[0] for s in samples])
     return _assemble_series(scenarios, observers, ts, np.array([s[1] for s in samples]), message)

@@ -39,6 +39,7 @@ Array = np.ndarray
 _FD_STEP = 1e-6
 _BOUND_SAFETY = 2.0
 _SECANT_TAUS = np.linspace(0.1, 1.0, 10)  # bound_q's samples along qbar -> q
+_ZERO, _ONE = np.float64(0.0), np.float64(1.0)  # powers take numpy floats: overflow gives inf
 
 
 def _norm(v):
@@ -71,7 +72,7 @@ class Obs2State:
     @classmethod
     def from_packed(cls, z, n):
         z = np.asarray(z, dtype=float)
-        return cls(z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n : 4 * n], float(z[-1]))
+        return cls(z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n : 4 * n], z[-1])
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class ScaledObserver:
         """The positions besides qbar where derivative and delta_bounds read H(., phat), first axis.
 
         q under analytic bounds; else bound_q's secant samples, q itself last, per row of a stack
-        of qbar.  None for one qbar at q; a stacked row at q gets samples all at q.
+        of qbar.  Empty, (0, n), for one qbar at q; a stacked row at q gets samples all at q.
         """
         if self._analytic_bounds:
             return q[None]
@@ -195,7 +196,7 @@ class ScaledObserver:
         slope skips NaN, as Python's max does: a stacked row where q is qbar has only 0 / 0.
         """
         if self._analytic_bounds:
-            return self.psi * float(self.model.lip_factor_inv), 0.0
+            return self.psi * np.float64(self.model.lip_factor_inv), _ZERO
         gap_q = _norm(e_q)
         h_towards_q = np.reshape(h_towards_q, (-1,) + h_bp.shape)  # (0, n, n) when there are none
         secants = np.linalg.svd(h_towards_q - h_bp, compute_uv=False).max(axis=-1)
@@ -203,13 +204,13 @@ class ScaledObserver:
         with np.errstate(invalid="ignore"):
             slopes = secants / (taus * gap_q)
         bound_q = _BOUND_SAFETY * np.fmax.reduce(slopes, axis=0, initial=0.0)
-        bound_q = float(bound_q) if e_q.ndim == 1 else bound_q[:, None]
+        bound_q = bound_q if e_q.ndim == 1 else bound_q[:, None]
         if self.model.zrs:
-            return bound_q, 0.0
+            return bound_q, _ZERO
         gap_p = np.linalg.norm(e_p)
         if gap_p == 0.0:
-            return bound_q, 0.0
-        return bound_q, _BOUND_SAFETY * float(np.linalg.norm(delta_p, 2)) / gap_p
+            return bound_q, _ZERO
+        return bound_q, _BOUND_SAFETY * np.linalg.norm(delta_p, 2) / gap_p
 
     # -- gain schedule ------------------------------------------------------
 
@@ -217,7 +218,7 @@ class ScaledObserver:
         """Gain schedule at scaling factor r, from |T(q)|, |H(qbar, pbar)| and delta_bounds."""
         psi3, psi4_extra, psi5_extra = self.margins.values()
         bound_q, bound_p = bounds
-        # per row: r, norm_h and bound_q; norm_t and bound_p are numbers (see derivative on pw)
+        # numpy floats, but r, norm_h and bound_q are (B, 1) columns on a stack (derivative on pw)
         pw = np.float_power if isinstance(r, np.ndarray) else operator.pow
         rtil = r - 1.0
         r2, norm_t2 = pw(r, 2), norm_t**2
@@ -240,9 +241,9 @@ class ScaledObserver:
         q0 = np.asarray(q0, dtype=float)
         zeros = np.zeros(self.n)
         st = replace_fields(Obs2State(q0.copy(), zeros, zeros, -q0, 1.0), fields)
-        r = float(st.r)
+        r = np.float64(st.r)
         if not r >= 1.0:
-            raise ValueError(f"initial scaling factor r must be at least one, got {r!r}")
+            raise ValueError(f"initial scaling factor r must be at least one, got {float(r)!r}")
         if "d_i" not in fields:
             st = dataclasses.replace(st, d_i=-q0 / r**2)
         return st.pack()
@@ -259,7 +260,7 @@ class ScaledObserver:
         """
         est = self.output(z, q)
         st = Obs2State.from_packed(z, self.n)
-        r = max(st.r, 1.0)
+        r = max(st.r, _ONE)
         ptil = est.p - p_true
         dtil = est.d - d_true
         eta = ptil / r
@@ -273,7 +274,7 @@ class ScaledObserver:
     def output(self, z, q) -> Obs2Estimates:
         q = np.asarray(q, dtype=float)
         st = Obs2State.from_packed(z, self.n)
-        r = max(st.r, 1.0)
+        r = max(st.r, _ONE)
         phat = st.p_i + self.mapping_h(st.qbar, st.pbar) @ q
         dhat = st.d_i + q / r**2
         return Obs2Estimates(p=phat, d=dhat)
@@ -313,15 +314,14 @@ class ScaledObserver:
         """
         model = self.model
         n = self.n
-        # products are np.matvec for one state or a stack (the product rule in model); one
-        # state's powers stay Python's until ROADMAP item 1: a Python float's ** raises
-        # OverflowError as the runs' divergence messages expect, and numpy's ** on arrays
-        # rounds unlike Python's in the last bit, which float_power does not
+        # products are np.matvec for one state or a stack (the product rule in model); powers
+        # are libm's pow either way: ** on one state's numpy floats, about 1 us per call cheaper
+        # than float_power, and float_power on a stack, where ** would round r^2 and r^3 unlike pow
         mv, pw = np.matvec, (operator.pow if z.ndim == 1 else np.float_power)
         q, T = terms.q, terms.T
         qbar, pbar = z[..., :n], z[..., n : 2 * n]
         p_i, d_i = z[..., 2 * n : 3 * n], z[..., 3 * n : 4 * n]
-        r = max(float(z[-1]), 1.0) if z.ndim == 1 else np.maximum(z[:, -1:], 1.0)
+        r = max(z[-1], _ONE) if z.ndim == 1 else np.maximum(z[:, -1:], 1.0)
 
         if model.zrs:  # H does not depend on momenta
             tinv_bar = model.factor_inverse(qbar)
@@ -359,10 +359,10 @@ class ScaledObserver:
         stack = (np.array(normed) if z.ndim == 1  # else T, shared by the rows, then theirs
                  else np.concatenate([m.reshape(-1, n, n) for m in normed]))
         norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
-        norm_t = float(norms[0])
-        rows = norms[1:].tolist() if z.ndim == 1 else norms[1:].reshape(2, -1, 1)  # floats, columns
-        norm_h, norm_dq, *dp_norms = rows
-        norm_dp = dp_norms[0] if dp_norms else 0.0  # delta_p vanishes on commuting columns
+        # one state's by index (unpacking costs 1 us more); delta_p is 0 on commuting columns
+        norm_t = norms[0]
+        norm_h, norm_dq = (norms[1], norms[2]) if z.ndim == 1 else norms[1:].reshape(2, -1, 1)
+        norm_dp = _ZERO if model.zrs else norms[3]
         bounds = self._bounds(e_q, h_bp, h_towards_q, h_bp - h_bb, e_p)
         gains = self.gains(r, norm_t, norm_h, bounds)
 

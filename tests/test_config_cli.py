@@ -59,9 +59,9 @@ PROP2_CFG = CRANE_CFG.replace("kind = prop1\nlambda = 0.8", "kind = prop2").repl
     "known = true, true, false", "known = true, true, true"
 )
 
-# prop2 on the non-commuting factor at dt = 2 ms: the scaling factor r grows
-# until r**2, a Python float power, raises OverflowError inside a step before
-# the state turns non-finite
+# prop2 on the non-commuting factor at dt = 2 ms: the copy errors and the
+# scaling factor r grow until the gains overflow to inf inside a step, and an
+# SVD of the infs then raises LinAlgError before the state turns non-finite
 CHOLESKY_PROBE_CFG = PROP2_CFG.replace("name = spider-crane", "name = spider-crane-cholesky")
 
 
@@ -113,6 +113,24 @@ def test_ragged_disturbance_steps_cite_line():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert bad.splitlines()[err.value.line - 1] == "step2 = 1, 0.3"
+    assert f"line {err.value.line}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "steps, at_fault, message",
+    [
+        ("step1 = 0.5, 0.1, 0.2, 0.2", "step1 = 0.5, 0.1, 0.2, 0.2", "first switch time must be 0"),
+        ("step1 = 0, 0.1, 0.2, 0.2\nstep2 = 0.5, 0.3, 0, 0\nstep3 = 0.5, 0, 0, 0",
+         "step3 = 0.5, 0, 0, 0", "switch times must be strictly increasing"),
+    ],
+    ids=["first-not-zero", "not-increasing"],
+)
+def test_disturbance_schedule_errors_cite_line(steps, at_fault, message):
+    # the schedule's own rule, checked on steps 1..k at step k's line
+    bad = CRANE_CFG.replace("step1 = 0, 0.1, 0.2, 0.2", steps)
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_config(bad)
+    assert bad.splitlines()[err.value.line - 1] == at_fault
     assert f"line {err.value.line}" in str(err.value)
 
 
@@ -516,9 +534,9 @@ def test_cli_outdir_from_environment(tmp_path, monkeypatch):
     [
         (CRANE_CFG.replace("lambda = 0.8", "lambda = 1e9").replace("t_final = 1.0", "t_final = 2.0"),
          "non-finite"),
-        (CHOLESKY_PROBE_CFG, "OverflowError"),
+        (CHOLESKY_PROBE_CFG, "LinAlgError"),
     ],
-    ids=["nonfinite-state", "overflow-error"],
+    ids=["nonfinite-state", "linalg-error"],
 )
 def test_cli_run_divergence_exit(tmp_path, capsys, text, cause):
     cfg = write(tmp_path, "blowup.cfg", text)
@@ -533,6 +551,18 @@ def test_cli_run_divergence_exit(tmp_path, capsys, text, cause):
     assert len(rows) >= 2
     named = float(re.search(r"step from t = (\S+?):?\s", err).group(1))
     assert float(rows[-1].split(",")[0]) == pytest.approx(named, rel=1e-5)
+
+
+def test_cli_run_huge_start_scale_diverges(tmp_path, capsys):
+    # r = 1e155 overflows r**2 to inf, in a run alone as in a lockstep row:
+    # the run diverges in its first step, exit 3, and still writes its series
+    text = PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nr = 1e155")
+    cfg = write(tmp_path, "big_r.cfg", text)
+    with np.errstate(all="ignore"):
+        code = main(["run", cfg, "-o", str(tmp_path / "big_r")])
+    assert code == 3
+    assert "run diverged" in capsys.readouterr().err
+    assert (tmp_path / "big_r" / "timeseries.csv").read_text().count("\n") == 2  # header, t = 0
 
 
 def test_cli_run_rejects_prop2_with_unknown_friction(tmp_path, capsys):

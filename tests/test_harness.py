@@ -237,6 +237,14 @@ def gain_group(request, case):
         sc = crane_prop1_scenario(request.getfixturevalue("crane_known"), observer="prop2",
                                   gains={}, t_final=0.3, stride=7)
         return [apply_sweep_value(sc, "psi5_extra", v) for v in (0.5, 1.0, 3.0)]
+    if case == "prop2_manipulator":  # every friction known, no Lipschitz constant: secant bounds
+        model = make_planar_manipulator(ManipulatorParams(known_mask=(True,) * 4))
+        levels = [[0.0, 0.1, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1]]
+        sc = Scenario(model=model, observer="prop2", q0=[0.2, -0.1, 0.3, 0.1], mom0=[0.0] * 4,
+                      inputs=(InputChannel(1.0, 1.0, 0.0, "cos"), InputChannel(0.5, 2.0, 0.0, "sin")),
+                      disturbance=DisturbanceSchedule(switch.times, levels), t_final=0.1, dt=1e-3,
+                      stride=7)
+        return [apply_sweep_value(sc, "psi3_const", v) for v in (0.5, 1.0, 2.0)]
     # the non-commuting path, at the step it needs, across a disturbance switch
     cholesky = make_spider_crane_cholesky(SpiderCraneParams(friction=(0.0, 0.0, 0.5),
                                                             known_mask=(True, True, True)))
@@ -257,7 +265,8 @@ def integrate_group(group):
     return series, lockstep
 
 
-@pytest.mark.parametrize("case", ["prop1_crane", "prop2_crane", "prop2_cholesky"])
+@pytest.mark.parametrize("case", ["prop1_crane", "prop2_crane", "prop2_manipulator",
+                                  "prop2_cholesky"])
 def test_shared_plant_replays_bit_for_bit(request, case):
     # a lockstep group's first call integrates every member on one plant;
     # each series equals its run alone, bit for bit
@@ -402,7 +411,7 @@ def test_plant_only_group_matches_solo_runs(crane):
 def stacked_cases(request, case):
     """(observers, states, terms) of one model: 40 rows with their own gains and states.
 
-    Many rows, since numpy's ** on arrays rounds r**3 unlike Python's in about 5% of values.
+    Many rows, since numpy's ** on arrays rounds r**3 unlike libm's pow in about 5% of values.
     """
     rng = np.random.default_rng(sum(map(ord, case)))
     rows = 40
@@ -439,6 +448,31 @@ def test_stacked_derivative_rows_match_one_state_bit_for_bit(request, case):
     for obs, z, rate in zip(observers, zs, rates):
         one = obs.derivative(z.copy(), terms)
         assert np.array_equal(rate, one) and rate.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("case", ["prop2_crane", "prop2_manipulator"])
+def test_overflowing_scale_gives_inf_alone_as_stacked(request, case):
+    # at r = 1e160, r**2 overflows: one state's rate raises nothing and
+    # equals its stacked row byte for byte, infinities and NaNs included
+    observers, zs, terms = stacked_cases(request, case)
+    zs[:, -1] = 1e160
+    stacked = observers[0]._stacked(observers, terms.q)
+    with np.errstate(all="ignore"):
+        rates = stacked.derivative(zs, terms)
+        ones = [obs.derivative(z.copy(), terms) for obs, z in zip(observers, zs)]
+    assert not np.isfinite(rates).all()
+    for rate, one in zip(rates, ones):
+        assert rate.tobytes() == one.tobytes()
+
+
+def test_huge_start_scale_builds_and_diverges(crane_known):
+    # r = 1e155 overflows r**2 in the start's d_i = -q0 / r**2 and in every
+    # gain: the scenario builds, and its run is flagged diverged
+    with np.errstate(all="ignore"):
+        sc = crane_prop1_scenario(crane_known, observer="prop2", gains={},
+                                  obs_init={"r": 1e155}, t_final=0.05)
+        ts = integrate_scenario(sc)
+    assert ts.diverged and ts.t[-1] == 0.0
 
 
 def test_stacked_projection_clamps_each_row(crane_known):

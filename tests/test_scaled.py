@@ -61,6 +61,10 @@ def test_start_r_number_or_one_entry_vector(crane_known):
     assert np.array_equal(z[9:12], -q0 / 1.5**2)  # d_i defaults to -q0 / r^2
     # a given d_i is kept
     assert np.array_equal(obs.state_with(q0, r=2.0, d_i=[1.0, 2.0, 3.0])[9:12], [1.0, 2.0, 3.0])
+    # r below one is refused, named as the number it is
+    for r in (0.5, [0.5]):
+        with pytest.raises(ValueError, match=r"at least one, got 0\.5$"):
+            obs.state_with(q0, r=r)
 
 
 def test_rejects_unknown_friction(crane):
