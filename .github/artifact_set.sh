@@ -26,9 +26,8 @@
 # constant for T^-1).
 # Configs are edited copies of ROOT's shipped ones, but for the constant and
 # manipulator ones, written here so every checkout runs the same text.  Paths to ROOT and OUT
-# read ROOT and OUT, and numpy's RuntimeWarning lines (each with the source
-# line it quotes) are dropped, so `diff -r` of two such directories, made
-# from two checkouts, shows only what the code does differently.
+# read ROOT and OUT, so `diff -r` of two such directories, made from two
+# checkouts, shows only what the code does differently.
 set -u
 root=$(cd "$1" && pwd)
 mkdir -p "$2/cfg"
@@ -52,11 +51,8 @@ variant() {
 record() {
   local name=$1
   shift
-  momobs "$@" > "$out/$name.stdout" 2> "$out/$name.raw_stderr"
+  momobs "$@" > "$out/$name.stdout" 2> "$out/$name.stderr"
   echo $? > "$out/$name.exit"
-  awk '/RuntimeWarning/ { skip = 1; next } skip { skip = 0; next } { print }' \
-    "$out/$name.raw_stderr" > "$out/$name.stderr"
-  rm "$out/$name.raw_stderr"
   sed -i -e "s|$out|OUT|g" -e "s|$root|ROOT|g" "$out/$name.stdout" "$out/$name.stderr"
 }
 

@@ -8,11 +8,12 @@ config's [output] section, then the MOMOBS_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigError, build_scenario, config_model, load_config
 from .geometry import check_zrs, sample_positions
@@ -98,8 +99,6 @@ def cmd_sweep(args) -> int:
                 first = values[tags.index(tag)]
                 raise ConfigError(0, f"--values: {first!r} and {values[i]!r} would both write "
                                      f"the files tagged {tag}")
-        n = config_model(cfg).n
-        cfg = dataclasses.replace(cfg, q0=cfg.q0 or [0.0] * n, mom0=cfg.mom0 or [0.0] * n)
         try:
             configs = [apply_sweep_value(cfg, args.param, v) for v in values]
         except ValueError as exc:
@@ -160,7 +159,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    # a diverging run says so in one line; numpy's warnings on the way would repeat it
+    with np.errstate(all="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

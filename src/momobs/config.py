@@ -4,7 +4,7 @@ The format is deliberately plain text: `[section]` headers, one `key =
 value` per line, `#` comments.  Vectors are comma separated, matrices use
 semicolons between rows.  Every number must be finite.  Unknown sections
 or keys are rejected, and every parse error carries the offending line
-number.
+number.  [input] and [disturbance] keys are numbered from 1 with no leading zeros.
 
 Sections:
 
@@ -29,7 +29,8 @@ Sections:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .adaptive import checked_gains
@@ -61,6 +62,7 @@ _SECTIONS = {"model", "observer", "initial", "input", "disturbance", "sim", "out
 class RunConfig:
     """Parsed configuration; build_scenario turns it into a runnable Scenario.
 
+    inputs holds InputChannels; after parsing, q0 and mom0 are always vectors (zeros if unset).
     _built is config_model's cache: the model and the repr of the fields it was built from.
     """
 
@@ -70,10 +72,10 @@ class RunConfig:
     known: Optional[List[bool]] = None
     observer_kind: str = "none"
     gains: Dict[str, float] = field(default_factory=dict)
-    q0: Optional[List[float]] = None
-    mom0: Optional[List[float]] = None
+    q0: List[float] = field(default_factory=list)
+    mom0: List[float] = field(default_factory=list)
     overrides: Dict[str, object] = field(default_factory=dict)
-    inputs: List[Tuple[float, float, float, str]] = field(default_factory=list)
+    inputs: List[InputChannel] = field(default_factory=list)
     disturbance: List[Tuple[float, List[float]]] = field(default_factory=list)
     t_final: float = 10.0
     dt: float = 1e-3
@@ -114,10 +116,6 @@ def _parse_bool(raw, line):
     raise ConfigError(line, f"expected a boolean, got {raw!r}")
 
 
-def _parse_bool_vector(raw, line):
-    return [_parse_bool(part, line) for part in raw.split(",") if part.strip() != ""]
-
-
 def _split_sections(text: str):
     sections: Dict[str, List[Tuple[int, str, str]]] = {}
     current = None
@@ -145,6 +143,18 @@ def _split_sections(text: str):
     return sections
 
 
+def _numbered(entries, prefix):
+    """{index: (line, key, value)} of keys prefix1, prefix2, ...: one spelling per index."""
+    numbered = {}
+    for ln, key, value in entries:
+        index = key[len(prefix):] if key.startswith(prefix) else ""
+        if not re.fullmatch(r"[1-9][0-9]*", index):
+            raise ConfigError(ln, f"expected {prefix}1, {prefix}2, ... without leading zeros, "
+                                  f"got {key!r}")
+        numbered[int(index)] = (ln, key, value)
+    return numbered
+
+
 def parse_config(text: str, require_sim: bool = True) -> RunConfig:
     sections = _split_sections(text)
     if "model" not in sections:
@@ -155,44 +165,38 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
     name_line, name = model_entries["name"]
     if name not in _MODEL_KEYS:
         raise ConfigError(name_line, f"unknown model name {name!r}")
-    allowed = _MODEL_KEYS[name]
-    for ln, key, _ in sections["model"]:
-        if key not in allowed:
-            raise ConfigError(ln, f"unknown key {key!r} in [model] for model {name!r}")
 
     cfg = RunConfig(model_name=name)
     for ln, key, value in sections["model"]:
-        if key == "name":
-            continue
+        if key not in _MODEL_KEYS[name]:
+            raise ConfigError(ln, f"unknown key {key!r} in [model] for model {name!r}")
         if key == "friction":
             cfg.friction = _parse_vector(value, ln, key)
         elif key == "known":
-            cfg.known = _parse_bool_vector(value, ln)
+            cfg.known = [_parse_bool(b, ln) for b in value.split(",") if b.strip() != ""]
         elif name == "constant" and key in ("M", "K"):
             cfg.model_params[key] = _parse_matrix(value, ln, key)
-        else:
+        elif key != "name":
             cfg.model_params[key] = _parse_float(value, ln, key)
     try:  # [initial], [input] and [disturbance] must fit its sizes
         model = config_model(cfg)
     except ValueError as exc:  # ModelError included
         raise ConfigError(name_line, f"model {name}: {exc}") from None
 
-    observer_entries = sections.get("observer", [])
-    for ln, key, value in observer_entries:
-        if key == "kind":
-            if value not in OBSERVER_KINDS:
-                raise ConfigError(ln, f"unknown observer kind {value!r}")
-            cfg.observer_kind = value
-    kind = cfg.observer_kind
-    for ln, key, value in observer_entries:
-        if key != "kind":
-            gain = {key: _parse_float(value, ln, key)}
-            try:  # the observers' own rule: a gain the kind reads, and positive
-                checked_gains(observer_keys(kind, "default_gains"), gain)
-            except ValueError as exc:
-                raise ConfigError(ln, str(exc)) from None
-            cfg.gains.update(gain)
+    observer = {k: (ln, v) for ln, k, v in sections.get("observer", [])}
+    kind_line, kind = observer.pop("kind", (0, cfg.observer_kind))
+    if kind not in OBSERVER_KINDS:
+        raise ConfigError(kind_line, f"unknown observer kind {kind!r}")
+    cfg.observer_kind = kind
+    for key, (ln, value) in observer.items():
+        gain = {key: _parse_float(value, ln, key)}
+        try:  # the observers' own rule: a gain the kind reads, and positive
+            checked_gains(observer_keys(kind, "default_gains"), gain)
+        except ValueError as exc:
+            raise ConfigError(ln, str(exc)) from None
+        cfg.gains.update(gain)
 
+    cfg.q0, cfg.mom0 = [0.0] * model.n, [0.0] * model.n
     for ln, key, value in sections.get("initial", []):
         if key in ("q", "mom"):
             vec = _parse_vector(value, ln, key)
@@ -205,52 +209,36 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
             cfg.overrides[key] = _parse_vector(value, ln, key)
 
     channels = {}
-    for ln, key, value in sections.get("input", []):
-        if not (key.startswith("u") and key[1:].isdecimal()):
-            raise ConfigError(ln, f"input keys look like u1, u2, ...; got {key!r}")
-        idx = int(key[1:])
-        if idx < 1:
-            raise ConfigError(ln, "input channels are numbered from 1")
+    for idx, (ln, key, value) in _numbered(sections.get("input", []), "u").items():
         if idx > model.m:
             raise ConfigError(ln, f"{key}: input channel {idx}, the model has {model.m} inputs")
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 4:
             raise ConfigError(ln, "input channel needs amplitude, frequency, phase, waveform")
         amp, freq, phase = (_parse_float(p, ln, key) for p in parts[:3])
-        waveform = parts[3]
-        if waveform not in ("cos", "sin"):
-            raise ConfigError(ln, f"waveform must be cos or sin, got {waveform!r}")
-        channels[idx] = (amp, freq, phase, waveform)
-    if channels:
-        top = max(channels)
-        cfg.inputs = [channels.get(i, (0.0, 0.0, 0.0, "cos")) for i in range(1, top + 1)]
+        try:  # the channel's own rule on its waveform
+            channels[idx] = InputChannel(amp, freq, phase, parts[3])
+        except ValueError as exc:
+            raise ConfigError(ln, f"{key}: {exc}") from None
+    top = max(channels, default=0)  # a channel left out of 1..top is zero
+    cfg.inputs = [channels.get(i, InputChannel(0.0, 0.0)) for i in range(1, top + 1)]
 
-    steps = {}
-    for ln, key, value in sections.get("disturbance", []):
-        if not (key.startswith("step") and key[4:].isdecimal()):
-            raise ConfigError(ln, f"disturbance keys look like step1, step2, ...; got {key!r}")
+    for _, (ln, key, value) in sorted(_numbered(sections.get("disturbance", []), "step").items()):
         vec = _parse_vector(value, ln, key)
         if len(vec) != model.n + 1:
             raise ConfigError(ln, f"{key}: expected a switch time and {model.n} levels, "
                                   f"got {len(vec)} numbers")
-        steps[int(key[4:])] = (ln, vec[0], vec[1:])
-    cfg.disturbance = [steps[i][1:] for i in sorted(steps)]
-    for k, i in enumerate(sorted(steps), 1):
-        try:  # the schedule's own rule on steps 1..k, cited at step k's line
-            DisturbanceSchedule(*zip(*cfg.disturbance[:k]))
+        cfg.disturbance.append((vec[0], vec[1:]))
+        try:  # the schedule's own rule on the steps so far, cited at the last one's line
+            DisturbanceSchedule(*zip(*cfg.disturbance))
         except ValueError as exc:
-            raise ConfigError(steps[i][0], str(exc)) from None
+            raise ConfigError(ln, str(exc)) from None
 
-    if "sim" not in sections:
-        if require_sim:
-            raise ConfigError(0, "missing required section [sim]")
-        sections["sim"] = []
-    elif require_sim or sections["sim"]:
-        sim_entries = {k: (ln, v) for ln, k, v in sections["sim"]}
-        for req in ("t_final", "dt"):
-            if req not in sim_entries:
-                raise ConfigError(0, f"missing required key {req!r} in [sim]")
-    for ln, key, value in sections["sim"]:
+    sim = sections.get("sim", [])
+    missing = [k for k in ("t_final", "dt") if k not in {key for _, key, _ in sim}]
+    if missing and (require_sim or sim):  # only a structure check may leave [sim] out
+        raise ConfigError(0, f"missing required key {missing[0]!r} in [sim]")
+    for ln, key, value in sim:
         if key not in _SIM_KEYS:
             raise ConfigError(ln, f"unknown key {key!r} in [sim]")
         if key == "stride":
@@ -301,15 +289,15 @@ def dump_config(cfg: RunConfig) -> str:
     for key, value in cfg.gains.items():
         lines.append(f"{key} = {value:.17g}")
     lines += ["", "[initial]"]
-    if cfg.q0 is not None:
+    if cfg.q0:
         lines.append(f"q = {_fmt_vec(cfg.q0)}")
-    if cfg.mom0 is not None:
+    if cfg.mom0:
         lines.append(f"mom = {_fmt_vec(cfg.mom0)}")
     for key, value in cfg.overrides.items():
         lines.append(f"{key} = {_fmt_vec(value)}")
     if cfg.inputs:
         lines += ["", "[input]"]
-        for i, (amp, freq, phase, waveform) in enumerate(cfg.inputs, start=1):
+        for i, (amp, freq, phase, waveform) in enumerate(map(astuple, cfg.inputs), start=1):
             lines.append(f"u{i} = {amp:.17g}, {freq:.17g}, {phase:.17g}, {waveform}")
     if cfg.disturbance:
         lines += ["", "[disturbance]"]
@@ -355,9 +343,9 @@ def build_scenario(cfg: RunConfig) -> Scenario:
         model=config_model(cfg),
         observer=cfg.observer_kind,
         gains=dict(cfg.gains),
-        q0=cfg.q0 or (),
-        mom0=cfg.mom0 or (),
-        inputs=tuple(InputChannel(*ch) for ch in cfg.inputs),
+        q0=cfg.q0,
+        mom0=cfg.mom0,
+        inputs=tuple(cfg.inputs),
         disturbance=disturbance,
         t_final=cfg.t_final,
         dt=cfg.dt,

@@ -58,7 +58,7 @@ class InputChannel:
 
     def __post_init__(self):
         if self.waveform not in ("cos", "sin"):
-            raise ValueError("waveform must be 'cos' or 'sin'")
+            raise ValueError(f"waveform must be 'cos' or 'sin', got {self.waveform!r}")
         if not np.isfinite([self.amplitude, self.frequency, self.phase]).all():
             raise ValueError("input channel parameters must be finite")
 
@@ -467,7 +467,7 @@ def compute_metrics(ts: TimeSeries) -> Metrics:
 def apply_sweep_value(sc, param: str, value: float):
     """Copy of sc with one gain or one initial-state entry (q0[i], mom0[i]) set.
 
-    sc is a Scenario, or a RunConfig whose q0 and mom0 are set.  Raises
+    sc is a Scenario, or a parsed RunConfig (its q0 and mom0 are vectors).  Raises
     ValueError for an unknown name, an index that is not an integer in
     0..n-1 and, for a Scenario, a gain its observer does not read (the
     Scenario refuses it).

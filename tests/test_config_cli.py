@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import momobs
 from momobs import (
     ConfigError,
+    InputChannel,
     SpiderCraneParams,
     build_scenario,
     dump_config,
@@ -70,15 +72,21 @@ def test_parse_and_build():
     assert cfg.model_name == "spider-crane"
     assert cfg.observer_kind == "prop1"
     assert cfg.gains == {"lambda": 0.8}
-    assert cfg.inputs[1] == (7.67, 1.0, 0.0, "sin")
+    assert cfg.inputs[1] == InputChannel(7.67, 1.0, 0.0, "sin")
     sc = build_scenario(cfg)
     assert sc.model.n == 3
     assert sc.t_final == 1.0
     assert sc.disturbance.levels.shape == (1, 3)
 
 
-def test_roundtrip_identical():
-    cfg = parse_config(CRANE_CFG)
+# only u2 and no [initial]: a zero channel fills u1, and the start is zeros
+GAP_CFG = CRANE_CFG.replace("u1 = 1.535, 1.0, 0.0, cos\n", "").replace(
+    "[initial]\nq = 0, 0, 1.0\nmom = 0, 0, 0\n\n", "")
+
+
+@pytest.mark.parametrize("text", [CRANE_CFG, GAP_CFG], ids=["crane", "gap-input-zero-start"])
+def test_roundtrip_identical(text):
+    cfg = parse_config(text)
     echoed = dump_config(cfg)
     again = parse_config(echoed)
     assert again == cfg
@@ -159,8 +167,11 @@ def test_duplicate_key_rejected():
 
 def test_bad_waveform_rejected():
     bad = CRANE_CFG.replace("cos", "saw")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config(bad)
+    assert "'saw'" in str(err.value)
+    assert bad.splitlines()[err.value.line - 1] == "u1 = 1.535, 1.0, 0.0, saw"
+    assert f"line {err.value.line}: " in str(err.value)
 
 
 def test_constant_model_matrices():
@@ -232,10 +243,17 @@ def test_cli_run(tmp_path):
         # suffixes that str.isdigit accepts but int does not
         ("u1 = 1.535", "u\u00b2 = 1.535", "u\u00b2", "u\u00b2 = 1.535, 1.0, 0.0, cos"),
         ("step1 = ", "step\u00b2 = ", "step\u00b2", "step\u00b2 = 0, 0.1, 0.2, 0.2"),
+        # one spelling per entry: a leading zero would alias an earlier key, and 0 is no index
+        ("u2 = 7.67", "u01 = 7.67", "u01", "u01 = 7.67, 1.0, 0.0, sin"),
+        ("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, 0.2, 0.2\nstep01 = 0, 9, 9, 9", "step01",
+         "step01 = 0, 9, 9, 9"),
+        ("u1 = 1.535", "u0 = 1.535", "u0", "u0 = 1.535, 1.0, 0.0, cos"),
+        ("step1 = ", "step0 = ", "step0", "step0 = 0, 0.1, 0.2, 0.2"),
     ],
     ids=["negative-dt", "inf-t_final", "nan-dt", "nan-lambda", "nan-q", "fractional-stride",
          "negative-lambda", "colliding-switch", "short-q", "long-mom", "short-disturbance",
-         "extra-input", "negative-mass", "superscript-input", "superscript-step"],
+         "extra-input", "negative-mass", "superscript-input", "superscript-step",
+         "leading-zero-input", "leading-zero-step", "zero-input", "zero-step"],
 )
 def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     text = CRANE_CFG.replace(old, new)
@@ -434,10 +452,12 @@ def test_cli_sweep_stops_at_first_divergence(tmp_path, capsys):
     # written for inspection, and neither the later runs nor sweep_metrics.csv
     cfg = write(tmp_path, "probe.cfg", CHOLESKY_PROBE_CFG)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["sweep", cfg, "--param", "psi5_extra", "--values", "1,2", "-o", str(out)])
     assert code == 3
-    assert "run at psi5_extra = 1 diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("run at psi5_extra = 1 diverged") and len(err.splitlines()) == 1, err
     assert sorted(p.name for p in out.iterdir()) == ["psi5_extra_1_metrics.txt",
                                                      "psi5_extra_1_timeseries.csv"]
 
@@ -540,11 +560,13 @@ def test_cli_outdir_from_environment(tmp_path, monkeypatch):
 )
 def test_cli_run_divergence_exit(tmp_path, capsys, text, cause):
     cfg = write(tmp_path, "blowup.cfg", text)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():  # numpy's warnings on the way would be more lines
+        warnings.simplefilter("error")
         code = main(["run", cfg, "-o", str(tmp_path / "div")])
     assert code == 3
     err = capsys.readouterr().err
     assert "diverged" in err and cause in err, err
+    assert len(err.splitlines()) == 1, err
     # the truncated series is still written for inspection, and it ends with
     # the last finite state: the one at the start of the failing step
     rows = (tmp_path / "div" / "timeseries.csv").read_text().splitlines()[1:]
@@ -558,10 +580,12 @@ def test_cli_run_huge_start_scale_diverges(tmp_path, capsys):
     # the run diverges in its first step, exit 3, and still writes its series
     text = PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nr = 1e155")
     cfg = write(tmp_path, "big_r.cfg", text)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["run", cfg, "-o", str(tmp_path / "big_r")])
     assert code == 3
-    assert "run diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("run diverged") and len(err.splitlines()) == 1, err
     assert (tmp_path / "big_r" / "timeseries.csv").read_text().count("\n") == 2  # header, t = 0
 
 
