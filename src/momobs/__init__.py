@@ -8,7 +8,6 @@ from .model import (
     ModelError,
     StageTerms,
     momenta_transform,
-    momenta_untransform,
     plant_derivative,
     stage_terms,
     transformed_derivative,
@@ -31,7 +30,6 @@ from .adaptive import (
     estimator_quadratics,
     regressor,
     regressor_matrices,
-    velocity_quadratics,
 )
 from .scaled import Obs2Estimates, Obs2State, ScaledObserver
 from .systems import (
@@ -50,9 +48,7 @@ from .harness import (
     Scenario,
     TimeSeries,
     compute_metrics,
-    exact_observer_init,
     integrate_scenario,
-    rk4_solve,
     rk4_step,
     share_plant,
 )

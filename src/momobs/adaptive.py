@@ -78,26 +78,13 @@ def regressor(ymats: Array, z) -> Array:
     return np.vecmat(z, ymats.reshape(n, n * s)).reshape(z.shape[:-1] + (n, s))
 
 
-def velocity_quadratics(model: MechanicalModel) -> Array:
-    """One PSD rank-one form per unknown coefficient, stacked (s, n, n).
-
-    Form k is (row kappa_k of T)^T (row kappa_k of T); contracting it with
-    momenta squares the velocity of the coordinate whose friction is
-    unknown.  Constant under the same row-constancy condition as the
-    regressor matrices.
-    """
-    kappa = model.friction.unknown_indices
-    rows = model.factor(np.zeros(model.n))[kappa, :]
-    return np.einsum("ka,kb->kab", rows, rows)
-
-
 def estimator_quadratics(ymats: Array) -> Array:
     """Quadratic forms solving the stacked gradient-match equations.
 
     Row j of form k is minus column k of Y[j]; this makes the gradient of
     z -> 0.5 z^T L_k z equal minus row k of the transposed regressor, which
     is exactly what the friction estimator's proportional term needs.  The
-    result is symmetric and equals minus velocity_quadratics.
+    result is symmetric.
     """
     return -np.transpose(ymats, (2, 0, 1))
 

@@ -34,7 +34,7 @@ from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .adaptive import checked_gains
-from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys
+from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys, whole_steps
 from .model import DisturbanceSchedule, MechanicalModel
 from .systems import build_named_model
 
@@ -251,8 +251,10 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
             if val <= 0:
                 raise ConfigError(ln, f"{key} must be positive")
             setattr(cfg, key, val)
-    if cfg.t_final < cfg.dt:
-        raise ConfigError(0, "t_final must be at least dt")
+    try:
+        whole_steps(cfg.t_final, cfg.dt)
+    except ValueError as exc:  # cited at the t_final line
+        raise ConfigError(next((ln for ln, k, _ in sim if k == "t_final"), 0), str(exc)) from None
 
     for ln, key, value in sections.get("output", []):
         if key not in _OUTPUT_KEYS:

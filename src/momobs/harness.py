@@ -68,6 +68,18 @@ class InputChannel:
         return self.amplitude * wave
 
 
+def whole_steps(t_final: float, dt: float) -> int:
+    """t_final / dt RK4 steps; ValueError unless that is a whole number >= 1 to 1e-9 relative.
+
+    0.3 / 0.1 passes as 3.  Rounding would run 0.0015 and 0.0025 at dt = 0.001 both to 0.002.
+    """
+    steps = round(t_final / dt)
+    if steps < 1 or abs(t_final / dt - steps) > 1e-9 * steps:
+        raise ValueError(f"t_final = {t_final!r} is not a positive whole number of "
+                         f"dt = {dt!r} steps")
+    return steps
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete experiment description for one run.
@@ -99,6 +111,7 @@ class Scenario:
             raise ValueError(f"observer must be one of {OBSERVER_KINDS}")
         if not 0 < self.dt <= self.t_final < math.inf:
             raise ValueError("need finite dt > 0 and t_final >= dt")
+        whole_steps(self.t_final, self.dt)
         if self.observer == "none" and (self.gains or self.obs_init):
             raise ValueError("observer kind none reads no gains or state fields, got "
                              f"{[*self.gains, *self.obs_init]}")
@@ -133,8 +146,8 @@ class Scenario:
 
     @property
     def steps(self) -> int:
-        """RK4 steps of a run: t_final / dt, rounded."""
-        return int(round(self.t_final / self.dt))
+        """RK4 steps of a run: t_final / dt, a whole number (whole_steps)."""
+        return whole_steps(self.t_final, self.dt)
 
     def input_value(self, t: float) -> Array:
         u = np.zeros(self.model.m)
@@ -236,34 +249,6 @@ def rk4_step(f, t, x, dt):
     k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
     k4 = f(t + dt, x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_solve(f, x0, t_final, dt, record_stride: int = 1):
-    """Generic fixed-step solve; returns (times, states) arrays."""
-    steps = int(round(t_final / dt))
-    x = np.asarray(x0, dtype=float).copy()
-    ts = [0.0]
-    xs = [x.copy()]
-    for k in range(steps):
-        x = rk4_step(f, k * dt, x, dt)
-        if (k + 1) % record_stride == 0 or k + 1 == steps:
-            ts.append((k + 1) * dt)
-            xs.append(x.copy())
-    return np.array(ts), np.array(xs)
-
-
-def exact_observer_init(sc: Scenario) -> dict:
-    """Observer state fields (for Scenario.obs_init) whose estimation errors are all zero at t = 0.
-
-    Uses the scenario's true initial momenta, friction coefficients and
-    initial disturbance level, so it is a diagnostic tool: with this start
-    the error coordinates stay on the invariant zero manifold.
-    """
-    obs = sc.build_observer()
-    if obs is None:
-        raise ValueError("scenario has no observer")
-    p0 = sc.model.factor(sc.q0).T @ sc.mom0
-    return obs.exact_state(sc.q0, p0, sc._schedule.value(0.0))
 
 
 @dataclass

@@ -305,12 +305,6 @@ def momenta_transform(model: MechanicalModel, q, mom) -> Array:
     return model.factor(q).T @ mom
 
 
-def momenta_untransform(model: MechanicalModel, q, p) -> Array:
-    """Inverse of momenta_transform: mom = T^-T(q) p."""
-    p = _check_vector(p, model.n, "transformed momenta")
-    return model.factor_inverse(q).T @ p
-
-
 def transformed_derivative(model: MechanicalModel, q, p, u, d):
     """Time derivative of (q, p) in factored coordinates.
 

@@ -12,7 +12,9 @@ to be solved; the mismatch against H(q, phat) splits into two pieces that
 vanish with the copy errors, and the scaling dynamics absorb their effect.
 Jbar comes from the brackets of the factor's columns, as in the factored
 coordinates of Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC
-55(5), 2010); a derivative evaluates each position's T^-1 and brackets once.
+55(5), 2010); a derivative evaluates each position's T^-1 and brackets once,
+and a lockstep group on commuting columns steps its rows through one stack
+kernel, _ScaledStack.derivative.
 The disturbance estimate's proportional term q / r^2 couples the estimate
 to the scaling factor, which is what makes constant disturbances
 rejectable here.
@@ -20,9 +22,7 @@ rejectable here.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
-import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Tuple
 
@@ -89,8 +89,6 @@ class ScaledObserver:
     error, psi4_extra and psi5_extra on the two copy-error gains.  Requires
     every friction coefficient to be known; friction is compensated, not
     estimated, here.
-
-    derivative takes one state or, on a _stacked observer, a stack of them.
     """
 
     default_gains = {"psi3_const": 1.0, "psi4_extra": 1.0, "psi5_extra": 1.0}
@@ -111,13 +109,10 @@ class ScaledObserver:
         self._psi_m = self.psi  # psi shaped to scale T^-1(qbar) of every row
 
     def _stacked(self, observers, q0):
-        """A copy whose derivative takes a (B, dim) stack, row b with the gains of observers[b].
-
-        Its margins and psi are (B, 1) columns.  Each row's rate equals observers[b].derivative of
-        that row, bit for bit.  None when rows must run one by one: on non-commuting columns, on
-        a model without factor_jac, or when T^-1 or its derivatives come in another layout than
-        C order, which matmul may round differently once stacked.  The layouts are probed at q0,
-        the plant's start, a position every run visits.
+        """The observers' _ScaledStack, or None when rows must run one by one: on non-commuting
+        columns, on a model without factor_jac, or when T^-1 or its derivatives come in another
+        layout than C order, which matmul may round differently once stacked.  The layouts are
+        probed at q0, the plant's start, a position every run visits.
         """
         model = self.model
         x = np.asarray(q0, dtype=float)
@@ -125,12 +120,7 @@ class ScaledObserver:
         if not (model.zrs and model.factor_jac is not None
                 and all(np.asarray(f(x)).flags.c_contiguous for f in evaluators)):
             return None
-        stacked = copy.copy(self)
-        stacked.margins = {key: np.array([[obs.margins[key]] for obs in observers])
-                           for key in self.margins}
-        stacked.psi = np.array([[obs.psi] for obs in observers])
-        stacked._psi_m = stacked.psi[..., None]
-        return stacked
+        return _ScaledStack(self, observers)
 
     # -- mappings ----------------------------------------------------------
 
@@ -192,8 +182,8 @@ class ScaledObserver:
     def _bounds(self, e_q, h_bp, h_towards_q, delta_p, e_p) -> Tuple[float, float]:
         """delta_bounds from e_q, H(qbar, phat), H(., phat) at _towards_q, delta_p and e_p.
 
-        Per row of a stack on commuting columns, where delta_p vanishes.  The largest secant
-        slope skips NaN, as Python's max does: a stacked row where q is qbar has only 0 / 0.
+        bound_q is per row of a stack of e_q on commuting columns, where delta_p vanishes.  The
+        largest secant slope skips NaN, as Python's max does: a stacked row at q has only 0 / 0.
         """
         if self._analytic_bounds:
             return self.psi * np.float64(self.model.lip_factor_inv), _ZERO
@@ -204,7 +194,6 @@ class ScaledObserver:
         with np.errstate(invalid="ignore"):
             slopes = secants / (taus * gap_q)
         bound_q = _BOUND_SAFETY * np.fmax.reduce(slopes, axis=0, initial=0.0)
-        bound_q = bound_q if e_q.ndim == 1 else bound_q[:, None]
         if self.model.zrs:
             return bound_q, _ZERO
         gap_p = np.linalg.norm(e_p)
@@ -214,19 +203,16 @@ class ScaledObserver:
 
     # -- gain schedule ------------------------------------------------------
 
-    def gains(self, r, norm_t, norm_h, bounds) -> GainSet:
-        """Gain schedule at scaling factor r, from |T(q)|, |H(qbar, pbar)| and delta_bounds."""
-        psi3, psi4_extra, psi5_extra = self.margins.values()
-        bound_q, bound_p = bounds
-        # numpy floats, but r, norm_h and bound_q are (B, 1) columns on a stack (derivative on pw)
-        pw = np.float_power if isinstance(r, np.ndarray) else operator.pow
-        rtil = r - 1.0
-        r2, norm_t2 = pw(r, 2), norm_t**2
-        share = r * rtil / (4.0 * (1.0 + psi3)) * norm_t2
-        psi4 = share * pw(bound_q, 2) + psi4_extra
-        psi5 = share * bound_p**2 + psi5_extra
+    def gains(self, r, r2, norm_t2, norm_h2, bounds2) -> GainSet:
+        """Gain schedule at scaling factor r from r^2, |T(q)|^2, |H(qbar, pbar)|^2 and the squared
+        delta_bounds (bound_q^2, bound_p^2): numpy floats, or a _ScaledStack's (B, 1) columns.
+        """
+        (bound_q2, bound_p2), (psi3, psi4_extra, psi5_extra) = bounds2, self.margins.values()
+        share = r * (r - 1.0) / self.psi * norm_t2
+        psi4 = share * bound_q2 + psi4_extra
+        psi5 = share * bound_p2 + psi5_extra
         psi1 = 0.5 * r2 * norm_t2 + psi4
-        psi2 = 0.5 * r2 * pw(norm_h, 2) * norm_t2 + psi5
+        psi2 = 0.5 * r2 * norm_h2 * norm_t2 + psi5
         return GainSet(self.psi, psi1, psi2, psi3, psi4, psi5)
 
     # -- observer dynamics ---------------------------------------------------
@@ -303,48 +289,40 @@ class ScaledObserver:
         return scale * (plus - minus) / (2.0 * tau)
 
     def derivative(self, z, terms: StageTerms) -> Array:
-        """Rate of the packed state z at the plant's stage terms; each H and T(q) phat formed once.
+        """Rate of one packed state z at the plant's stage terms; each H and T(q) phat formed once.
 
-        z is one state or, on a _stacked observer, a (B, dim) stack of rows with their own gains.
-        On commuting columns H = psi T^-1 is array code: T^-1 comes from one factor_inverse call on
-        the qbar rows, then one at q shared by the rows or one on every row's secant samples.
-        Otherwise the structures of one state come from two _structures calls: qbar with
-        _towards_q's, then the H-rate points.  The spectral norms of T(q), H(qbar, pbar),
+        On commuting columns H = psi T^-1 comes from one factor_inverse call at qbar, then one at
+        _towards_q's positions.  Otherwise the structures come from two _structures calls: qbar
+        with _towards_q's, then the H-rate points.  The spectral norms of T(q), H(qbar, pbar),
         delta_q T(q) and, for non-commuting columns, delta_p T(q) come from one stacked SVD.
         """
-        model = self.model
-        n = self.n
-        # products are np.matvec for one state or a stack (the product rule in model); powers
-        # are libm's pow either way: ** on one state's numpy floats, about 1 us per call cheaper
-        # than float_power, and float_power on a stack, where ** would round r^2 and r^3 unlike pow
-        mv, pw = np.matvec, (operator.pow if z.ndim == 1 else np.float_power)
+        model, n, mv = self.model, self.n, np.matvec
         q, T = terms.q, terms.T
-        qbar, pbar = z[..., :n], z[..., n : 2 * n]
-        p_i, d_i = z[..., 2 * n : 3 * n], z[..., 3 * n : 4 * n]
-        r = max(z[-1], _ONE) if z.ndim == 1 else np.maximum(z[:, -1:], 1.0)
+        qbar, pbar = z[:n], z[n : 2 * n]
+        p_i, d_i = z[2 * n : 3 * n], z[3 * n : 4 * n]
+        r = max(z[-1], _ONE)
 
         if model.zrs:  # H does not depend on momenta
             tinv_bar = model.factor_inverse(qbar)
-            h_bb = h_bp = self._psi_m * tinv_bar
-            if self._analytic_bounds:  # T^-1(q) once, shared by the rows; no secant samples
-                h_q, h_towards_q = self._psi_m * model.factor_inverse(q), None
-            else:  # every secant sample of every row in one (k, n) stack
+            h_bb = h_bp = self.psi * tinv_bar
+            if self._analytic_bounds:
+                h_q, h_towards_q = self.psi * model.factor_inverse(q), None
+            else:  # every secant sample in one (k, n) stack
                 towards = self._towards_q(qbar, q)
-                tinv_towards = model.factor_inverse(towards.reshape(-1, n))
-                h_towards_q = self._psi_m * tinv_towards.reshape(towards.shape + (n,))
+                h_towards_q = self.psi * model.factor_inverse(towards)
                 h_q = h_towards_q[-1] if len(towards) else h_bp
         else:
             s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
             tinv_bar = s_bar[0]
             h_bb = self._h(s_bar, pbar)
         phat = p_i + h_bb @ q
-        r2 = pw(r, 2)
+        r2 = r**2
         dhat = d_i + q / r2
         e_q = qbar - q
         e_p = pbar - phat
 
         if model.zrs:
-            gyro_term = 0.0
+            gyro_term, delta_p, normed = 0.0, None, [T, h_bb, (h_q - h_bp) @ T]
         else:
             h_bp = self._h(s_bar, phat)
             # J(q, phat) phat, read through the swap identity J(q, p) b = Jbar(q, b) p
@@ -352,19 +330,15 @@ class ScaledObserver:
             gyro_term = swapped_from_brackets(s_q[1], phat) @ phat
             h_towards_q = [self._h(s, phat) for s in towards_q]  # the last one at q
             h_q = h_towards_q[-1] if towards_q else h_bp
-        delta_q = h_q - h_bp
+            delta_p = h_bp - h_bb
+            normed = [T, h_bb, (h_q - h_bp) @ T, delta_p @ T]
 
-        normed = [T, h_bb, delta_q @ T] + ([] if model.zrs else [(h_bp - h_bb) @ T])
-        # induced 2-norms, the largest singular values; a stacked SVD gives each one bit for bit
-        stack = (np.array(normed) if z.ndim == 1  # else T, shared by the rows, then theirs
-                 else np.concatenate([m.reshape(-1, n, n) for m in normed]))
-        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
-        # one state's by index (unpacking costs 1 us more); delta_p is 0 on commuting columns
-        norm_t = norms[0]
-        norm_h, norm_dq = (norms[1], norms[2]) if z.ndim == 1 else norms[1:].reshape(2, -1, 1)
+        # induced 2-norms, the largest singular values, by index (unpacking costs 1 us more)
+        norms = np.linalg.svd(np.array(normed), compute_uv=False)[:, 0]
+        norm_t, norm_h, norm_dq = norms[0], norms[1], norms[2]
         norm_dp = _ZERO if model.zrs else norms[3]
-        bounds = self._bounds(e_q, h_bp, h_towards_q, h_bp - h_bb, e_p)
-        gains = self.gains(r, norm_t, norm_h, bounds)
+        bound_q, bound_p = self._bounds(e_q, h_bp, h_towards_q, delta_p, e_p)
+        gains = self.gains(r, r2, norm_t**2, norm_h**2, (bound_q**2, bound_p**2))
 
         t_phat = mv(T, phat)
         friction_term = mv(T.T, model.friction.coeffs * t_phat)
@@ -374,11 +348,9 @@ class ScaledObserver:
         pbar_dot = rest - gains.psi2 * e_p
         h_rate = self._mapping_h_rate(tinv_bar, qbar, pbar, qbar_dot, pbar_dot)
         p_i_dot = -h_rate @ q - mv(h_bb, t_phat) + rest
-        r_dot = (-(self.psi / 4.0) * (r - 1.0)
-                 + (r / self.psi) * (norm_dp**2 + pw(norm_dq, 2)))
-        d_i_dot = -t_phat / r2 + (2.0 / pw(r, 3)) * r_dot * q
-        return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot,
-                               [r_dot] if z.ndim == 1 else r_dot], axis=-1)
+        r_dot = -(self.psi / 4.0) * (r - 1.0) + (r / self.psi) * (norm_dp**2 + norm_dq**2)
+        d_i_dot = -t_phat / r2 + (2.0 / r**3) * r_dot * q
+        return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot, [r_dot]])
 
     def project(self, z) -> None:
         """Post-step projection keeping the scaling factor at least one, in place in z.
@@ -387,3 +359,67 @@ class ScaledObserver:
         """
         r = z[..., -1]
         np.maximum(r, 1.0, out=r)
+
+
+class _ScaledStack(ScaledObserver):
+    """A lockstep group's ScaledObserver on commuting columns; derivative takes (B, dim) stacks.
+
+    margins and psi are (B, 1) columns of observers[b]'s gains; -psi / 4 and, under analytic
+    bounds, the squared delta_bounds (bound_q^2, 0) are built once per group.
+    """
+
+    def __init__(self, base: ScaledObserver, observers):
+        vars(self).update(vars(base))
+        self.margins = {key: np.array([[obs.margins[key]] for obs in observers])
+                        for key in base.margins}
+        self.psi = np.array([[obs.psi] for obs in observers])
+        self._psi_m, self._r_decay = self.psi[..., None], -(self.psi / 4.0)
+        if self._analytic_bounds:
+            bound_q = self.psi * np.float64(self.model.lip_factor_inv)
+            self._bounds2 = np.float_power(bound_q, 2.0), _ZERO
+
+    def derivative(self, zs, terms: StageTerms) -> Array:
+        """Rates of the (B, dim) stack zs, row b bit for bit observers[b].derivative(zs[b]).
+
+        One factor_inverse call on qbar and _towards_q's positions (q last), one stacked SVD of
+        T(q) and each row's H(qbar, pbar) and delta_q T(q); powers are float_power's libm pow.
+        """
+        model, n, rows, mv, psi_m = self.model, self.n, len(zs), np.matvec, self._psi_m
+        q, T = terms.q, terms.T
+        qbar, pbar = zs[:, :n], zs[:, n : 2 * n]
+        p_i, d_i = zs[:, 2 * n : 3 * n], zs[:, 3 * n : 4 * n]
+        r = np.maximum(zs[:, -1:], 1.0)
+
+        towards = self._towards_q(qbar, q)
+        tinv = model.factor_inverse(np.concatenate([qbar, towards.reshape(-1, n)]))
+        tinv_bar = tinv[:rows]
+        h_bb = psi_m * tinv_bar  # H(qbar, phat) = H(qbar, pbar): H = psi T^-1 reads no momenta
+        phat = p_i + h_bb @ q
+        r2 = np.float_power(r, 2.0)
+        dhat = d_i + q / r2
+        e_q = qbar - q
+        e_p = pbar - phat
+
+        norms = np.linalg.svd(np.concatenate([T[None], h_bb, (psi_m * tinv[-1] - h_bb) @ T]),
+                              compute_uv=False)[:, 0]
+        norm_h2, norm_dq2 = np.float_power(norms[1:], 2.0).reshape(2, -1, 1)
+        if self._analytic_bounds:
+            bounds2 = self._bounds2
+        else:
+            h_towards_q = psi_m * tinv[rows:].reshape(towards.shape + (n,))
+            bound_q, _ = self._bounds(e_q, h_bb, h_towards_q, None, e_p)
+            bounds2 = np.float_power(bound_q, 2.0)[:, None], _ZERO
+        gains = self.gains(r, r2, norms[0] ** 2, norm_h2, bounds2)
+
+        t_phat = mv(T, phat)
+        friction_term = mv(T.T, model.friction.coeffs * t_phat)
+        # + 0.0 as derivative adds commuting columns' gyro term: -0.0 becomes 0.0 alike
+        rest = T.T @ terms.gu - friction_term - T.T @ terms.grad_v + mv(T.T, dhat) + 0.0
+
+        qbar_dot = t_phat - gains.psi1 * e_q
+        pbar_dot = rest - gains.psi2 * e_p
+        h_rate = self._mapping_h_rate(tinv_bar, qbar, pbar, qbar_dot, pbar_dot)
+        p_i_dot = -h_rate @ q - mv(h_bb, t_phat) + rest
+        r_dot = self._r_decay * (r - 1.0) + (r / self.psi) * norm_dq2
+        d_i_dot = -t_phat / r2 + (2.0 / np.float_power(r, 3.0)) * r_dot * q
+        return np.concatenate([qbar_dot, pbar_dot, p_i_dot, d_i_dot, r_dot], axis=-1)

@@ -20,7 +20,6 @@ from momobs import (
     check_zrs,
     compute_metrics,
     estimator_quadratics,
-    exact_observer_init,
     grad_integral_map_residual,
     gyro_matrix,
     gyro_swapped,
@@ -32,14 +31,14 @@ from momobs import (
     momenta_transform,
     regressor,
     regressor_matrices,
-    rk4_solve,
     sample_positions,
     share_plant,
     transformed_derivative,
-    velocity_quadratics,
 )
 from momobs.harness import apply_sweep_value
 from momobs.model import _plant_rhs, stage_terms
+
+from oracles import exact_observer_init, rk4_solve, velocity_quadratics
 
 CRANE_INPUTS = (InputChannel(1.535, 1.0, 0.0, "cos"), InputChannel(7.67, 1.0, 0.0, "sin"))
 CRANE_D = (0.1, 0.2, 0.2)

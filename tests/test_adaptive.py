@@ -13,7 +13,6 @@ from momobs import (
     StructureError,
     error_energy,
     estimator_quadratics,
-    exact_observer_init,
     integrate_scenario,
     make_constant_inertia,
     make_spider_crane,
@@ -21,8 +20,9 @@ from momobs import (
     regressor_matrices,
     sample_positions,
     stage_terms,
-    velocity_quadratics,
 )
+
+from oracles import exact_observer_init, velocity_quadratics
 
 C2 = 12.0  # crane factor constant c^2 at the default parameters
 

@@ -249,11 +249,15 @@ def test_cli_run(tmp_path):
          "step01 = 0, 9, 9, 9"),
         ("u1 = 1.535", "u0 = 1.535", "u0", "u0 = 1.535, 1.0, 0.0, cos"),
         ("step1 = ", "step0 = ", "step0", "step0 = 0, 0.1, 0.2, 0.2"),
+        # t_final / dt = 500.5 and 501.5 would round to 500 and 502 steps
+        ("t_final = 1.0", "t_final = 1.001", "t_final", "t_final = 1.001"),
+        ("t_final = 1.0", "t_final = 1.003", "t_final", "t_final = 1.003"),
     ],
     ids=["negative-dt", "inf-t_final", "nan-dt", "nan-lambda", "nan-q", "fractional-stride",
          "negative-lambda", "colliding-switch", "short-q", "long-mom", "short-disturbance",
          "extra-input", "negative-mass", "superscript-input", "superscript-step",
-         "leading-zero-input", "leading-zero-step", "zero-input", "zero-step"],
+         "leading-zero-input", "leading-zero-step", "zero-input", "zero-step",
+         "t_final-short-of-steps", "t_final-past-steps"],
 )
 def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     text = CRANE_CFG.replace(old, new)

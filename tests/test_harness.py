@@ -412,6 +412,8 @@ def stacked_cases(request, case):
     """(observers, states, terms) of one model: 40 rows with their own gains and states.
 
     Many rows, since numpy's ** on arrays rounds r**3 unlike libm's pow in about 5% of values.
+    Each prop2 row draws its own psi3_const, psi4_extra and psi5_extra, so every per-row
+    constant of the stacked schedule is pinned column by column.
     """
     rng = np.random.default_rng(sum(map(ord, case)))
     rows = 40
@@ -425,14 +427,14 @@ def stacked_cases(request, case):
                      FrictionSpec(np.array([0.4, 0.7]), np.array([True, True]))),
                  "prop2_manipulator": lambda: make_planar_manipulator(
                      ManipulatorParams(known_mask=(True,) * 4))}[case]()
-        observers = [ScaledObserver(model, {"psi3_const": a, "psi5_extra": b})
-                     for a, b in rng.uniform(0.2, 5.0, (rows, 2))]
+        observers = [ScaledObserver(model, dict(zip(ScaledObserver.default_gains, margins)))
+                     for margins in rng.uniform(0.2, 5.0, (rows, 3))]
     n = model.n
     q = rng.uniform(-1, 1, n)
     zs = np.array([obs.state_with(q) + rng.normal(scale=0.3, size=obs.dim) for obs in observers])
     if case.startswith("prop2"):
         zs[:, -1] = rng.uniform(0.5, 3.0, rows)  # r below one is read as one
-        zs[:, -1][:2] = 1.0, 0.6
+        zs[[0, 1, 3], -1] = 1.0, 0.6, np.nan  # r below one is read as one; NaN stays NaN
         zs[2, :n] = q  # qbar = q, which one state samples nowhere and a stack samples at q
     terms = stage_terms(model, q, rng.normal(size=model.m))
     return observers, zs, terms
@@ -443,11 +445,12 @@ def stacked_cases(request, case):
 def test_stacked_derivative_rows_match_one_state_bit_for_bit(request, case):
     observers, zs, terms = stacked_cases(request, case)
     stacked = observers[0]._stacked(observers, terms.q)
-    rates = stacked.derivative(zs, terms)
+    with np.errstate(invalid="ignore"):  # the row at r = NaN
+        rates = stacked.derivative(zs, terms)
+        ones = [obs.derivative(z.copy(), terms) for obs, z in zip(observers, zs)]
     assert rates.shape == zs.shape
-    for obs, z, rate in zip(observers, zs, rates):
-        one = obs.derivative(z.copy(), terms)
-        assert np.array_equal(rate, one) and rate.tobytes() == one.tobytes()
+    for rate, one in zip(rates, ones):
+        assert np.array_equal(rate, one, equal_nan=True) and rate.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("case", ["prop2_crane", "prop2_manipulator"])
@@ -485,6 +488,21 @@ def test_stacked_projection_clamps_each_row(crane_known):
         obs.project(row)
     assert np.array_equal(zs, rows, equal_nan=True)
     assert zs[0, -1] == 1.0 and np.isnan(zs[2, -1]) and zs[3, -1] == 2.5
+
+
+@pytest.mark.parametrize("t_final", [0.0015, 0.0025])
+def test_scenario_refuses_t_final_off_the_step_grid(crane, t_final):
+    # t_final / dt = 1.5 and 2.5 both round to 2 steps: the run would end at
+    # t = 0.002, past the first t_final and short of the second
+    with pytest.raises(ValueError, match=rf"t_final = {t_final}\b.*dt = 0\.001\b"):
+        crane_prop1_scenario(crane, t_final=t_final, dt=0.001)
+
+
+def test_scenario_accepts_float_quotient_steps(crane):
+    # 0.3 / 0.1 is 2.9999999999999996 in floats: whole to 1e-9, so 3 steps
+    assert 0.3 / 0.1 != 3
+    assert crane_prop1_scenario(crane, t_final=0.3, dt=0.1, stride=1).steps == 3
+    assert crane_prop1_scenario(crane, t_final=0.0025, dt=2.5e-4).steps == 10
 
 
 def test_piecewise_disturbance_integration():

@@ -9,12 +9,12 @@ from momobs import (
     gyro_matrix,
     make_constant_inertia,
     momenta_transform,
-    momenta_untransform,
     plant_derivative,
-    rk4_solve,
     transformed_derivative,
 )
 from momobs.model import _plant_rhs, stage_terms
+
+from oracles import momenta_untransform, rk4_solve
 
 
 def free_mass(n=2, friction=None):

@@ -10,7 +10,6 @@ from momobs import (
     ScaledObserver,
     Scenario,
     StructureError,
-    exact_observer_init,
     integrate_scenario,
     momenta_transform,
 )
@@ -25,6 +24,8 @@ from momobs import (
     stage_terms,
 )
 import momobs
+
+from oracles import exact_observer_init
 
 
 @pytest.fixture(scope="module")
@@ -234,12 +235,12 @@ def test_derivative_structure_once_per_position(request, monkeypatch, name, coin
 @pytest.mark.parametrize(
     "name, expected",
     [
-        # analytic bounds: T^-1 at the four qbar rows, then at q once for all
-        # rows, and dT at the four qbar rows for the exact H-rate
-        ("crane_known", {"factor": [], "factor_inv": [4, 1], "factor_jac": [4]}),
-        # secant bounds: T^-1 at the qbar rows, then at the ten samples of
-        # every row (q last) in one stack
-        ("manipulator_known", {"factor": [], "factor_inv": [4, 10 * 4], "factor_jac": [4]}),
+        # analytic bounds: T^-1 at the four qbar rows and at q, once for all
+        # rows, in one stack, and dT at the four qbar rows for the exact H-rate
+        ("crane_known", {"factor": [], "factor_inv": [4 + 1], "factor_jac": [4]}),
+        # secant bounds: T^-1 at the qbar rows and at the ten samples of every
+        # row (q last) in one stack
+        ("manipulator_known", {"factor": [], "factor_inv": [4 + 10 * 4], "factor_jac": [4]}),
     ],
     ids=["crane", "manipulator"],
 )
@@ -274,10 +275,10 @@ def test_adaptive_setup_one_evaluator_call_per_stack(crane, monkeypatch):
 
 
 def schedule_inputs(obs, q, qbar, phat, pbar):
-    """(|T(q)|, |H(qbar, pbar)|, delta_bounds), the norms the gain schedule reads."""
+    """(|T(q)|^2, |H(qbar, pbar)|^2, squared delta_bounds), the squares the gain schedule reads."""
     norm_t = np.linalg.norm(obs.model.factor(q), 2)
     norm_h = np.linalg.norm(obs.mapping_h(qbar, pbar), 2)
-    return norm_t, norm_h, obs.delta_bounds(q, qbar, phat, pbar)
+    return norm_t**2, norm_h**2, [b**2 for b in obs.delta_bounds(q, qbar, phat, pbar)]
 
 
 def test_gain_schedule_values(crane_known):
@@ -286,7 +287,7 @@ def test_gain_schedule_values(crane_known):
     rng = np.random.default_rng(6)
     q = rng.uniform(-1, 1, 3)
     phat, pbar = rng.normal(size=3), rng.normal(size=3)
-    gains = obs.gains(1.0, *schedule_inputs(obs, q, q.copy(), phat, pbar))
+    gains = obs.gains(1.0, 1.0, *schedule_inputs(obs, q, q.copy(), phat, pbar))
     # with the scaling factor at rest the copy-gain margins are the extras
     assert gains.psi4 == pytest.approx(1.0)
     assert gains.psi5 == pytest.approx(1.0)
@@ -301,7 +302,7 @@ def test_gain_schedule_independent_norms(crane_known):
         q, qbar = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
         phat, pbar = rng.normal(size=3), rng.normal(size=3)
         r = 1.0 + rng.uniform(0, 0.5)
-        gains = obs.gains(r, *schedule_inputs(obs, q, qbar, phat, pbar))
+        gains = obs.gains(r, r**2, *schedule_inputs(obs, q, qbar, phat, pbar))
 
         def norm2(A):
             return np.sqrt(np.linalg.eigvalsh(A.T @ A).max())
