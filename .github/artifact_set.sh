@@ -23,7 +23,12 @@
 # with a factor that depends on q1 + q2), `momobs check` at seeds 0 and 3, a
 # lambda sweep on prop1 and, with every friction known, a psi3_const sweep
 # on prop2, whose lockstep rows take the secant-sample path (no Lipschitz
-# constant for T^-1).
+# constant for T^-1).  Last, configs refused with exit 2 and one line of
+# stderr: the prop1 config with t_final = 1e300 at dt = 1e-300 (an infinite
+# step count) and at dt = 1 (more steps than 2**53), run and checked; a
+# constant-inertia config whose K = 1, 2, 3 is not 2 x 2 symmetric, run and
+# checked; and a plant-only run whose input angle 1e308 t overflows before
+# t_final = 2.
 # Configs are edited copies of ROOT's shipped ones, but for the constant and
 # manipulator ones, written here so every checkout runs the same text.  Paths to ROOT and OUT
 # read ROOT and OUT, so `diff -r` of two such directories, made from two
@@ -157,3 +162,15 @@ record sweep_manipulator_prop1 sweep "$out/cfg/manipulator.cfg" --param lambda -
   -o "$out/sweep_manipulator_prop1"
 record sweep_manipulator_psi3 sweep "$out/cfg/manipulator_prop2.cfg" --param psi3_const \
   --values 0.5,1 -o "$out/sweep_manipulator_psi3"
+
+# refused configs: each exits 2 with a one-line stderr
+variant steps_inf spider_crane_prop1.cfg "s/^t_final = .*/t_final = 1e300/" "s/^dt = .*/dt = 1e-300/"
+variant steps_past_grid spider_crane_prop1.cfg "s/^t_final = .*/t_final = 1e300/" "s/^dt = .*/dt = 1/"
+sed -e "s/^K = .*/K = 1, 2, 3/" "$out/cfg/constant_r.cfg" > "$out/cfg/bad_stiffness.cfg"
+variant input_overflow spider_crane_prop1.cfg "s/^kind = prop1/kind = none/" "/^lambda = /d" \
+  "s/^u1 = .*/u1 = 1.0, 1e308, 0.0, cos/" "s/^t_final = .*/t_final = 2/" "s/^dt = .*/dt = 0.5/"
+for refused in steps_inf steps_past_grid bad_stiffness; do
+  record "run_$refused" run "$out/cfg/$refused.cfg" -o "$out/run_$refused"
+  record "check_$refused" check "$out/cfg/$refused.cfg"
+done
+record run_input_overflow run "$out/cfg/input_overflow.cfg" -o "$out/run_input_overflow"

@@ -32,7 +32,7 @@ import numpy as np
 
 # bench/spans.py traces check_zrs under this module
 from .geometry import check_zrs, sample_positions
-from .model import MechanicalModel, StageTerms
+from .model import MechanicalModel, StageTerms, row_norm
 
 Array = np.ndarray
 
@@ -89,12 +89,9 @@ def estimator_quadratics(ymats: Array) -> Array:
     return -np.transpose(ymats, (2, 0, 1))
 
 
-def error_energy(ptil, dtil, rutil) -> float:
-    """0.5 (|ptil|^2 + |dtil|^2 + |rutil|^2), the decaying error measure."""
-    ptil = np.asarray(ptil, dtype=float)
-    dtil = np.asarray(dtil, dtype=float)
-    rutil = np.asarray(rutil, dtype=float)
-    return 0.5 * float(ptil @ ptil + dtil @ dtil + rutil @ rutil)
+def error_energy(ptil, dtil, rutil):
+    """0.5 (|ptil|^2 + |dtil|^2 + |rutil|^2), the decaying error measure, per row of stacks."""
+    return 0.5 * (np.vecdot(ptil, ptil) + np.vecdot(dtil, dtil) + np.vecdot(rutil, rutil))
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,8 @@ class AdaptiveObserver:
     columns, integral map consistency, constant unknown-friction rows) and
     precomputes the constant regressor and quadratic matrices.
 
-    derivative takes one state or, on a _stacked observer, a stack of them.
+    derivative takes one state or, on a _stacked observer, a stack; output and diagnostics
+    take one sample or a series' (S, dim) stack of them, row b bit for bit sample b.
     """
 
     default_gains = {"lambda": 0.8}  # by config and sweep name, the gains it reads
@@ -234,13 +232,13 @@ class AdaptiveObserver:
         return Obs1Estimates(p=phat, ru=ruhat, d=dhat)
 
     def diagnostics(self, z, q, p_true, d_true) -> dict:
-        """Estimates, error norms and error energy at one sample, keyed by TimeSeries field."""
+        """Estimates, error norms and error energy per sample or stack row, by TimeSeries field."""
         est = self.output(z, q)
         ptil = est.p - p_true
         dtil = est.d - d_true
         rutil = est.ru - self.model.friction.unknown_coeffs
-        return dict(phat=est.p, dhat=est.d, ruhat=est.ru, ptil_norm=np.linalg.norm(ptil),
-                    dtil_norm=np.linalg.norm(dtil), rutil_norm=np.linalg.norm(rutil),
+        return dict(phat=est.p, dhat=est.d, ruhat=est.ru, ptil_norm=row_norm(ptil),
+                    dtil_norm=row_norm(dtil), rutil_norm=row_norm(rutil),
                     lyap=error_energy(ptil, dtil, rutil))
 
     def derivative(self, z, terms: StageTerms) -> Array:

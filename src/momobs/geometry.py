@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import MechanicalModel, central_differences, solved_inverse
+from .model import MechanicalModel, central_differences, row_norm, solved_inverse
 
 Array = np.ndarray
 
@@ -150,9 +150,9 @@ def grad_integral_map_residual(model: MechanicalModel, q) -> float:
     grads = central_differences(model.integral_map, q, FD_STEP)[1]
     if not np.all(np.isfinite(grads)):
         raise ValueError("vector field evaluated to non-finite values near q")
-    # row by row as np.linalg.norm of one matrix: the dot of its C-order entries
+    # row by row as np.linalg.norm of one matrix: the norm of its C-order entries
     gaps = (grads.mT - model.factor_inverse(q)).reshape(-1, n * n)
-    return _worst(np.sqrt(np.vecdot(gaps, gaps)))
+    return _worst(row_norm(gaps))
 
 
 @dataclass

@@ -17,7 +17,8 @@ the plant terms and the plant rate once and every observer's rate in one
 stacked derivative call, whose rows equal the observers' own derivatives
 bit for bit.  RK4 combines stage rates elementwise, so each scenario's
 series is the one it gets alone.  A group that diverges or raises anywhere
-is discarded, and each scenario then runs alone.
+is discarded, and each scenario then runs alone.  A series is read out from
+its sampled states in one diagnostics call on their (S, dim) stack.
 """
 
 from __future__ import annotations
@@ -72,9 +73,14 @@ def whole_steps(t_final: float, dt: float) -> int:
     """t_final / dt RK4 steps; ValueError unless that is a whole number >= 1 to 1e-9 relative.
 
     0.3 / 0.1 passes as 3.  Rounding would run 0.0015 and 0.0025 at dt = 0.001 both to 0.002.
+    Past 2**53 steps (or inf), k * dt cannot tell consecutive steps apart: refused too.
     """
-    steps = round(t_final / dt)
-    if steps < 1 or abs(t_final / dt - steps) > 1e-9 * steps:
+    quotient = t_final / dt
+    if not quotient <= 2.0**53:
+        raise ValueError(f"t_final = {t_final!r} over dt = {dt!r} is not a step count the "
+                         f"time grid resolves (finite, at most 2**53)")
+    steps = round(quotient)
+    if steps < 1 or abs(quotient - steps) > 1e-9 * steps:
         raise ValueError(f"t_final = {t_final!r} is not a positive whole number of "
                          f"dt = {dt!r} steps")
     return steps
@@ -126,6 +132,10 @@ class Scenario:
         object.__setattr__(self, "mom0", mom0)
         if len(self.inputs) > self.model.m:
             raise ValueError("more input channels than model inputs")
+        for i, ch in enumerate(self.inputs, start=1):  # the angle must stay finite up to t_final
+            if not math.isfinite(abs(ch.frequency) * self.t_final + abs(ch.phase)):
+                raise ValueError(f"input channel {i}: angle frequency * t + phase overflows "
+                                 f"before t_final = {self.t_final!r}")
         if self.disturbance is None:
             object.__setattr__(self, "disturbance", DisturbanceSchedule.constant(np.zeros(n)))
         if self.disturbance.levels.shape[1] != n:
@@ -393,7 +403,7 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
 def _assemble_series(scenarios, observers, ts, states, message) -> List[TimeSeries]:
     """Each scenario's series from the sampled states [q, mom, z_1, ..., z_B] of a lockstep run.
 
-    The samples' true momenta and disturbances are evaluated once, for all, each in one call.
+    The samples' true momenta, disturbances and each observer's read-out take one call each.
     """
     sc = scenarios[0]
     n = sc.model.n
@@ -405,15 +415,10 @@ def _assemble_series(scenarios, observers, ts, states, message) -> List[TimeSeri
     out = []
     for b, obs in enumerate(observers):
         own = np.hstack([plant, zs[:, b]])
-        series = TimeSeries(t=ts.copy(), q=own[:, :n], mom=own[:, n : 2 * n],
-                            diverged=bool(message), message=message)
-        if obs is not None:
-            series.obs = own[:, 2 * n :]
-            rows = [obs.diagnostics(z, q, p, d)
-                    for q, z, p, d in zip(series.q, series.obs, p_true, d_true)]
-            for name in rows[0]:
-                setattr(series, name, np.array([row[name] for row in rows]))
-        out.append(series)
+        q, z = own[:, :n], own[:, 2 * n :]
+        columns = {} if obs is None else dict(obs=z, **obs.diagnostics(z, q, p_true, d_true))
+        out.append(TimeSeries(t=ts.copy(), q=q, mom=own[:, n : 2 * n], diverged=bool(message),
+                              message=message, **columns))
     return out
 
 

@@ -23,7 +23,8 @@ that the plant and both observers read.
 One product rule serves one vector and a stack of them: np.matvec(m, v)
 and np.vecmat(v, m) give each row the bits of the unstacked m @ v and
 v @ m, whichever of m and v carries the batch axis, where a (B, n) @ (n, n)
-matmul runs another kernel and may round otherwise.
+matmul runs another kernel and may round otherwise.  row_norm is the rule's
+norm: np.vecdot gives each row np.linalg.norm's bits for that row alone.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def central_differences(f: Callable[[Array], Array], q, h: float) -> Tuple[Array
     diffs = (values[:, 1 : n + 1] - values[:, n + 1 :]) / (2.0 * h)
     batch = q.shape[:-1]
     return values[:, 0].reshape(batch + values.shape[2:]), diffs.reshape(batch + diffs.shape[1:])
+
+
+def row_norm(v) -> Array:
+    """Euclidean norm of v, or of each row of a stack, bit for bit np.linalg.norm of one vector."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def solved_inverse(T: Array) -> Array:

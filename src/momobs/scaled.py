@@ -14,7 +14,7 @@ Jbar comes from the brackets of the factor's columns, as in the factored
 coordinates of Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC
 55(5), 2010); a derivative evaluates each position's T^-1 and brackets once,
 and a lockstep group on commuting columns steps its rows through one stack
-kernel, _ScaledStack.derivative.
+kernel, _ScaledStack.derivative.  A series' read-out is one _structures call.
 The disturbance estimate's proportional term q / r^2 couples the estimate
 to the scaling factor, which is what makes constant disturbances
 rejectable here.
@@ -32,7 +32,7 @@ from . import geometry
 from .adaptive import StructureError, checked_gains, replace_fields
 # bench/spans.py traces gyro_matrix and gyro_swapped under this module, so both stay imported
 from .geometry import gyro_matrix, gyro_swapped, swapped_from_brackets  # noqa: F401
-from .model import MechanicalModel, StageTerms
+from .model import MechanicalModel, StageTerms, row_norm
 
 Array = np.ndarray
 
@@ -40,11 +40,6 @@ _FD_STEP = 1e-6
 _BOUND_SAFETY = 2.0
 _SECANT_TAUS = np.linspace(0.1, 1.0, 10)  # bound_q's samples along qbar -> q
 _ZERO, _ONE = np.float64(0.0), np.float64(1.0)  # powers take numpy floats: overflow gives inf
-
-
-def _norm(v):
-    """Euclidean norm of v, or of each row of a stack, bit for bit np.linalg.norm of one vector."""
-    return np.sqrt(np.vecdot(v, v))
 
 
 class GainSet(NamedTuple):
@@ -72,7 +67,7 @@ class Obs2State:
     @classmethod
     def from_packed(cls, z, n):
         z = np.asarray(z, dtype=float)
-        return cls(z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n : 4 * n], z[-1])
+        return cls(*np.split(z[..., :-1], 4, axis=-1), z[..., -1])  # per row of a stack
 
 
 @dataclass(frozen=True)
@@ -142,8 +137,10 @@ class ScaledObserver:
         return (self.psi * np.eye(self.n) + swapped_from_brackets(br, p)) @ Tinv
 
     def mapping_h(self, q, phat) -> Array:
-        """H(q, phat) = (psi I + Jbar(q, phat)) T^-1(q)."""
-        return self._h(self._structures([np.asarray(q, dtype=float)])[0], phat)
+        """H(q, phat) = (psi I + Jbar(q, phat)) T^-1(q), or per row of stacks: one _structures."""
+        q, n = np.asarray(q, dtype=float), self.n
+        rows = zip(self._structures(q.reshape(-1, n)), np.reshape(phat, (-1, n)))
+        return np.reshape([self._h(s, p) for s, p in rows], q.shape[:-1] + (n, n))
 
     def _towards_q(self, qbar, q) -> Array:
         """The positions besides qbar where derivative and delta_bounds read H(., phat), first axis.
@@ -153,7 +150,7 @@ class ScaledObserver:
         """
         if self._analytic_bounds:
             return q[None]
-        if qbar.ndim == 1 and _norm(q - qbar) == 0.0:
+        if qbar.ndim == 1 and row_norm(q - qbar) == 0.0:
             return np.empty((0, self.n))
         points = qbar + _SECANT_TAUS.reshape((-1,) + (1,) * qbar.ndim) * (q - qbar)
         points[-1] = q
@@ -187,7 +184,7 @@ class ScaledObserver:
         """
         if self._analytic_bounds:
             return self.psi * np.float64(self.model.lip_factor_inv), _ZERO
-        gap_q = _norm(e_q)
+        gap_q = row_norm(e_q)
         h_towards_q = np.reshape(h_towards_q, (-1,) + h_bp.shape)  # (0, n, n) when there are none
         secants = np.linalg.svd(h_towards_q - h_bp, compute_uv=False).max(axis=-1)
         taus = _SECANT_TAUS[: len(secants)].reshape((-1,) + (1,) * gap_q.ndim)
@@ -240,29 +237,29 @@ class ScaledObserver:
         return dict(pbar=p0, p_i=p0 - self.mapping_h(q0, p0) @ q0, d_i=d0 - q0)
 
     def diagnostics(self, z, q, p_true, d_true) -> dict:
-        """Estimates, error norms, scaling factor and Lyapunov value at one sample.
+        """Estimates, error norms, scaling factor and Lyapunov value per sample (or stack row).
 
         Keyed by TimeSeries field; eta is the momenta error over r.
         """
         est = self.output(z, q)
         st = Obs2State.from_packed(z, self.n)
-        r = max(st.r, _ONE)
+        r = np.maximum(st.r, _ONE)
         ptil = est.p - p_true
         dtil = est.d - d_true
-        eta = ptil / r
+        eta = ptil / r[..., None]
         e_q = st.qbar - q
         e_p = st.pbar - est.p
-        lyap = 0.5 * (eta @ eta + e_q @ e_q + e_p @ e_p + (r - 1.0) ** 2 + dtil @ dtil)
-        return dict(phat=est.p, dhat=est.d, ptil_norm=np.linalg.norm(ptil),
-                    dtil_norm=np.linalg.norm(dtil), lyap=lyap, scale=st.r,
-                    eta_norm=np.linalg.norm(eta))
+        lyap = 0.5 * (np.vecdot(eta, eta) + np.vecdot(e_q, e_q) + np.vecdot(e_p, e_p)
+                      + np.float_power(r - 1.0, 2.0) + np.vecdot(dtil, dtil))
+        return dict(phat=est.p, dhat=est.d, ptil_norm=row_norm(ptil), dtil_norm=row_norm(dtil),
+                    lyap=lyap, scale=st.r, eta_norm=row_norm(eta))
 
     def output(self, z, q) -> Obs2Estimates:
         q = np.asarray(q, dtype=float)
         st = Obs2State.from_packed(z, self.n)
-        r = max(st.r, _ONE)
-        phat = st.p_i + self.mapping_h(st.qbar, st.pbar) @ q
-        dhat = st.d_i + q / r**2
+        r = np.maximum(st.r, _ONE)[..., None]
+        phat = st.p_i + np.matvec(self.mapping_h(st.qbar, st.pbar), q)
+        dhat = st.d_i + q / np.float_power(r, 2.0)
         return Obs2Estimates(p=phat, d=dhat)
 
     def _mapping_h_rate(self, Tinv, qbar, pbar, qbar_dot, pbar_dot) -> Array:

@@ -79,6 +79,8 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
     n = M.shape[0]
     if M.shape != (n, n) or not np.allclose(M, M.T):
         raise ModelError("inertia matrix must be square symmetric")
+    if K.shape != (n, n) or not np.allclose(K, K.T):  # grad 0.5 q^T K q is K q only then
+        raise ModelError(f"stiffness matrix K must be symmetric {n} x {n}, the size of M")
     w, V = np.linalg.eigh(M)
     if np.any(w <= 0):
         raise ModelError("inertia matrix must be positive definite")

@@ -178,6 +178,11 @@ def test_error_energy():
     p, d, r = rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
     whole = np.concatenate([p, d, r])
     assert error_energy(p, d, r) == pytest.approx(0.5 * whole @ whole, rel=1e-14)
+    # a stack of samples: one value per row, bit for bit the row's own
+    stack = rng.normal(size=(6, 8))
+    rows = [error_energy(row[:3], row[3:6], row[6:]) for row in stack]
+    stacked = error_energy(stack[:, :3], stack[:, 3:6], stack[:, 6:])
+    assert stacked.shape == (6,) and stacked.tobytes() == np.array(rows).tobytes()
 
 
 def test_observer_requires_structure(crane_cholesky):

@@ -219,6 +219,10 @@ def test_cli_run(tmp_path):
     assert "," in csv[1]
 
 
+STEP_OVERFLOWS = [("t_final = 1.0\ndt = 0.002", f"t_final = 1e300\ndt = {dt}", "t_final",
+                   "t_final = 1e300") for dt in ("1e-300", "1")]
+
+
 @pytest.mark.parametrize(
     "old, new, key, cited",
     [
@@ -252,12 +256,14 @@ def test_cli_run(tmp_path):
         # t_final / dt = 500.5 and 501.5 would round to 500 and 502 steps
         ("t_final = 1.0", "t_final = 1.001", "t_final", "t_final = 1.001"),
         ("t_final = 1.0", "t_final = 1.003", "t_final", "t_final = 1.003"),
+        # step counts the float time grid cannot resolve: t_final / dt = inf, and 1e300
+        *STEP_OVERFLOWS,
     ],
     ids=["negative-dt", "inf-t_final", "nan-dt", "nan-lambda", "nan-q", "fractional-stride",
          "negative-lambda", "colliding-switch", "short-q", "long-mom", "short-disturbance",
          "extra-input", "negative-mass", "superscript-input", "superscript-step",
          "leading-zero-input", "leading-zero-step", "zero-input", "zero-step",
-         "t_final-short-of-steps", "t_final-past-steps"],
+         "t_final-short-of-steps", "t_final-past-steps", "inf-steps", "steps-past-float-grid"],
 )
 def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     text = CRANE_CFG.replace(old, new)
@@ -267,6 +273,55 @@ def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     assert re.search(rf"\b{key}\b", err)
     if cited is not None:
         assert f"line {text.splitlines().index(cited) + 1}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, key, cited", STEP_OVERFLOWS,
+                         ids=["inf-steps", "steps-past-float-grid"])
+def test_cli_check_config_error(tmp_path, capsys, old, new, key, cited):
+    # a structure check parses [sim] as run does, and exits 2 on its errors alike
+    text = CRANE_CFG.replace(old, new)
+    assert main(["check", write(tmp_path, "bad.cfg", text)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{key}\b", err) and f"line {text.splitlines().index(cited) + 1}: " in err
+
+
+CONSTANT_CFG = """
+[model]
+name = constant
+M = 1, 0; 0, 1
+K = 1, 0; 0, 1
+friction = 0, 0
+known = true, true
+
+[observer]
+kind = prop2
+
+[sim]
+t_final = 0.5
+dt = 0.1
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("K", ["1, 2, 3", "1, 2; 0, 1"])
+def test_cli_refuses_bad_stiffness(tmp_path, capsys, command, K):
+    # a K that is not 2 x 2 symmetric: check passed it, and run died in K @ q
+    text = CONSTANT_CFG.replace("K = 1, 0; 0, 1", f"K = {K}")
+    args = [command, write(tmp_path, "bad.cfg", text)]
+    assert main(args + (["-o", str(tmp_path / "out")] if command == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert "stiffness" in err and f"line {text.splitlines().index('name = constant') + 1}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_overflowing_input_angle(tmp_path, capsys):
+    # 1e308 * t overflows before t_final = 2; cos(inf) raised mid-run
+    text = (CRANE_CFG.replace("kind = prop1\nlambda = 0.8", "kind = none")
+            .replace("u1 = 1.535, 1.0, 0.0, cos", "u1 = 1.0, 1e308, 0.0, cos")
+            .replace("t_final = 1.0\ndt = 0.002", "t_final = 2\ndt = 0.5"))
+    assert main(["run", write(tmp_path, "bad.cfg", text), "-o", str(tmp_path / "out")]) == 2
+    assert "input channel 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

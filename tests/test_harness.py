@@ -27,7 +27,8 @@ from momobs import (
     share_plant,
     stage_terms,
 )
-from momobs.harness import apply_sweep_value
+from momobs import geometry
+from momobs.harness import _assemble_series, apply_sweep_value
 
 
 def crane_prop1_scenario(crane, **kw):
@@ -453,6 +454,64 @@ def test_stacked_derivative_rows_match_one_state_bit_for_bit(request, case):
         assert np.array_equal(rate, one, equal_nan=True) and rate.tobytes() == one.tobytes()
 
 
+def readout_scenario(request, case):
+    """A short run by case name: gain_group's first member, or prop1 on the manipulator."""
+    if case != "prop1_manipulator":
+        return gain_group(request, case)[0]
+    switch = DisturbanceSchedule([0.0, 0.005], [[0.0, 0.1, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1]])
+    return Scenario(model=request.getfixturevalue("manipulator"), observer="prop1",
+                    q0=[0.2, -0.1, 0.3, 0.1], mom0=[0.0] * 4,
+                    inputs=(InputChannel(1.0, 1.0, 0.0, "cos"), InputChannel(0.5, 2.0, 0.0, "sin")),
+                    disturbance=switch, t_final=0.1, dt=1e-3, stride=7)
+
+
+def readout_inputs(sc, ts):
+    """diagnostics' arguments for a series: its (S, dim) states, positions, true momenta and d."""
+    p_true = np.matvec(sc.model.factor(ts.q).mT, ts.mom)
+    return ts.obs, ts.q, p_true, sc._schedule.value(ts.t)
+
+
+@pytest.mark.parametrize("case", ["prop1_crane", "prop1_manipulator", "prop2_crane",
+                                  "prop2_manipulator", "prop2_cholesky"])
+def test_series_readout_matches_one_state_diagnostics_bit_for_bit(request, case):
+    # one diagnostics call reads out a series' (S, dim) stack of samples: each row,
+    # and each column of the series, is the one-state read-out of its sample
+    sc = readout_scenario(request, case)
+    ts = integrate_scenario(sc)
+    assert not ts.diverged and ts.t.size > 5
+    obs, inputs = sc.build_observer(), readout_inputs(sc, ts)
+    stacked = obs.diagnostics(*inputs)
+    ones = [obs.diagnostics(*(a.copy() for a in row)) for row in zip(*inputs)]
+    assert set(stacked) == set(ones[0])
+    for name, column in stacked.items():
+        expected = np.array([one[name] for one in ones])
+        assert column.shape == expected.shape == getattr(ts, name).shape
+        assert column.tobytes() == expected.tobytes() == getattr(ts, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["prop2_crane", "prop2_cholesky"])
+def test_series_readout_evaluates_structures_once(request, monkeypatch, case):
+    # a prop2 series reads T^-1 (and, on non-commuting columns, the brackets) at
+    # all its samples' qbar in one call: factor_inv on the crane, factor_structure
+    # on the Cholesky crane
+    calls = []
+    sc = readout_scenario(request, case)
+    if case == "prop2_crane":
+        model = sc.model
+        sc = replace(sc, model=replace(model, factor_inv=lambda q: calls.append(q)
+                                       or model.factor_inv(q)))
+    else:
+        structure = geometry.factor_structure
+        monkeypatch.setattr(geometry, "factor_structure",
+                            lambda model, q: calls.append(q) or structure(model, q))
+    ts = integrate_scenario(sc)
+    states = np.hstack([ts.q, ts.mom, ts.obs])
+    del calls[:]
+    (series,) = _assemble_series([sc], [sc.build_observer()], ts.t, states, "")
+    assert len(calls) == 1 and np.shape(calls[0]) == (ts.t.size, sc.model.n)
+    assert same_series(series, ts)
+
+
 @pytest.mark.parametrize("case", ["prop2_crane", "prop2_manipulator"])
 def test_overflowing_scale_gives_inf_alone_as_stacked(request, case):
     # at r = 1e160, r**2 overflows: one state's rate raises nothing and
@@ -496,6 +555,26 @@ def test_scenario_refuses_t_final_off_the_step_grid(crane, t_final):
     # t = 0.002, past the first t_final and short of the second
     with pytest.raises(ValueError, match=rf"t_final = {t_final}\b.*dt = 0\.001\b"):
         crane_prop1_scenario(crane, t_final=t_final, dt=0.001)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 1.0])
+def test_scenario_refuses_step_counts_past_the_float_grid(crane, dt):
+    # 1e300 / 1e-300 is inf, round(inf) overflowed; 1e300 steps of dt = 1 then
+    # failed in np.arange: past 2**53 steps, k * dt cannot tell steps apart
+    with pytest.raises(ValueError, match=r"t_final = 1e\+300\b.*dt = .*2\*\*53"):
+        crane_prop1_scenario(crane, t_final=1e300, dt=dt)
+    assert crane_prop1_scenario(crane, observer="none", gains={}, t_final=2.0**53,
+                                dt=1.0).steps == 2**53
+
+
+def test_scenario_refuses_an_input_angle_that_overflows(crane):
+    # frequency * t overflows to inf before t_final = 2, and cos(inf) raised mid-run
+    channels = (InputChannel(1.0), InputChannel(1.0, 1e308))
+    with pytest.raises(ValueError, match="input channel 2"):
+        Scenario(model=crane, inputs=channels, t_final=2.0, dt=0.5)
+    with pytest.raises(ValueError, match="input channel 1"):
+        Scenario(model=crane, inputs=(InputChannel(1.0, 1.0, 1.7e308),), t_final=1e308, dt=1e300)
+    assert Scenario(model=crane, inputs=channels, t_final=1.0, dt=0.5).steps == 2
 
 
 def test_scenario_accepts_float_quotient_steps(crane):

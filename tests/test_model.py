@@ -12,7 +12,7 @@ from momobs import (
     plant_derivative,
     transformed_derivative,
 )
-from momobs.model import _plant_rhs, stage_terms
+from momobs.model import _plant_rhs, row_norm, stage_terms
 
 from oracles import momenta_untransform, rk4_solve
 
@@ -290,3 +290,15 @@ def test_factor_inverse_fallback_matches_closed_form(crane):
     for _ in range(20):
         q = rng.uniform(-np.pi, np.pi, 3)
         assert np.abs(numeric.factor_inverse(q) - crane.factor_inverse(q)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
+def test_row_norm_rounds_as_one_vector(n):
+    # the read-out's row rule: np.vecdot(v, v) and row_norm give each row of a stack,
+    # also a strided view like a series' columns, the bits of v @ v and np.linalg.norm(v)
+    rng = np.random.default_rng(71 + n)
+    wide = rng.normal(size=(500, 2 * n + 1)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))
+    for stack in (wide[:, :n].copy(), wide[:, n + 1 :]):
+        rows = [row.copy() for row in stack]
+        assert np.vecdot(stack, stack).tobytes() == np.array([v @ v for v in rows]).tobytes()
+        assert row_norm(stack).tobytes() == np.array([np.linalg.norm(v) for v in rows]).tobytes()

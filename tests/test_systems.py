@@ -50,6 +50,14 @@ def test_constant_rejects_bad_inertia():
         make_constant_inertia(np.diag([1.0, -2.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("K", [[[1.0, 2.0, 3.0]], [[1.0, 2.0], [0.0, 1.0]], np.eye(3)])
+def test_constant_rejects_bad_stiffness(K):
+    # grad 0.5 q^T K q is K q only for a symmetric n x n K; a 1 x 3 K built and
+    # then failed in K @ q mid-run
+    with pytest.raises(ModelError, match="stiffness"):
+        make_constant_inertia(np.eye(2), K)
+
+
 def test_constant_energy_budget():
     # no friction, no input, no disturbance: total energy is conserved;
     # with friction it can only fall
