@@ -27,8 +27,11 @@
 # stderr: the prop1 config with t_final = 1e300 at dt = 1e-300 (an infinite
 # step count) and at dt = 1 (more steps than 2**53), run and checked; a
 # constant-inertia config whose K = 1, 2, 3 is not 2 x 2 symmetric, run and
-# checked; and a plant-only run whose input angle 1e308 t overflows before
-# t_final = 2.
+# checked; a plant-only run whose input angle 1e308 t overflows before
+# t_final = 2; and a prop1 sweep whose index q0[01] has a leading zero.
+# And one more diverging run (exit 3, one line of stderr): the r = 1e155
+# config at t_final = 9e15, dt = 1, whose 9e15 steps a run must not
+# allocate for before its first step.
 # Configs are edited copies of ROOT's shipped ones, but for the constant and
 # manipulator ones, written here so every checkout runs the same text.  Paths to ROOT and OUT
 # read ROOT and OUT, so `diff -r` of two such directories, made from two
@@ -174,3 +177,9 @@ for refused in steps_inf steps_past_grid bad_stiffness; do
   record "check_$refused" check "$out/cfg/$refused.cfg"
 done
 record run_input_overflow run "$out/cfg/input_overflow.cfg" -o "$out/run_input_overflow"
+record sweep_index_leading_zero sweep "$out/cfg/prop1.cfg" --param "q0[01]" --values 0.5 \
+  -o "$out/sweep_index_leading_zero"
+
+variant big_r_steps spider_crane_prop2.cfg "/^mom = /a r = 1e155" "s/^t_final = .*/t_final = 9e15/" \
+  "s/^dt = .*/dt = 1/"
+record run_big_r_steps run "$out/cfg/big_r_steps.cfg" -o "$out/run_big_r_steps"

@@ -29,12 +29,12 @@ Sections:
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .adaptive import checked_gains
-from .harness import OBSERVER_KINDS, InputChannel, Scenario, observer_keys, whole_steps
+from .harness import (OBSERVER_KINDS, InputChannel, Scenario, observer_keys, spelled_index,
+                      whole_steps)
 from .model import DisturbanceSchedule, MechanicalModel
 from .systems import build_named_model
 
@@ -147,11 +147,11 @@ def _numbered(entries, prefix):
     """{index: (line, key, value)} of keys prefix1, prefix2, ...: one spelling per index."""
     numbered = {}
     for ln, key, value in entries:
-        index = key[len(prefix):] if key.startswith(prefix) else ""
-        if not re.fullmatch(r"[1-9][0-9]*", index):
+        index = spelled_index(key[len(prefix):]) if key.startswith(prefix) else None
+        if not index:  # no index, or 0
             raise ConfigError(ln, f"expected {prefix}1, {prefix}2, ... without leading zeros, "
                                   f"got {key!r}")
-        numbered[int(index)] = (ln, key, value)
+        numbered[index] = (ln, key, value)
     return numbered
 
 

@@ -29,9 +29,10 @@ commute.  The scaled observer still hands swapped_from_brackets the bare
 brackets, not B; its Lyapunov-certificate test on the Cholesky crane is a
 strict xfail for that reason.
 
-factor_brackets and factor_structure (T^-1 with the brackets) read T and
-dT from one evaluation, at one position or a (k, n) stack, each row bit for
-bit its position's value: _factor_and_jacobian.
+factor_brackets, factor_structure (T^-1 with the brackets) and check_zrs
+read T and dT from one evaluation, at one position or a (k, n) stack, each
+row bit for bit its position's value: _factor_and_jacobian.  So check_zrs
+evaluates T and dT once per sample set, for its brackets and its rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,6 +156,17 @@ def grad_integral_map_residual(model: MechanicalModel, q) -> float:
     return _worst(row_norm(gaps))
 
 
+# (name, tolerance, failure message with a slot for the residual) per verdict, in report order
+_CHECKS = (
+    ("commuting_factor", STRUCTURE_TOL,
+     f"factor columns do not commute (max bracket norm {{:.3e}} > {STRUCTURE_TOL:g})"),
+    ("integral_map", STRUCTURE_TOL,
+     "integral map Jacobian does not match the factor inverse (residual {:.3e})"),
+    ("constant_unknown_rows", ROW_TOL,
+     "unknown-friction rows of the factor vary with q (residual {:.3e})"),
+)
+
+
 @dataclass
 class AssumptionReport:
     """Residuals of the structural assumptions of a model, and the verdicts they give.
@@ -164,9 +176,9 @@ class AssumptionReport:
     integral map's Jacobian from T^-1 (None when the model has no integral
     map).  constant_row_residual measures, for each unknown-friction row of
     T, how far it strays from its value at the first sample.  Each verdict
-    holds exactly when its residuals are within STRUCTURE_TOL (brackets,
-    integral map) or ROW_TOL (rows), so a NaN residual fails it; failures
-    words the failed ones.
+    holds exactly when its residual is within STRUCTURE_TOL (brackets,
+    integral map) or ROW_TOL (rows), so a NaN residual fails it; the verdict
+    properties, failures and to_text all read the one table, verdicts.
     """
 
     pair_norms: List[Tuple[int, int, float]]
@@ -178,63 +190,37 @@ class AssumptionReport:
         return _worst([v for _, _, v in self.pair_norms])
 
     @property
-    def commuting_factor_ok(self) -> bool:
-        return self.max_bracket_norm <= STRUCTURE_TOL
+    def verdicts(self) -> Dict[str, Tuple[Optional[bool], str, Optional[float]]]:
+        """(verdict, failure message, residual) by name, in _CHECKS' order; None if not checked."""
+        residuals = (self.max_bracket_norm, self.gradq_residual,
+                     _worst([v for _, v in self.constant_row_residual]))
+        return {name: (None, "", None) if r is None else (bool(r <= tol), message.format(r), r)
+                for (name, tol, message), r in zip(_CHECKS, residuals)}
 
-    @property
-    def integral_map_ok(self) -> Optional[bool]:
-        return None if self.gradq_residual is None else self.gradq_residual <= STRUCTURE_TOL
-
-    @property
-    def constant_rows_ok(self) -> bool:
-        return all(v <= ROW_TOL for _, v in self.constant_row_residual)
+    commuting_factor_ok = property(lambda self: self.verdicts["commuting_factor"][0])
+    integral_map_ok = property(lambda self: self.verdicts["integral_map"][0])  # None: no map
+    constant_rows_ok = property(lambda self: self.verdicts["constant_unknown_rows"][0])
+    # factor columns commute and, when present, the integral map checks out
+    zrs_ok = property(lambda self: self.commuting_factor_ok and self.integral_map_ok is not False)
+    all_ok = property(lambda self: not self.failures)
 
     @property
     def failures(self) -> List[Tuple[str, float]]:
         """(message, residual) per failed verdict, in the order commuting, integral map, rows."""
-        out = []
-        if not self.commuting_factor_ok:
-            out.append(("factor columns do not commute (max bracket norm "
-                        f"{self.max_bracket_norm:.3e} > {STRUCTURE_TOL:g})", self.max_bracket_norm))
-        if self.integral_map_ok is False:
-            out.append(("integral map Jacobian does not match the factor inverse "
-                        f"(residual {self.gradq_residual:.3e})", self.gradq_residual))
-        if not self.constant_rows_ok:
-            worst = _worst([v for _, v in self.constant_row_residual])
-            out.append((f"unknown-friction rows of the factor vary with q (residual {worst:.3e})",
-                        worst))
-        return out
-
-    @property
-    def zrs_ok(self) -> bool:
-        """Factor columns commute and, when present, the integral map checks out."""
-        return self.commuting_factor_ok and self.integral_map_ok is not False
-
-    @property
-    def all_ok(self) -> bool:
-        return self.zrs_ok and self.constant_rows_ok
+        return [(message, r) for ok, message, r in self.verdicts.values() if ok is False]
 
     def to_text(self) -> str:
-        lines = [
+        gradq = self.gradq_residual
+        return "\n".join([
             f"tolerance = {STRUCTURE_TOL:g}",
             f"row_tolerance = {ROW_TOL:g}",
             f"max_bracket_norm = {self.max_bracket_norm:.6e}",
-        ]
-        for i, j, v in self.pair_norms:
-            lines.append(f"bracket[{i},{j}] = {v:.6e}")
-        if self.gradq_residual is None:
-            lines.append("gradq_residual = n/a")
-        else:
-            lines.append(f"gradq_residual = {self.gradq_residual:.6e}")
-        for i, v in self.constant_row_residual:
-            lines.append(f"row_residual[{i}] = {v:.6e}")
-        lines.append(f"commuting_factor = {'pass' if self.commuting_factor_ok else 'FAIL'}")
-        if self.integral_map_ok is None:
-            lines.append("integral_map = n/a")
-        else:
-            lines.append(f"integral_map = {'pass' if self.integral_map_ok else 'FAIL'}")
-        lines.append(f"constant_unknown_rows = {'pass' if self.constant_rows_ok else 'FAIL'}")
-        return "\n".join(lines)
+            *(f"bracket[{i},{j}] = {v:.6e}" for i, j, v in self.pair_norms),
+            "gradq_residual = " + ("n/a" if gradq is None else f"{gradq:.6e}"),
+            *(f"row_residual[{i}] = {v:.6e}" for i, v in self.constant_row_residual),
+            *(f"{name} = " + ("n/a" if ok is None else "pass" if ok else "FAIL")
+              for name, (ok, _, _) in self.verdicts.items()),
+        ])
 
 
 def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionReport:
@@ -248,8 +234,9 @@ def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionR
     samples = np.array(sample_qs, dtype=float).reshape(-1, n)
     if not len(samples):
         raise ValueError("sample set must be nonempty")
+    T, dT = _factor_and_jacobian(model, samples)
     # a NaN bracket at any sample makes its pair's maximum NaN
-    pair_max = np.linalg.norm(factor_brackets(model, samples), axis=-1).max(axis=0)
+    pair_max = np.linalg.norm(_brackets(T, dT), axis=-1).max(axis=0)
     pair_norms = [(i, j, float(pair_max[i, j])) for i in range(n) for j in range(i + 1, n)]
 
     gradq = None
@@ -257,7 +244,7 @@ def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionR
         gradq = grad_integral_map_residual(model, samples)
 
     kappa = model.friction.unknown_indices
-    rows = model.factor(samples)[:, kappa, :]
+    rows = T[:, kappa, :]
     worst = np.max(np.linalg.norm(rows[1:] - rows[0], axis=-1), axis=0, initial=0.0)
     row_res = [(int(i), float(v)) for i, v in zip(kappa, worst)]
 

@@ -3,12 +3,13 @@
 Integration is classic fixed-step fourth-order Runge-Kutta: runs are
 deterministic and step-halving gives a clean order check.  Disturbance
 switch times are snapped onto the step grid and the level is frozen per
-step, so the right-hand side stays smooth inside every step; every step's
-level is looked up before the loop.  Each RK4 stage evaluates the plant
-terms T(q), grad V(q) and G(q) u once (model.stage_terms), and the plant
-right-hand side and the observer derivative both read them.  The observer
-never feeds back into the plant input; enabling it cannot change the plant
-trajectory.
+step, so the right-hand side stays smooth inside every step; the loop walks
+an index through the switch times as the steps' midpoints pass them, so a
+run allocates nothing per step up front.  Each RK4 stage evaluates the
+plant terms T(q), grad V(q) and G(q) u once (model.stage_terms), and the
+plant right-hand side and the observer derivative both read them.  The
+observer never feeds back into the plant input; enabling it cannot change
+the plant trajectory.
 
 Lockstep groups.  share_plant groups scenarios that integrate the same
 plant with observers of one kind.  The first run of a group integrates all
@@ -24,6 +25,7 @@ its sampled states in one diagnostics call on their (S, dim) stack.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -84,6 +86,11 @@ def whole_steps(t_final: float, dt: float) -> int:
         raise ValueError(f"t_final = {t_final!r} is not a positive whole number of "
                          f"dt = {dt!r} steps")
     return steps
+
+
+def spelled_index(text: str) -> Optional[int]:
+    """The index text spells, or None: ASCII digits, no leading zero, so one spelling per index."""
+    return int(text) if re.fullmatch(r"0|[1-9][0-9]*", text) else None
 
 
 @dataclass(frozen=True)
@@ -354,7 +361,9 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
     rows, dim = len(scenarios), sc._z0.size
     steps = sc.steps
     dt = sc.dt
-    step_levels = sc._schedule.value(np.arange(steps) * dt + 0.5 * dt)  # at each step's midpoint
+    levels = sc._schedule.levels
+    # level j + 1 is in force from the first step whose midpoint reaches switches[j]
+    switches, level = [*sc._schedule.times[1:].tolist(), math.inf], 0
 
     x = np.concatenate([sc.q0, sc.mom0, *(s._z0 for s in scenarios)])
 
@@ -376,7 +385,9 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
     message = ""
     for k in range(steps):
         t = k * dt
-        d = step_levels[k]
+        while switches[level] <= t + 0.5 * dt:  # DisturbanceSchedule.value's rule
+            level += 1
+        d = levels[level]
         f = lambda tt, xx: rhs(tt, xx, d)
         last = x  # rk4_step returns a new array, so this stays the state at t
         try:
@@ -458,18 +469,18 @@ def apply_sweep_value(sc, param: str, value: float):
     """Copy of sc with one gain or one initial-state entry (q0[i], mom0[i]) set.
 
     sc is a Scenario, or a parsed RunConfig (its q0 and mom0 are vectors).  Raises
-    ValueError for an unknown name, an index that is not an integer in
-    0..n-1 and, for a Scenario, a gain its observer does not read (the
-    Scenario refuses it).
+    ValueError for an unknown name, an index that is not one of 0..n-1 spelled
+    as spelled_index reads it and, for a Scenario, a gain its observer does
+    not read (the Scenario refuses it).
     """
     if param in _GAIN_KEYS:
         return replace(sc, gains={**sc.gains, param: float(value)})
     for name in ("q0", "mom0"):
         if param.startswith(name + "[") and param.endswith("]"):
-            index = param[len(name) + 1 : -1]
+            index = spelled_index(param[len(name) + 1 : -1])
             vec = [float(v) for v in getattr(sc, name)]
-            if not (index.isdecimal() and int(index) < len(vec)):
+            if index is None or index >= len(vec):
                 raise ValueError(f"sweep index {param!r} is not one of 0..{len(vec) - 1}")
-            vec[int(index)] = value
+            vec[index] = value
             return replace(sc, **{name: vec})
     raise ValueError(f"unknown sweep parameter {param!r}")

@@ -168,7 +168,7 @@ class DisturbanceSchedule:
             raise ModelError("one disturbance level per switch time")
         if times.size == 0 or times[0] != 0.0:
             raise ModelError("first switch time must be 0")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):  # a NaN switch time fails too
             raise ModelError("switch times must be strictly increasing")
 
     @classmethod

@@ -562,6 +562,18 @@ def test_cli_sweep_bad_args(tmp_path, capsys):
         assert argument in capsys.readouterr().err, param
 
 
+@pytest.mark.parametrize("param", ["q0[01]", "q0[\u0661]", "mom0[00]"])
+def test_cli_sweep_index_has_one_spelling(tmp_path, capsys, param):
+    # q0[1] is spelled one way: a leading zero or a non-ASCII digit (here
+    # Arabic-Indic one) is refused before anything is written
+    cfg = write(tmp_path, "sweep.cfg", CRANE_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--param", param, "--values", "0.1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --param: sweep index {param!r} is not one of 0..2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("values, named", [("1.0000001,0.5,1.0000002", ("1.0000001", "1.0000002")),
                                            ("2,0.5,2.0", ("2.0", "2.0"))])
 def test_cli_sweep_rejects_values_whose_files_collide(tmp_path, capsys, values, named):
@@ -646,6 +658,17 @@ def test_cli_run_huge_start_scale_diverges(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run diverged") and len(err.splitlines()) == 1, err
     assert (tmp_path / "big_r" / "timeseries.csv").read_text().count("\n") == 2  # header, t = 0
+
+
+def test_cli_run_of_many_steps_diverges_in_its_first_step(tmp_path, capsys):
+    # 9e15 steps pass whole_steps; the run takes each step's disturbance level
+    # as it reaches it, so it allocates nothing per step before its first one
+    text = PROP2_CFG.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nr = 1e155").replace(
+        "t_final = 1.0", "t_final = 9e15").replace("dt = 0.002", "dt = 1")
+    cfg = write(tmp_path, "big_r_steps.cfg", text)
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run diverged") and len(err.splitlines()) == 1, err
 
 
 def test_cli_run_rejects_prop2_with_unknown_friction(tmp_path, capsys):

@@ -115,6 +115,14 @@ def test_report_verdicts_follow_residuals():
     assert AssumptionReport([], None, []).max_bracket_norm == 0.0
 
 
+def test_numpy_residuals_fail_alike():
+    # a report built from numpy floats gives the verdicts, failures and all_ok
+    # of the same Python floats
+    bad = AssumptionReport([(0, 1, np.float64(2e-6))], np.float64(3e-6), [(2, np.float64(2e-9))])
+    assert [residual for _, residual in bad.failures] == [2e-6, 3e-6, 2e-9]
+    assert bad.integral_map_ok is False and not bad.zrs_ok and not bad.all_ok
+
+
 def test_check_zrs_needs_samples(crane):
     with pytest.raises(ValueError):
         check_zrs(crane, [])

@@ -27,7 +27,7 @@ from momobs import (
     share_plant,
     stage_terms,
 )
-from momobs import geometry
+from momobs import geometry, harness
 from momobs.harness import _assemble_series, apply_sweep_value
 
 
@@ -597,6 +597,28 @@ def test_piecewise_disturbance_integration():
     assert ts.mom[-1, 0] == pytest.approx(expected, abs=1e-10)
     k1 = np.searchsorted(ts.t, 1.0)
     assert ts.mom[k1, 0] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_each_step_takes_the_level_in_force_at_its_midpoint(monkeypatch):
+    # the loop walks the snapped switch times (here 0.003, 0.004, 0.005 and
+    # 0.010, two of them one step apart, and one past t_final) and every stage
+    # of step k reads the level DisturbanceSchedule.value gives at k dt + dt / 2
+    model = make_constant_inertia(np.eye(1), np.zeros((1, 1)),
+                                  FrictionSpec(np.zeros(1), np.ones(1, dtype=bool)))
+    sched = DisturbanceSchedule([0.0, 0.0031, 0.004, 0.0049, 0.0101, 0.5],
+                                [[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
+    sc = Scenario(model=model, observer="none", disturbance=sched, t_final=0.012, dt=1e-3)
+    seen, plant_rhs = [], harness._plant_rhs
+
+    def recording(model, terms, mom, d):
+        seen.append(d[0])
+        return plant_rhs(model, terms, mom, d)
+
+    monkeypatch.setattr(harness, "_plant_rhs", recording)
+    integrate_scenario(sc)
+    mids = np.arange(sc.steps) * sc.dt + 0.5 * sc.dt
+    assert seen == np.repeat(sched.aligned(sc.dt).value(mids)[:, 0], 4).tolist()
+    assert seen[::4] == [1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 4.0, 4.0, 4.0, 4.0, 5.0, 5.0]
 
 
 def test_divergence_truncates(crane):

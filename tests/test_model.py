@@ -236,6 +236,8 @@ def test_disturbance_schedule():
         DisturbanceSchedule([0.5], [[1.0]])
     with pytest.raises(ModelError):
         DisturbanceSchedule([0.0, 0.0], [[1.0], [2.0]])
+    with pytest.raises(ModelError):  # NaN is not after 0.0, nor 1.0 after NaN
+        DisturbanceSchedule([0.0, np.nan, 1.0], [[1.0], [2.0], [3.0]])
 
 
 def test_kinetic_gradient_matches_finite_differences(crane):

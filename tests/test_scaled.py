@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from momobs import (
     stage_terms,
 )
 import momobs
+import momobs.cli
 
 from oracles import exact_observer_init
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -259,19 +263,47 @@ def test_stacked_derivative_one_evaluator_call_per_stack(request, name, expected
     assert calls == expected
 
 
+def spy_factor_and_jacobian(monkeypatch, calls):
+    """Record in calls["T and dT"] the positions of each geometry._factor_and_jacobian call."""
+    evaluate = momobs.geometry._factor_and_jacobian
+    calls["T and dT"] = []
+    monkeypatch.setattr(momobs.geometry, "_factor_and_jacobian",
+                        lambda model, q: calls["T and dT"].append(len(q)) or evaluate(model, q))
+
+
 def test_adaptive_setup_one_evaluator_call_per_stack(crane, monkeypatch):
     # the structural checks take their 30 samples in one stack per evaluator:
-    # T and dT for the brackets, the integral map at every sample's 7
-    # central-difference points, T^-1, and T for the unknown-friction rows;
+    # one T and dT, read for the brackets and the unknown-friction rows, the
+    # integral map at every sample's 7 central-difference points, and T^-1;
     # the regressor matrices then take their 100 samples in one T call
-    calls = {"brackets": []}
+    calls = {}
     counted = counting(crane, calls, ("factor", "factor_inv", "factor_jac", "integral_map"))
-    brackets = momobs.geometry.factor_brackets
-    monkeypatch.setattr(momobs.geometry, "factor_brackets",
-                        lambda model, q: calls["brackets"].append(len(q)) or brackets(model, q))
+    spy_factor_and_jacobian(monkeypatch, calls)
     momobs.AdaptiveObserver(counted)
-    assert calls == {"brackets": [30], "factor": [30, 30, 100], "factor_jac": [30],
+    assert calls == {"T and dT": [30], "factor": [30, 100], "factor_jac": [30],
                      "integral_map": [30 * 7], "factor_inv": [30]}
+
+
+@pytest.mark.parametrize(
+    "config, code, expected",
+    [
+        # the crane's T and dT come from factor and factor_jac on the 100 samples
+        ("spider_crane_prop1.cfg", 0, {"factor": [100], "factor_jac": [100],
+                                        "integral_map": [100 * 7], "factor_inv": [100]}),
+        # the Cholesky crane has no factor_jac: T and dT come from one factor call
+        # on every sample's 7 central-difference points, and it has no integral map
+        ("spider_crane_cholesky_check.cfg", 1, {"factor": [100 * 7]}),
+    ],
+    ids=["crane", "cholesky"],
+)
+def test_check_one_evaluator_call_per_sample_set(monkeypatch, capsys, config, code, expected):
+    calls = {}
+    config_model = momobs.cli.config_model
+    monkeypatch.setattr(momobs.cli, "config_model", lambda cfg: counting(
+        config_model(cfg), calls, ("factor", "factor_inv", "factor_jac", "integral_map")))
+    spy_factor_and_jacobian(monkeypatch, calls)
+    assert momobs.cli.main(["check", str(CONFIGS / config)]) == code
+    assert calls == {"T and dT": [100], **expected}
 
 
 def schedule_inputs(obs, q, qbar, phat, pbar):
