@@ -23,12 +23,16 @@
 # with a factor that depends on q1 + q2), `momobs check` at seeds 0 and 3, a
 # lambda sweep on prop1 and, with every friction known, a psi3_const sweep
 # on prop2, whose lockstep rows take the secant-sample path (no Lipschitz
-# constant for T^-1).  Last, configs refused with exit 2 and one line of
-# stderr: the prop1 config with t_final = 1e300 at dt = 1e-300 (an infinite
-# step count) and at dt = 1 (more steps than 2**53), run and checked; a
-# constant-inertia config whose K = 1, 2, 3 is not 2 x 2 symmetric, run and
-# checked; a plant-only run whose input angle 1e308 t overflows before
-# t_final = 2; and a prop1 sweep whose index q0[01] has a leading zero.
+# constant for T^-1), and `momobs check` at m = 1e-320, whose integral map's
+# differences are not finite, so its report fails (exit 1).  Last, configs
+# refused with exit 2 and one line of stderr: the prop1 config with
+# t_final = 1e300 at dt = 1e-300 (an infinite step count) and at dt = 1
+# (more steps than 2**53), run and checked; a constant-inertia config whose
+# K = 1, 2, 3 is not 2 x 2 symmetric, run and checked; the prop1 config at
+# L3 = 1e200, whose factor constants overflow, run and checked; a plant-only
+# run whose input angle 1e308 t overflows before t_final = 2; the prop1
+# config with an empty entry in q = 0, , 0, 1.0; and a prop1 sweep whose
+# index q0[01] has a leading zero.
 # And one more diverging run (exit 3, one line of stderr): the r = 1e155
 # config at t_final = 9e15, dt = 1, whose 9e15 steps a run must not
 # allocate for before its first step.
@@ -165,18 +169,24 @@ record sweep_manipulator_prop1 sweep "$out/cfg/manipulator.cfg" --param lambda -
   -o "$out/sweep_manipulator_prop1"
 record sweep_manipulator_psi3 sweep "$out/cfg/manipulator_prop2.cfg" --param psi3_const \
   --values 0.5,1 -o "$out/sweep_manipulator_psi3"
+sed -e "/^name = manipulator/a m = 1e-320" "$out/cfg/manipulator.cfg" \
+  > "$out/cfg/manipulator_light_mass.cfg"
+record check_manipulator_light_mass check "$out/cfg/manipulator_light_mass.cfg"
 
 # refused configs: each exits 2 with a one-line stderr
 variant steps_inf spider_crane_prop1.cfg "s/^t_final = .*/t_final = 1e300/" "s/^dt = .*/dt = 1e-300/"
 variant steps_past_grid spider_crane_prop1.cfg "s/^t_final = .*/t_final = 1e300/" "s/^dt = .*/dt = 1/"
 sed -e "s/^K = .*/K = 1, 2, 3/" "$out/cfg/constant_r.cfg" > "$out/cfg/bad_stiffness.cfg"
+variant cable_overflow spider_crane_prop1.cfg "s/^L3 = .*/L3 = 1e200/"
+variant empty_entry spider_crane_prop1.cfg "s/^q = .*/q = 0, , 0, 1.0/"
 variant input_overflow spider_crane_prop1.cfg "s/^kind = prop1/kind = none/" "/^lambda = /d" \
   "s/^u1 = .*/u1 = 1.0, 1e308, 0.0, cos/" "s/^t_final = .*/t_final = 2/" "s/^dt = .*/dt = 0.5/"
-for refused in steps_inf steps_past_grid bad_stiffness; do
+for refused in steps_inf steps_past_grid bad_stiffness cable_overflow; do
   record "run_$refused" run "$out/cfg/$refused.cfg" -o "$out/run_$refused"
   record "check_$refused" check "$out/cfg/$refused.cfg"
 done
 record run_input_overflow run "$out/cfg/input_overflow.cfg" -o "$out/run_input_overflow"
+record run_empty_entry run "$out/cfg/empty_entry.cfg" -o "$out/run_empty_entry"
 record sweep_index_leading_zero sweep "$out/cfg/prop1.cfg" --param "q0[01]" --values 0.5 \
   -o "$out/sweep_index_leading_zero"
 

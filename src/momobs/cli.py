@@ -8,14 +8,13 @@ config's [output] section, then the MOMOBS_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_scenario, config_model, load_config
+from .config import ConfigError, build_scenario, config_model, load_config, parse_vector
 from .geometry import check_zrs, sample_positions
 from .harness import Metrics, apply_sweep_value, compute_metrics, integrate_scenario, share_plant
 from .svgplot import write_line_svg
@@ -87,12 +86,7 @@ def cmd_sweep(args) -> int:
         cfg = load_config(args.config)
         if cfg.observer_kind == "none":
             raise ConfigError(0, "sweep needs an observer to produce metrics")
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(0, f"--values: {exc}") from None
-        if not values or not all(map(math.isfinite, values)):
-            raise ConfigError(0, f"--values: need finite numbers, got {args.values!r}")
+        values = parse_vector(args.values, 0, "--values")
         tags = [f"{v:g}" for v in values]  # each value's files; two values must not share them
         for i, tag in enumerate(tags):
             if tag in tags[:i]:

@@ -1,8 +1,10 @@
 """Sectioned key=value run configuration.
 
 The format is deliberately plain text: `[section]` headers, one `key =
-value` per line, `#` comments.  Vectors are comma separated, matrices use
-semicolons between rows.  Every number must be finite.  Unknown sections
+value` per line, `#` comments.  Vectors and flags are comma separated,
+matrices use semicolons between rows, and every entry of a `,` or `;` list
+is a value: an empty entry, a trailing comma's included, is refused with
+its key.  Every number must be finite.  Unknown sections
 or keys are rejected, and every parse error carries the offending line
 number.  [input] and [disturbance] keys are numbered from 1 with no leading zeros.
 
@@ -95,25 +97,30 @@ def _parse_float(raw, line, key):
     return value
 
 
-def _parse_vector(raw, line, key):
-    return [_parse_float(part.strip(), line, key) for part in raw.split(",") if part.strip() != ""]
+def _entries(raw, sep=","):
+    """Every entry of a sep-separated list, stripped; an empty one stays for its reader to refuse."""
+    return [part.strip() for part in raw.split(sep)]
+
+
+def parse_vector(raw, line, key):
+    """The finite numbers of a comma-separated list; another entry is a ConfigError naming key."""
+    return [_parse_float(part, line, key) for part in _entries(raw)]
 
 
 def _parse_matrix(raw, line, key):
-    rows = [r.strip() for r in raw.split(";") if r.strip() != ""]
-    mat = [_parse_vector(r, line, key) for r in rows]
+    mat = [parse_vector(r, line, key) for r in _entries(raw, ";")]
     if len({len(r) for r in mat}) > 1:
-        raise ConfigError(line, "matrix rows have unequal lengths")
+        raise ConfigError(line, f"{key}: matrix rows have unequal lengths")
     return mat
 
 
-def _parse_bool(raw, line):
-    low = raw.strip().lower()
+def _parse_bool(raw, line, key):
+    low = raw.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(line, f"expected a boolean, got {raw!r}")
+    raise ConfigError(line, f"{key}: expected a boolean, got {raw!r}")
 
 
 def _split_sections(text: str):
@@ -171,9 +178,9 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if key not in _MODEL_KEYS[name]:
             raise ConfigError(ln, f"unknown key {key!r} in [model] for model {name!r}")
         if key == "friction":
-            cfg.friction = _parse_vector(value, ln, key)
+            cfg.friction = parse_vector(value, ln, key)
         elif key == "known":
-            cfg.known = [_parse_bool(b, ln) for b in value.split(",") if b.strip() != ""]
+            cfg.known = [_parse_bool(b, ln, key) for b in _entries(value)]
         elif name == "constant" and key in ("M", "K"):
             cfg.model_params[key] = _parse_matrix(value, ln, key)
         elif key != "name":
@@ -199,22 +206,23 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
     cfg.q0, cfg.mom0 = [0.0] * model.n, [0.0] * model.n
     for ln, key, value in sections.get("initial", []):
         if key in ("q", "mom"):
-            vec = _parse_vector(value, ln, key)
+            vec = parse_vector(value, ln, key)
             if len(vec) != model.n:
                 raise ConfigError(ln, f"{key}: expected {model.n} numbers, got {len(vec)}")
             setattr(cfg, f"{key}0", vec)
         elif key not in observer_keys(kind, "state_fields"):
             raise ConfigError(ln, f"{key!r} in [initial] is not a state field of observer {kind}")
         else:
-            cfg.overrides[key] = _parse_vector(value, ln, key)
+            cfg.overrides[key] = parse_vector(value, ln, key)
 
     channels = {}
     for idx, (ln, key, value) in _numbered(sections.get("input", []), "u").items():
         if idx > model.m:
             raise ConfigError(ln, f"{key}: input channel {idx}, the model has {model.m} inputs")
-        parts = [p.strip() for p in value.split(",")]
+        parts = _entries(value)
         if len(parts) != 4:
-            raise ConfigError(ln, "input channel needs amplitude, frequency, phase, waveform")
+            raise ConfigError(ln, f"{key}: input channel needs amplitude, frequency, phase, "
+                                  "waveform")
         amp, freq, phase = (_parse_float(p, ln, key) for p in parts[:3])
         try:  # the channel's own rule on its waveform
             channels[idx] = InputChannel(amp, freq, phase, parts[3])
@@ -224,7 +232,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
     cfg.inputs = [channels.get(i, InputChannel(0.0, 0.0)) for i in range(1, top + 1)]
 
     for _, (ln, key, value) in sorted(_numbered(sections.get("disturbance", []), "step").items()):
-        vec = _parse_vector(value, ln, key)
+        vec = parse_vector(value, ln, key)
         if len(vec) != model.n + 1:
             raise ConfigError(ln, f"{key}: expected a switch time and {model.n} levels, "
                                   f"got {len(vec)} numbers")
@@ -262,7 +270,7 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         if key == "directory":
             cfg.directory = value
         else:
-            cfg.emit_svg = _parse_bool(value, ln)
+            cfg.emit_svg = _parse_bool(value, ln, key)
     return cfg
 
 

@@ -142,15 +142,14 @@ def grad_integral_map_residual(model: MechanicalModel, q) -> float:
     """Frobenius norm of grad Q(q) - T^-1(q), grad Q by central differences.
 
     q may be a (k, n) stack of positions; the largest norm over its rows,
-    NaN if any row's is.
+    NaN if any row's is.  Differences that are not finite give a residual
+    that is not finite, which fails its verdict, rather than a raise.
     """
     if model.integral_map is None:
         raise ValueError("model supplies no integral map")
     n = model.n
     q = np.asarray(q, dtype=float).reshape(-1, n)
     grads = central_differences(model.integral_map, q, FD_STEP)[1]
-    if not np.all(np.isfinite(grads)):
-        raise ValueError("vector field evaluated to non-finite values near q")
     # row by row as np.linalg.norm of one matrix: the norm of its C-order entries
     gaps = (grads.mT - model.factor_inverse(q)).reshape(-1, n * n)
     return _worst(row_norm(gaps))

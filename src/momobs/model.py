@@ -14,7 +14,7 @@ Two equivalent state representations are supported:
 
 Friction is a constant diagonal matrix diag(r) acting on velocities; a
 boolean mask marks which coefficients are known.  The unknown ones are
-collected through a constant selector matrix C with C^T r = r_u.
+r_u = r[kappa], read at the ordered index set kappa (unknown_indices).
 
 central_differences is the package's one axis-wise central difference.
 stage_terms evaluates, once per right-hand side, the plant terms at (q, u)
@@ -110,24 +110,8 @@ class FrictionSpec:
         return int(np.count_nonzero(~self.known_mask))
 
     @property
-    def selector(self) -> Array:
-        """Constant n x s matrix C with C^T coeffs = unknown subvector.
-
-        Column j of C is the Euclidean basis vector for the j-th unknown
-        index, so rank(C) = s by construction.
-        """
-        idx = self.unknown_indices
-        C = np.zeros((self.n, idx.size))
-        C[idx, np.arange(idx.size)] = 1.0
-        return C
-
-    @property
     def unknown_coeffs(self) -> Array:
         return self.coeffs[self.unknown_indices]
-
-    @property
-    def known_coeffs(self) -> Array:
-        return self.coeffs[self.known_mask]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Ready-made mechanical models: constant inertia, planar manipulator, spider crane.
 
 Each factory returns a MechanicalModel whose factor T is a specific closed
-form, chosen so that the factor columns commute.  The crane also gets a
-variant built on the ordinary lower-triangular Cholesky factor of the same
-inverse inertia matrix; that factor does not commute and the variant exists
-to exercise the failure path of the structural checks.
+form, chosen so that the factor columns commute.  The Cholesky crane is the
+crane with another factor: the same M^-1, potential, inputs and friction on
+the ordinary lower-triangular Cholesky factor, whose columns do not commute,
+so it exercises the failure path of the structural checks.
 
 Every factory keeps MechanicalModel's stack contract, (k, n) in and (k, ...)
 out, each row bit for bit its position's value alone: the closed forms are
@@ -14,7 +14,7 @@ constant templates (_per_position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +35,11 @@ def _per_position(const: Array, q: Array) -> Array:
 
 @dataclass(frozen=True)
 class SpiderCraneParams:
-    """Gantry ring of mass m_r moving in its plane, payload m on a cable L3."""
+    """Gantry ring of mass m_r moving in its plane, payload m on a cable L3.
+
+    Refused unless the factor constants a, b and c (crane_constants) are finite and positive,
+    which needs positive masses and cable length.
+    """
 
     m_r: float = 0.5
     m: float = 1.0
@@ -45,8 +49,12 @@ class SpiderCraneParams:
     known_mask: Sequence[bool] = (True, True, False)
 
     def __post_init__(self):
-        if min(self.m_r, self.m, self.L3) <= 0:
-            raise ModelError("masses and cable length must be positive")
+        with np.errstate(all="ignore"):  # np.float64 overflows to inf where Python floats raise
+            constants = crane_constants(self)
+        if not all(0 < k < np.inf for k in constants):  # NaN fails too
+            got = ", ".join(f"{k:g}" for k in constants)
+            raise ModelError("masses m_r, m and cable length L3 must be positive, and the factor "
+                             f"constants a, b, c finite and positive, got {got}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +171,6 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
         return T @ T.T
 
     G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    friction = FrictionSpec(np.asarray(params.friction, float), np.asarray(params.known_mask, bool))
     return MechanicalModel(
         n=4,
         m=2,
@@ -173,7 +180,7 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
         input_matrix=lambda q: G,
         factor=factor,
         factor_inv=factor_inv,
-        friction=friction,
+        friction=FrictionSpec(params.friction, params.known_mask),
         integral_map=integral_map,
         factor_jac=factor_jac,
         name="manipulator",
@@ -181,10 +188,11 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
 
 
 def crane_constants(params: SpiderCraneParams):
-    """The three constants of the crane's upper-triangular factor."""
-    a = 1.0 / np.sqrt(params.m_r + params.m)
-    c = np.sqrt((params.m_r + params.m) / (params.m * params.L3**2 * params.m_r))
-    b = 1.0 / (c * params.L3 * params.m_r)
+    """The three constants of the crane's upper-triangular factor; inf, 0 or NaN if it has none."""
+    m_r, m, L3 = np.float64(params.m_r), np.float64(params.m), np.float64(params.L3)
+    a = 1.0 / np.sqrt(m_r + m)
+    c = np.sqrt((m_r + m) / (m * L3**2 * m_r))
+    b = 1.0 / (c * L3 * m_r)
     return a, b, c
 
 
@@ -243,7 +251,6 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
         d[..., 2, 0, 2], d[..., 2, 1, 2] = b * s3, -b * c3
         return d
 
-    friction = FrictionSpec(np.asarray(p.friction, float), np.asarray(p.known_mask, bool))
     return MechanicalModel(
         n=3,
         m=2,
@@ -253,7 +260,7 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
         input_matrix=lambda q: G,
         factor=factor,
         factor_inv=factor_inv,
-        friction=friction,
+        friction=FrictionSpec(p.friction, p.known_mask),
         integral_map=integral_map,
         factor_jac=factor_jac,
         lip_factor_inv=alm,
@@ -262,12 +269,15 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
 
 
 def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) -> MechanicalModel:
-    """Spider crane on the lower-triangular Cholesky factor of the same M^-1.
+    """The spider crane with another factor: the lower-triangular Cholesky factor of its M^-1.
 
-    That factor's columns do not commute, so this model has no integral map
-    and fails the structural checks; it exists to demonstrate that the
-    factor choice matters.  Without closed forms it follows the stack
-    contract: factor maps a (k, 3) stack of positions to (k, 3, 3).
+    M^-1, the potential, the inputs and the friction are the crane's own;
+    every closed form of the crane's factor (T^-1, dT, the integral map and
+    T^-1's Lipschitz constant) is cleared.  The factor's columns do not
+    commute, so this model has no integral map and fails the structural
+    checks; it exists to demonstrate that the factor choice matters.
+    Without closed forms it follows the stack contract: factor maps a (k, 3)
+    stack of positions to (k, 3, 3).
     """
     base = make_spider_crane(params)
 
@@ -283,20 +293,8 @@ def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) 
         minv = np.array([base.minv(rows[bits.index(b)]) for b in slot])
         return np.linalg.cholesky(minv[which]).reshape(q.shape + (3,))
 
-    friction = FrictionSpec(np.asarray(params.friction, float), np.asarray(params.known_mask, bool))
-    return MechanicalModel(
-        n=3,
-        m=2,
-        minv=base.minv,
-        potential=base.potential,
-        grad_potential=base.grad_potential,
-        input_matrix=base.input_matrix,
-        factor=factor,
-        factor_inv=None,
-        friction=friction,
-        integral_map=None,
-        name="spider-crane-cholesky",
-    )
+    return replace(base, factor=factor, factor_inv=None, integral_map=None, factor_jac=None,
+                   lip_factor_inv=None, name="spider-crane-cholesky")
 
 
 def _constant_inertia_by_keys(M=((1.0, 0.0), (0.0, 1.0)), K=None, friction=None,

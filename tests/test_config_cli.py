@@ -222,6 +222,18 @@ def test_cli_run(tmp_path):
 STEP_OVERFLOWS = [("t_final = 1.0\ndt = 0.002", f"t_final = 1e300\ndt = {dt}", "t_final",
                    "t_final = 1e300") for dt in ("1e-300", "1")]
 
+# crane parameters whose factor constants overflow or vanish, on either crane, cite the name line
+CRANE = "name = spider-crane\nm_r = 0.5\nm = 1.0\nL3 = 0.5"
+BAD_CRANE_CONSTANTS = [
+    (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e200"), "L3", "name = spider-crane"),
+    (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e-200"), "L3", "name = spider-crane"),
+    (CRANE, CRANE.replace("0.5\nm = 1.0", "1e-200\nm = 1e-200"), "L3", "name = spider-crane"),
+    (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e200").replace("crane", "crane-cholesky"), "L3",
+     "name = spider-crane-cholesky"),
+]
+BAD_CRANE_CONSTANT_IDS = ["overflowing-cable", "vanishing-cable", "vanishing-masses",
+                         "overflowing-cable-cholesky"]
+
 
 @pytest.mark.parametrize(
     "old, new, key, cited",
@@ -258,12 +270,22 @@ STEP_OVERFLOWS = [("t_final = 1.0\ndt = 0.002", f"t_final = 1e300\ndt = {dt}", "
         ("t_final = 1.0", "t_final = 1.003", "t_final", "t_final = 1.003"),
         # step counts the float time grid cannot resolve: t_final / dt = inf, and 1e300
         *STEP_OVERFLOWS,
+        *BAD_CRANE_CONSTANTS,
+        # every entry of a list is a value, a trailing comma's included
+        ("q = 0, 0, 1.0", "q = 0, , 0, 1.0", "q", "q = 0, , 0, 1.0"),
+        ("friction = 0, 0, 0.5", "friction = 0, 0, 0.5,", "friction", "friction = 0, 0, 0.5,"),
+        ("known = true, true, false", "known = true, , true, false", "known",
+         "known = true, , true, false"),
+        ("step1 = 0, 0.1, 0.2, 0.2", "step1 = 0, 0.1, , 0.2, 0.2", "step1",
+         "step1 = 0, 0.1, , 0.2, 0.2"),
     ],
     ids=["negative-dt", "inf-t_final", "nan-dt", "nan-lambda", "nan-q", "fractional-stride",
          "negative-lambda", "colliding-switch", "short-q", "long-mom", "short-disturbance",
          "extra-input", "negative-mass", "superscript-input", "superscript-step",
          "leading-zero-input", "leading-zero-step", "zero-input", "zero-step",
-         "t_final-short-of-steps", "t_final-past-steps", "inf-steps", "steps-past-float-grid"],
+         "t_final-short-of-steps", "t_final-past-steps", "inf-steps", "steps-past-float-grid",
+         *BAD_CRANE_CONSTANT_IDS, "empty-q-entry", "trailing-comma-friction", "empty-known-entry",
+         "empty-step1-entry"],
 )
 def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     text = CRANE_CFG.replace(old, new)
@@ -276,8 +298,8 @@ def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("old, new, key, cited", STEP_OVERFLOWS,
-                         ids=["inf-steps", "steps-past-float-grid"])
+@pytest.mark.parametrize("old, new, key, cited", STEP_OVERFLOWS + BAD_CRANE_CONSTANTS,
+                         ids=["inf-steps", "steps-past-float-grid", *BAD_CRANE_CONSTANT_IDS])
 def test_cli_check_config_error(tmp_path, capsys, old, new, key, cited):
     # a structure check parses [sim] as run does, and exits 2 on its errors alike
     text = CRANE_CFG.replace(old, new)
@@ -554,10 +576,13 @@ def test_cli_sweep_bad_args(tmp_path, capsys):
     cfg = write(tmp_path, "sweep2.cfg", PROP2_CFG)
     assert main(["sweep", cfg, "--param", "lambda", "--values", "1", "-o", out]) == 2
     assert main(["sweep", cfg, "--param", "psi5_extra", "--values", "nan", "-o", out]) == 2
-    # an index that is not an integer, and a value that is not a number, name their argument
+    # an index that is not an integer, and a value that is not a number (an empty entry
+    # included), name their argument
     capsys.readouterr()
     for param, values, argument in [("q0[x]", "0.1", "--param"), ("q0[1.5]", "0.1", "--param"),
-                                    ("q0[]", "0.1", "--param"), ("psi5_extra", "1,abc", "--values")]:
+                                    ("q0[]", "0.1", "--param"),
+                                    ("psi5_extra", "1,abc", "--values"),
+                                    ("psi5_extra", "0.4,,2", "--values")]:
         assert main(["sweep", cfg, "--param", param, "--values", values, "-o", out]) == 2
         assert argument in capsys.readouterr().err, param
 

@@ -13,12 +13,14 @@ from momobs import (
     AdaptiveObserver,
     AssumptionReport,
     FrictionSpec,
+    ManipulatorParams,
     MechanicalModel,
     check_zrs,
     factor_brackets,
     grad_integral_map_residual,
     gyro_matrix,
     gyro_swapped,
+    make_planar_manipulator,
     sample_positions,
     StructureError,
 )
@@ -248,6 +250,23 @@ def test_check_zrs_constant_factor_residuals(const2):
     assert report.max_bracket_norm <= 1e-9
     assert report.gradq_residual <= 1e-9
     assert report.all_ok
+
+
+@pytest.mark.parametrize("key, value", [("m", "1e-320"), ("l", "1e308")],
+                         ids=["light-mass", "long-link"])
+def test_non_finite_integral_map_differences_fail_the_check(tmp_path, capsys, key, value):
+    # manipulator constants whose integral map overflows: its differences are
+    # not finite, so the residual is not either and fails its verdict; neither
+    # check_zrs nor momobs check raises
+    model = make_planar_manipulator(ManipulatorParams(**{key: float(value)}))
+    with np.errstate(all="ignore"):
+        report = check_zrs(model, sample_positions(4, 30))
+    assert not np.isfinite(report.gradq_residual) and report.integral_map_ok is False
+    config = tmp_path / "manipulator.cfg"
+    config.write_text(f"[model]\nname = manipulator\n{key} = {value}\n")
+    assert momobs.cli.main(["check", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "integral_map = FAIL" in captured.out.splitlines() and captured.err == ""
 
 
 def with_nan_at(model, attr, entry, at):

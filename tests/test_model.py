@@ -176,15 +176,19 @@ def test_cross_representation_short(crane, crane_cholesky):
             assert np.abs(p - yk[3:]).max() < 1e-8, model.name
 
 
-def test_friction_spec_selector_shape():
+def assert_known_and_unknown_parts_add_up(spec):
+    # the known part plus the unknown coefficients scattered back to kappa give coeffs
+    total = np.where(spec.known_mask, spec.coeffs, 0.0)
+    total[spec.unknown_indices] += spec.unknown_coeffs
+    assert np.array_equal(total, spec.coeffs)
+
+
+def test_friction_spec_unknown_split():
     spec = FrictionSpec(np.array([0.1, 0.2, 0.3]), np.array([False, True, False]))
-    C = spec.selector
-    assert np.array_equal(C, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(C.T @ spec.coeffs, spec.unknown_coeffs)
-    # known and unknown parts add up to the friction vector behind transformed_friction
-    known_part = np.where(spec.known_mask, spec.coeffs, 0.0)
-    assert np.array_equal(known_part + C @ spec.unknown_coeffs, spec.coeffs)
-    assert np.linalg.matrix_rank(C) == spec.num_unknown
+    assert np.array_equal(spec.unknown_indices, [0, 2])
+    assert np.array_equal(spec.unknown_coeffs, [0.1, 0.3])
+    assert spec.num_unknown == 2
+    assert_known_and_unknown_parts_add_up(spec)
 
 
 def test_friction_spec_rejects_negative():
@@ -194,15 +198,11 @@ def test_friction_spec_rejects_negative():
 
 def test_friction_decompose_crane(crane):
     spec = crane.friction
-    C = spec.selector
-    assert np.array_equal(C.T, [[0.0, 0.0, 1.0]])
     assert np.array_equal(spec.unknown_indices, [2])
     assert np.array_equal(spec.unknown_coeffs, [0.5])
-    assert np.array_equal(spec.known_coeffs, [0.0, 0.0])
-    assert np.array_equal(C.T @ spec.coeffs, spec.unknown_coeffs)
-    # known and unknown parts add up to the friction vector behind transformed_friction
-    known_part = np.where(spec.known_mask, spec.coeffs, 0.0)
-    assert np.array_equal(known_part + C @ spec.unknown_coeffs, spec.coeffs)
+    assert spec.num_unknown == 1
+    # the known and unknown parts add up to the friction vector behind transformed_friction
+    assert_known_and_unknown_parts_add_up(spec)
     rng = np.random.default_rng(13)
     for _ in range(20):
         q = rng.uniform(-3, 3, 3)
@@ -213,10 +213,9 @@ def test_friction_decompose_crane(crane):
 
 def test_friction_decompose_all_known():
     spec = FrictionSpec(np.array([0.5, 0.2]), np.array([True, True]))
-    assert spec.selector.shape == (2, 0)
     assert spec.unknown_indices.size == 0 and spec.unknown_coeffs.size == 0
-    assert np.array_equal(spec.known_coeffs, [0.5, 0.2])
-    assert np.array_equal(spec.selector @ spec.unknown_coeffs, np.zeros(2))
+    assert spec.num_unknown == 0
+    assert_known_and_unknown_parts_add_up(spec)
 
 
 def test_disturbance_schedule():

@@ -144,9 +144,8 @@ def test_manipulator_factor_inverse_consistency(manipulator):
         assert np.linalg.norm(T @ T.T - manipulator.minv(q)) <= 1e-12
 
 
-def test_manipulator_selector(manipulator):
-    C = manipulator.friction.selector
-    assert np.array_equal(C, np.vstack([np.eye(2), np.zeros((2, 2))]))
+def test_manipulator_unknown_indices(manipulator):
+    assert np.array_equal(manipulator.friction.unknown_indices, [0, 1])
 
 
 def test_cholesky_variant_shares_inertia(crane, crane_cholesky):
@@ -156,7 +155,15 @@ def test_cholesky_variant_shares_inertia(crane, crane_cholesky):
         L = crane_cholesky.factor(q)
         assert np.allclose(L, np.tril(L))
         assert np.linalg.norm(L @ L.T - crane.minv(q)) <= 1e-12
-    assert crane_cholesky.integral_map is None
+        # the crane with another factor: everything but the factor is the crane's own
+        for name in ("minv", "potential", "grad_potential", "input_matrix"):
+            assert np.array_equal(getattr(crane_cholesky, name)(q), getattr(crane, name)(q)), name
+    # every closed form of the crane's own factor is cleared
+    for name in ("factor_inv", "factor_jac", "integral_map", "lip_factor_inv"):
+        assert getattr(crane_cholesky, name) is None, name
+    assert (crane_cholesky.n, crane_cholesky.m) == (crane.n, crane.m)
+    assert np.array_equal(crane_cholesky.friction.coeffs, crane.friction.coeffs)
+    assert np.array_equal(crane_cholesky.friction.known_mask, crane.friction.known_mask)
     assert not crane_cholesky.zrs
 
 
@@ -330,3 +337,7 @@ def test_named_model_dispatch():
 def test_params_validate():
     with pytest.raises(ModelError):
         SpiderCraneParams(m_r=-1.0)
+    # factor constants that overflow to inf or vanish to 0 in floating point
+    for params in [dict(L3=1e200), dict(L3=1e-200), dict(m=1e-200, m_r=1e-200)]:
+        with pytest.raises(ModelError, match="factor constants"):
+            SpiderCraneParams(**params)
