@@ -23,7 +23,7 @@
 # with a factor that depends on q1 + q2), `momobs check` at seeds 0 and 3, a
 # lambda sweep on prop1 and, with every friction known, a psi3_const sweep
 # on prop2, whose lockstep rows take the secant-sample path (no Lipschitz
-# constant for T^-1), and `momobs check` at m = 1e-320, whose integral map's
+# constant for T^-1), and `momobs check` at l = 1e308, whose integral map's
 # differences are not finite, so its report fails (exit 1).  Last, configs
 # refused with exit 2 and one line of stderr: the prop1 config with
 # t_final = 1e300 at dt = 1e-300 (an infinite step count) and at dt = 1
@@ -31,11 +31,17 @@
 # K = 1, 2, 3 is not 2 x 2 symmetric, run and checked; the prop1 config at
 # L3 = 1e200, whose factor constants overflow, run and checked; a plant-only
 # run whose input angle 1e308 t overflows before t_final = 2; the prop1
-# config with an empty entry in q = 0, , 0, 1.0; and a prop1 sweep whose
-# index q0[01] has a leading zero.
-# And one more diverging run (exit 3, one line of stderr): the r = 1e155
+# config with an empty entry in q = 0, , 0, 1.0; a prop1 sweep whose
+# index q0[01] has a leading zero; the manipulator at m = 1e-320, whose
+# factor constant rho = sqrt(M / m) overflows, run and checked; and the prop1
+# config naming a directory in [output], run with -o (the caller alone says
+# where a run writes).
+# And more diverging runs (exit 3, one line of stderr): the r = 1e155
 # config at t_final = 9e15, dt = 1, whose 9e15 steps a run must not
-# allocate for before its first step.
+# allocate for before its first step; and the prop2 config on the Cholesky
+# crane at L3 = 1e20 to t_final = 0.01, run and swept over psi5_extra, whose
+# factor is numerically singular, so T^-1 is refused in the first derivative
+# and no series is written.
 # Configs are edited copies of ROOT's shipped ones, but for the constant and
 # manipulator ones, written here so every checkout runs the same text.  Paths to ROOT and OUT
 # read ROOT and OUT, so `diff -r` of two such directories, made from two
@@ -169,9 +175,9 @@ record sweep_manipulator_prop1 sweep "$out/cfg/manipulator.cfg" --param lambda -
   -o "$out/sweep_manipulator_prop1"
 record sweep_manipulator_psi3 sweep "$out/cfg/manipulator_prop2.cfg" --param psi3_const \
   --values 0.5,1 -o "$out/sweep_manipulator_psi3"
-sed -e "/^name = manipulator/a m = 1e-320" "$out/cfg/manipulator.cfg" \
-  > "$out/cfg/manipulator_light_mass.cfg"
-record check_manipulator_light_mass check "$out/cfg/manipulator_light_mass.cfg"
+sed -e "/^name = manipulator/a l = 1e308" "$out/cfg/manipulator.cfg" \
+  > "$out/cfg/manipulator_long_link.cfg"
+record check_manipulator_long_link check "$out/cfg/manipulator_long_link.cfg"
 
 # refused configs: each exits 2 with a one-line stderr
 variant steps_inf spider_crane_prop1.cfg "s/^t_final = .*/t_final = 1e300/" "s/^dt = .*/dt = 1e-300/"
@@ -189,7 +195,19 @@ record run_input_overflow run "$out/cfg/input_overflow.cfg" -o "$out/run_input_o
 record run_empty_entry run "$out/cfg/empty_entry.cfg" -o "$out/run_empty_entry"
 record sweep_index_leading_zero sweep "$out/cfg/prop1.cfg" --param "q0[01]" --values 0.5 \
   -o "$out/sweep_index_leading_zero"
+sed -e "/^name = manipulator/a m = 1e-320" "$out/cfg/manipulator.cfg" \
+  > "$out/cfg/manipulator_light_mass.cfg"
+record run_manipulator_light_mass run "$out/cfg/manipulator_light_mass.cfg" \
+  -o "$out/run_manipulator_light_mass"
+record check_manipulator_light_mass check "$out/cfg/manipulator_light_mass.cfg"
+sed -e "/^\[output\]/a directory = ." "$out/cfg/prop1.cfg" > "$out/cfg/output_directory.cfg"
+record run_output_directory run "$out/cfg/output_directory.cfg" -o "$out/run_output_directory"
 
 variant big_r_steps spider_crane_prop2.cfg "/^mom = /a r = 1e155" "s/^t_final = .*/t_final = 9e15/" \
   "s/^dt = .*/dt = 1/"
 record run_big_r_steps run "$out/cfg/big_r_steps.cfg" -o "$out/run_big_r_steps"
+variant cholesky_singular spider_crane_prop2.cfg "${cholesky[@]}" "s/^L3 = .*/L3 = 1e20/" \
+  "s/^t_final = .*/t_final = 0.01/"
+record run_cholesky_singular run "$out/cfg/cholesky_singular.cfg" -o "$out/run_cholesky_singular"
+record sweep_cholesky_singular sweep "$out/cfg/cholesky_singular.cfg" --param psi5_extra \
+  --values 1,2 -o "$out/sweep_cholesky_singular"

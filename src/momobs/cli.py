@@ -1,8 +1,8 @@
 """Command-line front end: run scenarios, check model structure, sweep gains.
 
 Exit codes: 0 success, 1 structural check failed, 2 configuration error,
-3 diverged run.  The default output directory comes from -o, then the
-config's [output] section, then the MOMOBS_OUTDIR environment variable.
+3 diverged run.  A run writes to the directory -o names, else to the
+MOMOBS_OUTDIR environment variable's, else to the working directory.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .config import ConfigError, build_scenario, config_model, load_config, parse_vector
 from .geometry import check_zrs, sample_positions
 from .harness import Metrics, apply_sweep_value, compute_metrics, integrate_scenario, share_plant
+from .model import ModelError
 from .svgplot import write_line_svg
 
 EXIT_OK = 0
@@ -25,9 +26,8 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _resolve_outdir(arg_dir, cfg_dir):
-    path = arg_dir or cfg_dir or os.environ.get("MOMOBS_OUTDIR") or "."
-    out = Path(path)
+def _resolve_outdir(arg_dir):
+    out = Path(arg_dir or os.environ.get("MOMOBS_OUTDIR") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -58,10 +58,14 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         scenario = build_scenario(cfg)
-        outdir = _resolve_outdir(args.output, cfg.directory)  # last: a config error writes nothing
+        outdir = _resolve_outdir(args.output)  # last: a config error writes nothing
     except (ValueError, OSError) as exc:  # ConfigError, ModelError and StructureError included
         return _fail_config(exc)
-    ts = integrate_scenario(scenario)
+    try:
+        ts = integrate_scenario(scenario)
+    except ModelError as exc:  # T^-1 refused on the way; its samples cannot be read out either
+        print(f"run diverged: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     _write_artifacts(ts, outdir, cfg.emit_svg)
     if ts.diverged:
         print(f"run diverged: {ts.message}", file=sys.stderr)
@@ -100,12 +104,17 @@ def cmd_sweep(args) -> int:
         # each swept Scenario builds and checks its observer here, before anything is written
         swept = [build_scenario(c) for c in configs]
         share_plant(swept)  # a gain sweep steps its runs in lockstep on one plant
-        outdir = _resolve_outdir(args.output, cfg.directory)
+        outdir = _resolve_outdir(args.output)
     except (ValueError, OSError) as exc:
         return _fail_config(exc)
     rows = []
     for value, sc in zip(values, swept):
-        ts = integrate_scenario(sc)
+        try:
+            ts = integrate_scenario(sc)
+        except ModelError as exc:  # as in cmd_run: no series for this value
+            print(f"run at {args.param} = {value:g} diverged: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_DIVERGED
         tag = f"{args.param.replace('[', '_').replace(']', '')}_{value:g}_"
         metrics = _write_artifacts(ts, outdir, cfg.emit_svg, prefix=tag)
         if ts.diverged:

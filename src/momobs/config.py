@@ -25,7 +25,7 @@ Sections:
   [disturbance]  step1, step2, ... = switch_time, d1, ..., dn, with n the
                  model's degrees of freedom
   [sim]          t_final, dt, stride (a positive integer)
-  [output]       directory, emit_svg
+  [output]       emit_svg (momobs writes to -o, else MOMOBS_OUTDIR, else .)
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ _MODEL_KEYS = {
     "spider-crane-cholesky": {"name", "m_r", "m", "L3", "g", "friction", "known"},
 }
 _SIM_KEYS = {"t_final", "dt", "stride"}
-_OUTPUT_KEYS = {"directory", "emit_svg"}
 _SECTIONS = {"model", "observer", "initial", "input", "disturbance", "sim", "output"}
 
 
@@ -82,7 +81,6 @@ class RunConfig:
     t_final: float = 10.0
     dt: float = 1e-3
     stride: int = 10
-    directory: Optional[str] = None
     emit_svg: bool = False
     _built: Optional[Tuple[str, MechanicalModel]] = field(default=None, repr=False, compare=False)
 
@@ -265,12 +263,9 @@ def parse_config(text: str, require_sim: bool = True) -> RunConfig:
         raise ConfigError(next((ln for ln, k, _ in sim if k == "t_final"), 0), str(exc)) from None
 
     for ln, key, value in sections.get("output", []):
-        if key not in _OUTPUT_KEYS:
+        if key != "emit_svg":
             raise ConfigError(ln, f"unknown key {key!r} in [output]")
-        if key == "directory":
-            cfg.directory = value
-        else:
-            cfg.emit_svg = _parse_bool(value, ln, key)
+        cfg.emit_svg = _parse_bool(value, ln, key)
     return cfg
 
 
@@ -315,10 +310,7 @@ def dump_config(cfg: RunConfig) -> str:
             lines.append(f"step{i} = {t:.17g}, {_fmt_vec(level)}")
     lines += ["", "[sim]", f"t_final = {cfg.t_final:.17g}", f"dt = {cfg.dt:.17g}",
               f"stride = {cfg.stride}"]
-    lines += ["", "[output]"]
-    if cfg.directory is not None:
-        lines.append(f"directory = {cfg.directory}")
-    lines.append(f"emit_svg = {str(cfg.emit_svg).lower()}")
+    lines += ["", "[output]", f"emit_svg = {str(cfg.emit_svg).lower()}"]
     return "\n".join(lines) + "\n"
 
 

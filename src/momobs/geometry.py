@@ -107,8 +107,7 @@ def swapped_from_brackets(br: Array, pbar) -> Array:
 
 def _frame_brackets(model: MechanicalModel, q) -> Array:
     """B[i, j] = T^-1(q) [(T)_i, (T)_j], the factor-column brackets in the factor's frame."""
-    q = np.asarray(q, dtype=float)
-    return np.einsum("kl,ijl->ijk", model.factor_inverse(q), factor_brackets(model, q))
+    return np.einsum("kl,ijl->ijk", *factor_structure(model, q))
 
 
 def gyro_matrix(model: MechanicalModel, q, p) -> Array:

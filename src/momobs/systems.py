@@ -33,6 +33,15 @@ def _per_position(const: Array, q: Array) -> Array:
     return out
 
 
+def _refuse_bad_constants(constants_of, params, rule: str):
+    """ModelError citing rule and the values unless each constants_of(params) is finite and > 0."""
+    with np.errstate(all="ignore"):  # np.float64 overflows to inf where Python floats raise
+        constants = constants_of(params)
+    if not all(0 < k < np.inf for k in constants):  # NaN fails too
+        got = ", ".join(f"{k:g}" for k in constants)
+        raise ModelError(f"{rule}, got {got}")
+
+
 @dataclass(frozen=True)
 class SpiderCraneParams:
     """Gantry ring of mass m_r moving in its plane, payload m on a cable L3.
@@ -49,17 +58,16 @@ class SpiderCraneParams:
     known_mask: Sequence[bool] = (True, True, False)
 
     def __post_init__(self):
-        with np.errstate(all="ignore"):  # np.float64 overflows to inf where Python floats raise
-            constants = crane_constants(self)
-        if not all(0 < k < np.inf for k in constants):  # NaN fails too
-            got = ", ".join(f"{k:g}" for k in constants)
-            raise ModelError("masses m_r, m and cable length L3 must be positive, and the factor "
-                             f"constants a, b, c finite and positive, got {got}")
+        _refuse_bad_constants(crane_constants, self, "masses m_r, m and cable length L3 must be "
+                              "positive, and the factor constants a, b, c finite and positive")
 
 
 @dataclass(frozen=True)
 class ManipulatorParams:
-    """Planar redundant manipulator with one elastic degree of freedom."""
+    """Planar redundant manipulator with one elastic degree of freedom.
+
+    Refused unless its factor constants (manipulator_constants) are finite and positive.
+    """
 
     I: float = 1.0
     M: float = 1.0
@@ -69,8 +77,9 @@ class ManipulatorParams:
     known_mask: Sequence[bool] = (False, False, True, True)
 
     def __post_init__(self):
-        if min(self.I, self.M, self.m, self.l) <= 0:
-            raise ModelError("physical constants must be positive")
+        _refuse_bad_constants(manipulator_constants, self, "physical constants I, M, m and l must "
+                              "be positive, and the factor constants a2, a3, rho, sqrt(I) "
+                              "finite and positive")
 
 
 def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> MechanicalModel:
@@ -115,6 +124,12 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
     )
 
 
+def manipulator_constants(params: ManipulatorParams):
+    """a2, a3, rho and sqrt(I), the constants of the manipulator's factor; inf, 0 or NaN if none."""
+    I, M, m, l = (np.float64(k) for k in (params.I, params.M, params.m, params.l))
+    return np.sqrt(M * m) * l / np.sqrt(m + M), np.sqrt(M + m), np.sqrt(M / m), np.sqrt(I)
+
+
 def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> MechanicalModel:
     """4-dof underactuated manipulator with an elastic joint.
 
@@ -125,12 +140,7 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
     parameters we do not fix); structural identities are what it is for.
     T, T^-1, dT and the integral map take (k, 4) stacks (module docstring).
     """
-    I, M, m, l = params.I, params.M, params.m, params.l
-    a2 = np.sqrt(M * m) * l / np.sqrt(m + M)
-    a3 = np.sqrt(M + m)
-    rho = np.sqrt(M / m)
-    sI = np.sqrt(I)
-
+    a2, a3, rho, sI = manipulator_constants(params)
     T_const = np.diag([1.0 / sI, 1.0 / a2, 1.0 / a3, 1.0 / a3])
     T_const[1, 0] = -1.0 / sI
     Tinv_const = np.diag([sI, a2, a3, a3])

@@ -3,7 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ import momobs
 from momobs import (
     ConfigError,
     InputChannel,
+    RunConfig,
     SpiderCraneParams,
     build_scenario,
     dump_config,
@@ -222,17 +223,23 @@ def test_cli_run(tmp_path):
 STEP_OVERFLOWS = [("t_final = 1.0\ndt = 0.002", f"t_final = 1e300\ndt = {dt}", "t_final",
                    "t_final = 1e300") for dt in ("1e-300", "1")]
 
-# crane parameters whose factor constants overflow or vanish, on either crane, cite the name line
+# model parameters whose factor constants overflow or vanish, on either crane or on the
+# manipulator (in place of the crane's [model] lines), cite the name line
 CRANE = "name = spider-crane\nm_r = 0.5\nm = 1.0\nL3 = 0.5"
-BAD_CRANE_CONSTANTS = [
+CRANE_MODEL = CRANE + "\ng = 9.81\nfriction = 0, 0, 0.5\nknown = true, true, false"
+BAD_FACTOR_CONSTANTS = [
     (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e200"), "L3", "name = spider-crane"),
     (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e-200"), "L3", "name = spider-crane"),
     (CRANE, CRANE.replace("0.5\nm = 1.0", "1e-200\nm = 1e-200"), "L3", "name = spider-crane"),
     (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e200").replace("crane", "crane-cholesky"), "L3",
      "name = spider-crane-cholesky"),
+    # rho = sqrt(M / m) overflows to inf, and a3 = sqrt(M + m) too
+    (CRANE_MODEL, "name = manipulator\nm = 1e-320", "m", "name = manipulator"),
+    (CRANE_MODEL, "name = manipulator\nM = 1e308\nm = 1e308", "M", "name = manipulator"),
 ]
-BAD_CRANE_CONSTANT_IDS = ["overflowing-cable", "vanishing-cable", "vanishing-masses",
-                         "overflowing-cable-cholesky"]
+BAD_FACTOR_CONSTANT_IDS = ["overflowing-cable", "vanishing-cable", "vanishing-masses",
+                           "overflowing-cable-cholesky", "light-manipulator-mass",
+                           "heavy-manipulator-masses"]
 
 
 @pytest.mark.parametrize(
@@ -270,7 +277,7 @@ BAD_CRANE_CONSTANT_IDS = ["overflowing-cable", "vanishing-cable", "vanishing-mas
         ("t_final = 1.0", "t_final = 1.003", "t_final", "t_final = 1.003"),
         # step counts the float time grid cannot resolve: t_final / dt = inf, and 1e300
         *STEP_OVERFLOWS,
-        *BAD_CRANE_CONSTANTS,
+        *BAD_FACTOR_CONSTANTS,
         # every entry of a list is a value, a trailing comma's included
         ("q = 0, 0, 1.0", "q = 0, , 0, 1.0", "q", "q = 0, , 0, 1.0"),
         ("friction = 0, 0, 0.5", "friction = 0, 0, 0.5,", "friction", "friction = 0, 0, 0.5,"),
@@ -284,7 +291,7 @@ BAD_CRANE_CONSTANT_IDS = ["overflowing-cable", "vanishing-cable", "vanishing-mas
          "extra-input", "negative-mass", "superscript-input", "superscript-step",
          "leading-zero-input", "leading-zero-step", "zero-input", "zero-step",
          "t_final-short-of-steps", "t_final-past-steps", "inf-steps", "steps-past-float-grid",
-         *BAD_CRANE_CONSTANT_IDS, "empty-q-entry", "trailing-comma-friction", "empty-known-entry",
+         *BAD_FACTOR_CONSTANT_IDS, "empty-q-entry", "trailing-comma-friction", "empty-known-entry",
          "empty-step1-entry"],
 )
 def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
@@ -298,8 +305,8 @@ def test_cli_run_config_error(tmp_path, capsys, old, new, key, cited):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("old, new, key, cited", STEP_OVERFLOWS + BAD_CRANE_CONSTANTS,
-                         ids=["inf-steps", "steps-past-float-grid", *BAD_CRANE_CONSTANT_IDS])
+@pytest.mark.parametrize("old, new, key, cited", STEP_OVERFLOWS + BAD_FACTOR_CONSTANTS,
+                         ids=["inf-steps", "steps-past-float-grid", *BAD_FACTOR_CONSTANT_IDS])
 def test_cli_check_config_error(tmp_path, capsys, old, new, key, cited):
     # a structure check parses [sim] as run does, and exits 2 on its errors alike
     text = CRANE_CFG.replace(old, new)
@@ -622,19 +629,31 @@ def test_cli_unusable_outdir(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "taken" in err
 
 
-def test_cli_outdir_from_config(tmp_path, monkeypatch):
-    # without -o the config's [output] directory comes before MOMOBS_OUTDIR,
-    # and dump_config keeps it
-    cfg_out = tmp_path / "cfgout"
-    text = CRANE_CFG.replace("t_final = 1.0", "t_final = 0.1").replace(
-        "[output]\n", f"[output]\ndirectory = {cfg_out}\n")
+@pytest.mark.parametrize("value", ["cfgout", ""], ids=["named", "empty"])
+@pytest.mark.parametrize("command", [["run"], ["run", "-o", "out"], ["check"]],
+                         ids=["run", "run-with-output", "check"])
+def test_cli_refuses_output_directory(tmp_path, monkeypatch, capsys, command, value):
+    # a run writes where its caller says: [output] takes no directory, and one
+    # named there, empty or not, is refused with its line before anything is made
+    text = CRANE_CFG.replace("[output]\n", f"[output]\ndirectory = {value}\n")
+    cfg = write(tmp_path, "run.cfg", text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     monkeypatch.setenv("MOMOBS_OUTDIR", str(tmp_path / "envout"))
-    assert main(["run", write(tmp_path, "run.cfg", text)]) == 0
-    assert (cfg_out / "timeseries.csv").exists()
-    assert not (tmp_path / "envout").exists()
-    cfg = parse_config(text)
-    assert cfg.directory == str(cfg_out)
-    assert parse_config(dump_config(cfg)) == cfg
+    assert main([command[0], cfg, *command[1:]]) == 2
+    line = text.splitlines().index(f"directory = {value}") + 1
+    assert capsys.readouterr().err == (f"config error: line {line}: unknown key 'directory' "
+                                       "in [output]\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "work"]
+    assert not any(work.iterdir())
+
+
+def test_dump_config_writes_no_output_directory():
+    assert "directory" not in {f.name for f in fields(RunConfig)}
+    for text in (CRANE_CFG, PROP2_CFG, CHOLESKY_PROBE_CFG):
+        echoed = dump_config(parse_config(text))
+        assert echoed.endswith("[output]\nemit_svg = false\n") and "directory" not in echoed
 
 
 def test_cli_outdir_from_environment(tmp_path, monkeypatch):
@@ -669,6 +688,30 @@ def test_cli_run_divergence_exit(tmp_path, capsys, text, cause):
     assert len(rows) >= 2
     named = float(re.search(r"step from t = (\S+?):?\s", err).group(1))
     assert float(rows[-1].split(",")[0]) == pytest.approx(named, rel=1e-5)
+
+
+# a 1e20 cable makes the Cholesky factor numerically singular: T^-1 is refused
+# in the first derivative, and at every sample's qbar in the read-out too
+SINGULAR_CFG = CHOLESKY_PROBE_CFG.replace("L3 = 0.5", "L3 = 1e20").replace("t_final = 1.0",
+                                                                           "t_final = 0.01")
+
+
+@pytest.mark.parametrize("command, err", [
+    (["run"], "run diverged: ModelError: factor is numerically singular"),
+    (["sweep", "--param", "psi5_extra", "--values", "1,2"],
+     "run at psi5_extra = 1 diverged: ModelError: factor is numerically singular"),
+], ids=["run", "sweep"])
+def test_cli_singular_factor_diverges(tmp_path, capsys, command, err):
+    # exit 3 with one line naming the cause, no traceback, and no series for
+    # the run: its samples cannot be read out
+    cfg = write(tmp_path, "singular.cfg", SINGULAR_CFG)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], cfg, *command[1:], "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and len(captured.err.splitlines()) == 1, captured.err
+    assert captured.out == "" and not any(out.iterdir())
 
 
 def test_cli_run_huge_start_scale_diverges(tmp_path, capsys):

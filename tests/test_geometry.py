@@ -155,6 +155,28 @@ def test_gyro_skew_exact(crane_cholesky):
         assert abs(p @ (J @ p)) <= 1e-13 * scale
 
 
+def test_gyro_reference_evaluates_the_factor_once(crane_cholesky):
+    # T^-1 and the brackets come from one factor_structure call: one factor call
+    # on q and its 2n central-difference points, bit for bit the two-call B
+    calls = []
+
+    def factor(q):
+        calls.append(np.asarray(q).reshape(-1, 3).shape[0])
+        return crane_cholesky.factor(q)
+
+    model = replace(crane_cholesky, factor=factor)
+    for q in sample_positions(3, 200, seed=5):
+        p = q[::-1] - 0.3
+        J = gyro_matrix(model, q, p)
+        two_calls = np.einsum("kl,ijl->ijk", crane_cholesky.factor_inverse(q),
+                              factor_brackets(crane_cholesky, q))
+        assert np.array_equal(J, -two_calls @ p)
+    assert calls == [7] * 200
+    calls.clear()
+    gyro_swapped(model, q, p)
+    assert calls == [7]
+
+
 def test_gyro_linear_in_momenta(crane_cholesky):
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -252,12 +274,11 @@ def test_check_zrs_constant_factor_residuals(const2):
     assert report.all_ok
 
 
-@pytest.mark.parametrize("key, value", [("m", "1e-320"), ("l", "1e308")],
-                         ids=["light-mass", "long-link"])
+@pytest.mark.parametrize("key, value", [("l", "1e308")], ids=["long-link"])
 def test_non_finite_integral_map_differences_fail_the_check(tmp_path, capsys, key, value):
-    # manipulator constants whose integral map overflows: its differences are
-    # not finite, so the residual is not either and fails its verdict; neither
-    # check_zrs nor momobs check raises
+    # a link whose factor constants are finite but whose integral map overflows:
+    # its differences are not finite, so the residual is not either and fails
+    # its verdict; neither check_zrs nor momobs check raises
     model = make_planar_manipulator(ManipulatorParams(**{key: float(value)}))
     with np.errstate(all="ignore"):
         report = check_zrs(model, sample_positions(4, 30))

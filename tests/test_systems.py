@@ -12,6 +12,8 @@ from momobs import (
     factor_brackets,
     integrate_scenario,
     make_constant_inertia,
+    make_planar_manipulator,
+    ManipulatorParams,
     sample_positions,
     SpiderCraneParams,
     StructureError,
@@ -19,6 +21,7 @@ from momobs import (
 )
 from momobs.geometry import FD_STEP, factor_structure
 from momobs.model import central_differences
+from momobs.systems import manipulator_constants
 
 
 def test_constant_identity_inertia():
@@ -341,3 +344,18 @@ def test_params_validate():
     for params in [dict(L3=1e200), dict(L3=1e-200), dict(m=1e-200, m_r=1e-200)]:
         with pytest.raises(ModelError, match="factor constants"):
             SpiderCraneParams(**params)
+    # the manipulator's by the same rule: rho = sqrt(M / m) overflows at m = 1e-320,
+    # a3 = sqrt(M + m) at M = m = 1e308, and a2 vanishes at l = 0
+    for params in [dict(m=1e-320), dict(M=1e308, m=1e308), dict(l=0.0), dict(I=-1.0),
+                   dict(M=-1.0), dict(l=np.inf)]:
+        with pytest.raises(ModelError, match="factor constants"):
+            ManipulatorParams(**params)
+    # a link of 1e308 keeps its constants finite; its integral map overflows (test_geometry)
+    long_link = manipulator_constants(ManipulatorParams(l=1e308))
+    assert all(0 < k < np.inf for k in long_link)
+    # the factory reads the constants it checks: T^-1's constant entries are a2, a3 and sqrt(I)
+    params = ManipulatorParams(I=2.0, M=3.0, m=0.5, l=0.7)
+    a2, a3, rho, sI = manipulator_constants(params)
+    Tinv = make_planar_manipulator(params).factor_inverse(np.zeros(4))
+    assert (Tinv[0, 0], Tinv[1, 1], Tinv[2, 2], Tinv[3, 3], Tinv[3, 0]) == (sI, a2, a3, a3,
+                                                                           -a2 * rho)
