@@ -98,11 +98,15 @@ def factor_structure(model: MechanicalModel, q) -> Tuple[Array, Array]:
 def swapped_from_brackets(br: Array, pbar) -> Array:
     """Jbar[j, k] = -pbar^T br[j, :, k], contracting whichever bracket tensor br it is given.
 
-    gyro_swapped passes the frame brackets B = T^-1 [T_i, T_j], which give
-    the gyroscopic Jbar(q, pbar); ScaledObserver passes the bare brackets
-    factor_brackets(model, q) (module docstring).
+    br, pbar or both may be stacks, (k, n, n, n) and (k, n) in C order; each row gets the bits
+    of its np.tensordot contraction alone.  gyro_swapped passes the frame brackets
+    B = T^-1 [T_i, T_j], which give the gyroscopic Jbar(q, pbar); ScaledObserver passes the
+    bare brackets factor_brackets(model, q) (module docstring).
     """
-    return -np.tensordot(np.asarray(pbar, dtype=float), br, axes=(0, 1))
+    n = br.shape[-1]
+    rows = np.swapaxes(br, -3, -2).reshape(br.shape[:-3] + (n, n * n))
+    jbar = -np.vecmat(np.asarray(pbar, dtype=float), rows)
+    return jbar.reshape(jbar.shape[:-1] + (n, n))
 
 
 def _frame_brackets(model: MechanicalModel, q) -> Array:

@@ -191,8 +191,8 @@ class MechanicalModel:
     stack must equal the value of its position alone, bit for bit.
     factor_inverse, factor_jacobian and the geometry checks then take
     stacks too, so central_differences, the structural checks and the
-    scaled observer make one evaluator call per stack of positions.  minv,
-    potential, grad_potential and input_matrix take one position.
+    scaled observer make one evaluator call per stack of positions.  minv, potential,
+    grad_potential and input_matrix need take one position (the crane's minv takes stacks too).
     """
 
     n: int

@@ -13,8 +13,9 @@ vanish with the copy errors, and the scaling dynamics absorb their effect.
 Jbar comes from the brackets of the factor's columns, as in the factored
 coordinates of Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC
 55(5), 2010); a derivative evaluates each position's T^-1 and brackets once,
-and a lockstep group on commuting columns steps its rows through one stack
-kernel, _ScaledStack.derivative.  A series' read-out is one _structures call.
+in stacks, and forms their H's with one Jbar contraction and one stacked
+matmul (_h).  A lockstep group on commuting columns steps its rows through one
+stack kernel, _ScaledStack.derivative.  A series' read-out is one _structures call.
 The disturbance estimate's proportional term q / r^2 couples the estimate
 to the scaling factor, which is what makes constant disturbances
 rejectable here.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +103,7 @@ class ScaledObserver:
         self.dim = 4 * model.n + 1
         self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
         self._psi_m = self.psi  # psi shaped to scale T^-1(qbar) of every row
+        self._psi_eye = self.psi * np.eye(self.n)
 
     def _stacked(self, observers, q0):
         """The observers' _ScaledStack, or None when rows must run one by one: on non-commuting
@@ -119,28 +121,26 @@ class ScaledObserver:
 
     # -- mappings ----------------------------------------------------------
 
-    def _structures(self, xs) -> list:
-        """(T^-1(x), factor-column brackets at x or None when columns commute) for each x in xs.
-
-        One factor_inverse call on the stack xs if columns commute, else one factor_structure call.
-        """
+    def _structures(self, xs) -> Tuple[Array, Optional[Array]]:
+        """Stacks of T^-1 and of the factor-column brackets (None if columns commute) at each x in
+        xs: one factor_inverse call if columns commute, else one factor_structure call."""
         xs = np.array(xs)
         if self.model.zrs:
-            return [(Tinv, None) for Tinv in self.model.factor_inverse(xs)]
-        return list(zip(*geometry.factor_structure(self.model, xs)))
+            return self.model.factor_inverse(xs), None
+        return geometry.factor_structure(self.model, xs)
 
     def _h(self, structure, p) -> Array:
-        """H(x, p) = (psi I + Jbar(x, p)) T^-1(x), from the _structures entry of x."""
+        """H(x, p) = (psi I + Jbar(x, p)) T^-1(x) per x of a _structures stack, p one or many."""
         Tinv, br = structure
         if br is None:
             return self.psi * Tinv
-        return (self.psi * np.eye(self.n) + swapped_from_brackets(br, p)) @ Tinv
+        return (self._psi_eye + swapped_from_brackets(br, p)) @ Tinv
 
     def mapping_h(self, q, phat) -> Array:
         """H(q, phat) = (psi I + Jbar(q, phat)) T^-1(q), or per row of stacks: one _structures."""
         q, n = np.asarray(q, dtype=float), self.n
-        rows = zip(self._structures(q.reshape(-1, n)), np.reshape(phat, (-1, n)))
-        return np.reshape([self._h(s, p) for s, p in rows], q.shape[:-1] + (n, n))
+        h = self._h(self._structures(q.reshape(-1, n)), np.reshape(phat, (-1, n)))
+        return h.reshape(q.shape[:-1] + (n, n))
 
     def _towards_q(self, qbar, q) -> Array:
         """The positions besides qbar where derivative and delta_bounds read H(., phat), first axis.
@@ -171,10 +171,11 @@ class ScaledObserver:
         that exact slope, doubled likewise (the value the sampled secant gave).
         """
         q, qbar, phat, pbar = (np.asarray(a, dtype=float) for a in (q, qbar, phat, pbar))
-        s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
-        h_bp = self._h(s_bar, phat)
-        return self._bounds(q - qbar, h_bp, [self._h(s, phat) for s in towards_q],
-                            h_bp - self._h(s_bar, pbar), phat - pbar)
+        tinv, br = self._structures([qbar, *self._towards_q(qbar, q)])
+        at = np.r_[0, : len(tinv)]  # qbar towards pbar, then qbar and _towards_q's towards phat
+        ps = np.repeat([pbar, phat], [1, len(tinv)], axis=0)  # C order: strided rows round apart
+        h = self._h((tinv[at], None if br is None else br[at]), ps)
+        return self._bounds(q - qbar, h[1], h[2:], h[1] - h[0], phat - pbar)
 
     def _bounds(self, e_q, h_bp, h_towards_q, delta_p, e_p) -> Tuple[float, float]:
         """delta_bounds from e_q, H(qbar, phat), H(., phat) at _towards_q, delta_p and e_p.
@@ -268,7 +269,7 @@ class ScaledObserver:
         Commuting-factor models with analytic factor derivatives get the
         exact chain rule through T^-1, per row of a stack; anything else
         falls back to a directional central difference with step 1e-6, whose
-        two points get their structures from one _structures call.
+        two points get their structures and H's from one _structures and one _h call.
         """
         model = self.model
         if model.zrs and model.factor_jac is not None:
@@ -281,8 +282,8 @@ class ScaledObserver:
             return np.zeros((self.n, self.n))
         uq, up = qbar_dot / scale, pbar_dot / scale
         tau = _FD_STEP
-        s_plus, s_minus = self._structures([qbar + tau * uq, qbar - tau * uq])
-        plus, minus = self._h(s_plus, pbar + tau * up), self._h(s_minus, pbar - tau * up)
+        structures = self._structures([qbar + tau * uq, qbar - tau * uq])
+        plus, minus = self._h(structures, [pbar + tau * up, pbar - tau * up])
         return scale * (plus - minus) / (2.0 * tau)
 
     def derivative(self, z, terms: StageTerms) -> Array:
@@ -290,8 +291,10 @@ class ScaledObserver:
 
         On commuting columns H = psi T^-1 comes from one factor_inverse call at qbar, then one at
         _towards_q's positions.  Otherwise the structures come from two _structures calls: qbar
-        with _towards_q's, then the H-rate points.  The spectral norms of T(q), H(qbar, pbar),
-        delta_q T(q) and, for non-commuting columns, delta_p T(q) come from one stacked SVD.
+        with _towards_q's, then the H-rate points; Jbar(., phat) at qbar and at _towards_q's
+        positions comes from one contraction, their H's from one stacked matmul.  The spectral
+        norms of T(q), H(qbar, pbar), delta_q T(q) and, for non-commuting columns, delta_p T(q)
+        come from one stacked SVD.
         """
         model, n, mv = self.model, self.n, np.matvec
         q, T = terms.q, terms.T
@@ -309,9 +312,9 @@ class ScaledObserver:
                 h_towards_q = self.psi * model.factor_inverse(towards)
                 h_q = h_towards_q[-1] if len(towards) else h_bp
         else:
-            s_bar, *towards_q = self._structures([qbar, *self._towards_q(qbar, q)])
-            tinv_bar = s_bar[0]
-            h_bb = self._h(s_bar, pbar)
+            tinv, br = self._structures([qbar, *self._towards_q(qbar, q)])
+            tinv_bar = tinv[0]
+            h_bb = self._h((tinv_bar, br[0]), pbar)
         phat = p_i + h_bb @ q
         r2 = r**2
         dhat = d_i + q / r2
@@ -321,12 +324,11 @@ class ScaledObserver:
         if model.zrs:
             gyro_term, delta_p, normed = 0.0, None, [T, h_bb, (h_q - h_bp) @ T]
         else:
-            h_bp = self._h(s_bar, phat)
+            jbar = swapped_from_brackets(br, phat)  # at qbar, then _towards_q's positions, q last
+            h = (self._psi_eye + jbar) @ tinv
+            h_bp, h_towards_q, h_q = h[0], h[1:], h[-1]  # h_q is h_bp when qbar is q
             # J(q, phat) phat, read through the swap identity J(q, p) b = Jbar(q, b) p
-            s_q = towards_q[-1] if towards_q else s_bar
-            gyro_term = swapped_from_brackets(s_q[1], phat) @ phat
-            h_towards_q = [self._h(s, phat) for s in towards_q]  # the last one at q
-            h_q = h_towards_q[-1] if towards_q else h_bp
+            gyro_term = jbar[-1] @ phat
             delta_p = h_bp - h_bb
             normed = [T, h_bb, (h_q - h_bp) @ T, delta_p @ T]
 

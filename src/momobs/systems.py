@@ -9,7 +9,8 @@ so it exercises the failure path of the structural checks.
 Every factory keeps MechanicalModel's stack contract, (k, n) in and (k, ...)
 out, each row bit for bit its position's value alone: the closed forms are
 elementwise trig and arithmetic on the stack's columns, in copies of
-constant templates (_per_position).
+constant templates (_per_position).  The crane's M^-1 squares by float_power,
+a numpy float's ** 2 (libm pow) where an array's would multiply and round otherwise.
 """
 
 from __future__ import annotations
@@ -212,8 +213,8 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
     Uses the upper-triangular factor whose third row is constant, so the
     cable-angle friction coefficient can be estimated.  The two gantry
     forces are the inputs.  The potential is the pendulum term
-    m g L3 (1 - cos q3); the ring moves in a horizontal plane.  T, T^-1, dT
-    and the integral map take (k, 3) stacks (module docstring).
+    m g L3 (1 - cos q3); the ring moves in a horizontal plane.  M^-1, T,
+    T^-1, dT and the integral map take (k, 3) stacks (module docstring).
     """
     p = params
     a, b, c = crane_constants(p)
@@ -221,16 +222,19 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
     alm = a * p.L3 * p.m
     G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
+    den, rl = (p.m_r + p.m) * p.m_r, p.L3 * p.m_r
+
     def minv(q):
-        s3, c3 = np.sin(q[2]), np.cos(q[2])
-        den = (p.m_r + p.m) * p.m_r
-        return np.array(
-            [
-                [(p.m_r + p.m * c3**2) / den, p.m * c3 * s3 / den, -c3 / (p.L3 * p.m_r)],
-                [p.m * c3 * s3 / den, (p.m_r + p.m * s3**2) / den, -s3 / (p.L3 * p.m_r)],
-                [-c3 / (p.L3 * p.m_r), -s3 / (p.L3 * p.m_r), (p.m_r + p.m) / (p.m_r * p.L3**2 * p.m)],
-            ]
-        )
+        q = np.asarray(q, dtype=float)
+        s3, c3 = np.sin(q[..., 2]), np.cos(q[..., 2])
+        M = np.empty(q.shape + (3,))
+        M[..., 0, 0] = (p.m_r + p.m * np.float_power(c3, 2.0)) / den
+        M[..., 1, 1] = (p.m_r + p.m * np.float_power(s3, 2.0)) / den
+        M[..., 2, 2] = (p.m_r + p.m) / (p.m_r * p.L3**2 * p.m)
+        M[..., 0, 1] = M[..., 1, 0] = p.m * c3 * s3 / den
+        M[..., 0, 2] = M[..., 2, 0] = -c3 / rl
+        M[..., 1, 2] = M[..., 2, 1] = -s3 / rl
+        return M
 
     T_const = np.array([[a, 0.0, 0.0], [0.0, a, 0.0], [0.0, 0.0, c]])
     Tinv_const = np.array([[1.0 / a, 0.0, 0.0], [0.0, 1.0 / a, 0.0], [0.0, 0.0, 1.0 / c]])
@@ -286,25 +290,14 @@ def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) 
     T^-1's Lipschitz constant) is cleared.  The factor's columns do not
     commute, so this model has no integral map and fails the structural
     checks; it exists to demonstrate that the factor choice matters.
-    Without closed forms it follows the stack contract: factor maps a (k, 3)
-    stack of positions to (k, 3, 3).
+    Without closed forms it follows the stack contract: factor is
+    np.linalg.cholesky of the crane's minv, which maps a (k, 3) stack of
+    positions to (k, 3, 3) in one call (module docstring).
     """
     base = make_spider_crane(params)
-
-    def factor(q):
-        # M^-1 depends on q3 alone: the scalar minv runs once per distinct q3
-        # (told apart by bit pattern), then one batched cholesky; a broadcast
-        # minv would square through a different routine and move the last bit
-        q = np.asarray(q, dtype=float)
-        rows = q.reshape(-1, 3)
-        bits = rows[:, 2].view(np.int64).tolist()
-        slot = {}
-        which = [slot.setdefault(b, len(slot)) for b in bits]
-        minv = np.array([base.minv(rows[bits.index(b)]) for b in slot])
-        return np.linalg.cholesky(minv[which]).reshape(q.shape + (3,))
-
-    return replace(base, factor=factor, factor_inv=None, integral_map=None, factor_jac=None,
-                   lip_factor_inv=None, name="spider-crane-cholesky")
+    return replace(base, factor=lambda q: np.linalg.cholesky(base.minv(q)), factor_inv=None,
+                   integral_map=None, factor_jac=None, lip_factor_inv=None,
+                   name="spider-crane-cholesky")
 
 
 def _constant_inertia_by_keys(M=((1.0, 0.0), (0.0, 1.0)), K=None, friction=None,

@@ -1,5 +1,6 @@
 """Reference computations that only the tests read: a generic RK4 solve, the inverse momenta
-transform, prop1's velocity quadratic forms and an observer start on the invariant manifold."""
+transform, prop1's velocity quadratic forms, an observer start on the invariant manifold and
+the bracket contraction at one position by np.tensordot."""
 
 import numpy as np
 
@@ -32,6 +33,11 @@ def velocity_quadratics(model):
     kappa = model.friction.unknown_indices
     rows = model.factor(np.zeros(model.n))[kappa, :]
     return np.einsum("ka,kb->kab", rows, rows)
+
+
+def swapped_by_tensordot(br, pbar):
+    """swapped_from_brackets at one position, -pbar^T br[j, :, k], as np.tensordot sums it."""
+    return -np.tensordot(np.asarray(pbar, dtype=float), br, axes=(0, 1))
 
 
 def momenta_untransform(model, q, p):

@@ -167,6 +167,12 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
         # H is affine in momenta, so the momenta bound is the doubled exact slope
         exact = 2.0 * np.linalg.norm(dp, 2) / np.linalg.norm(pbar - phat)
         assert bound_p == pytest.approx(exact, rel=1e-12)
+        # the stacked H's have the bits of each H formed at its position alone
+        h_bp = obs.mapping_h(qbar, phat)
+        towards_q = [obs.mapping_h(x, phat) for x in obs._towards_q(qbar, q)]
+        delta_p = h_bp - obs.mapping_h(qbar, pbar)
+        alone = obs._bounds(q - qbar, h_bp, towards_q, delta_p, phat - pbar)
+        assert np.array(alone).tobytes() == np.array((bound_q, bound_p)).tobytes()
     # coincident arguments give zero bounds
     assert obs.delta_bounds(q, q, phat, phat) == (0.0, 0.0)
 
@@ -198,12 +204,13 @@ def counting(model, calls, attrs=("factor", "factor_inv", "factor_jac")):
         # H-rate points after the gains.  T(q) is a stage term, evaluated outside
         # the derivative and shared with the plant.  Each H
         # is formed once: at (qbar, pbar), at (qbar, phat), at the samples and q
-        # towards phat and at the two H-rate points, one Jbar contraction each,
-        # plus the gyro term's Jbar(q, phat).
-        ("cholesky_known", False,
-         {"factor": [11 * 7, 2 * 7], "brackets": 2, "swapped": 14 + 1}),
+        # towards phat and at the two H-rate points, in three Jbar contractions:
+        # at (qbar, pbar), one stack towards phat at qbar, the samples and q (the
+        # gyro term reads Jbar(q, phat) as its last entry), and one stack at the
+        # two H-rate points.
+        ("cholesky_known", False, {"factor": [11 * 7, 2 * 7], "brackets": 2, "swapped": 3}),
         # qbar = q: no secant sample, so the first stack holds qbar alone
-        ("cholesky_known", True, {"factor": [7, 2 * 7], "brackets": 2, "swapped": 4 + 1}),
+        ("cholesky_known", True, {"factor": [7, 2 * 7], "brackets": 2, "swapped": 3}),
         # commuting columns, analytic dT and a Lipschitz bound: T^-1 at qbar and
         # q, dT at qbar for the exact H-rate, no factor call and no bracket at all
         ("crane_known", False,

@@ -19,9 +19,15 @@ from momobs import (
     StructureError,
     regressor_matrices,
 )
-from momobs.geometry import FD_STEP, factor_structure
+from momobs.geometry import FD_STEP, factor_structure, swapped_from_brackets
 from momobs.model import central_differences
 from momobs.systems import manipulator_constants
+
+from oracles import swapped_by_tensordot
+
+# a cable angle whose sin(q3) ** 2 rounds otherwise as an array's x * x than as a numpy
+# float's libm pow
+Q3_SQUARE_APART = 1.0186570831121868
 
 
 def test_constant_identity_inertia():
@@ -202,10 +208,16 @@ def model_evaluators(model):
 @pytest.mark.parametrize("name", ["crane", "manipulator", "const2"])
 def test_stack_matches_each_position(request, name):
     # the stack contract of every shipped closed form: trig and arithmetic over
-    # the stack's columns give each row the bits of its position alone
+    # the stack's columns give each row the bits of its position alone.  The
+    # crane's minv takes stacks too (the Cholesky crane factors it); it squares
+    # by float_power, so a row at Q3_SQUARE_APART catches an array ** 2
     model = request.getfixturevalue(name)
     Q = positions_with_fd_points(model.n, seed=29)
-    assert_stacks_match_each_position(model, Q, model_evaluators(model))
+    evaluators = model_evaluators(model)
+    if name == "crane":
+        Q = np.vstack([Q, [[0.3, -0.2, Q3_SQUARE_APART]]])
+        evaluators["minv"] = model.minv
+    assert_stacks_match_each_position(model, Q, evaluators)
     assert model.factor(Q).flags.c_contiguous and model.factor_inverse(Q).flags.c_contiguous
 
 
@@ -238,13 +250,45 @@ def test_matvec_and_vecmat_round_as_matmul(n):
         assert same(np.vecmat(pairs, layout), [v @ m for m, v in zip(layout, pairs)])
 
 
+def test_numpy_float_square_is_float_power():
+    # the pow rule the crane's minv rests on: a numpy float's ** 2 calls libm pow,
+    # which np.float_power(x, 2.0) calls on a scalar and on every entry of an
+    # array alike, while an array's ** 2 multiplies x * x and rounds otherwise
+    xs = np.concatenate([np.cos(np.random.default_rng(67).uniform(-np.pi, np.pi, 20000)),
+                         [np.sin(Q3_SQUARE_APART)]])
+    scalar_squares = np.array([np.float64(x) ** 2 for x in xs])
+    assert np.float_power(xs, 2.0).tobytes() == scalar_squares.tobytes()
+    assert all(np.float_power(x, 2.0) == s for x, s in zip(xs, scalar_squares))
+    assert np.any(xs * xs != scalar_squares) and np.any(xs**2 != scalar_squares)
+    assert xs[-1] * xs[-1] != scalar_squares[-1]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_bracket_contraction_rounds_as_tensordot(n):
+    # swapped_from_brackets on a (k, n, n, n) stack, with one vector or one per
+    # row, gives each row the bits of the one-position np.tensordot contraction
+    rng = np.random.default_rng(71 + n)
+    k = 500
+    br = rng.normal(size=(k, n, n, n)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1, 1, 1))
+    ps = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+
+    def same(got, expected):
+        return got.tobytes() == np.array(expected).tobytes()  # signs of zero included
+
+    assert same(swapped_from_brackets(br, ps), [swapped_by_tensordot(b, p) for b, p in zip(br, ps)])
+    assert same(swapped_from_brackets(br, ps[0]), [swapped_by_tensordot(b, ps[0]) for b in br])
+    assert same(swapped_from_brackets(br[0], ps), [swapped_by_tensordot(br[0], p) for p in ps])
+    for b, p in zip(br, ps):
+        assert same(swapped_from_brackets(b, p), swapped_by_tensordot(b, p))
+
+
 def test_cholesky_stack_matches_each_position(crane_cholesky):
     # the stack contract, bit for bit: at 200 seeded positions, their
     # central-difference points at the bracket step 1e-5 and a q3 where a
     # broadcast minv would round sin(q3)**2 differently, every stacked
     # evaluation equals the evaluations of its positions one by one
     model = crane_cholesky
-    Q = np.vstack([positions_with_fd_points(3, seed=29), [[0.3, -0.2, 1.0186570831121868]]])
+    Q = np.vstack([positions_with_fd_points(3, seed=29), [[0.3, -0.2, Q3_SQUARE_APART]]])
     evaluators = {
         **model_evaluators(model),
         "central_differences[0]": lambda q: central_differences(model.factor, q, FD_STEP)[0],
