@@ -29,7 +29,10 @@
 # t_final = 1e300 at dt = 1e-300 (an infinite step count) and at dt = 1
 # (more steps than 2**53), run and checked; a constant-inertia config whose
 # K = 1, 2, 3 is not 2 x 2 symmetric, run and checked; the prop1 config at
-# L3 = 1e200, whose factor constants overflow, run and checked; a plant-only
+# L3 = 1e200, whose factor constants overflow, run and checked; the prop2
+# config on the Cholesky crane at m_r = 1e200 and at m = 1e200, whose
+# rounded M^-1 has no Cholesky factor at some sample position (at m = 1e200
+# not at q = 0), run and checked; a plant-only
 # run whose input angle 1e308 t overflows before t_final = 2; the prop1
 # config with an empty entry in q = 0, , 0, 1.0; a prop1 sweep whose
 # index q0[01] has a leading zero; the manipulator at m = 1e-320, whose
@@ -187,7 +190,10 @@ variant cable_overflow spider_crane_prop1.cfg "s/^L3 = .*/L3 = 1e200/"
 variant empty_entry spider_crane_prop1.cfg "s/^q = .*/q = 0, , 0, 1.0/"
 variant input_overflow spider_crane_prop1.cfg "s/^kind = prop1/kind = none/" "/^lambda = /d" \
   "s/^u1 = .*/u1 = 1.0, 1e308, 0.0, cos/" "s/^t_final = .*/t_final = 2/" "s/^dt = .*/dt = 0.5/"
-for refused in steps_inf steps_past_grid bad_stiffness cable_overflow; do
+variant cholesky_heavy_ring spider_crane_prop2.cfg "${cholesky[@]}" "s/^m_r = .*/m_r = 1e200/"
+variant cholesky_heavy_payload spider_crane_prop2.cfg "${cholesky[@]}" "s/^m = .*/m = 1e200/"
+for refused in steps_inf steps_past_grid bad_stiffness cable_overflow cholesky_heavy_ring \
+  cholesky_heavy_payload; do
   record "run_$refused" run "$out/cfg/$refused.cfg" -o "$out/run_$refused"
   record "check_$refused" check "$out/cfg/$refused.cfg"
 done

@@ -31,8 +31,10 @@ strict xfail for that reason.
 
 factor_brackets, factor_structure (T^-1 with the brackets) and check_zrs
 read T and dT from one evaluation, at one position or a (k, n) stack, each
-row bit for bit its position's value: _factor_and_jacobian.  So check_zrs
-evaluates T and dT once per sample set, for its brackets and its rows.
+row bit for bit its position's value: model's _factor_and_jacobian at this
+module's FD_STEP, the helper that also gives the plant's stage terms at
+theirs.  So check_zrs evaluates T and dT once per sample set, for its
+brackets and its rows.
 """
 
 from __future__ import annotations
@@ -44,20 +46,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import MechanicalModel, central_differences, row_norm, solved_inverse
+from .model import (MechanicalModel, _factor_and_jacobian, central_differences, row_norm,
+                    solved_inverse)
 
 Array = np.ndarray
 
 FD_STEP = 1e-5  # central-difference step of every check and bracket here
 STRUCTURE_TOL = 1e-6  # largest bracket norm and integral-map residual that pass
 ROW_TOL = 1e-9  # largest drift of an unknown-friction row of T that passes
-
-
-def _factor_and_jacobian(model: MechanicalModel, q: Array) -> Tuple[Array, Array]:
-    """T and stacked dT/dq_k at q or each row of a stack: factor_jac, else central_differences."""
-    if model.factor_jac is not None:
-        return model.factor(q), model.factor_jac(q)
-    return central_differences(model.factor, q, FD_STEP)
 
 
 def _brackets(T: Array, dT: Array) -> Array:
@@ -81,7 +77,7 @@ def factor_brackets(model: MechanicalModel, q) -> Array:
     is the exact negative of entry [i, j].  q may be a (k, n) stack
     (MechanicalModel's stack contract).
     """
-    return _brackets(*_factor_and_jacobian(model, np.asarray(q, dtype=float)))
+    return _brackets(*_factor_and_jacobian(model, np.asarray(q, dtype=float), FD_STEP))
 
 
 def factor_structure(model: MechanicalModel, q) -> Tuple[Array, Array]:
@@ -90,7 +86,7 @@ def factor_structure(model: MechanicalModel, q) -> Tuple[Array, Array]:
     T^-1 is bit for bit factor_inverse's.
     """
     q = np.asarray(q, dtype=float)
-    T, dT = _factor_and_jacobian(model, q)
+    T, dT = _factor_and_jacobian(model, q, FD_STEP)
     Tinv = solved_inverse(T) if model.factor_inv is None else model.factor_inv(q)
     return Tinv, _brackets(T, dT)
 
@@ -236,7 +232,7 @@ def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionR
     samples = np.array(sample_qs, dtype=float).reshape(-1, n)
     if not len(samples):
         raise ValueError("sample set must be nonempty")
-    T, dT = _factor_and_jacobian(model, samples)
+    T, dT = _factor_and_jacobian(model, samples, FD_STEP)
     # a NaN bracket at any sample makes its pair's maximum NaN
     pair_max = np.linalg.norm(_brackets(T, dT), axis=-1).max(axis=0)
     pair_norms = [(i, j, float(pair_max[i, j])) for i in range(n) for j in range(i + 1, n)]

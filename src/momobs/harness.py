@@ -6,8 +6,8 @@ switch times are snapped onto the step grid and the level is frozen per
 step, so the right-hand side stays smooth inside every step; the loop walks
 an index through the switch times as the steps' midpoints pass them, so a
 run allocates nothing per step up front.  Each RK4 stage evaluates the
-plant terms T(q), grad V(q) and G(q) u once (model.stage_terms), and the
-plant right-hand side and the observer derivative both read them.  The
+plant terms T(q), dT/dq, grad V(q) and G(q) u once (model.stage_terms), and
+the plant right-hand side and the observer derivative both read them.  The
 observer never feeds back into the plant input; enabling it cannot change
 the plant trajectory.
 

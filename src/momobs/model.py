@@ -16,9 +16,12 @@ Friction is a constant diagonal matrix diag(r) acting on velocities; a
 boolean mask marks which coefficients are known.  The unknown ones are
 r_u = r[kappa], read at the ordered index set kappa (unknown_indices).
 
-central_differences is the package's one axis-wise central difference.
-stage_terms evaluates, once per right-hand side, the plant terms at (q, u)
-that the plant and both observers read.
+central_differences is the package's one axis-wise central difference;
+_factor_and_jacobian reads T and dT from one evaluation with it, or from the
+closed forms.  stage_terms evaluates, once per right-hand side, the plant
+terms at (q, u) that the plant and both observers read: T and dT come from
+one _factor_and_jacobian, so a model without factor_jac makes one factor
+call per stage, whose centre row is T(q) bit for bit.
 
 One product rule serves one vector and a stack of them: np.matvec(m, v)
 and np.vecmat(v, m) give each row the bits of the unstacked m @ v and
@@ -37,7 +40,7 @@ import numpy as np
 Array = np.ndarray
 
 _COND_LIMIT = 1e12
-_JACOBIAN_STEP = 1e-6  # central-difference step of factor_jacobian without factor_jac
+_JACOBIAN_STEP = 1e-6  # central-difference step of the plant's dT (stage_terms, factor_jacobian)
 
 
 def central_differences(f: Callable[[Array], Array], q, h: float) -> Tuple[Array, Array]:
@@ -64,10 +67,24 @@ def row_norm(v) -> Array:
     return np.sqrt(np.vecdot(v, v))
 
 
+def _factor_and_jacobian(model: "MechanicalModel", q: Array, h: float) -> Tuple[Array, Array]:
+    """T and stacked dT/dq_k at q or each row of a stack: factor_jac, else central_differences
+    with step h, whose centre row is factor(q) bit for bit."""
+    if model.factor_jac is not None:
+        return model.factor(q), model.factor_jac(q)
+    return central_differences(model.factor, q, h)
+
+
 def solved_inverse(T: Array) -> Array:
-    """T^-1 by solving, for one factor or a stack; a numerically singular one is refused."""
-    if np.any(np.linalg.cond(T) > _COND_LIMIT):
-        raise ModelError("factor is numerically singular at the requested q")
+    """T^-1 by solving, for one factor or a stack; a numerically singular one is refused.
+
+    Refused exactly where np.linalg.cond(T) > 1e12, read from the same singular values: a
+    ratio that is inf or 0 / 0 is refused, and a NaN entry raises LinAlgError in the SVD.
+    """
+    s = np.linalg.svd(T, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not np.all(s[..., 0] / s[..., -1] <= _COND_LIMIT):
+            raise ModelError("factor is numerically singular at the requested q")
     return np.linalg.solve(T, np.eye(T.shape[-1]))
 
 
@@ -246,17 +263,22 @@ def _check_vector(x, n, what) -> Array:
 
 
 class StageTerms(NamedTuple):
-    """The plant terms at one position q and input u: T(q), grad V(q) and G(q) u."""
+    """The plant terms at one position q and input u: T(q), grad V(q), G(q) u and dT/dq_k."""
 
     q: Array
     T: Array
     grad_v: Array
     gu: Array
+    dT: Array
 
 
 def stage_terms(model: MechanicalModel, q: Array, u: Array) -> StageTerms:
-    """StageTerms of the model at q and u, which the plant RHS and the observer derivatives read."""
-    return StageTerms(q, model.factor(q), model.grad_potential(q), model.input_matrix(q) @ u)
+    """StageTerms of the model at q and u, which the plant RHS and the observer derivatives read.
+
+    T and dT come from one _factor_and_jacobian, with factor_jacobian's step.
+    """
+    T, dT = _factor_and_jacobian(model, q, _JACOBIAN_STEP)
+    return StageTerms(q, T, model.grad_potential(q), model.input_matrix(q) @ u, dT)
 
 
 def plant_derivative(model: MechanicalModel, state: GeneralizedState, u, d):
@@ -283,8 +305,7 @@ def _plant_rhs(model, terms: StageTerms, mom, d):
     T = terms.T
     p = T.T @ mom
     qdot = T @ p  # M^-1 mom through the factor
-    dT = model.factor_jacobian(terms.q)
-    kinetic_grad = (dT @ p) @ mom
+    kinetic_grad = (terms.dT @ p) @ mom
     momdot = -terms.grad_v - kinetic_grad - model.friction.coeffs * qdot + terms.gu + d
     return qdot, momdot
 

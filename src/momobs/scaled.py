@@ -14,8 +14,13 @@ Jbar comes from the brackets of the factor's columns, as in the factored
 coordinates of Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC
 55(5), 2010); a derivative evaluates each position's T^-1 and brackets once,
 in stacks, and forms their H's with one Jbar contraction and one stacked
-matmul (_h).  A lockstep group on commuting columns steps its rows through one
-stack kernel, _ScaledStack.derivative.  A series' read-out is one _structures call.
+matmul (_h).  Every spectral norm the gain schedule reads, the secant
+differences of bound_q and delta_p's included, comes from one stacked SVD per
+derivative or delta_bounds call (_spectral_norms): the gufunc factors each
+matrix of a stack alone, so each norm keeps the bits of its own
+np.linalg.norm(x, 2).  A lockstep group on commuting columns steps its rows
+through one stack kernel, _ScaledStack.derivative.  A series' read-out is one
+_structures call.
 The disturbance estimate's proportional term q / r^2 couples the estimate
 to the scaling factor, which is what makes constant disturbances
 rejectable here.
@@ -41,6 +46,11 @@ _FD_STEP = 1e-6
 _BOUND_SAFETY = 2.0
 _SECANT_TAUS = np.linspace(0.1, 1.0, 10)  # bound_q's samples along qbar -> q
 _ZERO, _ONE = np.float64(0.0), np.float64(1.0)  # powers take numpy floats: overflow gives inf
+
+
+def _spectral_norms(mats) -> Array:
+    """Induced 2-norm of each matrix of a stack, its largest singular value, from one SVD."""
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
 class GainSet(NamedTuple):
@@ -161,7 +171,8 @@ class ScaledObserver:
 
         H(q, phat) - H(qbar, pbar) splits into delta_q = H(q, phat) -
         H(qbar, phat) and delta_p = H(qbar, phat) - H(qbar, pbar); each
-        vanishes when its copy error does.
+        vanishes when its copy error does.  Their spectral norms come from one
+        _spectral_norms call.
 
         Models with commuting factor columns and a Lipschitz constant for
         T^-1 get the sharp analytic bounds (the momenta part is then zero).
@@ -171,14 +182,18 @@ class ScaledObserver:
         that exact slope, doubled likewise (the value the sampled secant gave).
         """
         q, qbar, phat, pbar = (np.asarray(a, dtype=float) for a in (q, qbar, phat, pbar))
+        if self._analytic_bounds:  # psi times T^-1's Lipschitz constant, read from no H
+            return self._bounds(q - qbar, (), _ZERO, phat - pbar)
         tinv, br = self._structures([qbar, *self._towards_q(qbar, q)])
         at = np.r_[0, : len(tinv)]  # qbar towards pbar, then qbar and _towards_q's towards phat
         ps = np.repeat([pbar, phat], [1, len(tinv)], axis=0)  # C order: strided rows round apart
         h = self._h((tinv[at], None if br is None else br[at]), ps)
-        return self._bounds(q - qbar, h[1], h[2:], h[1] - h[0], phat - pbar)
+        norms = _spectral_norms(np.concatenate([[h[1] - h[0]], h[2:] - h[1]]))
+        return self._bounds(q - qbar, norms[1:], norms[0], phat - pbar)
 
-    def _bounds(self, e_q, h_bp, h_towards_q, delta_p, e_p) -> Tuple[float, float]:
-        """delta_bounds from e_q, H(qbar, phat), H(., phat) at _towards_q, delta_p and e_p.
+    def _bounds(self, e_q, secants, norm_delta_p, e_p) -> Tuple[float, float]:
+        """delta_bounds from e_q, e_p and spectral norms: secants of H(., phat) - H(qbar, phat) at
+        _towards_q's positions (first axis) and norm_delta_p (unread on commuting columns).
 
         bound_q is per row of a stack of e_q on commuting columns, where delta_p vanishes.  The
         largest secant slope skips NaN, as Python's max does: a stacked row at q has only 0 / 0.
@@ -186,18 +201,16 @@ class ScaledObserver:
         if self._analytic_bounds:
             return self.psi * np.float64(self.model.lip_factor_inv), _ZERO
         gap_q = row_norm(e_q)
-        h_towards_q = np.reshape(h_towards_q, (-1,) + h_bp.shape)  # (0, n, n) when there are none
-        secants = np.linalg.svd(h_towards_q - h_bp, compute_uv=False).max(axis=-1)
         taus = _SECANT_TAUS[: len(secants)].reshape((-1,) + (1,) * gap_q.ndim)
         with np.errstate(invalid="ignore"):
             slopes = secants / (taus * gap_q)
         bound_q = _BOUND_SAFETY * np.fmax.reduce(slopes, axis=0, initial=0.0)
         if self.model.zrs:
             return bound_q, _ZERO
-        gap_p = np.linalg.norm(e_p)
+        gap_p = row_norm(e_p)
         if gap_p == 0.0:
             return bound_q, _ZERO
-        return bound_q, _BOUND_SAFETY * np.linalg.norm(delta_p, 2) / gap_p
+        return bound_q, _BOUND_SAFETY * norm_delta_p / gap_p
 
     # -- gain schedule ------------------------------------------------------
 
@@ -277,7 +290,7 @@ class ScaledObserver:
             Tdot = np.vecmat(qbar_dot, dT).reshape(Tinv.shape)
             return -self._psi_m * Tinv @ Tdot @ Tinv
         direction = np.concatenate([qbar_dot, pbar_dot])
-        scale = np.linalg.norm(direction)
+        scale = row_norm(direction)
         if scale == 0.0:
             return np.zeros((self.n, self.n))
         uq, up = qbar_dot / scale, pbar_dot / scale
@@ -293,8 +306,8 @@ class ScaledObserver:
         _towards_q's positions.  Otherwise the structures come from two _structures calls: qbar
         with _towards_q's, then the H-rate points; Jbar(., phat) at qbar and at _towards_q's
         positions comes from one contraction, their H's from one stacked matmul.  The spectral
-        norms of T(q), H(qbar, pbar), delta_q T(q) and, for non-commuting columns, delta_p T(q)
-        come from one stacked SVD.
+        norms of T(q), H(qbar, pbar), delta_q T(q), for non-commuting columns delta_p T(q) and
+        delta_p, and of bound_q's secant differences come from one stacked SVD.
         """
         model, n, mv = self.model, self.n, np.matvec
         q, T = terms.q, terms.T
@@ -322,7 +335,7 @@ class ScaledObserver:
         e_p = pbar - phat
 
         if model.zrs:
-            gyro_term, delta_p, normed = 0.0, None, [T, h_bb, (h_q - h_bp) @ T]
+            gyro_term, normed = 0.0, [T, h_bb, (h_q - h_bp) @ T]
         else:
             jbar = swapped_from_brackets(br, phat)  # at qbar, then _towards_q's positions, q last
             h = (self._psi_eye + jbar) @ tinv
@@ -330,13 +343,16 @@ class ScaledObserver:
             # J(q, phat) phat, read through the swap identity J(q, p) b = Jbar(q, b) p
             gyro_term = jbar[-1] @ phat
             delta_p = h_bp - h_bb
-            normed = [T, h_bb, (h_q - h_bp) @ T, delta_p @ T]
+            normed = [T, h_bb, (h_q - h_bp) @ T, delta_p @ T, delta_p]
 
-        # induced 2-norms, the largest singular values, by index (unpacking costs 1 us more)
-        norms = np.linalg.svd(np.array(normed), compute_uv=False)[:, 0]
+        # induced 2-norms by index (unpacking costs 1 us more), the secant differences last
+        if h_towards_q is None:
+            norms = _spectral_norms(np.array(normed))
+        else:
+            norms = _spectral_norms(np.concatenate([normed, h_towards_q - h_bp]))
         norm_t, norm_h, norm_dq = norms[0], norms[1], norms[2]
-        norm_dp = _ZERO if model.zrs else norms[3]
-        bound_q, bound_p = self._bounds(e_q, h_bp, h_towards_q, delta_p, e_p)
+        norm_dp, norm_delta_p = (_ZERO, None) if model.zrs else (norms[3], norms[4])
+        bound_q, bound_p = self._bounds(e_q, norms[len(normed) :], norm_delta_p, e_p)
         gains = self.gains(r, r2, norm_t**2, norm_h**2, (bound_q**2, bound_p**2))
 
         t_phat = mv(T, phat)
@@ -381,7 +397,8 @@ class _ScaledStack(ScaledObserver):
         """Rates of the (B, dim) stack zs, row b bit for bit observers[b].derivative(zs[b]).
 
         One factor_inverse call on qbar and _towards_q's positions (q last), one stacked SVD of
-        T(q) and each row's H(qbar, pbar) and delta_q T(q); powers are float_power's libm pow.
+        T(q), each row's H(qbar, pbar) and delta_q T(q) and, on the secant path, each row's
+        secant differences; powers are float_power's libm pow.
         """
         model, n, rows, mv, psi_m = self.model, self.n, len(zs), np.matvec, self._psi_m
         q, T = terms.q, terms.T
@@ -399,15 +416,18 @@ class _ScaledStack(ScaledObserver):
         e_q = qbar - q
         e_p = pbar - phat
 
-        norms = np.linalg.svd(np.concatenate([T[None], h_bb, (psi_m * tinv[-1] - h_bb) @ T]),
-                              compute_uv=False)[:, 0]
-        norm_h2, norm_dq2 = np.float_power(norms[1:], 2.0).reshape(2, -1, 1)
+        normed = [T[None], h_bb, (psi_m * tinv[-1] - h_bb) @ T]
         if self._analytic_bounds:
+            norms = _spectral_norms(np.concatenate(normed))
             bounds2 = self._bounds2
-        else:
+        else:  # the secant differences of every row, (sample, row) last
             h_towards_q = psi_m * tinv[rows:].reshape(towards.shape + (n,))
-            bound_q, _ = self._bounds(e_q, h_bb, h_towards_q, None, e_p)
+            secant_diffs = (h_towards_q - h_bb).reshape(-1, n, n)
+            norms = _spectral_norms(np.concatenate([*normed, secant_diffs]))
+            bound_q, _ = self._bounds(e_q, norms[1 + 2 * rows :].reshape(towards.shape[:2]), None,
+                                      e_p)
             bounds2 = np.float_power(bound_q, 2.0)[:, None], _ZERO
+        norm_h2, norm_dq2 = np.float_power(norms[1 : 1 + 2 * rows], 2.0).reshape(2, -1, 1)
         gains = self.gains(r, r2, norms[0] ** 2, norm_h2, bounds2)
 
         t_phat = mv(T, phat)

@@ -20,9 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .geometry import sample_positions
 from .model import FrictionSpec, MechanicalModel, ModelError
 
 Array = np.ndarray
+
+_CHOLESKY_PROBE = sample_positions(3, 30)  # where make_spider_crane_cholesky tries its factor
 
 
 def _per_position(const: Array, q: Array) -> Array:
@@ -293,8 +296,20 @@ def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) 
     Without closed forms it follows the stack contract: factor is
     np.linalg.cholesky of the crane's minv, which maps a (k, 3) stack of
     positions to (k, 3, 3) in one call (module docstring).
+
+    At extreme masses the rounded M^-1 is not positive definite at some
+    positions, though the factor constants are finite and positive, so the
+    factor is tried once on the 30 positions of sample_positions(3, 30), in
+    one call, and refused with a ModelError naming m_r, m and L3 where it fails.
+    q = 0 alone would pass m = 1e200.  The positions are drawn once, at import.
     """
     base = make_spider_crane(params)
+    try:
+        np.linalg.cholesky(base.minv(_CHOLESKY_PROBE))
+    except np.linalg.LinAlgError:
+        raise ModelError("masses m_r, m and cable length L3 must give an M^-1 that rounds to "
+                         "positive definite, got "
+                         f"{params.m_r:g}, {params.m:g}, {params.L3:g}") from None
     return replace(base, factor=lambda q: np.linalg.cholesky(base.minv(q)), factor_inv=None,
                    integral_map=None, factor_jac=None, lip_factor_inv=None,
                    name="spider-crane-cholesky")

@@ -223,10 +223,13 @@ def test_cli_run(tmp_path):
 STEP_OVERFLOWS = [("t_final = 1.0\ndt = 0.002", f"t_final = 1e300\ndt = {dt}", "t_final",
                    "t_final = 1e300") for dt in ("1e-300", "1")]
 
+MAX = repr(sys.float_info.max)
 # model parameters whose factor constants overflow or vanish, on either crane or on the
 # manipulator (in place of the crane's [model] lines), cite the name line
 CRANE = "name = spider-crane\nm_r = 0.5\nm = 1.0\nL3 = 0.5"
 CRANE_MODEL = CRANE + "\ng = 9.81\nfriction = 0, 0, 0.5\nknown = true, true, false"
+CHOLESKY_MASSES = [*(("m_r = 0.5", f"m_r = {v}") for v in ("1e-200", "1e200", "1e308", MAX)),
+                   *(("m = 1.0", f"m = {v}") for v in ("1e200", "1e308", MAX))]
 BAD_FACTOR_CONSTANTS = [
     (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e200"), "L3", "name = spider-crane"),
     (CRANE, CRANE.replace("L3 = 0.5", "L3 = 1e-200"), "L3", "name = spider-crane"),
@@ -236,10 +239,15 @@ BAD_FACTOR_CONSTANTS = [
     # rho = sqrt(M / m) overflows to inf, and a3 = sqrt(M + m) too
     (CRANE_MODEL, "name = manipulator\nm = 1e-320", "m", "name = manipulator"),
     (CRANE_MODEL, "name = manipulator\nM = 1e308\nm = 1e308", "M", "name = manipulator"),
+    # finite, positive factor constants, but the rounded M^-1 has no Cholesky factor at some
+    # sample position (at q = 0 too for the m_r rows, only away from it for the m rows)
+    *((CRANE, CRANE.replace(old, new).replace("crane", "crane-cholesky"), "m_r",
+       "name = spider-crane-cholesky") for old, new in CHOLESKY_MASSES),
 ]
 BAD_FACTOR_CONSTANT_IDS = ["overflowing-cable", "vanishing-cable", "vanishing-masses",
                            "overflowing-cable-cholesky", "light-manipulator-mass",
-                           "heavy-manipulator-masses"]
+                           "heavy-manipulator-masses",
+                           *(f"cholesky-{new.replace(' = ', '-')}" for _, new in CHOLESKY_MASSES)]
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from momobs import (
     plant_derivative,
     transformed_derivative,
 )
-from momobs.model import _plant_rhs, row_norm, stage_terms
+from momobs.model import _plant_rhs, row_norm, solved_inverse, stage_terms
 
 from oracles import momenta_untransform, rk4_solve
 
@@ -272,6 +272,38 @@ def test_factor_inverse_conditioning_guard():
         momenta_untransform(model, np.zeros(2), np.ones(2))
 
 
+def singular_cases():
+    """Factors about np.linalg.cond's 1e12 limit, alone and stacked, by name."""
+    rng = np.random.default_rng(29)
+    good = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+    cases = {"zero": np.zeros((3, 3)), "rank-1": np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0]),
+             "inf-entry": np.diag([1.0, np.inf, 1.0]), "good": good}
+    for scale in (0.5, 0.999999, 1.0, 1.000001, 2.0):
+        cases[f"cond-{scale}e12"] = np.diag([1.0, 1.0, 1.0 / (scale * 1e12)])
+    cases["stack-good"] = np.array([good, np.eye(3), 2.0 * good])
+    cases["stack-mixed"] = np.array([good, cases["cond-2.0e12"], np.eye(3)])
+    cases["stack-mixed-zero"] = np.array([np.zeros((3, 3)), good])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(singular_cases()))
+def test_solved_inverse_refuses_where_cond_does(name):
+    # the gate reads the singular values itself, with cond's rule: a ratio above 1e12,
+    # inf or 0 / 0 refuses the call, whole stack and all
+    T = singular_cases()[name]
+    if np.any(np.linalg.cond(T) > 1e12):
+        with pytest.raises(ModelError, match="numerically singular"):
+            solved_inverse(T)
+    else:
+        assert solved_inverse(T).tobytes() == np.linalg.solve(T, np.eye(3)).tobytes()
+
+
+def test_solved_inverse_nan_entry_raises_linalg_error():
+    for T in (np.diag([1.0, np.nan, 1.0]), np.array([np.eye(3), np.full((3, 3), np.nan)])):
+        with pytest.raises(np.linalg.LinAlgError):
+            solved_inverse(T)
+
+
 def test_obs1_state_packing_roundtrip():
     from momobs import Obs1State
 
@@ -293,10 +325,11 @@ def test_factor_inverse_fallback_matches_closed_form(crane):
         assert np.abs(numeric.factor_inverse(q) - crane.factor_inverse(q)).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 8, 9])
 def test_row_norm_rounds_as_one_vector(n):
     # the read-out's row rule: np.vecdot(v, v) and row_norm give each row of a stack,
-    # also a strided view like a series' columns, the bits of v @ v and np.linalg.norm(v)
+    # also a strided view like a series' columns, the bits of v @ v and np.linalg.norm(v);
+    # 6 and 8 are the lengths of prop2's H-rate direction on the cranes and the manipulator
     rng = np.random.default_rng(71 + n)
     wide = rng.normal(size=(500, 2 * n + 1)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))
     for stack in (wide[:, :n].copy(), wide[:, n + 1 :]):

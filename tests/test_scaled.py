@@ -27,7 +27,7 @@ from momobs import (
 import momobs
 import momobs.cli
 
-from oracles import exact_observer_init
+from oracles import derivative_by_three_calls, delta_bounds_by_three_calls, exact_observer_init
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -167,14 +167,57 @@ def test_delta_bounds_numeric_fallback(cholesky_known):
         # H is affine in momenta, so the momenta bound is the doubled exact slope
         exact = 2.0 * np.linalg.norm(dp, 2) / np.linalg.norm(pbar - phat)
         assert bound_p == pytest.approx(exact, rel=1e-12)
-        # the stacked H's have the bits of each H formed at its position alone
+        # the stacked H's and their stacked SVD have the bits of each H formed at its position
+        # alone and of each norm taken alone
         h_bp = obs.mapping_h(qbar, phat)
-        towards_q = [obs.mapping_h(x, phat) for x in obs._towards_q(qbar, q)]
-        delta_p = h_bp - obs.mapping_h(qbar, pbar)
-        alone = obs._bounds(q - qbar, h_bp, towards_q, delta_p, phat - pbar)
+        secants = [np.linalg.norm(obs.mapping_h(x, phat) - h_bp, 2)
+                   for x in obs._towards_q(qbar, q)]
+        norm_dp = np.linalg.norm(h_bp - obs.mapping_h(qbar, pbar), 2)
+        alone = obs._bounds(q - qbar, np.array(secants), norm_dp, phat - pbar)
         assert np.array(alone).tobytes() == np.array((bound_q, bound_p)).tobytes()
     # coincident arguments give zero bounds
     assert obs.delta_bounds(q, q, phat, phat) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["cholesky_known", "crane_known", "manipulator_known"])
+def test_derivative_and_delta_bounds_match_three_call_oracle(request, name):
+    # one stacked SVD per call gives each spectral norm the bits of its own numpy.linalg call:
+    # 60 seeded states, every sixth with qbar = q and every sixth after those with e_p = 0
+    # (q = 0, so phat = p_i + H(qbar, pbar) 0 = pbar), where delta_bounds gets phat = pbar
+    model = request.getfixturevalue(name)
+    obs = ScaledObserver(model)
+    n, rng = model.n, np.random.default_rng(33)
+    for k in range(60):
+        q, qbar = rng.uniform(-1, 1, (2, n))
+        pbar, p_i, d_i, phat = rng.normal(size=(4, n))
+        if k % 6 == 0:
+            qbar = q.copy()
+        if k % 6 == 1:
+            q, p_i, phat = np.zeros(n), pbar.copy(), pbar.copy()
+        z = Obs2State(qbar, pbar, p_i, d_i, 1.0 + rng.exponential()).pack()
+        terms = stage_terms(model, q, rng.normal(size=model.m))
+        oracle = derivative_by_three_calls(obs, z, terms)
+        assert obs.derivative(z, terms).tobytes() == oracle.tobytes()
+        oracle = delta_bounds_by_three_calls(obs, q, qbar, phat, pbar)
+        bounds = np.array(obs.delta_bounds(q, qbar, phat, pbar))
+        assert bounds.tobytes() == np.array(oracle).tobytes()
+
+
+def test_lockstep_secant_path_matches_three_call_oracle(manipulator_known):
+    # the manipulator has no Lipschitz constant for T^-1, so its lockstep stack takes the secant
+    # path; each row, row 0 at qbar = q, is the three-call derivative of its observer alone
+    observers = [ScaledObserver(manipulator_known, {"psi5_extra": v}) for v in (0.5, 1, 2, 4)]
+    stacked = observers[0]._stacked(observers, np.zeros(4))
+    assert not stacked._analytic_bounds
+    rng = np.random.default_rng(34)
+    for _ in range(15):
+        q = rng.uniform(-1, 1, 4)
+        zs = np.array([obs.state_with(q) + rng.normal(scale=0.3, size=obs.dim)
+                       for obs in observers])
+        zs[0, :4] = q
+        terms = stage_terms(manipulator_known, q, rng.normal(size=2))
+        for obs, z, rate in zip(observers, zs, stacked.derivative(zs, terms)):
+            assert rate.tobytes() == derivative_by_three_calls(obs, z, terms).tobytes()
 
 
 def counting(model, calls, attrs=("factor", "factor_inv", "factor_jac")):
@@ -195,7 +238,7 @@ def counting(model, calls, attrs=("factor", "factor_inv", "factor_jac")):
 
 
 @pytest.mark.parametrize(
-    "name, coincident, expected",
+    "name, coincident, expected, stage",
     [
         # one derivative touches q, qbar, the nine bound_q secant samples strictly
         # between them and the two points of the H-rate difference.  Each position
@@ -207,39 +250,51 @@ def counting(model, calls, attrs=("factor", "factor_inv", "factor_jac")):
         # towards phat and at the two H-rate points, in three Jbar contractions:
         # at (qbar, pbar), one stack towards phat at qbar, the samples and q (the
         # gyro term reads Jbar(q, phat) as its last entry), and one stack at the
-        # two H-rate points.
-        ("cholesky_known", False, {"factor": [11 * 7, 2 * 7], "brackets": 2, "swapped": 3}),
+        # two H-rate points.  Three SVDs: one stack of every spectral norm the
+        # schedule reads, and the singularity gate of each stack's T^-1.  The stage
+        # terms read T(q) and dT from one factor call at q and its 2n shifted points.
+        ("cholesky_known", False,
+         {"factor": [11 * 7, 2 * 7], "brackets": 2, "swapped": 3, "svd": 3}, {"factor": [7]}),
         # qbar = q: no secant sample, so the first stack holds qbar alone
-        ("cholesky_known", True, {"factor": [7, 2 * 7], "brackets": 2, "swapped": 3}),
+        ("cholesky_known", True,
+         {"factor": [7, 2 * 7], "brackets": 2, "swapped": 3, "svd": 3}, {"factor": [7]}),
         # commuting columns, analytic dT and a Lipschitz bound: T^-1 at qbar and
-        # q, dT at qbar for the exact H-rate, no factor call and no bracket at all
+        # q, dT at qbar for the exact H-rate, no factor call and no bracket at all,
+        # and one SVD, of T(q), H(qbar, pbar) and delta_q T(q)
         ("crane_known", False,
-         {"factor": [], "factor_inv": [1, 1], "factor_jac": [1], "brackets": 0, "swapped": 0}),
+         {"factor": [], "factor_inv": [1, 1], "factor_jac": [1], "brackets": 0, "swapped": 0,
+          "svd": 1}, {"factor": [1], "factor_inv": [], "factor_jac": [1]}),
     ],
     ids=["cholesky", "cholesky-coincident", "crane"],
 )
-def test_derivative_structure_once_per_position(request, monkeypatch, name, coincident, expected):
+def test_derivative_structure_once_per_position(request, monkeypatch, name, coincident, expected,
+                                                stage):
     model = request.getfixturevalue(name)
-    calls = {"brackets": 0, "swapped": 0}
+    calls = {"brackets": 0, "swapped": 0, "svd": 0}
     counted = counting(model, calls)
 
     def tallied(key, module, attr):
         evaluate = getattr(module, attr)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls[key] += 1
-            return evaluate(*args)
+            return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, wrapped)
 
     tallied("brackets", momobs.geometry, "_brackets")
     tallied("swapped", momobs.scaled, "swapped_from_brackets")
-    obs = ScaledObserver(counted)
+    # every SVD, by name or inside numpy.linalg (np.linalg.norm(x, 2) and np.linalg.cond)
+    tallied("svd", np.linalg, "svd")
+    tallied("svd", np.linalg._linalg, "svd")
     rng = np.random.default_rng(14)
     q = rng.uniform(-1, 1, 3)
     qbar = q.copy() if coincident else rng.uniform(-1, 1, 3)
     z = Obs2State(qbar, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), 1.3).pack()
-    obs.derivative(z, stage_terms(model, q, np.array([0.3, 0.1])))  # terms of the uncounted model
+    stage_calls = {}
+    terms = stage_terms(counting(model, stage_calls), q, np.array([0.3, 0.1]))
+    assert stage_calls == stage
+    ScaledObserver(counted).derivative(z, terms)
     assert calls == expected
 
 
@@ -274,8 +329,8 @@ def spy_factor_and_jacobian(monkeypatch, calls):
     """Record in calls["T and dT"] the positions of each geometry._factor_and_jacobian call."""
     evaluate = momobs.geometry._factor_and_jacobian
     calls["T and dT"] = []
-    monkeypatch.setattr(momobs.geometry, "_factor_and_jacobian",
-                        lambda model, q: calls["T and dT"].append(len(q)) or evaluate(model, q))
+    monkeypatch.setattr(momobs.geometry, "_factor_and_jacobian", lambda model, q, h:
+                        calls["T and dT"].append(len(q)) or evaluate(model, q, h))
 
 
 def test_adaptive_setup_one_evaluator_call_per_stack(crane, monkeypatch):
