@@ -36,7 +36,9 @@
 # run whose input angle 1e308 t overflows before t_final = 2; the prop1
 # config with an empty entry in q = 0, , 0, 1.0; a prop1 sweep whose
 # index q0[01] has a leading zero; the manipulator at m = 1e-320, whose
-# factor constant rho = sqrt(M / m) overflows, run and checked; and the prop1
+# factor constant rho = sqrt(M / m) overflows, run and checked; the
+# manipulator at M = 1e-320 and the constant model at M = 1e-320, 0; 0, 1,
+# whose factor is finite but T T^T = M^-1 overflows, run and checked; and the prop1
 # config naming a directory in [output], run with -o (the caller alone says
 # where a run writes).
 # And more diverging runs (exit 3, one line of stderr): the r = 1e155
@@ -206,6 +208,14 @@ sed -e "/^name = manipulator/a m = 1e-320" "$out/cfg/manipulator.cfg" \
 record run_manipulator_light_mass run "$out/cfg/manipulator_light_mass.cfg" \
   -o "$out/run_manipulator_light_mass"
 record check_manipulator_light_mass check "$out/cfg/manipulator_light_mass.cfg"
+sed -e "/^name = manipulator/a M = 1e-320" "$out/cfg/manipulator.cfg" \
+  > "$out/cfg/manipulator_light_link_mass.cfg"
+record run_manipulator_light_link_mass run "$out/cfg/manipulator_light_link_mass.cfg" \
+  -o "$out/run_manipulator_light_link_mass"
+record check_manipulator_light_link_mass check "$out/cfg/manipulator_light_link_mass.cfg"
+sed -e "s/^M = .*/M = 1e-320, 0; 0, 1/" "$out/cfg/constant_r.cfg" > "$out/cfg/constant_light_mass.cfg"
+record run_constant_light_mass run "$out/cfg/constant_light_mass.cfg" -o "$out/run_constant_light_mass"
+record check_constant_light_mass check "$out/cfg/constant_light_mass.cfg"
 sed -e "/^\[output\]/a directory = ." "$out/cfg/prop1.cfg" > "$out/cfg/output_directory.cfg"
 record run_output_directory run "$out/cfg/output_directory.cfg" -o "$out/run_output_directory"
 

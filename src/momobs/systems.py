@@ -11,11 +11,17 @@ out, each row bit for bit its position's value alone: the closed forms are
 elementwise trig and arithmetic on the stack's columns, in copies of
 constant templates (_per_position).  The crane's M^-1 squares by float_power,
 a numpy float's ** 2 (libm pow) where an array's would multiply and round otherwise.
+
+One rule says what a model may be, and every factory returns through it
+(_probed): T, T T^T = M^-1 and any closed-form T^-1 must be formed and finite
+at the 30 structural samples.  The params refuse only masses, lengths and I
+that are not positive: the factor stays finite at L3 < 0 or l < 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +30,6 @@ from .geometry import sample_positions
 from .model import FrictionSpec, MechanicalModel, ModelError
 
 Array = np.ndarray
-
-_CHOLESKY_PROBE = sample_positions(3, 30)  # where make_spider_crane_cholesky tries its factor
 
 
 def _per_position(const: Array, q: Array) -> Array:
@@ -37,21 +41,51 @@ def _per_position(const: Array, q: Array) -> Array:
     return out
 
 
-def _refuse_bad_constants(constants_of, params, rule: str):
-    """ModelError citing rule and the values unless each constants_of(params) is finite and > 0."""
-    with np.errstate(all="ignore"):  # np.float64 overflows to inf where Python floats raise
-        constants = constants_of(params)
-    if not all(0 < k < np.inf for k in constants):  # NaN fails too
-        got = ", ".join(f"{k:g}" for k in constants)
-        raise ModelError(f"{rule}, got {got}")
+@cache
+def _structural_samples(n: int) -> Array:
+    """sample_positions(n, 30), the positions the prop1 observer checks, drawn once per n."""
+    return sample_positions(n, 30)
+
+
+def _probed(model: MechanicalModel, cited: str) -> MechanicalModel:
+    """model, once T, T T^T = M^-1 and any closed-form T^-1 are formed and finite at the samples.
+
+    One stacked call of factor (and factor_inv) on _structural_samples(n); a
+    LinAlgError (no Cholesky factor), an ArithmeticError (a Python float that
+    overflows or divides by zero) or a value that is not finite gives a ModelError
+    citing cited.  Nothing is solved, so a finite but numerically singular T passes:
+    an observer refuses it where it solves for T^-1.  Each factory runs under
+    np.errstate(all="ignore"), so a refusal warns of nothing on the way.
+    """
+    q = _structural_samples(model.n)
+    try:
+        T = model.factor(q)
+        values = [T, T @ T.mT] + ([] if model.factor_inv is None else [model.factor_inv(q)])
+        if all(np.isfinite(v).all() for v in values):
+            return model
+    except (np.linalg.LinAlgError, ArithmeticError):
+        pass
+    raise ModelError("the factor T, T T^T = M^-1 and any closed-form T^-1 must be formed and "
+                     f"finite at the 30 structural sample positions, got {cited}")
+
+
+def _values(params, *names: str) -> str:
+    """'name = value, ...' of the named fields of params."""
+    return ", ".join(f"{k} = {float(getattr(params, k))!r}" for k in names)
+
+
+def _refuse_nonpositive(params, what: str, *names: str):
+    """ModelError citing the named fields of params unless each is > 0 (NaN fails too)."""
+    if not all(getattr(params, k) > 0 for k in names):
+        raise ModelError(f"{what} must be positive, got {_values(params, *names)}")
 
 
 @dataclass(frozen=True)
 class SpiderCraneParams:
     """Gantry ring of mass m_r moving in its plane, payload m on a cable L3.
 
-    Refused unless the factor constants a, b and c (crane_constants) are finite and positive,
-    which needs positive masses and cable length.
+    Refused unless m_r, m and L3 are positive; the factories refuse the values
+    whose factor is not finite (module docstring).
     """
 
     m_r: float = 0.5
@@ -62,15 +96,15 @@ class SpiderCraneParams:
     known_mask: Sequence[bool] = (True, True, False)
 
     def __post_init__(self):
-        _refuse_bad_constants(crane_constants, self, "masses m_r, m and cable length L3 must be "
-                              "positive, and the factor constants a, b, c finite and positive")
+        _refuse_nonpositive(self, "masses m_r, m and cable length L3", "m_r", "m", "L3")
 
 
 @dataclass(frozen=True)
 class ManipulatorParams:
     """Planar redundant manipulator with one elastic degree of freedom.
 
-    Refused unless its factor constants (manipulator_constants) are finite and positive.
+    Refused unless I, M, m and l are positive; make_planar_manipulator refuses
+    the values whose factor is not finite (module docstring).
     """
 
     I: float = 1.0
@@ -81,11 +115,10 @@ class ManipulatorParams:
     known_mask: Sequence[bool] = (False, False, True, True)
 
     def __post_init__(self):
-        _refuse_bad_constants(manipulator_constants, self, "physical constants I, M, m and l must "
-                              "be positive, and the factor constants a2, a3, rho, sqrt(I) "
-                              "finite and positive")
+        _refuse_nonpositive(self, "physical constants I, M, m and l", "I", "M", "m", "l")
 
 
+@np.errstate(all="ignore")  # the probe refuses inf and NaN, with no warning on the way
 def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> MechanicalModel:
     """Linear mass-spring system with constant inertia M and stiffness K.
 
@@ -111,7 +144,7 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
     if friction is None:
         friction = FrictionSpec(np.zeros(n), np.zeros(n, dtype=bool))
     G = np.eye(n)
-    return MechanicalModel(
+    return _probed(MechanicalModel(
         n=n,
         m=n,
         minv=lambda q: minv,
@@ -125,15 +158,10 @@ def make_constant_inertia(M, K, friction: FrictionSpec | None = None) -> Mechani
         factor_jac=lambda q: np.zeros(q.shape[:-1] + (n, n, n)),
         lip_factor_inv=0.0,
         name="constant",
-    )
+    ), f"M = {M.tolist()}")
 
 
-def manipulator_constants(params: ManipulatorParams):
-    """a2, a3, rho and sqrt(I), the constants of the manipulator's factor; inf, 0 or NaN if none."""
-    I, M, m, l = (np.float64(k) for k in (params.I, params.M, params.m, params.l))
-    return np.sqrt(M * m) * l / np.sqrt(m + M), np.sqrt(M + m), np.sqrt(M / m), np.sqrt(I)
-
-
+@np.errstate(all="ignore")  # as make_constant_inertia
 def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> MechanicalModel:
     """4-dof underactuated manipulator with an elastic joint.
 
@@ -144,7 +172,9 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
     parameters we do not fix); structural identities are what it is for.
     T, T^-1, dT and the integral map take (k, 4) stacks (module docstring).
     """
-    a2, a3, rho, sI = manipulator_constants(params)
+    I, M, m, l = (np.float64(k) for k in (params.I, params.M, params.m, params.l))  # inf, no raise
+    a2, a3 = np.sqrt(M * m) * l / np.sqrt(m + M), np.sqrt(M + m)
+    rho, sI = np.sqrt(M / m), np.sqrt(I)
     T_const = np.diag([1.0 / sI, 1.0 / a2, 1.0 / a3, 1.0 / a3])
     T_const[1, 0] = -1.0 / sI
     Tinv_const = np.diag([sI, a2, a3, a3])
@@ -185,7 +215,7 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
         return T @ T.T
 
     G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    return MechanicalModel(
+    return _probed(MechanicalModel(
         n=4,
         m=2,
         minv=minv,
@@ -198,7 +228,7 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
         integral_map=integral_map,
         factor_jac=factor_jac,
         name="manipulator",
-    )
+    ), _values(params, "I", "M", "m", "l"))
 
 
 def crane_constants(params: SpiderCraneParams):
@@ -210,15 +240,8 @@ def crane_constants(params: SpiderCraneParams):
     return a, b, c
 
 
-def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> MechanicalModel:
-    """2D spider crane: gantry ring plus pendulum payload on a fixed cable.
-
-    Uses the upper-triangular factor whose third row is constant, so the
-    cable-angle friction coefficient can be estimated.  The two gantry
-    forces are the inputs.  The potential is the pendulum term
-    m g L3 (1 - cos q3); the ring moves in a horizontal plane.  M^-1, T,
-    T^-1, dT and the integral map take (k, 3) stacks (module docstring).
-    """
+def _spider_crane(params: SpiderCraneParams) -> MechanicalModel:
+    """make_spider_crane's model, before its probe."""
     p = params
     a, b, c = crane_constants(p)
     mgl = p.m * p.g * p.L3
@@ -285,6 +308,20 @@ def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> Mechan
     )
 
 
+@np.errstate(all="ignore")  # as make_constant_inertia
+def make_spider_crane(params: SpiderCraneParams = SpiderCraneParams()) -> MechanicalModel:
+    """2D spider crane: gantry ring plus pendulum payload on a fixed cable.
+
+    Uses the upper-triangular factor whose third row is constant, so the
+    cable-angle friction coefficient can be estimated.  The two gantry
+    forces are the inputs.  The potential is the pendulum term
+    m g L3 (1 - cos q3); the ring moves in a horizontal plane.  M^-1, T,
+    T^-1, dT and the integral map take (k, 3) stacks (module docstring).
+    """
+    return _probed(_spider_crane(params), _values(params, "m_r", "m", "L3"))
+
+
+@np.errstate(all="ignore")  # as make_constant_inertia
 def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) -> MechanicalModel:
     """The spider crane with another factor: the lower-triangular Cholesky factor of its M^-1.
 
@@ -297,22 +334,16 @@ def make_spider_crane_cholesky(params: SpiderCraneParams = SpiderCraneParams()) 
     np.linalg.cholesky of the crane's minv, which maps a (k, 3) stack of
     positions to (k, 3, 3) in one call (module docstring).
 
-    At extreme masses the rounded M^-1 is not positive definite at some
-    positions, though the factor constants are finite and positive, so the
-    factor is tried once on the 30 positions of sample_positions(3, 30), in
-    one call, and refused with a ModelError naming m_r, m and L3 where it fails.
-    q = 0 alone would pass m = 1e200.  The positions are drawn once, at import.
+    The probe (module docstring) evaluates this factor alone, not the
+    crane's: at extreme parameters the rounded M^-1 is not positive definite
+    at some sample (at m = 1e200 not at q = 0), or its Python-float L3**2
+    overflows, where the crane's own closed-form factor stays finite.
     """
-    base = make_spider_crane(params)
-    try:
-        np.linalg.cholesky(base.minv(_CHOLESKY_PROBE))
-    except np.linalg.LinAlgError:
-        raise ModelError("masses m_r, m and cable length L3 must give an M^-1 that rounds to "
-                         "positive definite, got "
-                         f"{params.m_r:g}, {params.m:g}, {params.L3:g}") from None
-    return replace(base, factor=lambda q: np.linalg.cholesky(base.minv(q)), factor_inv=None,
-                   integral_map=None, factor_jac=None, lip_factor_inv=None,
-                   name="spider-crane-cholesky")
+    base = _spider_crane(params)
+    return _probed(replace(base, factor=lambda q: np.linalg.cholesky(base.minv(q)),
+                           factor_inv=None, integral_map=None, factor_jac=None,
+                           lip_factor_inv=None, name="spider-crane-cholesky"),
+                   _values(params, "m_r", "m", "L3"))
 
 
 def _constant_inertia_by_keys(M=((1.0, 0.0), (0.0, 1.0)), K=None, friction=None,

@@ -224,8 +224,9 @@ STEP_OVERFLOWS = [("t_final = 1.0\ndt = 0.002", f"t_final = 1e300\ndt = {dt}", "
                    "t_final = 1e300") for dt in ("1e-300", "1")]
 
 MAX = repr(sys.float_info.max)
-# model parameters whose factor constants overflow or vanish, on either crane or on the
-# manipulator (in place of the crane's [model] lines), cite the name line
+# model parameters whose factor cannot be formed or is not finite at the structural samples,
+# on either crane, the manipulator or the constant model (in place of the crane's [model]
+# lines), cite the name line
 CRANE = "name = spider-crane\nm_r = 0.5\nm = 1.0\nL3 = 0.5"
 CRANE_MODEL = CRANE + "\ng = 9.81\nfriction = 0, 0, 0.5\nknown = true, true, false"
 CHOLESKY_MASSES = [*(("m_r = 0.5", f"m_r = {v}") for v in ("1e-200", "1e200", "1e308", MAX)),
@@ -239,14 +240,22 @@ BAD_FACTOR_CONSTANTS = [
     # rho = sqrt(M / m) overflows to inf, and a3 = sqrt(M + m) too
     (CRANE_MODEL, "name = manipulator\nm = 1e-320", "m", "name = manipulator"),
     (CRANE_MODEL, "name = manipulator\nM = 1e308\nm = 1e308", "M", "name = manipulator"),
-    # finite, positive factor constants, but the rounded M^-1 has no Cholesky factor at some
-    # sample position (at q = 0 too for the m_r rows, only away from it for the m rows)
+    # T is finite, T T^T = M^-1 overflows: check passed these, prop1 blamed the factor's
+    # structure and prop2 diverged in its first step
+    (CRANE_MODEL, "name = manipulator\nM = 1e-320", "M", "name = manipulator"),
+    (CRANE_MODEL, "name = manipulator\nl = 1e-200", "l", "name = manipulator"),
+    (CRANE_MODEL, "name = manipulator\nI = 5e-324", "I", "name = manipulator"),
+    (CRANE_MODEL, "name = constant\nM = 1e-320, 0; 0, 1", "M", "name = constant"),
+    # the rounded M^-1 has no Cholesky factor at some sample position (at q = 0 too for the
+    # m_r rows, only away from it for the m rows)
     *((CRANE, CRANE.replace(old, new).replace("crane", "crane-cholesky"), "m_r",
        "name = spider-crane-cholesky") for old, new in CHOLESKY_MASSES),
 ]
 BAD_FACTOR_CONSTANT_IDS = ["overflowing-cable", "vanishing-cable", "vanishing-masses",
                            "overflowing-cable-cholesky", "light-manipulator-mass",
-                           "heavy-manipulator-masses",
+                           "heavy-manipulator-masses", "light-manipulator-M",
+                           "short-manipulator-link", "light-manipulator-I",
+                           "light-constant-M",
                            *(f"cholesky-{new.replace(' = ', '-')}" for _, new in CHOLESKY_MASSES)]
 
 

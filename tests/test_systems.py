@@ -1,3 +1,7 @@
+import re
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,8 @@ from momobs import (
     integrate_scenario,
     make_constant_inertia,
     make_planar_manipulator,
+    make_spider_crane,
+    make_spider_crane_cholesky,
     ManipulatorParams,
     sample_positions,
     SpiderCraneParams,
@@ -21,7 +27,6 @@ from momobs import (
 )
 from momobs.geometry import FD_STEP, factor_structure, swapped_from_brackets
 from momobs.model import central_differences
-from momobs.systems import manipulator_constants
 
 from oracles import swapped_by_tensordot
 
@@ -382,24 +387,73 @@ def test_named_model_dispatch():
 
 
 def test_params_validate():
-    with pytest.raises(ModelError):
-        SpiderCraneParams(m_r=-1.0)
-    # factor constants that overflow to inf or vanish to 0 in floating point
-    for params in [dict(L3=1e200), dict(L3=1e-200), dict(m=1e-200, m_r=1e-200)]:
-        with pytest.raises(ModelError, match="factor constants"):
-            SpiderCraneParams(**params)
-    # the manipulator's by the same rule: rho = sqrt(M / m) overflows at m = 1e-320,
-    # a3 = sqrt(M + m) at M = m = 1e308, and a2 vanishes at l = 0
-    for params in [dict(m=1e-320), dict(M=1e308, m=1e308), dict(l=0.0), dict(I=-1.0),
-                   dict(M=-1.0), dict(l=np.inf)]:
-        with pytest.raises(ModelError, match="factor constants"):
-            ManipulatorParams(**params)
-    # a link of 1e308 keeps its constants finite; its integral map overflows (test_geometry)
-    long_link = manipulator_constants(ManipulatorParams(l=1e308))
-    assert all(0 < k < np.inf for k in long_link)
-    # the factory reads the constants it checks: T^-1's constant entries are a2, a3 and sqrt(I)
-    params = ManipulatorParams(I=2.0, M=3.0, m=0.5, l=0.7)
-    a2, a3, rho, sI = manipulator_constants(params)
-    Tinv = make_planar_manipulator(params).factor_inverse(np.zeros(4))
+    # masses, lengths and I must be positive: the factor is finite at L3 < 0 and l < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in [dict(m_r=-1.0), dict(m=0.0), dict(L3=-0.5), dict(m_r=np.nan)]:
+            with pytest.raises(ModelError, match="masses m_r, m and cable length L3 must be "
+                                                 "positive, got m_r = "):
+                SpiderCraneParams(**params)
+        for params in [dict(l=0.0), dict(I=-1.0), dict(M=-1.0), dict(l=-1.0)]:
+            with pytest.raises(ModelError, match="I, M, m and l must be positive, got I = "):
+                ManipulatorParams(**params)
+    # T^-1's constant entries are a2 = sqrt(M m) l / sqrt(m + M), a3 = sqrt(M + m) and sqrt(I)
+    I, M, m, l = (np.float64(k) for k in (2.0, 3.0, 0.5, 0.7))
+    a2, a3 = np.sqrt(M * m) * l / np.sqrt(m + M), np.sqrt(M + m)
+    rho, sI = np.sqrt(M / m), np.sqrt(I)
+    Tinv = make_planar_manipulator(ManipulatorParams(I=2.0, M=3.0, m=0.5, l=0.7)).factor_inverse(
+        np.zeros(4))
     assert (Tinv[0, 0], Tinv[1, 1], Tinv[2, 2], Tinv[3, 3], Tinv[3, 0]) == (sI, a2, a3, a3,
                                                                            -a2 * rho)
+
+
+MAX = sys.float_info.max
+# parameters whose factor cannot be formed or is not finite at the structural samples:
+# constants that overflow or vanish, T T^T = M^-1 that overflows while T stays finite
+# (the manipulator at M = 1e-320, l = 1e-200 and I = 5e-324), and a Cholesky crane whose
+# rounded M^-1 has no Cholesky factor, or whose Python-float L3**2 overflows
+CRANE_REFUSED = [dict(L3=1e200), dict(L3=1e-200), dict(m=1e-200, m_r=1e-200)]
+REFUSED_MODELS = [
+    *((make_spider_crane, SpiderCraneParams, p) for p in CRANE_REFUSED),
+    *((make_spider_crane_cholesky, SpiderCraneParams, p) for p in CRANE_REFUSED),
+    *((make_spider_crane_cholesky, SpiderCraneParams, {k: v})
+      for k, values in [("m_r", (1e-200, 1e200, 1e308, MAX)), ("m", (1e200, 1e308, MAX))]
+      for v in values),
+    *((make_planar_manipulator, ManipulatorParams, p)
+      for p in [dict(m=1e-320), dict(M=1e308, m=1e308), dict(l=np.inf), dict(M=1e-320),
+                dict(l=1e-200), dict(I=5e-324)]),
+]
+
+
+@pytest.mark.parametrize("factory, params_of, values", REFUSED_MODELS,
+                         ids=[f"{f.__name__}-{v}" for f, _, v in REFUSED_MODELS])
+def test_factory_refuses_unformed_factor(factory, params_of, values):
+    # a ModelError citing the values, with no RuntimeWarning on the way
+    params = params_of(**values)
+    names = ("m_r", "m", "L3") if params_of is SpiderCraneParams else ("I", "M", "m", "l")
+    cited = ", ".join(f"{k} = {getattr(params, k)!r}" for k in names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError) as refused:
+            factory(params)
+    assert str(refused.value) == ("the factor T, T T^T = M^-1 and any closed-form T^-1 must "
+                                  "be formed and finite at the 30 structural sample positions, "
+                                  f"got {cited}")
+
+
+def test_constant_model_refuses_overflowing_inverse_inertia():
+    # T = M^-1/2 holds 1e160, finite, but T T^T = M^-1 holds inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=re.escape("got M = [[1e-320, 0.0], [0.0, 1.0]]")):
+            make_constant_inertia([[1e-320, 0.0], [0.0, 1.0]], np.eye(2))
+
+
+def test_factories_build_at_extreme_finite_parameters():
+    # finite factors build, a numerically singular one included: an observer refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_spider_crane_cholesky(SpiderCraneParams(L3=1e20)).factor_inv is None
+        assert make_planar_manipulator(ManipulatorParams(l=1e308)).n == 4
+        assert make_spider_crane(SpiderCraneParams(m_r=1e200)).n == 3
+        assert make_constant_inertia(np.diag([1e-300, 1.0]), np.eye(2)).n == 2
