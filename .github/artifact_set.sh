@@ -46,7 +46,10 @@
 # allocate for before its first step; and the prop2 config on the Cholesky
 # crane at L3 = 1e20 to t_final = 0.01, run and swept over psi5_extra, whose
 # factor is numerically singular, so T^-1 is refused in the first derivative
-# and no series is written.
+# and no series is written; and the same config at L3 = 1e11, where
+# cond(T) is about 1.4e11: too large for solved_inverse's norm certificate
+# and within its 1e12 limit, so the singular-value gate accepts T^-1, and
+# the run diverges at t = 0 once an SVD meets a non-finite matrix.
 # Configs are edited copies of ROOT's shipped ones, but for the constant and
 # manipulator ones, written here so every checkout runs the same text.  Paths to ROOT and OUT
 # read ROOT and OUT, so `diff -r` of two such directories, made from two
@@ -227,3 +230,7 @@ variant cholesky_singular spider_crane_prop2.cfg "${cholesky[@]}" "s/^L3 = .*/L3
 record run_cholesky_singular run "$out/cfg/cholesky_singular.cfg" -o "$out/run_cholesky_singular"
 record sweep_cholesky_singular sweep "$out/cfg/cholesky_singular.cfg" --param psi5_extra \
   --values 1,2 -o "$out/sweep_cholesky_singular"
+variant cholesky_ill_conditioned spider_crane_prop2.cfg "${cholesky[@]}" "s/^L3 = .*/L3 = 1e11/" \
+  "s/^t_final = .*/t_final = 0.01/"
+record run_cholesky_ill_conditioned run "$out/cfg/cholesky_ill_conditioned.cfg" \
+  -o "$out/run_cholesky_ill_conditioned"

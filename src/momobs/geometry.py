@@ -39,6 +39,7 @@ brackets and its rows.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import random
 from dataclasses import dataclass
@@ -54,19 +55,16 @@ Array = np.ndarray
 FD_STEP = 1e-5  # central-difference step of every check and bracket here
 STRUCTURE_TOL = 1e-6  # largest bracket norm and integral-map residual that pass
 ROW_TOL = 1e-9  # largest drift of an unknown-friction row of T that passes
+_above = functools.cache(lambda n: np.triu(np.ones((n, n), dtype=bool), 1)[..., None])  # i < j
 
 
 def _brackets(T: Array, dT: Array) -> Array:
-    """Bracket tensor from T and its stacked dT/dq_k, at one position or a stack."""
-    # along[..., j, :, i] is the derivative of column j along column i
-    along = np.swapaxes(dT, -3, -1) @ T[..., None, :, :]
-    n = T.shape[-1]
-    out = np.zeros(T.shape[:-2] + (n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = along[..., j, :, i] - along[..., i, :, j]
-            out[..., i, j, :] = b
-            out[..., j, i, :] = -b
+    """Bracket tensor from T and its stacked dT/dq_k, at one position or a stack: one masked
+    subtraction per pair i < j, its negation at [j, i] (-0.0 for 0.0), a 0.0 diagonal."""
+    # x[..., i, j, :] is the derivative of column j along column i
+    x = (np.swapaxes(dT, -3, -1) @ T[..., None, :, :]).swapaxes(-2, -1).swapaxes(-3, -2)
+    out = np.subtract(x, x.swapaxes(-3, -2), out=np.zeros(x.shape), where=_above(T.shape[-1]))
+    np.negative(out, out=out.swapaxes(-3, -2), where=_above(T.shape[-1]))
     return out
 
 

@@ -16,12 +16,13 @@ Friction is a constant diagonal matrix diag(r) acting on velocities; a
 boolean mask marks which coefficients are known.  The unknown ones are
 r_u = r[kappa], read at the ordered index set kappa (unknown_indices).
 
-central_differences is the package's one axis-wise central difference;
-_factor_and_jacobian reads T and dT from one evaluation with it, or from the
-closed forms.  stage_terms evaluates, once per right-hand side, the plant
-terms at (q, u) that the plant and both observers read: T and dT come from
-one _factor_and_jacobian, so a model without factor_jac makes one factor
-call per stage, whose centre row is T(q) bit for bit.
+central_differences is the package's one axis-wise central difference, its
+steps built once per (n, h); _factor_and_jacobian reads T and dT from one
+evaluation with it, or from the closed forms.  stage_terms evaluates, once per
+right-hand side, the plant terms at (q, u) that the plant and both observers
+read: T and dT come from one _factor_and_jacobian, so a model without
+factor_jac makes one factor call per stage, whose centre row is T(q) bit for
+bit.  solved_inverse's cond(T) <= 1e12 gate skips its SVD where norms prove it.
 
 One product rule serves one vector and a stack of them: np.matvec(m, v)
 and np.vecmat(v, m) give each row the bits of the unstacked m @ v and
@@ -32,6 +33,7 @@ norm: np.vecdot gives each row np.linalg.norm's bits for that row alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -39,8 +41,14 @@ import numpy as np
 
 Array = np.ndarray
 
-_COND_LIMIT = 1e12
 _JACOBIAN_STEP = 1e-6  # central-difference step of the plant's dT (stage_terms, factor_jacobian)
+
+
+@functools.cache
+def _offsets(n: int, h: float) -> Array:
+    """central_differences' (2n + 1, n) steps: -0.0 (q + (-0.0) is q bit for bit), h e_k, -h e_k."""
+    steps = np.concatenate([np.full((1, n), -0.0), h * np.eye(n), -h * np.eye(n)])
+    return np.broadcast_to(steps, steps.shape)  # a read-only view, shared by every call
 
 
 def central_differences(f: Callable[[Array], Array], q, h: float) -> Tuple[Array, Array]:
@@ -52,10 +60,7 @@ def central_differences(f: Callable[[Array], Array], q, h: float) -> Tuple[Array
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[-1]
-    e = np.eye(n)
-    # steps to the centre, plus and minus points, bit for bit: x + (-0.0) is x, q + (-x) is q - x
-    points = q[..., None, :] + np.concatenate([-0.0 * e[:1], h * e, -h * e])
-    values = f(points.reshape(-1, n))
+    values = f((q[..., None, :] + _offsets(n, h)).reshape(-1, n))
     values = values.reshape((-1, 2 * n + 1) + values.shape[1:])
     diffs = (values[:, 1 : n + 1] - values[:, n + 1 :]) / (2.0 * h)
     batch = q.shape[:-1]
@@ -76,16 +81,27 @@ def _factor_and_jacobian(model: "MechanicalModel", q: Array, h: float) -> Tuple[
 
 
 def solved_inverse(T: Array) -> Array:
-    """T^-1 by solving, for one factor or a stack; a numerically singular one is refused.
+    """T^-1 by solving, for one factor or a stack; refused exactly where np.linalg.cond(T) > 1e12.
 
-    Refused exactly where np.linalg.cond(T) > 1e12, read from the same singular values: a
-    ratio that is inf or 0 / 0 is refused, and a NaN entry raises LinAlgError in the SVD.
+    X = np.linalg.inv(T), solve(T, I)'s dgesv and bits, skips that SVD if n <= 8 and each row has
+    |T|_F^2 |X|_F^2 <= 1e20: (T + E) X = I, |E| <= 3n u |L||U| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, 9.3, 14.1), so |I - T X|_2 <= 3n^3 2^(n-1) u |T|_F |X|_F < 1/2 and
+    cond_2(T) <= |T|_F |T^-1|_F <= 2 |T|_F |X|_F <= 2e10.  Other stacks (non-finite, over- or
+    underflowing rows) meet cond's rule: a ratio inf or 0 / 0 is refused, a NaN fails the SVD.
     """
+    try:
+        inverse = np.linalg.inv(T)
+        t, x = T.reshape(T.shape[:-2] + (-1,)), inverse.reshape(T.shape[:-2] + (-1,))
+        with np.errstate(all="ignore"):  # a square overflows or underflows, inf * 0: the gate
+            if T.shape[-1] <= 8 and (np.vecdot(t, t) * np.vecdot(x, x) <= 1e20).all():
+                return inverse
+    except np.linalg.LinAlgError:  # an exact zero pivot: the gate refuses, or solve raises again
+        inverse = None
     s = np.linalg.svd(T, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if not np.all(s[..., 0] / s[..., -1] <= _COND_LIMIT):
+        if not np.all(s[..., 0] / s[..., -1] <= 1e12):
             raise ModelError("factor is numerically singular at the requested q")
-    return np.linalg.solve(T, np.eye(T.shape[-1]))
+    return np.linalg.solve(T, np.eye(T.shape[-1])) if inverse is None else inverse
 
 
 class ModelError(ValueError):
@@ -236,7 +252,7 @@ class MechanicalModel:
         return self.integral_map is not None
 
     def factor_inverse(self, q: Array) -> Array:
-        """T^-1(q), from the closed form when supplied, else by solving."""
+        """T^-1(q), from the closed form when supplied, else solved_inverse's certified solve."""
         if self.factor_inv is not None:
             return self.factor_inv(q)
         return solved_inverse(self.factor(q))
@@ -312,6 +328,7 @@ def _plant_rhs(model, terms: StageTerms, mom, d):
 
 def momenta_transform(model: MechanicalModel, q, mom) -> Array:
     """p = T^T(q) mom."""
+    q = _check_vector(q, model.n, "q")
     mom = _check_vector(mom, model.n, "momenta")
     return model.factor(q).T @ mom
 

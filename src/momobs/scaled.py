@@ -16,11 +16,11 @@ coordinates of Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC
 in stacks, and forms their H's with one Jbar contraction and one stacked
 matmul (_h).  Every spectral norm the gain schedule reads, the secant
 differences of bound_q and delta_p's included, comes from one stacked SVD per
-derivative or delta_bounds call (_spectral_norms): the gufunc factors each
-matrix of a stack alone, so each norm keeps the bits of its own
-np.linalg.norm(x, 2).  A lockstep group on commuting columns steps its rows
-through one stack kernel, _ScaledStack.derivative.  A series' read-out is one
-_structures call.
+derivative or delta_bounds call (_spectral_norms), the only SVD there where
+solved_inverse certifies each stack's T^-1: the gufunc factors each matrix of
+a stack alone, so each norm keeps the bits of its own np.linalg.norm(x, 2).
+A lockstep group on commuting columns steps its rows through one stack
+kernel, _ScaledStack.derivative.  A series' read-out is one _structures call.
 The disturbance estimate's proportional term q / r^2 couples the estimate
 to the scaling factor, which is what makes constant disturbances
 rejectable here.

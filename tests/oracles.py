@@ -1,7 +1,7 @@
 """Reference computations that only the tests read: a generic RK4 solve, the inverse momenta
 transform, prop1's velocity quadratic forms, an observer start on the invariant manifold, the
-bracket contraction at one position by np.tensordot, and prop2's spectral norms and delta
-bounds from three numpy.linalg calls apiece."""
+bracket tensor pair by pair, the bracket contraction at one position by np.tensordot, and
+prop2's spectral norms and delta bounds from three numpy.linalg calls apiece."""
 
 import numpy as np
 
@@ -41,6 +41,19 @@ def velocity_quadratics(model):
 def swapped_by_tensordot(br, pbar):
     """swapped_from_brackets at one position, -pbar^T br[j, :, k], as np.tensordot sums it."""
     return -np.tensordot(np.asarray(pbar, dtype=float), br, axes=(0, 1))
+
+
+def brackets_by_pairs(T, dT):
+    """geometry._brackets by a loop over the column pairs i < j, entry [j, i] set to -[i, j]."""
+    along = np.swapaxes(dT, -3, -1) @ T[..., None, :, :]
+    n = T.shape[-1]
+    out = np.zeros(T.shape[:-2] + (n, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = along[..., j, :, i] - along[..., i, :, j]
+            out[..., i, j, :] = b
+            out[..., j, i, :] = -b
+    return out
 
 
 def bounds_by_three_calls(obs, e_q, h_bp, h_towards_q, delta_p, e_p):

@@ -24,6 +24,10 @@ from momobs import (
     sample_positions,
     StructureError,
 )
+from momobs.geometry import FD_STEP, _brackets
+from momobs.model import _factor_and_jacobian
+
+from oracles import brackets_by_pairs
 
 
 def lie_bracket(X, Y, q):
@@ -67,6 +71,30 @@ def test_bracket_antisymmetry():
         fwd = lie_bracket(X, Y, q)
         bwd = lie_bracket(Y, X, q)
         assert np.abs(fwd + bwd).max() < 2e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_brackets_round_as_the_pair_loop(crane, crane_cholesky, manipulator, n):
+    # one masked subtraction and its negatives give the pair loop's bytes, -0.0 below a 0.0 on
+    # the models' sparse factors included, one position alone or a stack, and an exact 0.0
+    # diagonal; an inf and a NaN in dT land where the loop's do
+    rng = np.random.default_rng(40 + n)
+    cases = [(rng.normal(size=(5, n, n)), rng.normal(size=(5, n, n, n)))]
+    for model in (crane, crane_cholesky, manipulator):
+        if model.n == n:
+            cases.append(_factor_and_jacobian(model, sample_positions(n, 11), FD_STEP))
+    for T, dT in cases:
+        for at in (np.s_[:], np.s_[0]):
+            got = _brackets(T[at], dT[at])
+            assert got.tobytes() == brackets_by_pairs(T[at], dT[at]).tobytes()
+    T, dT = cases[0]
+    dT = dT.copy()
+    dT[1, 0, 1, 0], dT[3, n - 1, 0, 1] = np.inf, np.nan
+    got = _brackets(T, dT)
+    assert np.array_equal(got, brackets_by_pairs(T, dT), equal_nan=True)
+    assert not np.isfinite(got).all()
+    diagonal = np.diagonal(got, axis1=-3, axis2=-2)
+    assert diagonal.tobytes() == np.zeros(diagonal.shape).tobytes()
 
 
 def test_crane_factor_columns_commute(crane):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,20 @@ def test_momenta_transform_crane_third_axis(crane):
     for q in rng.uniform(-2, 2, size=(5, 3)):
         p = momenta_transform(crane, q, np.array([0.0, 0.0, 1.0]))
         assert np.allclose(p, [0.0, 0.0, c], atol=1e-12)
+
+
+def test_momenta_transform_takes_a_list_q(crane):
+    # q is converted as transformed_derivative and plant_derivative convert it
+    mom = np.array([1.0, 0.0, 0.0])
+    assert np.array_equal(momenta_transform(crane, [0.0, 0.0, 1.0], mom),
+                          crane.factor(np.array([0.0, 0.0, 1.0])).T @ mom)
+
+
+@pytest.mark.parametrize("q", [[0.0, 0.0, 1.0, 5.0], [0.0, np.nan, 1.0]], ids=["length-4", "nan"])
+def test_momenta_transform_refuses_bad_q(crane, q):
+    # q is checked as transformed_derivative and plant_derivative check it
+    with pytest.raises(ModelError, match="q "):
+        momenta_transform(crane, np.array(q), np.ones(3))
 
 
 def test_momenta_roundtrip(crane):
@@ -272,8 +288,15 @@ def test_factor_inverse_conditioning_guard():
         momenta_untransform(model, np.zeros(2), np.ones(2))
 
 
+def conditioned(rng, n, cond):
+    """Q1 diag(sigma) Q2, Q1 and Q2 orthogonal, sigma from 1 down to 1 / cond by equal ratios."""
+    q1, q2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+    return (q1 * np.geomspace(1.0, 1.0 / cond, n)) @ q2
+
+
 def singular_cases():
-    """Factors about np.linalg.cond's 1e12 limit, alone and stacked, by name."""
+    """Factors about np.linalg.cond's 1e12 limit and the 1e20 norm certificate, alone and
+    stacked, by name."""
     rng = np.random.default_rng(29)
     good = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
     cases = {"zero": np.zeros((3, 3)), "rank-1": np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0]),
@@ -283,19 +306,66 @@ def singular_cases():
     cases["stack-good"] = np.array([good, np.eye(3), 2.0 * good])
     cases["stack-mixed"] = np.array([good, cases["cond-2.0e12"], np.eye(3)])
     cases["stack-mixed-zero"] = np.array([np.zeros((3, 3)), good])
+    # a seeded family from cond 1 to 1e14, densest where the certificate declines (from about
+    # 1e10) and the gate still accepts (to 1e12)
+    rng = np.random.default_rng(35)
+    exponents = np.concatenate([np.arange(15.0), rng.uniform(9, 12, 24), rng.uniform(12, 14, 6)])
+    for k, e in enumerate(exponents):
+        n = 2 + k % 3
+        cases[f"family-{k}-n{n}-cond1e{e:.2f}"] = conditioned(rng, n, 10.0**e)
+    # scalings whose squared norms overflow or underflow, about 1e+-154, and some that do not
+    well, ill = conditioned(rng, 3, 10.0), conditioned(rng, 3, 1e11)
+    for e in (-170, -160, -155, -154, -150, -100, 100, 150, 153, 154, 155, 160, 170):
+        cases[f"scaled-1e{e}"] = 10.0**e * well
+    cases["scaled-1e150-cond1e11"] = 1e150 * ill
+    cases["rank-1-n4"] = np.outer([1.0, -2.0, 0.5, 3.0], [2.0, 1.0, -1.0, 0.25])
+    cases["nan-entry"] = np.diag([1.0, np.nan, 1.0])
+    cases["minus-inf-entry"] = good + np.diag([0.0, 0.0, -np.inf])
+    cases["stack-certified-and-cond1e11"] = np.array([well, ill, good])
+    cases["stack-certified-and-cond1e13"] = np.array([well, conditioned(rng, 3, 1e13)])
+    cases["stack-certified-and-nan"] = np.array([well, np.full((3, 3), np.nan)])
+    cases["stack-certified-and-overflow"] = np.array([well, 1e170 * well])
+    cases["stack-certified-and-underflow"] = np.array([1e-170 * well, good])
     return cases
 
 
 @pytest.mark.parametrize("name", list(singular_cases()))
-def test_solved_inverse_refuses_where_cond_does(name):
-    # the gate reads the singular values itself, with cond's rule: a ratio above 1e12,
-    # inf or 0 / 0 refuses the call, whole stack and all
+def test_solved_inverse_refuses_where_cond_does(monkeypatch, name):
+    # the gate reads the singular values itself, with cond's rule: a ratio above 1e12, inf or
+    # 0 / 0 refuses the call, whole stack and all, and a NaN entry raises LinAlgError in the
+    # SVD.  A stack whose every row has cond_F(T)^2 <= 1e20 is accepted without any SVD;
+    # no case warns, and every accepted T^-1 has np.linalg.solve(T, I)'s bytes
     T = singular_cases()[name]
-    if np.any(np.linalg.cond(T) > 1e12):
-        with pytest.raises(ModelError, match="numerically singular"):
-            solved_inverse(T)
-    else:
-        assert solved_inverse(T).tobytes() == np.linalg.solve(T, np.eye(3)).tobytes()
+    with np.errstate(all="ignore"):
+        certified = np.all(np.linalg.cond(T, "fro") ** 2 <= 1e20)
+        if np.isnan(T).any():  # cond's SVD does not converge
+            refused = np.linalg.LinAlgError
+        else:
+            refused = ModelError if np.any(np.linalg.cond(T) > 1e12) else None
+            solved = np.linalg.solve(T, np.eye(T.shape[-1])) if refused is None else None
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or svd(*args, **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused is None:
+            assert solved_inverse(T).tobytes() == solved.tobytes()
+        else:
+            with pytest.raises(refused, match="numerically singular|SVD did not converge"):
+                solved_inverse(T)
+    assert len(svds) == (0 if certified else 1)
+
+
+def test_inv_rounds_as_solve_on_the_identity():
+    # solved_inverse returns np.linalg.inv(T) where the gate would return
+    # np.linalg.solve(T, I): one dgesv on I, the same bits, alone and stacked
+    rng = np.random.default_rng(36)
+    for k in range(2000):
+        n = 2 + k % 3
+        T = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+        assert np.linalg.inv(T).tobytes() == np.linalg.solve(T, np.eye(n)).tobytes()
+    T = rng.normal(size=(11, 3, 3))
+    assert np.linalg.inv(T).tobytes() == np.linalg.solve(T, np.eye(3)).tobytes()
 
 
 def test_solved_inverse_nan_entry_raises_linalg_error():

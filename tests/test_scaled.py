@@ -250,14 +250,15 @@ def counting(model, calls, attrs=("factor", "factor_inv", "factor_jac")):
         # towards phat and at the two H-rate points, in three Jbar contractions:
         # at (qbar, pbar), one stack towards phat at qbar, the samples and q (the
         # gyro term reads Jbar(q, phat) as its last entry), and one stack at the
-        # two H-rate points.  Three SVDs: one stack of every spectral norm the
-        # schedule reads, and the singularity gate of each stack's T^-1.  The stage
-        # terms read T(q) and dT from one factor call at q and its 2n shifted points.
+        # two H-rate points.  One SVD: one stack of every spectral norm the
+        # schedule reads; each stack's T^-1 passes the singularity gate on its
+        # norm certificate, without one.  The stage terms read T(q) and dT from
+        # one factor call at q and its 2n shifted points.
         ("cholesky_known", False,
-         {"factor": [11 * 7, 2 * 7], "brackets": 2, "swapped": 3, "svd": 3}, {"factor": [7]}),
+         {"factor": [11 * 7, 2 * 7], "brackets": 2, "swapped": 3, "svd": 1}, {"factor": [7]}),
         # qbar = q: no secant sample, so the first stack holds qbar alone
         ("cholesky_known", True,
-         {"factor": [7, 2 * 7], "brackets": 2, "swapped": 3, "svd": 3}, {"factor": [7]}),
+         {"factor": [7, 2 * 7], "brackets": 2, "swapped": 3, "svd": 1}, {"factor": [7]}),
         # commuting columns, analytic dT and a Lipschitz bound: T^-1 at qbar and
         # q, dT at qbar for the exact H-rate, no factor call and no bracket at all,
         # and one SVD, of T(q), H(qbar, pbar) and delta_q T(q)
