@@ -161,6 +161,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # --values (or a prefix argparse takes for it) takes the next word whatever it starts
+    # with: argparse would read -inf or -1e-3 as an option, and only -1 or -.5 as a number
+    i = 0
+    while i < len(argv) - 1:
+        if len(argv[i]) > 2 and "--values".startswith(argv[i]):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
     args = make_parser().parse_args(argv)
     # a diverging run says so in one line; numpy's warnings on the way would repeat it
     with np.errstate(all="ignore"):

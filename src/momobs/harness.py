@@ -307,8 +307,9 @@ def integrate_scenario(sc: Scenario) -> TimeSeries:
     Divergence does not raise: a non-finite state, or a LinAlgError,
     FloatingPointError or OverflowError inside a step, truncates the series
     and flags it, with a message saying in the step from which time the run
-    blew up and what was raised.  The series ends with the state at that
-    time, the last finite one, even off the stride.
+    blew up, what was raised and in which momobs function (numpy's overflow,
+    invalid and divide-by-zero raise inside the step loop).  The series ends
+    with the state at that time, the last finite one, even off the stride.
     The first call on a scenario of a share_plant group integrates the
     whole group in lockstep and returns this scenario's series; later calls
     return the others' series, each once.  If the lockstep diverges or
@@ -383,32 +384,51 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
 
     samples = [(0.0, x.copy())]
     message = ""
-    for k in range(steps):
-        t = k * dt
-        while switches[level] <= t + 0.5 * dt:  # DisturbanceSchedule.value's rule
-            level += 1
-        d = levels[level]
-        f = lambda tt, xx: rhs(tt, xx, d)
-        last = x  # rk4_step returns a new array, so this stays the state at t
-        try:
-            x = rk4_step(f, t, x, dt)
-            if project is not None:
-                project(observer_states(x))
-            if not np.isfinite(x).all():
-                message = f"state became non-finite in the step from t = {t:.6g}"
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-            message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}"
-        if message:
-            if rows > 1:
-                return None
-            if k % sc.stride:
-                samples.append((t, last))
-            break
-        if (k + 1) % sc.stride == 0 or k + 1 == steps:
-            samples.append(((k + 1) * dt, x.copy()))
+    # numpy's overflow, invalid and divide-by-zero raise where they happen, so a diverging run
+    # names the operation and the function; solved_inverse and _bounds ignore them where inf
+    # or 0/0 is intended.  One block for the loop: entered per step it cost about 2%.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for k in range(steps):
+            t = k * dt
+            while switches[level] <= t + 0.5 * dt:  # DisturbanceSchedule.value's rule
+                level += 1
+            d = levels[level]
+            f = lambda tt, xx: rhs(tt, xx, d)
+            last = x  # rk4_step returns a new array, so this stays the state at t
+            try:
+                x = rk4_step(f, t, x, dt)
+                if project is not None:
+                    project(observer_states(x))
+                if not np.isfinite(x).all():
+                    message = f"state became non-finite in the step from t = {t:.6g}"
+            except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+                message = f"{type(exc).__name__} in the step from t = {t:.6g}: {exc}{_where(exc)}"
+            if message:
+                if rows > 1:
+                    return None
+                if k % sc.stride:
+                    samples.append((t, last))
+                break
+            if (k + 1) % sc.stride == 0 or k + 1 == steps:
+                samples.append(((k + 1) * dt, x.copy()))
 
     ts = np.array([s[0] for s in samples])
     return _assemble_series(scenarios, observers, ts, np.array([s[1] for s in samples]), message)
+
+
+def _where(exc) -> str:
+    """' (in module.function)' for the innermost momobs frame of exc's traceback, naming its
+    caller too when that frame is a module-level helper, such as model.row_norm."""
+    frames = []
+    tb = exc.__traceback__
+    while tb is not None:
+        module, code = tb.tb_frame.f_globals.get("__name__", ""), tb.tb_frame.f_code
+        if module.startswith("momobs."):  # co_qualname is Python 3.11's
+            frames.append(f"{module[len('momobs.'):]}.{getattr(code, 'co_qualname', code.co_name)}")
+        tb = tb.tb_next
+    *callers, inner = frames  # _integrate's own frame is the outermost
+    helper = callers and inner.count(".") == 1
+    return f" (in {inner}, called from {callers[-1]})" if helper else f" (in {inner})"
 
 
 def _assemble_series(scenarios, observers, ts, states, message) -> List[TimeSeries]:

@@ -1,96 +1,39 @@
-"""A seeded config fuzzer: one number of a config replaced by one extreme value.
+"""A seeded config fuzzer: one number of a config, or one sweep argument, set to an extreme value.
 
 Five base configs, cut to 20 steps of 1 ms without plots: the shipped prop1
 and prop2 crane configs, prop2 on the Cholesky crane, a prop1 manipulator
 config and a prop2 constant-inertia config.  A mutation replaces one number
 of [model], [observer], [initial], [input] or [disturbance] with one of
-VALUES ([sim] is left alone: a tiny dt only makes a long run) and calls
-`momobs run` and `momobs check` in process.  Every [model] mutation runs;
-the other sections run a seeded subset.  For each, main returns 0-3 without
-raising or warning, says why in one stderr line when it refuses (2) or
-diverges (3), and, for a [model] number, `check` does not pass (0) a model
-that `run` refuses (2).  The defects it found are pinned as named rows.
+VALUES and calls `momobs run` and `momobs check` in process.  Every [model]
+mutation runs; the other sections run a seeded subset.  [sim]'s dt, stride
+and t_final take every value that leaves a run of at most 1000 steps or one
+the config refuses.  `momobs sweep` takes a seeded subset of --param (each
+kind's gains, q0[i], mom0[i], an unknown name) with --values one of VALUES,
+alone or after "1,".  For each, main returns 0-3 without raising or warning,
+says why in one stderr line when it refuses (2) or diverges (3), and, for a
+[model] number, `check` does not pass (0) a model that `run` refuses (2).
+The defects it found are rows of the refusal table (tests/refusals.py).
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
+import math
 import random
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-from momobs.cli import main
+from refusals import CONSTANT, MANIPULATOR, call
+from test_config_cli import old_test
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 VALUES = ["0", "-0.0", "-1", "5e-324", "1e-320", "1e-200", "1e-12", "1e12", "1e200", "1e308",
           repr(sys.float_info.max), "nan", "inf", "-inf"]
 FUZZED = ("model", "observer", "initial", "input", "disturbance")
 SHORT = {"t_final": "0.02", "dt": "0.001", "stride": "5", "emit_svg": "false"}
-
-MANIPULATOR = """
-[model]
-name = manipulator
-I = 1
-M = 1
-m = 1
-l = 1
-friction = 0.3, 0.2, 0.1, 0.1
-known = false, false, true, true
-
-[observer]
-kind = prop1
-lambda = 0.8
-
-[initial]
-q = 0.2, -0.1, 0.3, 0.1
-mom = 0, 0, 0, 0
-
-[input]
-u1 = 1.0, 1.0, 0.0, cos
-u2 = 0.5, 2.0, 0.0, sin
-
-[disturbance]
-step1 = 0, 0.1, 0, 0, 0
-
-[sim]
-t_final = 2
-dt = 0.001
-stride = 50
-
-[output]
-emit_svg = false
-"""
-
-CONSTANT = """
-[model]
-name = constant
-M = 1, 0; 0, 1
-K = 1, 0; 0, 1
-friction = 0, 0
-known = true, true
-
-[observer]
-kind = prop2
-psi3_const = 59
-
-[initial]
-q = 0, 0
-mom = 0, 0
-r = 1.5
-
-[sim]
-t_final = 0.5
-dt = 0.1
-stride = 1
-
-[output]
-emit_svg = false
-"""
 
 
 def short(text: str) -> str:
@@ -109,13 +52,13 @@ BASES = {name: short(text) for name, text in [
 ]}
 
 
-def numbers(text: str):
-    """(section, line index, start, end) of each number in the values of a fuzzed section."""
+def numbers(text: str, sections=FUZZED):
+    """(section, line index, start, end) of each number in the values of the sections."""
     found, section = [], None
     for i, line in enumerate(text.splitlines()):
         if line.startswith("["):
             section = line.strip("[]")
-        elif section in FUZZED and " = " in line:
+        elif section in sections and " = " in line:
             start = line.index(" = ") + 3
             for entry in re.finditer(r"[^,;\s]+", line[start:]):
                 with contextlib.suppress(ValueError):
@@ -131,34 +74,24 @@ def mutated(text: str, i: int, start: int, end: int, value: str):
     return "\n".join(lines) + "\n", lines[i]
 
 
-def call(*argv):
-    """main(argv)'s exit code (or the exception that escaped it), stderr and warnings."""
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        try:
-            code = main(list(argv))
-        except (Exception, SystemExit) as exc:
-            code = f"{type(exc).__name__}: {exc}"
-    return code, err.getvalue(), [str(w.message) for w in caught]
-
-
-def faults(tmp_path, text: str, model_number: bool):
-    """What goes wrong when `run` and `check` read text; the exit codes and stderr."""
+def faults(tmp_path, text: str, model_number: bool, commands=(("run", "-o", "{out}"), ("check",))):
+    """What goes wrong when the commands read text; the exit codes and stderr."""
     cfg = tmp_path / "fuzz.cfg"
     cfg.write_text(text)
-    results = {"run": call("run", str(cfg), "-o", str(tmp_path / "out")),
-               "check": call("check", str(cfg))}
+    work = tmp_path / "work"
+    work.mkdir(exist_ok=True)
+    out = str(tmp_path / "out")
+    results = {name: call([name, str(cfg), *(w.replace("{out}", out) for w in args)], work, work)[::2]
+               for name, *args in commands}
     found = []
-    for command, (code, err, caught) in results.items():
-        if code not in (0, 1, 2, 3):
-            found.append(f"{command} raised {code}")
-        if caught:
-            found.append(f"{command} warned {caught}")
-        if code in (2, 3) and len(err.splitlines()) != 1:
+    for command, (code, err) in results.items():
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            found.append(f"{command} raised, exit {code}: {err!r}")
+        elif "Warning" in err:
+            found.append(f"{command} warned {err!r}")
+        elif code in (2, 3) and len(err.splitlines()) != 1:
             found.append(f"{command} exit {code} with stderr {err!r}")
-    if model_number and results["run"][0] == 2 and results["check"][0] == 0:
+    if model_number and results["run"][0] == 2 and results.get("check", (None,))[0] == 0:
         found.append(f"check passes the model that run refuses: {results['run'][1]!r}")
     return found, results
 
@@ -186,26 +119,46 @@ def test_seeded_other_numbers(tmp_path):
     assert not failed, "\n".join(failed)
 
 
-# the defects this fuzzer found, each refused by run and check alike, citing the value:
-# T T^T overflows on the manipulator and the constant model (check passed them, while
-# prop1 blamed the factor's structure and prop2 diverged in its first step), and the
-# Cholesky crane's rounded M^-1 has no Cholesky factor (a traceback, exit 1)
-PINNED = {
-    "manipulator-M-1e-320": ("manipulator", "M = 1", "1e-320"),
-    "manipulator-l-1e-200": ("manipulator", "l = 1", "1e-200"),
-    "manipulator-I-5e-324": ("manipulator", "I = 1", "5e-324"),
-    "constant-M-1e-320": ("constant", "M = 1, 0; 0, 1", "1e-320"),
-    "cholesky-m_r-1e200": ("cholesky-prop2", "m_r = 0.5", "1e200"),
-    "cholesky-m-1e200": ("cholesky-prop2", "m = 1.0", "1e200"),
-}
+def steps(line: str) -> float:
+    """The step count t_final / dt of a short base with that [sim] line."""
+    key, value = line.split(" = ")
+    t_final, dt = float(SHORT["t_final"]), float(SHORT["dt"])
+    return float(value) / dt if key == "t_final" else t_final / float(value) if key == "dt" else 20
 
 
-@pytest.mark.parametrize("base, line, value", PINNED.values(), ids=PINNED)
-def test_pinned_refusal(tmp_path, base, line, value):
-    i = BASES[base].splitlines().index(line)
-    start = line.index(" = ") + 3
-    text, _ = mutated(BASES[base], i, start, start + len(line[start:].split(",")[0]), value)
-    found, results = faults(tmp_path, text, True)
-    assert not found, found
-    for command, (code, err, _) in results.items():
-        assert code == 2 and repr(float(value)) in err, (command, code, err)
+def test_every_sim_number(tmp_path):
+    # a run of more than 1000 steps that the time grid resolves would only be a long run
+    failed = []
+    for base, text in BASES.items():
+        for _, *where in numbers(text, ("sim",)):
+            for value in VALUES:
+                mutant, line = mutated(text, *where, value)
+                with contextlib.suppress(ZeroDivisionError):
+                    if 1000 < steps(line) <= 2**53:
+                        continue
+                found = faults(tmp_path, mutant, False)[0]
+                failed += [f"{base}, {line}: {fault}" for fault in found]
+    assert not failed, "\n".join(failed)
+
+
+GAINS = {"prop1": ["lambda"], "prop2": ["psi3_const", "psi4_extra", "psi5_extra"]}
+SWEPT = []
+for _base, _text in BASES.items():
+    _kind = re.search(r"^kind = (\w+)", _text, re.M)[1]
+    _n = len(re.search(r"^q = (.*)$", _text, re.M)[1].split(","))
+    _params = [*GAINS["prop1"], *GAINS["prop2"], "bogus",
+               *(f"{name}[{i}]" for name in ("q0", "mom0") for i in range(_n))]
+    SWEPT += [(_base, param, values) for param in _params
+              for value in VALUES for values in (value, f"1,{value}")]
+
+
+def test_seeded_sweep_arguments(tmp_path):
+    failed = []
+    for base, param, values in random.Random(36).sample(SWEPT, 150):
+        sweep = ("sweep", "--param", param, "--values", values, "-o", "{out}")
+        for fault in faults(tmp_path, BASES[base], False, (sweep,))[0]:
+            failed.append(f"{base}, --param {param} --values {values}: {fault}")
+    assert not failed, "\n".join(failed)
+
+
+test_pinned_refusal = old_test("test_pinned_refusal")

@@ -317,7 +317,8 @@ def test_diverging_group_runs_each_member_alone(crane):
         solo = [integrate_scenario(apply_sweep_value(sc, "lambda", v)) for v in values]
         shared, lockstep = integrate_group([apply_sweep_value(sc, "lambda", v) for v in values])
     assert [ts.diverged for ts in solo] == [False, True, False]
-    assert solo[1].message.startswith("state became non-finite")
+    assert solo[1].message.startswith("FloatingPointError in the step from t = 0.001: overflow "
+                                      "encountered in matvec (in adaptive.")
     assert all(same_series(a, b) for a, b in zip(solo, shared))
     assert lockstep.series == {}
 
@@ -626,9 +627,18 @@ def test_divergence_truncates(crane):
     with np.errstate(all="ignore"):
         ts = integrate_scenario(sc)
     assert ts.diverged
-    assert "non-finite" in ts.message
+    # the overflow raises where it happens, and the message names the operation and function
+    assert ts.message.startswith("FloatingPointError in the step from t = ")
+    assert "overflow encountered in matvec (in adaptive." in ts.message
     assert ts.t[-1] < 5.0
     assert np.all(np.isfinite(ts.q))
+
+
+def test_unflagged_nan_diverges_as_a_non_finite_state(crane):
+    # a NaN that no numpy operation makes flags nothing: the state check still stops the run
+    model = replace(crane, grad_potential=lambda q: np.full(3, np.nan))
+    ts = integrate_scenario(crane_prop1_scenario(model, t_final=0.01))
+    assert ts.diverged and ts.message == "state became non-finite in the step from t = 0"
 
 
 def test_metrics_zero_series():

@@ -49,6 +49,32 @@ def const_known():
     return make_constant_inertia(np.diag([2.0, 0.5]), np.diag([1.0, 2.0]), friction)
 
 
+def rotation(angle):
+    """R(angle), the rotation by each angle of a stack, as a (..., 2, 2) stack."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+@pytest.fixture(scope="module")
+def rotated_known():
+    """The unit mass-spring pair with the factor T = R(q1): T T^T = I = M^-1 at every q, so the
+    plant is make_constant_inertia's, but the columns do not commute (largest bracket norm 1).
+    T^-1 = R^T and dT are closed forms, so the brackets are exact: a non-commuting model with
+    no solved inverse and no finite-difference dT, in the factored momenta p = T^T mom of
+    Venkatraman, Ortega, Sarras and van der Schaft (IEEE TAC 55(5), 2010)."""
+    friction = momobs.FrictionSpec(np.array([0.3, 0.2]), np.array([True, True]))
+
+    def factor_jac(q):  # dT/dq1 = R(q1 + pi/2), dT/dq2 = 0
+        dT = np.zeros(q.shape[:-1] + (2, 2, 2))
+        dT[..., 0, :, :] = rotation(q[..., 0] + np.pi / 2)
+        return dT
+
+    return dataclasses.replace(make_constant_inertia(np.eye(2), np.eye(2), friction),
+                               factor=lambda q: rotation(q[..., 0]),
+                               factor_inv=lambda q: rotation(-q[..., 0]), factor_jac=factor_jac,
+                               integral_map=None, lip_factor_inv=None, name="rotated")
+
+
 def test_params_validate(crane_known):
     # a margin that is not positive and a gain only the adaptive observer reads
     for gains, key in [({"psi3_const": 0.0}, "psi3_const"), ({"psi4_extra": 0.0}, "psi4_extra"),
@@ -577,13 +603,35 @@ def max_lyapunov_rate(model):
         "const_known",
         "crane_known",
         "manipulator_known",
-        pytest.param("cholesky_known", marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1: V rises along the field on a non-commuting factor")),
+        *(pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 1: V rises along the field on a non-commuting factor")))
+          for name in ("cholesky_known", "rotated_known")),
     ],
 )
 def test_lyapunov_certificate_pointwise(request, model_name):
     # the guarantee of the second observer, checked pointwise rather than along one run
     assert max_lyapunov_rate(request.getfixturevalue(model_name)) <= 1e-6
+
+
+def test_mapping_h_rate_matches_extrapolated_derivative(rotated_known):
+    # the rate of H(qbar, pbar) along the copy dynamics against a Richardson-extrapolated central
+    # difference of mapping_h, step 1e-2 (its own error is below 1e-9 here); the H-rate's
+    # difference step of 1e-6 reads within 1e-9 over these states, one of 1e-3 about 1.5e-7 off
+    obs = ScaledObserver(rotated_known)
+    rng = np.random.default_rng(21)
+    h = 1e-2
+    for _ in range(50):
+        qbar, pbar, qbar_dot, pbar_dot = rng.uniform(-1, 1, (4, 2))
+
+        def central(step):
+            plus = obs.mapping_h(qbar + step * qbar_dot, pbar + step * pbar_dot)
+            minus = obs.mapping_h(qbar - step * qbar_dot, pbar - step * pbar_dot)
+            return (plus - minus) / (2 * step)
+
+        exact = (4 * central(h / 2) - central(h)) / 3
+        rate = obs._mapping_h_rate(rotated_known.factor_inverse(qbar), qbar, pbar, qbar_dot,
+                                   pbar_dot)
+        assert np.linalg.norm(rate - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
 def test_state_packing_roundtrip():
