@@ -7,9 +7,10 @@
 # The set: runs of the shipped prop1, prop2 and steps configs and of edited
 # copies (the Cholesky crane; prop2 started at r = 1e155, where r**2
 # overflows; a constant-inertia prop2 config whose first step lands on
-# r = 0), gain and q0[2] sweeps that step in lockstep or alone, runs and
-# sweeps that diverge (exit 3, one line of stderr), and `momobs check` on
-# the crane, Cholesky, manipulator and constant configs.  Last, every row of
+# r = 0; the manipulator's prop2 config, alone and in a psi3_const sweep),
+# gain and q0[2] sweeps that step in lockstep or alone, runs and sweeps
+# that diverge (exit 3, one line of stderr), and `momobs check` on the
+# crane, Cholesky, manipulator and constant configs.  Last, every row of
 # the refusal table tests/refusals.py, which exits 2 with one line of stderr,
 # recorded by the table found beside this script, so a run against another
 # checkout's src/ and configs records this checkout's rows.  Configs are
@@ -94,6 +95,7 @@ for seed in 0 3; do
 done
 record sweep_manipulator_prop1 sweep "$out/cfg/manipulator.cfg" --param lambda --values 0.4,2 \
   -o "$out/sweep_manipulator_prop1"
+record run_manipulator_prop2 run "$out/cfg/manipulator_prop2.cfg" -o "$out/run_manipulator_prop2"
 record sweep_manipulator_psi3 sweep "$out/cfg/manipulator_prop2.cfg" --param psi3_const \
   --values 0.5,1 -o "$out/sweep_manipulator_psi3"
 sed -e "s/^l = .*/l = 1e308/" "$out/cfg/manipulator.cfg" > "$out/cfg/manipulator_long_link.cfg"

@@ -385,8 +385,8 @@ def _integrate(scenarios) -> Optional[List[TimeSeries]]:
     samples = [(0.0, x.copy())]
     message = ""
     # numpy's overflow, invalid and divide-by-zero raise where they happen, so a diverging run
-    # names the operation and the function; solved_inverse and _bounds ignore them where inf
-    # or 0/0 is intended.  One block for the loop: entered per step it cost about 2%.
+    # names the operation and the function; solved_inverse ignores them where inf or 0/0 is
+    # intended.  One block for the loop: entered per step it cost about 2%.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for k in range(steps):
             t = k * dt
@@ -423,8 +423,8 @@ def _where(exc) -> str:
     tb = exc.__traceback__
     while tb is not None:
         module, code = tb.tb_frame.f_globals.get("__name__", ""), tb.tb_frame.f_code
-        if module.startswith("momobs."):  # co_qualname is Python 3.11's
-            frames.append(f"{module[len('momobs.'):]}.{getattr(code, 'co_qualname', code.co_name)}")
+        if module.startswith("momobs."):
+            frames.append(f"{module[len('momobs.'):]}.{code.co_qualname}")
         tb = tb.tb_next
     *callers, inner = frames  # _integrate's own frame is the outermost
     helper = callers and inner.count(".") == 1

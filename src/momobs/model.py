@@ -215,8 +215,9 @@ class MechanicalModel:
     stacked partial derivatives dT/dq_k with shape (n, n, n), indexed by k
     first; when absent, finite differences are used wherever derivatives of
     T are needed.  lip_factor_inv is an optional global Lipschitz constant
-    of q -> T^-1(q) in the induced 2-norm, used by the scaled observer's
-    gain schedule.
+    of q -> T^-1(q) in the induced 2-norm; with commuting columns it puts the
+    scaled observer on its analytic path, and without it a commuting model
+    takes the general path (the scaled module docstring).
 
     Stack contract, for every model: factor, factor_inv, factor_jac and
     integral_map map a (k, n) stack of positions to the (k, ...) stack of

@@ -19,8 +19,15 @@ differences of bound_q and delta_p's included, comes from one stacked SVD per
 derivative or delta_bounds call (_spectral_norms), the only SVD there where
 solved_inverse certifies each stack's T^-1: the gufunc factors each matrix of
 a stack alone, so each norm keeps the bits of its own np.linalg.norm(x, 2).
-A lockstep group on commuting columns steps its rows through one stack
-kernel, _ScaledStack.derivative.  A series' read-out is one _structures call.
+
+The observer takes one of two paths, by one flag, _analytic: commuting
+columns and a Lipschitz constant of T^-1 (MechanicalModel.lip_factor_inv).
+On the analytic path H = psi T^-1 reads no momenta, bound_q is psi times the
+constant, the H-rate is the exact chain rule through T^-1, and a lockstep
+group steps its rows through one stack kernel, _ScaledStack.derivative.
+On the general path the brackets come from geometry.factor_structure,
+bound_q is a sampled secant slope, and a lockstep group steps its rows one
+by one.  A series' read-out is one _structures call.
 The disturbance estimate's proportional term q / r^2 couples the estimate
 to the scaling factor, which is what makes constant disturbances
 rejectable here.
@@ -94,7 +101,8 @@ class ScaledObserver:
     (checked_gains, before any structural check): psi3_const on the scaled
     error, psi4_extra and psi5_extra on the two copy-error gains.  Requires
     every friction coefficient to be known; friction is compensated, not
-    estimated, here.
+    estimated, here.  The model picks the path (module docstring): the
+    analytic one needs commuting columns and lip_factor_inv.
     """
 
     default_gains = {"psi3_const": 1.0, "psi4_extra": 1.0, "psi5_extra": 1.0}
@@ -111,20 +119,20 @@ class ScaledObserver:
         self.psi = 4.0 * (1.0 + self.margins["psi3_const"])
         self.n = model.n
         self.dim = 4 * model.n + 1
-        self._analytic_bounds = model.zrs and model.lip_factor_inv is not None
+        self._analytic = model.zrs and model.lip_factor_inv is not None  # the path (module doc)
         self._psi_m = self.psi  # psi shaped to scale T^-1(qbar) of every row
         self._psi_eye = self.psi * np.eye(self.n)
 
     def _stacked(self, observers, q0):
-        """The observers' _ScaledStack, or None when rows must run one by one: on non-commuting
-        columns, on a model without factor_jac, or when T^-1 or its derivatives come in another
+        """The observers' _ScaledStack, or None when rows must run one by one: on the general
+        path, on a model without factor_jac, or when T^-1 or its derivatives come in another
         layout than C order, which matmul may round differently once stacked.  The layouts are
         probed at q0, the plant's start, a position every run visits.
         """
         model = self.model
         x = np.asarray(q0, dtype=float)
         evaluators = (model.factor_inverse, model.factor_jac)
-        if not (model.zrs and model.factor_jac is not None
+        if not (self._analytic and model.factor_jac is not None
                 and all(np.asarray(f(x)).flags.c_contiguous for f in evaluators)):
             return None
         return _ScaledStack(self, observers)
@@ -132,10 +140,10 @@ class ScaledObserver:
     # -- mappings ----------------------------------------------------------
 
     def _structures(self, xs) -> Tuple[Array, Optional[Array]]:
-        """Stacks of T^-1 and of the factor-column brackets (None if columns commute) at each x in
-        xs: one factor_inverse call if columns commute, else one factor_structure call."""
+        """Stacks of T^-1 and of the factor-column brackets (None on the analytic path) at each x
+        in xs: one factor_inverse call on the analytic path, else one factor_structure call."""
         xs = np.array(xs)
-        if self.model.zrs:
+        if self._analytic:
             return self.model.factor_inverse(xs), None
         return geometry.factor_structure(self.model, xs)
 
@@ -153,16 +161,11 @@ class ScaledObserver:
         return h.reshape(q.shape[:-1] + (n, n))
 
     def _towards_q(self, qbar, q) -> Array:
-        """The positions besides qbar where derivative and delta_bounds read H(., phat), first axis.
-
-        q under analytic bounds; else bound_q's secant samples, q itself last, per row of a stack
-        of qbar.  Empty, (0, n), for one qbar at q; a stacked row at q gets samples all at q.
-        """
-        if self._analytic_bounds:
-            return q[None]
-        if qbar.ndim == 1 and row_norm(q - qbar) == 0.0:
+        """bound_q's secant samples along qbar -> q, q itself last, where the general path reads
+        H(., phat) besides qbar; empty, (0, n), at qbar = q."""
+        if row_norm(q - qbar) == 0.0:
             return np.empty((0, self.n))
-        points = qbar + _SECANT_TAUS.reshape((-1,) + (1,) * qbar.ndim) * (q - qbar)
+        points = qbar + _SECANT_TAUS[:, None] * (q - qbar)
         points[-1] = q
         return points
 
@@ -174,39 +177,30 @@ class ScaledObserver:
         vanishes when its copy error does.  Their spectral norms come from one
         _spectral_norms call.
 
-        Models with commuting factor columns and a Lipschitz constant for
-        T^-1 get the sharp analytic bounds (the momenta part is then zero).
-        Otherwise bound_q is a sampled secant slope along the segment from
-        qbar to q, doubled for safety.  H(qbar, .) is affine in momenta, so
-        every secant slope towards phat equals |delta_p| / |e_p|; bound_p is
-        that exact slope, doubled likewise (the value the sampled secant gave).
+        The analytic path gets the sharp bounds psi lip_factor_inv and zero:
+        H = psi T^-1 reads no momenta.  On the general path bound_q is a
+        sampled secant slope along the segment from qbar to q, doubled for
+        safety.  H(qbar, .) is affine in momenta, so every secant slope
+        towards phat equals |delta_p| / |e_p|; bound_p is that exact slope,
+        doubled likewise (the value the sampled secant gave).
         """
         q, qbar, phat, pbar = (np.asarray(a, dtype=float) for a in (q, qbar, phat, pbar))
-        if self._analytic_bounds:  # psi times T^-1's Lipschitz constant, read from no H
+        if self._analytic:  # psi times T^-1's Lipschitz constant, read from no H
             return self._bounds(q - qbar, (), _ZERO, phat - pbar)
         tinv, br = self._structures([qbar, *self._towards_q(qbar, q)])
         at = np.r_[0, : len(tinv)]  # qbar towards pbar, then qbar and _towards_q's towards phat
         ps = np.repeat([pbar, phat], [1, len(tinv)], axis=0)  # C order: strided rows round apart
-        h = self._h((tinv[at], None if br is None else br[at]), ps)
+        h = self._h((tinv[at], br[at]), ps)
         norms = _spectral_norms(np.concatenate([[h[1] - h[0]], h[2:] - h[1]]))
         return self._bounds(q - qbar, norms[1:], norms[0], phat - pbar)
 
     def _bounds(self, e_q, secants, norm_delta_p, e_p) -> Tuple[float, float]:
         """delta_bounds from e_q, e_p and spectral norms: secants of H(., phat) - H(qbar, phat) at
-        _towards_q's positions (first axis) and norm_delta_p (unread on commuting columns).
-
-        bound_q is per row of a stack of e_q on commuting columns, where delta_p vanishes.  The
-        largest secant slope skips NaN, as Python's max does: a stacked row at q has only 0 / 0.
-        """
-        if self._analytic_bounds:
+        _towards_q's positions and norm_delta_p, both unread on the analytic path."""
+        if self._analytic:
             return self.psi * np.float64(self.model.lip_factor_inv), _ZERO
-        gap_q = row_norm(e_q)
-        taus = _SECANT_TAUS[: len(secants)].reshape((-1,) + (1,) * gap_q.ndim)
-        with np.errstate(invalid="ignore"):
-            slopes = secants / (taus * gap_q)
-        bound_q = _BOUND_SAFETY * np.fmax.reduce(slopes, axis=0, initial=0.0)
-        if self.model.zrs:
-            return bound_q, _ZERO
+        slopes = secants / (_SECANT_TAUS[: len(secants)] * row_norm(e_q))
+        bound_q = _BOUND_SAFETY * np.max(slopes, initial=0.0)
         gap_p = row_norm(e_p)
         if gap_p == 0.0:
             return bound_q, _ZERO
@@ -279,13 +273,13 @@ class ScaledObserver:
     def _mapping_h_rate(self, Tinv, qbar, pbar, qbar_dot, pbar_dot) -> Array:
         """Time derivative of H(qbar, pbar) along the copy dynamics; Tinv is T^-1(qbar).
 
-        Commuting-factor models with analytic factor derivatives get the
-        exact chain rule through T^-1, per row of a stack; anything else
-        falls back to a directional central difference with step 1e-6, whose
-        two points get their structures and H's from one _structures and one _h call.
+        The analytic path, given analytic factor derivatives, gets the exact
+        chain rule through T^-1, per row of a stack; anything else falls back
+        to a directional central difference with step 1e-6, whose two points
+        get their structures and H's from one _structures and one _h call.
         """
         model = self.model
-        if model.zrs and model.factor_jac is not None:
+        if self._analytic and model.factor_jac is not None:
             dT = model.factor_jac(qbar).reshape(qbar.shape[:-1] + (self.n, -1))
             Tdot = np.vecmat(qbar_dot, dT).reshape(Tinv.shape)
             return -self._psi_m * Tinv @ Tdot @ Tinv
@@ -302,12 +296,12 @@ class ScaledObserver:
     def derivative(self, z, terms: StageTerms) -> Array:
         """Rate of one packed state z at the plant's stage terms; each H and T(q) phat formed once.
 
-        On commuting columns H = psi T^-1 comes from one factor_inverse call at qbar, then one at
-        _towards_q's positions.  Otherwise the structures come from two _structures calls: qbar
-        with _towards_q's, then the H-rate points; Jbar(., phat) at qbar and at _towards_q's
+        On the analytic path H = psi T^-1 comes from one factor_inverse call at qbar, then one at
+        q.  On the general path the structures come from two _structures calls: qbar with
+        _towards_q's, then the H-rate points; Jbar(., phat) at qbar and at _towards_q's
         positions comes from one contraction, their H's from one stacked matmul.  The spectral
-        norms of T(q), H(qbar, pbar), delta_q T(q), for non-commuting columns delta_p T(q) and
-        delta_p, and of bound_q's secant differences come from one stacked SVD.
+        norms of T(q), H(qbar, pbar), delta_q T(q) and, on the general path, delta_p T(q),
+        delta_p and bound_q's secant differences come from one stacked SVD.
         """
         model, n, mv = self.model, self.n, np.matvec
         q, T = terms.q, terms.T
@@ -315,15 +309,10 @@ class ScaledObserver:
         p_i, d_i = z[2 * n : 3 * n], z[3 * n : 4 * n]
         r = max(z[-1], _ONE)
 
-        if model.zrs:  # H does not depend on momenta
+        if self._analytic:  # H does not depend on momenta
             tinv_bar = model.factor_inverse(qbar)
-            h_bb = h_bp = self.psi * tinv_bar
-            if self._analytic_bounds:
-                h_q, h_towards_q = self.psi * model.factor_inverse(q), None
-            else:  # every secant sample in one (k, n) stack
-                towards = self._towards_q(qbar, q)
-                h_towards_q = self.psi * model.factor_inverse(towards)
-                h_q = h_towards_q[-1] if len(towards) else h_bp
+            h_bb = self.psi * tinv_bar
+            h_q = self.psi * model.factor_inverse(q)
         else:
             tinv, br = self._structures([qbar, *self._towards_q(qbar, q)])
             tinv_bar = tinv[0]
@@ -334,8 +323,12 @@ class ScaledObserver:
         e_q = qbar - q
         e_p = pbar - phat
 
-        if model.zrs:
-            gyro_term, normed = 0.0, [T, h_bb, (h_q - h_bp) @ T]
+        # induced 2-norms by index (unpacking costs 1 us more), the secant differences last
+        if self._analytic:
+            gyro_term = 0.0
+            norms = _spectral_norms(np.array([T, h_bb, (h_q - h_bb) @ T]))
+            norm_dp = _ZERO
+            bound_q, bound_p = self._bounds(e_q, (), None, e_p)
         else:
             jbar = swapped_from_brackets(br, phat)  # at qbar, then _towards_q's positions, q last
             h = (self._psi_eye + jbar) @ tinv
@@ -344,15 +337,10 @@ class ScaledObserver:
             gyro_term = jbar[-1] @ phat
             delta_p = h_bp - h_bb
             normed = [T, h_bb, (h_q - h_bp) @ T, delta_p @ T, delta_p]
-
-        # induced 2-norms by index (unpacking costs 1 us more), the secant differences last
-        if h_towards_q is None:
-            norms = _spectral_norms(np.array(normed))
-        else:
             norms = _spectral_norms(np.concatenate([normed, h_towards_q - h_bp]))
+            norm_dp = norms[3]
+            bound_q, bound_p = self._bounds(e_q, norms[5:], norms[4], e_p)
         norm_t, norm_h, norm_dq = norms[0], norms[1], norms[2]
-        norm_dp, norm_delta_p = (_ZERO, None) if model.zrs else (norms[3], norms[4])
-        bound_q, bound_p = self._bounds(e_q, norms[len(normed) :], norm_delta_p, e_p)
         gains = self.gains(r, r2, norm_t**2, norm_h**2, (bound_q**2, bound_p**2))
 
         t_phat = mv(T, phat)
@@ -377,10 +365,10 @@ class ScaledObserver:
 
 
 class _ScaledStack(ScaledObserver):
-    """A lockstep group's ScaledObserver on commuting columns; derivative takes (B, dim) stacks.
+    """A lockstep group's ScaledObserver on the analytic path; derivative takes (B, dim) stacks.
 
-    margins and psi are (B, 1) columns of observers[b]'s gains; -psi / 4 and, under analytic
-    bounds, the squared delta_bounds (bound_q^2, 0) are built once per group.
+    margins and psi are (B, 1) columns of observers[b]'s gains; -psi / 4 and the squared
+    delta_bounds (bound_q^2, 0) are built once per group.
     """
 
     def __init__(self, base: ScaledObserver, observers):
@@ -389,16 +377,14 @@ class _ScaledStack(ScaledObserver):
                         for key in base.margins}
         self.psi = np.array([[obs.psi] for obs in observers])
         self._psi_m, self._r_decay = self.psi[..., None], -(self.psi / 4.0)
-        if self._analytic_bounds:
-            bound_q = self.psi * np.float64(self.model.lip_factor_inv)
-            self._bounds2 = np.float_power(bound_q, 2.0), _ZERO
+        bound_q = self.psi * np.float64(self.model.lip_factor_inv)
+        self._bounds2 = np.float_power(bound_q, 2.0), _ZERO
 
     def derivative(self, zs, terms: StageTerms) -> Array:
         """Rates of the (B, dim) stack zs, row b bit for bit observers[b].derivative(zs[b]).
 
-        One factor_inverse call on qbar and _towards_q's positions (q last), one stacked SVD of
-        T(q), each row's H(qbar, pbar) and delta_q T(q) and, on the secant path, each row's
-        secant differences; powers are float_power's libm pow.
+        One factor_inverse call on qbar and q (last), one stacked SVD of T(q) and each row's
+        H(qbar, pbar) and delta_q T(q); powers are float_power's libm pow.
         """
         model, n, rows, mv, psi_m = self.model, self.n, len(zs), np.matvec, self._psi_m
         q, T = terms.q, terms.T
@@ -406,8 +392,7 @@ class _ScaledStack(ScaledObserver):
         p_i, d_i = zs[:, 2 * n : 3 * n], zs[:, 3 * n : 4 * n]
         r = np.maximum(zs[:, -1:], 1.0)
 
-        towards = self._towards_q(qbar, q)
-        tinv = model.factor_inverse(np.concatenate([qbar, towards.reshape(-1, n)]))
+        tinv = model.factor_inverse(np.concatenate([qbar, q[None]]))
         tinv_bar = tinv[:rows]
         h_bb = psi_m * tinv_bar  # H(qbar, phat) = H(qbar, pbar): H = psi T^-1 reads no momenta
         phat = p_i + h_bb @ q
@@ -416,19 +401,9 @@ class _ScaledStack(ScaledObserver):
         e_q = qbar - q
         e_p = pbar - phat
 
-        normed = [T[None], h_bb, (psi_m * tinv[-1] - h_bb) @ T]
-        if self._analytic_bounds:
-            norms = _spectral_norms(np.concatenate(normed))
-            bounds2 = self._bounds2
-        else:  # the secant differences of every row, (sample, row) last
-            h_towards_q = psi_m * tinv[rows:].reshape(towards.shape + (n,))
-            secant_diffs = (h_towards_q - h_bb).reshape(-1, n, n)
-            norms = _spectral_norms(np.concatenate([*normed, secant_diffs]))
-            bound_q, _ = self._bounds(e_q, norms[1 + 2 * rows :].reshape(towards.shape[:2]), None,
-                                      e_p)
-            bounds2 = np.float_power(bound_q, 2.0)[:, None], _ZERO
-        norm_h2, norm_dq2 = np.float_power(norms[1 : 1 + 2 * rows], 2.0).reshape(2, -1, 1)
-        gains = self.gains(r, r2, norms[0] ** 2, norm_h2, bounds2)
+        norms = _spectral_norms(np.concatenate([T[None], h_bb, (psi_m * tinv[-1] - h_bb) @ T]))
+        norm_h2, norm_dq2 = np.float_power(norms[1:], 2.0).reshape(2, -1, 1)
+        gains = self.gains(r, r2, norms[0] ** 2, norm_h2, self._bounds2)
 
         t_phat = mv(T, phat)
         friction_term = mv(T.T, model.friction.coeffs * t_phat)

@@ -171,6 +171,11 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
     The potential is not part of this model (it lives with the physical
     parameters we do not fix); structural identities are what it is for.
     T, T^-1, dT and the integral map take (k, 4) stacks (module docstring).
+
+    T^-1's Lipschitz constant is 2 a2 rho = 2 M l / sqrt(m + M): T^-1 moves
+    with q only through s = q1 + q2, by the rank-one term a2 rho u(s) v^T with
+    u = (0, 0, sin s, -cos s), v = (1, 1, 0, 0), |u'| = 1 and |v| = sqrt(2),
+    and |ds| <= sqrt(2) |dq|.  Steps along v reach the constant.
     """
     I, M, m, l = (np.float64(k) for k in (params.I, params.M, params.m, params.l))  # inf, no raise
     a2, a3 = np.sqrt(M * m) * l / np.sqrt(m + M), np.sqrt(M + m)
@@ -227,6 +232,7 @@ def make_planar_manipulator(params: ManipulatorParams = ManipulatorParams()) -> 
         friction=FrictionSpec(params.friction, params.known_mask),
         integral_map=integral_map,
         factor_jac=factor_jac,
+        lip_factor_inv=2.0 * a2 * rho,
         name="manipulator",
     ), _values(params, "I", "M", "m", "l"))
 

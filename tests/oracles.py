@@ -60,27 +60,25 @@ def bounds_by_three_calls(obs, e_q, h_bp, h_towards_q, delta_p, e_p):
     """ScaledObserver._bounds from the matrices, in three calls: an SVD of the secant differences
     H(., phat) - H(qbar, phat) at obs._towards_q's positions, np.linalg.norm(delta_p, 2) and
     np.linalg.norm(e_p)."""
-    if obs._analytic_bounds:
+    if obs._analytic:
         return obs.psi * np.float64(obs.model.lip_factor_inv), _ZERO
-    gap_q = row_norm(e_q)
-    h_towards_q = np.reshape(h_towards_q, (-1,) + h_bp.shape)
     secants = np.linalg.svd(h_towards_q - h_bp, compute_uv=False).max(axis=-1)
-    taus = _SECANT_TAUS[: len(secants)].reshape((-1,) + (1,) * gap_q.ndim)
-    with np.errstate(invalid="ignore"):
-        slopes = secants / (taus * gap_q)
-    bound_q = _BOUND_SAFETY * np.fmax.reduce(slopes, axis=0, initial=0.0)
+    slopes = secants / (_SECANT_TAUS[: len(secants)] * row_norm(e_q))
+    bound_q = _BOUND_SAFETY * np.max(slopes, initial=0.0)
     gap_p = np.linalg.norm(e_p)
-    if obs.model.zrs or gap_p == 0.0:
+    if gap_p == 0.0:
         return bound_q, _ZERO
     return bound_q, _BOUND_SAFETY * np.linalg.norm(delta_p, 2) / gap_p
 
 
 def delta_bounds_by_three_calls(obs, q, qbar, phat, pbar):
     """ScaledObserver.delta_bounds with its norms from bounds_by_three_calls."""
+    if obs._analytic:  # the bounds read no H
+        return bounds_by_three_calls(obs, q - qbar, None, None, None, phat - pbar)
     tinv, br = obs._structures([qbar, *obs._towards_q(qbar, q)])
     at = np.r_[0, : len(tinv)]
     ps = np.repeat([pbar, phat], [1, len(tinv)], axis=0)
-    h = obs._h((tinv[at], None if br is None else br[at]), ps)
+    h = obs._h((tinv[at], br[at]), ps)
     return bounds_by_three_calls(obs, q - qbar, h[1], h[2:], h[1] - h[0], phat - pbar)
 
 
@@ -91,12 +89,10 @@ def derivative_by_three_calls(obs, z, terms):
     q, T = terms.q, terms.T
     qbar, pbar, p_i, d_i = np.split(z[:-1], 4)
     r = max(z[-1], _ONE)
-    if model.zrs:
+    if obs._analytic:
         tinv_bar = model.factor_inverse(qbar)
         h_bb = h_bp = obs.psi * tinv_bar
-        towards = obs._towards_q(qbar, q)
-        h_towards_q = obs.psi * model.factor_inverse(towards)
-        h_q = h_towards_q[-1] if len(towards) else h_bp
+        h_q, h_towards_q = obs.psi * model.factor_inverse(q), None
     else:
         tinv, br = obs._structures([qbar, *obs._towards_q(qbar, q)])
         tinv_bar = tinv[0]
@@ -104,7 +100,7 @@ def derivative_by_three_calls(obs, z, terms):
     phat = p_i + h_bb @ q
     r2 = r**2
     e_q, e_p = qbar - q, pbar - phat
-    if model.zrs:
+    if obs._analytic:
         gyro_term, delta_p, normed = 0.0, None, [T, h_bb, (h_q - h_bp) @ T]
     else:
         jbar = swapped_from_brackets(br, phat)
@@ -114,7 +110,7 @@ def derivative_by_three_calls(obs, z, terms):
         delta_p = h_bp - h_bb
         normed = [T, h_bb, (h_q - h_bp) @ T, delta_p @ T]
     norms = np.linalg.svd(np.array(normed), compute_uv=False)[:, 0]
-    norm_dp = _ZERO if model.zrs else norms[3]
+    norm_dp = _ZERO if obs._analytic else norms[3]
     bound_q, bound_p = bounds_by_three_calls(obs, e_q, h_bp, h_towards_q, delta_p, e_p)
     gains = obs.gains(r, r2, norms[0] ** 2, norms[1] ** 2, (bound_q**2, bound_p**2))
     t_phat = mv(T, phat)

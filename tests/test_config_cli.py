@@ -525,6 +525,22 @@ def test_cli_run_huge_start_scale_diverges(tmp_path, capsys):
     assert (tmp_path / "big_r" / "timeseries.csv").read_text().count("\n") == 2  # header, t = 0
 
 
+@pytest.mark.parametrize("text, err", [
+    (PROP2.replace("mom = 0, 0, 0", "mom = 0, 0, 0\nr = 1e155"),
+     "run diverged: FloatingPointError in the step from t = 0: overflow encountered in scalar "
+     "power (in scaled.ScaledObserver.derivative)"),
+    (CHOLESKY_PROBE_CFG.replace("L3 = 0.5", "L3 = 1e11").replace("t_final = 1.0", "t_final = 0.01"),
+     "run diverged: FloatingPointError in the step from t = 0: overflow encountered in vecdot "
+     "(in model.row_norm, called from scaled.ScaledObserver._mapping_h_rate)"),
+], ids=["big-r", "cholesky-ill-conditioned"])
+def test_cli_divergence_names_its_function(tmp_path, capsys, text, err):
+    # the innermost momobs frame by its qualified name, and its caller when that frame is a
+    # module-level helper: the whole stderr line
+    cfg = write(tmp_path, "diverges.cfg", text)
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == err + "\n"
+
+
 def test_cli_run_of_many_steps_diverges_in_its_first_step(tmp_path, capsys):
     # 9e15 steps pass whole_steps; the run takes each step's disturbance level
     # as it reaches it, so it allocates nothing per step before its first one

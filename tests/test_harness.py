@@ -238,7 +238,7 @@ def gain_group(request, case):
         sc = crane_prop1_scenario(request.getfixturevalue("crane_known"), observer="prop2",
                                   gains={}, t_final=0.3, stride=7)
         return [apply_sweep_value(sc, "psi5_extra", v) for v in (0.5, 1.0, 3.0)]
-    if case == "prop2_manipulator":  # every friction known, no Lipschitz constant: secant bounds
+    if case == "prop2_manipulator":  # every friction known: the analytic path
         model = make_planar_manipulator(ManipulatorParams(known_mask=(True,) * 4))
         levels = [[0.0, 0.1, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1]]
         sc = Scenario(model=model, observer="prop2", q0=[0.2, -0.1, 0.3, 0.1], mom0=[0.0] * 4,

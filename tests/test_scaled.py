@@ -22,10 +22,12 @@ from momobs import (
     make_planar_manipulator,
     make_spider_crane_cholesky,
     plant_derivative,
+    share_plant,
     stage_terms,
 )
 import momobs
 import momobs.cli
+from momobs.harness import _group_rate, apply_sweep_value
 
 from oracles import derivative_by_three_calls, delta_bounds_by_three_calls, exact_observer_init
 
@@ -41,6 +43,12 @@ def cholesky_known():
 @pytest.fixture(scope="module")
 def manipulator_known():
     return make_planar_manipulator(ManipulatorParams(known_mask=(True,) * 4))
+
+
+@pytest.fixture(scope="module")
+def manipulator_no_lip(manipulator_known):
+    """The manipulator without T^-1's Lipschitz constant: commuting columns on the general path."""
+    return dataclasses.replace(manipulator_known, lip_factor_inv=None)
 
 
 @pytest.fixture(scope="module")
@@ -180,32 +188,54 @@ def test_delta_bounds_constant_factor(const_known):
     assert obs.delta_bounds(np.zeros(2), np.ones(2), np.ones(2), np.zeros(2)) == (0.0, 0.0)
 
 
-def test_delta_bounds_numeric_fallback(cholesky_known):
-    obs = ScaledObserver(cholesky_known)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        q, qbar = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        phat, pbar = rng.normal(size=3), rng.normal(size=3)
-        bound_q, bound_p = obs.delta_bounds(q, qbar, phat, pbar)
-        dq, dp = delta_split(obs, q, qbar, phat, pbar)
-        assert np.linalg.norm(dq, 2) <= bound_q * np.linalg.norm(qbar - q) + 1e-12
-        assert np.linalg.norm(dp, 2) <= bound_p * np.linalg.norm(pbar - phat) + 1e-12
-        # H is affine in momenta, so the momenta bound is the doubled exact slope
-        exact = 2.0 * np.linalg.norm(dp, 2) / np.linalg.norm(pbar - phat)
-        assert bound_p == pytest.approx(exact, rel=1e-12)
-        # the stacked H's and their stacked SVD have the bits of each H formed at its position
-        # alone and of each norm taken alone
-        h_bp = obs.mapping_h(qbar, phat)
-        secants = [np.linalg.norm(obs.mapping_h(x, phat) - h_bp, 2)
-                   for x in obs._towards_q(qbar, q)]
-        norm_dp = np.linalg.norm(h_bp - obs.mapping_h(qbar, pbar), 2)
-        alone = obs._bounds(q - qbar, np.array(secants), norm_dp, phat - pbar)
-        assert np.array(alone).tobytes() == np.array((bound_q, bound_p)).tobytes()
-    # coincident arguments give zero bounds
-    assert obs.delta_bounds(q, q, phat, phat) == (0.0, 0.0)
+def test_delta_bounds_numeric_fallback(cholesky_known, manipulator_no_lip):
+    # the general path, on non-commuting columns and on commuting ones without a Lipschitz
+    # constant, where the brackets and delta_p vanish
+    for model in (cholesky_known, manipulator_no_lip):
+        obs = ScaledObserver(model)
+        n, rng = model.n, np.random.default_rng(5)
+        for _ in range(50):
+            q, qbar = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            phat, pbar = rng.normal(size=n), rng.normal(size=n)
+            bound_q, bound_p = obs.delta_bounds(q, qbar, phat, pbar)
+            dq, dp = delta_split(obs, q, qbar, phat, pbar)
+            assert np.linalg.norm(dq, 2) <= bound_q * np.linalg.norm(qbar - q) + 1e-12
+            assert np.linalg.norm(dp, 2) <= bound_p * np.linalg.norm(pbar - phat) + 1e-12
+            # H is affine in momenta, so the momenta bound is the doubled exact slope
+            exact = 2.0 * np.linalg.norm(dp, 2) / np.linalg.norm(pbar - phat)
+            assert bound_p == pytest.approx(exact, rel=1e-12)
+            # the stacked H's and their stacked SVD have the bits of each H formed at its
+            # position alone and of each norm taken alone
+            h_bp = obs.mapping_h(qbar, phat)
+            secants = [np.linalg.norm(obs.mapping_h(x, phat) - h_bp, 2)
+                       for x in obs._towards_q(qbar, q)]
+            norm_dp = np.linalg.norm(h_bp - obs.mapping_h(qbar, pbar), 2)
+            alone = obs._bounds(q - qbar, np.array(secants), norm_dp, phat - pbar)
+            assert np.array(alone).tobytes() == np.array((bound_q, bound_p)).tobytes()
+        # coincident arguments give zero bounds
+        assert obs.delta_bounds(q, q, phat, phat) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("name", ["cholesky_known", "crane_known", "manipulator_known"])
+@pytest.mark.parametrize("params", [ManipulatorParams(), ManipulatorParams(I=2.0, M=3.0, m=0.5,
+                                                                           l=1.7)])
+def test_manipulator_lipschitz_constant(params):
+    # |T^-1(q) - T^-1(q')|_2 <= L |q - q'| with L = 2 M l / sqrt(m + M) on random pairs and on
+    # steps of 1e-3 to 1e-2 along (1, 1, 0, 0), where the slope reaches L (make_planar_manipulator)
+    model = make_planar_manipulator(params)
+    L = model.lip_factor_inv
+    assert L == pytest.approx(2.0 * params.M * params.l / np.sqrt(params.m + params.M), rel=1e-15)
+    rng = np.random.default_rng(36)
+    q = rng.uniform(-np.pi, np.pi, (4000, 4))
+    along = np.outer(rng.uniform(1e-3, 1e-2, 2000), [1.0, 1.0, 0.0, 0.0])
+    ends = np.concatenate([rng.uniform(-np.pi, np.pi, (2000, 4)), q[2000:] + along])
+    gaps = np.linalg.norm(model.factor_inv(ends) - model.factor_inv(q), 2, axis=(-2, -1))
+    slopes = gaps / np.linalg.norm(ends - q, axis=-1)
+    assert slopes.max() <= L * (1.0 + 1e-12)
+    assert slopes.max() >= 0.99 * L
+
+
+@pytest.mark.parametrize("name", ["cholesky_known", "crane_known", "manipulator_known",
+                                  "manipulator_no_lip"])
 def test_derivative_and_delta_bounds_match_three_call_oracle(request, name):
     # one stacked SVD per call gives each spectral norm the bits of its own numpy.linalg call:
     # 60 seeded states, every sixth with qbar = q and every sixth after those with e_p = 0
@@ -229,21 +259,84 @@ def test_derivative_and_delta_bounds_match_three_call_oracle(request, name):
         assert bounds.tobytes() == np.array(oracle).tobytes()
 
 
-def test_lockstep_secant_path_matches_three_call_oracle(manipulator_known):
-    # the manipulator has no Lipschitz constant for T^-1, so its lockstep stack takes the secant
-    # path; each row, row 0 at qbar = q, is the three-call derivative of its observer alone
-    observers = [ScaledObserver(manipulator_known, {"psi5_extra": v}) for v in (0.5, 1, 2, 4)]
-    stacked = observers[0]._stacked(observers, np.zeros(4))
-    assert not stacked._analytic_bounds
+def test_lockstep_secant_path_matches_three_call_oracle(manipulator_no_lip):
+    # without a Lipschitz constant the manipulator takes the general path, secant bounds
+    # included: its lockstep group has no stack kernel and steps its rows one by one, each row,
+    # row 0 at qbar = q, the three-call derivative of its observer alone; a lockstep run of the
+    # group equals its runs alone, bit for bit
+    observers = [ScaledObserver(manipulator_no_lip, {"psi5_extra": v}) for v in (0.5, 1, 2, 4)]
+    assert observers[0]._stacked(observers, np.zeros(4)) is None
+    group_rate = _group_rate(observers, np.zeros(4))
     rng = np.random.default_rng(34)
     for _ in range(15):
         q = rng.uniform(-1, 1, 4)
         zs = np.array([obs.state_with(q) + rng.normal(scale=0.3, size=obs.dim)
                        for obs in observers])
         zs[0, :4] = q
-        terms = stage_terms(manipulator_known, q, rng.normal(size=2))
-        for obs, z, rate in zip(observers, zs, stacked.derivative(zs, terms)):
+        terms = stage_terms(manipulator_no_lip, q, rng.normal(size=2))
+        for obs, z, rate in zip(observers, zs, group_rate(zs, terms)):
             assert rate.tobytes() == derivative_by_three_calls(obs, z, terms).tobytes()
+    sc = Scenario(model=manipulator_no_lip, observer="prop2", q0=[0.2, -0.1, 0.3, 0.1],
+                  mom0=[0.1, 0.0, -0.1, 0.0],
+                  inputs=(InputChannel(1.0, 1.0, 0.0, "cos"), InputChannel(0.5, 2.0, 0.0, "sin")),
+                  disturbance=DisturbanceSchedule.constant([0.0, 0.1, 0.0, 0.0]), t_final=0.03,
+                  dt=1e-3, stride=7)
+    solo = [integrate_scenario(apply_sweep_value(sc, "psi5_extra", v)) for v in (0.5, 2.0)]
+    group = [apply_sweep_value(sc, "psi5_extra", v) for v in (0.5, 2.0)]
+    share_plant(group)
+    for alone, ts in zip(solo, map(integrate_scenario, group)):
+        assert not alone.diverged and alone.obs.tobytes() == ts.obs.tobytes()
+        assert alone.phat.tobytes() == ts.phat.tobytes()
+
+
+def error_equation_gap(obs, z, dz, terms, p) -> float:
+    """Relative distance of the observer's disturbance-error rate from Proposition 2's.
+
+    With dhat = d_i + q / r^2, qdot = T(q) p and a constant disturbance, the rate of
+    dtil = dhat - d is d_i' + T p / r^2 - 2 q r' / r^3, and the paper's error equation says it
+    is -T(q) ptil / r^2, ptil = phat - p; dz is the rate of the state z, at r > 1.
+    """
+    n, q, T = obs.n, terms.q, terms.T
+    r, r_dot = z[-1], dz[-1]
+    rate = dz[3 * n : 4 * n] + T @ p / r**2 - 2.0 * q * r_dot / r**3
+    paper = -T @ (obs.output(z, q).p - p) / r**2
+    return np.linalg.norm(rate - paper) / np.linalg.norm(paper)
+
+
+def random_state(rng, n):
+    """A packed state: qbar uniform in [-1, 1]^n, pbar, p_i and d_i normal, r > 1."""
+    qbar, (pbar, p_i, d_i) = rng.uniform(-1, 1, n), rng.normal(size=(3, n))
+    return Obs2State(qbar, pbar, p_i, d_i, 1.0 + rng.exponential()).pack()
+
+
+def random_stage(rng, model):
+    """Stage terms at a position uniform in [-1, 1]^n and a true transformed momenta p."""
+    q, p = rng.uniform(-1, 1, model.n), rng.normal(size=model.n)
+    return stage_terms(model, q, rng.normal(size=model.m)), p
+
+
+@pytest.mark.parametrize("name", ["crane_known", "cholesky_known", "manipulator_known",
+                                  "rotated_known"])
+def test_disturbance_error_obeys_the_error_equation(request, name):
+    # a property of the paper, not of the code's bits: the d_i rate's 2 r' q / r^3 is what
+    # makes dtil' = -T ptil / r^2 hold beside dhat's q / r^2 term
+    model = request.getfixturevalue(name)
+    obs, rng = ScaledObserver(model), np.random.default_rng(35)
+    for _ in range(100):
+        terms, p = random_stage(rng, model)
+        z = random_state(rng, model.n)
+        assert error_equation_gap(obs, z, obs.derivative(z, terms), terms, p) <= 1e-10
+
+
+def test_stacked_disturbance_error_obeys_the_error_equation(crane_known):
+    # the same property on each row of a 4-row lockstep stack kernel
+    observers = [ScaledObserver(crane_known, {"psi5_extra": v}) for v in (0.5, 1, 2, 4)]
+    stacked, rng = observers[0]._stacked(observers, np.zeros(3)), np.random.default_rng(37)
+    for _ in range(50):
+        terms, p = random_stage(rng, crane_known)
+        zs = np.array([random_state(rng, 3) for _ in observers])
+        for obs, z, dz in zip(observers, zs, stacked.derivative(zs, terms)):
+            assert error_equation_gap(obs, z, dz, terms, p) <= 1e-10
 
 
 def counting(model, calls, attrs=("factor", "factor_inv", "factor_jac")):
@@ -331,9 +424,8 @@ def test_derivative_structure_once_per_position(request, monkeypatch, name, coin
         # analytic bounds: T^-1 at the four qbar rows and at q, once for all
         # rows, in one stack, and dT at the four qbar rows for the exact H-rate
         ("crane_known", {"factor": [], "factor_inv": [4 + 1], "factor_jac": [4]}),
-        # secant bounds: T^-1 at the qbar rows and at the ten samples of every
-        # row (q last) in one stack
-        ("manipulator_known", {"factor": [], "factor_inv": [4 + 10 * 4], "factor_jac": [4]}),
+        # the same on the manipulator, whose Lipschitz constant is a closed form too
+        ("manipulator_known", {"factor": [], "factor_inv": [4 + 1], "factor_jac": [4]}),
     ],
     ids=["crane", "manipulator"],
 )
