@@ -1,9 +1,10 @@
 """Adaptive momenta observer with friction and disturbance estimation.
 
 Applicable to models whose factor columns commute (so the gyroscopic matrix
-vanishes) and whose unknown-friction rows of T are constant.  Estimates are
-built as integral state plus a proportional term shaped so the estimation
-errors obey
+vanishes) and whose unknown-friction rows of T are constant: check_zrs checks
+both once, at the structural samples, and the regressor matrices are read at
+the first of them.  Estimates are built as integral state plus a proportional
+term shaped so the estimation errors obey
 
     ptil_dot  = -(R(q) + lam I) ptil - Phi(phat) rutil + T^T(q) dtil
     rutil_dot =  Phi(phat)^T ptil
@@ -31,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 # bench/spans.py traces check_zrs under this module
-from .geometry import check_zrs, sample_positions
+from .geometry import check_zrs, structural_samples
 from .model import MechanicalModel, StageTerms, row_norm
 
 Array = np.ndarray
@@ -48,27 +49,13 @@ class StructureError(ValueError):
 def regressor_matrices(model: MechanicalModel) -> Array:
     """Constant matrices Y with R_u(q) z = (sum_j Y[j] z_j) r_u for all q, z.
 
-    Returns a stacked (n, n, s) array, Y[j] of shape (n, s).  Entries exist
-    because the unknown-friction rows of the factor are constant; each Y[j]
-    column k is (row kappa_k of T)^T scaled by T[kappa_k, j].  Constancy is
-    verified on the 100 positions of sample_positions at seed 0, to 1e-10
-    per entry, and a varying (or NaN) matrix is rejected with the offending
-    index, at the first sample where one varies.
+    Returns a stacked (n, n, s) array, Y[j] of shape (n, s): column k of Y[j] is (row kappa_k
+    of T)^T scaled by T[kappa_k, j], from one factor call at the first structural sample.  Its
+    unchecked precondition is check_zrs's constant_unknown_rows verdict, which AdaptiveObserver
+    requires first.
     """
-    kappa = model.friction.unknown_indices
-    rows = model.factor(sample_positions(model.n, 100))[:, kappa, :]
-    base = np.einsum("kj,ka->jak", rows[0], rows[0])
-    cands = np.einsum("qkj,qka->qjak", rows[1:], rows[1:])
-    dev = np.max(np.abs(cands - base).reshape(len(cands), model.n, -1), axis=-1, initial=0.0)
-    bad = np.argwhere(~(dev <= 1e-10))  # a NaN deviation varies too
-    if len(bad):
-        sample, j = bad[0]
-        raise StructureError(
-            f"regressor matrix {j} varies with q (deviation {dev[sample, j]:.3e}); "
-            "unknown-friction rows of the factor must be constant",
-            residual=float(dev[sample, j]),
-        )
-    return base
+    rows = model.factor(structural_samples(model.n)[0])[model.friction.unknown_indices]
+    return np.einsum("kj,ka->jak", rows, rows)
 
 
 def regressor(ymats: Array, z) -> Array:
@@ -157,7 +144,7 @@ class AdaptiveObserver:
 
     State dimension is 2n + s.  gains may set lambda, the error energy's
     decay rate (checked_gains).  Construction always verifies the structural
-    preconditions numerically on 30 sampled positions (commuting factor
+    preconditions numerically at the 30 structural samples (commuting factor
     columns, integral map consistency, constant unknown-friction rows) and
     precomputes the constant regressor and quadratic matrices.
 
@@ -170,7 +157,7 @@ class AdaptiveObserver:
 
     def __init__(self, model: MechanicalModel, gains: Mapping[str, float] = {}):
         self.lam = checked_gains(self.default_gains, gains)["lambda"]
-        failures = check_zrs(model, sample_positions(model.n, 30)).failures
+        failures = check_zrs(model, structural_samples(model.n)).failures
         if failures:
             raise StructureError(*failures[0])
         if model.integral_map is None:

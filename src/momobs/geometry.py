@@ -8,9 +8,10 @@ The observer designs need two structural facts about the factor T(q):
 
 Both are checked numerically on a sample set, in one stacked evaluation
 per evaluator (MechanicalModel's stack contract), and summarized in an
-AssumptionReport, which also words the adaptive observer's refusals.  The
-same bracket machinery builds the skew-symmetric gyroscopic matrix that
-appears in the factored-coordinate dynamics.
+AssumptionReport, which also words the adaptive observer's refusals; that
+observer checks them once, at structural_samples(n).  The same bracket
+machinery builds the skew-symmetric gyroscopic matrix that appears in the
+factored-coordinate dynamics.
 
 The gyroscopic matrix.  With p = T^T(q) mom and qdot = T p, the rate of p
 along the plant's flow holds, besides its potential, friction and input
@@ -135,17 +136,25 @@ def _worst(values) -> float:
     return float(np.max(values, initial=0.0))
 
 
+def _positions(q, n: int) -> Array:
+    """One position (n,) or a (k, n) stack, k >= 1, as a (k, n) stack; else a ValueError."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (n,) and not (q.ndim == 2 and q.shape[1] == n and len(q)):
+        raise ValueError(f"positions must have shape ({n},) or (k >= 1, {n}), got {q.shape}")
+    return q.reshape(-1, n)
+
+
 def grad_integral_map_residual(model: MechanicalModel, q) -> float:
     """Frobenius norm of grad Q(q) - T^-1(q), grad Q by central differences.
 
-    q may be a (k, n) stack of positions; the largest norm over its rows,
-    NaN if any row's is.  Differences that are not finite give a residual
-    that is not finite, which fails its verdict, rather than a raise.
+    q may be a (k, n) stack of positions (_positions); the largest norm over
+    its rows, NaN if any row's is.  Differences that are not finite give a
+    residual that is not finite, which fails its verdict, rather than a raise.
     """
     if model.integral_map is None:
         raise ValueError("model supplies no integral map")
     n = model.n
-    q = np.asarray(q, dtype=float).reshape(-1, n)
+    q = _positions(q, n)
     grads = central_differences(model.integral_map, q, FD_STEP)[1]
     # row by row as np.linalg.norm of one matrix: the norm of its C-order entries
     gaps = (grads.mT - model.factor_inverse(q)).reshape(-1, n * n)
@@ -220,16 +229,14 @@ class AssumptionReport:
 
 
 def check_zrs(model: MechanicalModel, sample_qs: Sequence[Array]) -> AssumptionReport:
-    """Evaluate the structural assumptions over a sample set.
+    """Evaluate the structural assumptions over a sample set, one position or a stack (_positions).
 
     Each evaluator is called once, on the stack of samples.  Never raises
     on failure; the report carries residuals and verdicts so callers can
     decide (the adaptive observer refuses models that fail).
     """
     n = model.n
-    samples = np.array(sample_qs, dtype=float).reshape(-1, n)
-    if not len(samples):
-        raise ValueError("sample set must be nonempty")
+    samples = _positions(sample_qs, n)
     T, dT = _factor_and_jacobian(model, samples, FD_STEP)
     # a NaN bracket at any sample makes its pair's maximum NaN
     pair_max = np.linalg.norm(_brackets(T, dT), axis=-1).max(axis=0)
@@ -265,3 +272,12 @@ def sample_positions(n: int, count: int = 100, seed: int = 0) -> Array:
     rng = random.Random(int(seed))
     draws = np.array([rng.random() for _ in range(count * n)]).reshape(count, n)
     return np.pi * (2.0 * draws - 1.0)
+
+
+@functools.cache
+def structural_samples(n: int) -> Array:
+    """sample_positions(n, 30), drawn once per n and read-only: where the model factories
+    probe their factor (systems._probed) and the adaptive observer checks its preconditions."""
+    samples = sample_positions(n, 30)
+    samples.flags.writeable = False
+    return samples

@@ -14,19 +14,19 @@ a numpy float's ** 2 (libm pow) where an array's would multiply and round otherw
 
 One rule says what a model may be, and every factory returns through it
 (_probed): T, T T^T = M^-1 and any closed-form T^-1 must be formed and finite
-at the 30 structural samples.  The params refuse only masses, lengths and I
-that are not positive: the factor stays finite at L3 < 0 or l < 0.
+at the 30 structural samples (geometry.structural_samples), where the adaptive
+observer checks its preconditions.  The params refuse only masses, lengths and
+I that are not positive: the factor stays finite at L3 < 0 or l < 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import sample_positions
+from .geometry import structural_samples
 from .model import FrictionSpec, MechanicalModel, ModelError
 
 Array = np.ndarray
@@ -41,23 +41,17 @@ def _per_position(const: Array, q: Array) -> Array:
     return out
 
 
-@cache
-def _structural_samples(n: int) -> Array:
-    """sample_positions(n, 30), the positions the prop1 observer checks, drawn once per n."""
-    return sample_positions(n, 30)
-
-
 def _probed(model: MechanicalModel, cited: str) -> MechanicalModel:
     """model, once T, T T^T = M^-1 and any closed-form T^-1 are formed and finite at the samples.
 
-    One stacked call of factor (and factor_inv) on _structural_samples(n); a
+    One stacked call of factor (and factor_inv) on structural_samples(n); a
     LinAlgError (no Cholesky factor), an ArithmeticError (a Python float that
     overflows or divides by zero) or a value that is not finite gives a ModelError
     citing cited.  Nothing is solved, so a finite but numerically singular T passes:
     an observer refuses it where it solves for T^-1.  Each factory runs under
     np.errstate(all="ignore"), so a refusal warns of nothing on the way.
     """
-    q = _structural_samples(model.n)
+    q = structural_samples(model.n)
     try:
         T = model.factor(q)
         values = [T, T @ T.mT] + ([] if model.factor_inv is None else [model.factor_inv(q)])

@@ -357,6 +357,11 @@ _rows = [
     Row("sweep_noncommuting_prop1", "crane", (CHOLESKY,),
         sweep("--param", "lambda", "--values", "0.8,2"), NOT_COMMUTING,
         ("test_cli_sweep_rejects_noncommuting_factor",)),
+    # the adaptive observer's one row gate: check_zrs's verdict at the structural samples
+    *(Row(f"{argv[0]}_varying_unknown_row_prop1", "crane",
+          (("known = true, true, false", "known = false, true, false"),), argv,
+          "config error: unknown-friction rows of the factor vary with q (residual 2.164e+00)")
+      for argv in (RUN, sweep("--param", "lambda", "--values", "0.8,2"))),
     Row("run_prop2_unknown_friction", "crane",
         (("kind = prop1", "kind = prop2"), ("lambda = 0.8", "")), RUN,
         "config error: this observer needs fully known friction; 1 coefficient(s) are marked "

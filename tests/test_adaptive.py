@@ -11,6 +11,7 @@ from momobs import (
     Scenario,
     SpiderCraneParams,
     StructureError,
+    check_zrs,
     error_energy,
     estimator_quadratics,
     integrate_scenario,
@@ -18,9 +19,9 @@ from momobs import (
     make_spider_crane,
     regressor,
     regressor_matrices,
-    sample_positions,
     stage_terms,
 )
+from momobs.geometry import structural_samples
 
 from oracles import exact_observer_init, velocity_quadratics
 
@@ -76,11 +77,14 @@ def test_regressor_matrices_symmetry_relation(crane, manipulator):
 
 
 def test_regressor_matrices_reject_varying_rows():
-    params = SpiderCraneParams(friction=(0.3, 0.0, 0.5), known_mask=(False, True, True))
-    model = make_spider_crane(params)
+    # Y is read at one position, so one gate guards it: check_zrs's row verdict at the
+    # structural samples, which the observer raises before it reads Y
+    model = make_spider_crane(SpiderCraneParams(known_mask=(False, False, False)))
+    ok, message, _ = check_zrs(model, structural_samples(3)).verdicts["constant_unknown_rows"]
+    assert ok is False
     with pytest.raises(StructureError) as err:
-        regressor_matrices(model)
-    assert err.value.residual > 0
+        AdaptiveObserver(model)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name", ["crane", "manipulator", "const2"])
@@ -98,16 +102,20 @@ def test_regressor_matrices_closed_form(request, name):
 
 
 def test_regressor_matrices_reject_nan_rows(crane):
-    # an unknown-friction row that reads NaN at one sample is not constant
-    bad = sample_positions(3, 100)[5]
+    # an unknown-friction row that reads NaN at one structural sample is not constant
+    bad = structural_samples(3)[5]
 
     def factor(q):
         T = crane.factor(q)
         T[..., 2, 2] = np.where(np.all(q == bad, axis=-1), np.nan, T[..., 2, 2])
         return T
 
-    with pytest.raises(StructureError, match=r"varies with q \(deviation nan\)"):
-        regressor_matrices(replace(crane, factor=factor))
+    model = replace(crane, factor=factor)
+    report = check_zrs(model, structural_samples(3))
+    assert "row_residual[2] = nan" in report.to_text().splitlines()
+    assert report.constant_rows_ok is False
+    with pytest.raises(StructureError):
+        AdaptiveObserver(model)
 
 
 def test_regressor_identity(crane, manipulator):
@@ -205,7 +213,7 @@ def test_observer_refuses_varying_unknown_rows():
     with pytest.raises(StructureError, match="rows of the factor vary") as err:
         AdaptiveObserver(model)
     # the residual is the row's largest drift from the first of the observer's 30 samples
-    qs = sample_positions(3, 30)
+    qs = structural_samples(3)
     first = model.factor(qs[0])[0]
     assert err.value.residual == max(float(np.linalg.norm(model.factor(q)[0] - first))
                                      for q in qs[1:])

@@ -158,6 +158,15 @@ def test_check_zrs_needs_samples(crane):
         check_zrs(crane, [])
 
 
+@pytest.mark.parametrize("shape", [(30, 2), (30, 4), (6,)])
+def test_structural_checks_refuse_missized_samples(crane, shape):
+    # 60 numbers are not 20 crane positions: only (3,) or (k, 3) is read as positions
+    samples = sample_positions(1, int(np.prod(shape))).reshape(shape)
+    for check in (check_zrs, grad_integral_map_residual):
+        with pytest.raises(ValueError, match=rf"got \({shape[0]},"):
+            check(crane, samples)
+
+
 def test_gyro_zero_for_commuting_models(crane, manipulator, const2):
     rng = np.random.default_rng(3)
     for model in (crane, manipulator, const2):

@@ -323,14 +323,26 @@ def test_diverging_group_runs_each_member_alone(crane):
     assert lockstep.series == {}
 
 
-@pytest.mark.parametrize("observer, fixture", [("prop1", "crane"), ("prop2", "crane_known")])
+@pytest.mark.parametrize("observer, fixture", [("prop1", "crane"), ("prop2", "crane_known"),
+                                               ("prop2", "manipulator")])
 def test_lockstep_with_a_factor_in_another_layout(request, observer, fixture):
     # T(q) is shared by the rows; matmul rounds a Fortran-ordered T differently
-    # from C order, so the stacked products must use it as each row alone does
-    model = request.getfixturevalue(fixture)
-    fortran = replace(model, factor=lambda q: np.asfortranarray(model.factor(q)))
+    # from C order, so the stacked products must use it as each row alone does.
+    # The manipulator's T^-1 is Fortran-ordered at one position alone, as a run
+    # alone reads it, and C-ordered in a stack: the layout probe keeps its rows
+    # from the stack kernel, and they run one by one
     key = "lambda" if observer == "prop1" else "psi5_extra"
-    sc = crane_prop1_scenario(fortran, observer=observer, gains={}, t_final=0.2)
+    if fixture == "manipulator":
+        sc = gain_group(request, "prop2_manipulator")[0]
+        model = sc.model
+        fortran = replace(model, factor_inv=lambda q: np.asfortranarray(model.factor_inv(q))
+                          if q.ndim == 1 else model.factor_inv(q))
+        sc = replace(sc, model=fortran)
+        assert ScaledObserver(fortran)._stacked([], sc.q0) is None
+    else:
+        model = request.getfixturevalue(fixture)
+        fortran = replace(model, factor=lambda q: np.asfortranarray(model.factor(q)))
+        sc = crane_prop1_scenario(fortran, observer=observer, gains={}, t_final=0.2)
     solo = [integrate_scenario(apply_sweep_value(sc, key, v)) for v in (0.4, 2.0)]
     shared, lockstep = integrate_group([apply_sweep_value(sc, key, v) for v in (0.4, 2.0)])
     assert all(same_series(a, b) for a, b in zip(solo, shared))

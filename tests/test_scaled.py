@@ -456,12 +456,12 @@ def test_adaptive_setup_one_evaluator_call_per_stack(crane, monkeypatch):
     # the structural checks take their 30 samples in one stack per evaluator:
     # one T and dT, read for the brackets and the unknown-friction rows, the
     # integral map at every sample's 7 central-difference points, and T^-1;
-    # the regressor matrices then take their 100 samples in one T call
+    # the regressor matrices then read T at the first sample alone
     calls = {}
     counted = counting(crane, calls, ("factor", "factor_inv", "factor_jac", "integral_map"))
     spy_factor_and_jacobian(monkeypatch, calls)
     momobs.AdaptiveObserver(counted)
-    assert calls == {"T and dT": [30], "factor": [30, 100], "factor_jac": [30],
+    assert calls == {"T and dT": [30], "factor": [30, 1], "factor_jac": [30],
                      "integral_map": [30 * 7], "factor_inv": [30]}
 
 

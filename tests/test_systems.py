@@ -1,10 +1,12 @@
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import momobs
 from momobs import (
     AssumptionReport,
     FrictionSpec,
@@ -22,10 +24,9 @@ from momobs import (
     ManipulatorParams,
     sample_positions,
     SpiderCraneParams,
-    StructureError,
     regressor_matrices,
 )
-from momobs.geometry import FD_STEP, factor_structure, swapped_from_brackets
+from momobs.geometry import FD_STEP, factor_structure, structural_samples, swapped_from_brackets
 from momobs.model import central_differences
 
 from oracles import swapped_by_tensordot
@@ -331,35 +332,43 @@ def check_zrs_one_by_one(model, samples):
     return AssumptionReport(pair_norms, gradq, [(int(i), float(v)) for i, v in zip(kappa, worst)])
 
 
-def regressor_matrices_one_by_one(model):
-    """regressor_matrices, or its refusal's message, with the factor called at one position at a time."""
-    kappa = model.friction.unknown_indices
-    qs = sample_positions(model.n, 100)
-    ys = [np.einsum("kj,ka->jak", model.factor(q)[kappa], model.factor(q)[kappa]) for q in qs]
-    for y in ys[1:]:
-        dev = np.abs(y - ys[0]).reshape(model.n, -1).max(axis=1, initial=0.0)
-        bad = np.flatnonzero(dev > 1e-10)
-        if bad.size:
-            return (f"regressor matrix {bad[0]} varies with q (deviation {dev[bad[0]]:.3e}); "
-                    "unknown-friction rows of the factor must be constant")
-    return ys[0]
+def regressor_matrices_from_stack(model):
+    """Y from the first row of one factor call on the 100 samples of momobs check at seed 0."""
+    rows = model.factor(sample_positions(model.n, 100))[0, model.friction.unknown_indices]
+    return np.einsum("kj,ka->jak", rows, rows)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name", ["crane", "manipulator", "crane_cholesky"])
 def test_stacked_checks_match_one_by_one(request, name, seed):
-    # check_zrs and regressor_matrices evaluate their samples in one stack;
-    # their results are those of evaluating one position at a time
+    # check_zrs evaluates its samples in one stack, and its report is that of evaluating
+    # one position at a time; regressor_matrices reads the first structural sample alone,
+    # with the bits of that sample's row of a stack, for every model: it checks nothing
     model = request.getfixturevalue(name)
     samples = sample_positions(model.n, 100, seed=seed)
     assert check_zrs(model, samples).to_text() == check_zrs_one_by_one(model, samples).to_text()
-    reference = regressor_matrices_one_by_one(model)
-    if isinstance(reference, str):
-        with pytest.raises(StructureError) as err:
-            regressor_matrices(model)
-        assert str(err.value) == reference
-    else:
-        assert regressor_matrices(model).tobytes() == reference.tobytes()
+    assert regressor_matrices(model).tobytes() == regressor_matrices_from_stack(model).tobytes()
+
+
+def test_structural_samples_are_one_read_only_set(crane, monkeypatch):
+    # the factories' probe and the adaptive observer's checks read one array, drawn once;
+    # the regressor matrices read its first row
+    samples = structural_samples(3)
+    assert samples is structural_samples(3) and not samples.flags.writeable
+    assert samples.tobytes() == sample_positions(3, 30).tobytes()
+    read = []
+
+    def factor(q):
+        read.append(q)
+        return crane.factor(q)
+
+    model = momobs.systems._probed(replace(crane, factor=factor), "")
+    check = momobs.adaptive.check_zrs
+    monkeypatch.setattr(momobs.adaptive, "check_zrs",
+                        lambda model, qs: read.append(qs) or check(model, qs))
+    momobs.AdaptiveObserver(model)
+    assert read[0] is samples and read[1] is samples  # the probe, then the checks
+    assert read[-1].shape == (3,) and read[-1].base is samples  # Y, at the first sample
 
 
 def test_structure_reports(crane, crane_cholesky, manipulator):
